@@ -68,6 +68,19 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
+def _json_text(payload: dict) -> str:
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ConsistencyError(f"non-finite value in the output: {exc}") from exc
+
+
+def _threads(args) -> int:
+    if args.threads < 1:
+        raise ContractViolation(f"--threads must be >= 1, got {args.threads}")
+    return args.threads
+
+
 def _meta(d=None, **extra) -> dict:
     meta = {"tool": "cartanflow", "version": __version__}
     if d is not None:
@@ -123,7 +136,7 @@ def _cmd_spaces(args) -> int:
             }
         )
     if args.format == "json":
-        _emit(json.dumps({"meta": _meta(), "spaces": records}, indent=2), args.out)
+        _emit(_json_text({"meta": _meta(), "spaces": records}), args.out)
     else:
         lines = [
             f"{'kind':6s} {'(m,n)':8s} {'N':>3s} {'dim p':>6s} {'rank':>5s} {'dim M':>6s}  roots"
@@ -175,7 +188,7 @@ def _cmd_decompose(args) -> int:
         payload["r_canonical"] = matrix_to_obj(elem.coords.r)
         payload["m_elem"] = matrix_to_obj(m_elem)
         payload["degenerate_flags"] = list(elem.degenerate)
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(_json_text(payload), args.out)
     return 0
 
 
@@ -183,9 +196,14 @@ def _cmd_density(args) -> int:
     from .reduction import closed_form_density, density_constant, jacobian_density
 
     d = _space_from_args(args)
-    q = np.array([float(t) for t in args.q.split(",")], dtype=float)
+    try:
+        q = np.array([float(t) for t in args.q.split(",")], dtype=float)
+    except ValueError as exc:
+        raise ContractViolation(f"--q: {exc}") from exc
     if q.shape != (d.real_rank,):
         raise ContractViolation(f"--q needs {d.real_rank} comma-separated values")
+    if not np.all(np.isfinite(q)):
+        raise ContractViolation(f"--q must be finite, got {args.q}")
     payload = {"meta": _meta(d, q=[float(v) for v in q])}
     if args.method in ("numeric", "both"):
         payload["numeric"] = jacobian_density(d, q)
@@ -196,7 +214,7 @@ def _cmd_density(args) -> int:
             payload["numeric"] / payload["closed"] if payload["closed"] else None
         )
         payload["constant"] = density_constant(d)
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(_json_text(payload), args.out)
     return 0
 
 
@@ -204,7 +222,7 @@ def _cmd_sample(args) -> int:
     from .sampling import radial_histogram, theoretical_radial_density
 
     d = _space_from_args(args)
-    hist = radial_histogram(d, args.count, args.bins, args.seed, threads=args.threads)
+    hist = radial_histogram(d, args.count, args.bins, args.seed, threads=_threads(args))
     multi = d.real_rank > 1
     rows = []
     for coord in range(d.real_rank):
@@ -230,14 +248,19 @@ def _cmd_flow(args) -> int:
     from .sampling import sample_p_gaussian
 
     d = _space_from_args(args)
-    X = sample_p_gaussian(d, args.seed)
-    Y = sample_p_gaussian(d, args.seed + 1)
-    state, _ = reduce_phase_point(d, PhasePoint(X, Y))
-    traj = integrate_reduced(d, state, args.t_max, args.steps)
+    if not np.isfinite(args.t_max):
+        raise ContractViolation(f"--t-max must be finite, got {args.t_max}")
+    if args.steps < 1:
+        raise ContractViolation(f"--steps must be >= 1, got {args.steps}")
+    start = PhasePoint(sample_p_gaussian(d, args.seed), sample_p_gaussian(d, args.seed + 1))
     deviations = None
     if args.compare:
-        report = compare_with_oracle(d, PhasePoint(X, Y), traj.times, steps=args.steps)
-        deviations = report.deviations
+        grid = np.linspace(0.0, args.t_max, args.steps + 1)
+        report = compare_with_oracle(d, start, grid, steps=args.steps)
+        traj, deviations = report.trajectory, report.deviations
+    else:
+        state, _ = reduce_phase_point(d, start)
+        traj = integrate_reduced(d, state, args.t_max, args.steps)
     nspec = traj.l_spectra.shape[1] if traj.l_spectra.size else d.ambient_dim
     header = (
         ["t"]
@@ -267,10 +290,12 @@ def _cmd_verify_density(args) -> int:
     from .sampling import verify_density
 
     d = _space_from_args(args)
-    res = verify_density(d, count=args.count, bins=args.bins, seed=args.seed, threads=args.threads)
+    res = verify_density(
+        d, count=args.count, bins=args.bins, seed=args.seed, threads=_threads(args)
+    )
     payload = {"meta": _meta(d, seed=args.seed, count=args.count, bins=args.bins)}
     payload.update(res)
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(_json_text(payload), args.out)
     if not res.get("constant_ratio_ok", False):
         raise ConsistencyError(res.get("constant_ratio_error", "density ratio not constant"))
     return 0
@@ -347,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     except ContractViolation as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 2
-    except ConsistencyError as exc:
+    except (ConsistencyError, np.linalg.LinAlgError) as exc:
         print(f"error: consistency: {exc}", file=sys.stderr)
         return 3
     except FileNotFoundError as exc:

@@ -9,7 +9,8 @@ coordinates it becomes a flow in (q, p, l):
                                          generators, B the trace form)
     dl/dt = [l, w]
 
-where r solves [r, H(q)] = l and w solves [w, H(q)] = r; w is the
+where r solves [r, H(q)] = l and w solves [w, H(q)] = r (in the
+root-adapted bases both are divisions by the root values); w is the
 kappa-gradient of H with respect to l.  The l equation is a Lax pair, so
 the spectrum of l is conserved along with the energy.  The direct flow is
 exactly solvable and serves as the oracle for the reduced integration.
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ContractViolation
-from .radial import WALL_TOL, SliceCoords, radial_decompose
+from .linalg import ContractViolation, commutator
+from .radial import WALL_TOL, SliceCoords, radial_coords_batch, radial_decompose
 from .reduction import ReducedState, l_from_slice
 from .spaces import SpaceDescriptor, check_p_membership, geometry, wall_distance
 
@@ -68,9 +69,13 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class OracleReport:
+    """Sup-norm deviations of the reduced trajectory it compared from the
+    direct flow, at the step times nearest each grid point."""
+
     times: np.ndarray
     deviations: np.ndarray
     max_deviation: float
+    trajectory: Trajectory
     truncated: str | None = None
 
 
@@ -96,35 +101,35 @@ def reduce_phase_point(d: SpaceDescriptor, point: PhasePoint) -> tuple[ReducedSt
 
 
 class _Reduced:
-    """Coordinate-level reduced system for one descriptor (internal)."""
+    """Coordinate-level reduced system for one descriptor (internal).
+
+    In the root-adapted bases r -> [r, H(q)] is diag(C q), so r and w come
+    from two divisions and the energy has the Calogero-Moser/Sutherland form
+    p^T G p / 2 + sum_k l_k^2 / (C q)_k^2 / 2.
+    """
 
     def __init__(self, d: SpaceDescriptor):
         self.d = d
         self.geo = geometry(d)
         self.gram = self.geo.gram
-        self.T = self.geo.t_tensor  # (rank, dzk, dap)
-        self.L = self.geo.zk_bracket_tensor  # (dzk, dzk, dzk)
+        self.C = self.geo.bracket_coeffs  # (dzk, rank)
 
-    def t_matrix(self, q: np.ndarray) -> np.ndarray:
-        return np.tensordot(q, self.T, axes=1)
-
-    def solve_r_w(self, q: np.ndarray, lc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        Tq = self.t_matrix(q)
-        r = np.linalg.solve(Tq, lc)
-        w = np.linalg.solve(Tq.T, r)
-        return r, w
+    def r_and_w(self, q: np.ndarray, lc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a = self.C @ q
+        r = lc / a
+        return r, r / a
 
     def hamiltonian(self, q, p, lc) -> float:
-        r, _ = self.solve_r_w(q, lc)
+        r, _ = self.r_and_w(q, lc)
         return 0.5 * float(p @ self.gram @ p) + 0.5 * float(r @ r)
 
     def field(self, q, p, lc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        r, w = self.solve_r_w(q, lc)
-        # dH/dq_j = -w . (T_j r); Hamilton's equations flip the sign back
-        u = np.array([w @ (Tj @ r) for Tj in self.T])
+        r, w = self.r_and_w(q, lc)
+        geo = self.geo
         dq = p.copy()
-        dp = np.linalg.solve(self.gram, u)
-        dl = np.einsum("abc,a,b->c", self.L, lc, w)
+        # dH/dq = -C^T (w r); Hamilton's equations flip the sign back
+        dp = np.linalg.solve(self.gram, self.C.T @ (w * r))
+        dl = geo.zk_coords(commutator(geo.zk_from_coords(lc), geo.zk_from_coords(w)))
         return dq, dp, dl
 
     def l_matrix_spectrum(self, lc: np.ndarray) -> np.ndarray:
@@ -186,14 +191,10 @@ def integrate_reduced(
     if not wall_ok(q):
         raise ContractViolation("initial radial point is too close to a chamber wall")
     for step in range(steps):
-        try:
-            k1 = sys.field(q, p, lc)
-            k2 = sys.field(q + 0.5 * h * k1[0], p + 0.5 * h * k1[1], lc + 0.5 * h * k1[2])
-            k3 = sys.field(q + 0.5 * h * k2[0], p + 0.5 * h * k2[1], lc + 0.5 * h * k2[2])
-            k4 = sys.field(q + h * k3[0], p + h * k3[1], lc + h * k3[2])
-        except np.linalg.LinAlgError:
-            aborted = f"singular bracket solve at step {step}"
-            break
+        k1 = sys.field(q, p, lc)
+        k2 = sys.field(q + 0.5 * h * k1[0], p + 0.5 * h * k1[1], lc + 0.5 * h * k1[2])
+        k3 = sys.field(q + 0.5 * h * k2[0], p + 0.5 * h * k2[1], lc + 0.5 * h * k2[2])
+        k4 = sys.field(q + h * k3[0], p + h * k3[1], lc + h * k3[2])
         q = q + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         p = p + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         lc = lc + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
@@ -220,7 +221,8 @@ def compare_with_oracle(
 
     The direct flow is exact: q_direct(t) comes from the radial
     decomposition of X + tY.  The reduced flow is integrated with fixed
-    steps through the grid and compared pointwise in the sup norm.
+    steps through the grid and compared pointwise in the sup norm; the
+    report carries that trajectory.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0) or t_grid[0] != 0.0:
@@ -228,24 +230,19 @@ def compare_with_oracle(
     state0, _ = reduce_phase_point(d, start)
     n_steps = steps if steps is not None else (t_grid.size - 1)
     traj = integrate_reduced(d, state0, float(t_grid[-1]), n_steps)
-    devs = []
-    kept = []
-    from .radial import radial_coords
-
-    for t in t_grid:
-        if t > traj.times[-1] + 1e-12:
-            break
-        # compare at the nearest computed step time (exact when the grid
-        # matches the step count, the default)
-        idx = int(np.argmin(np.abs(traj.times - t)))
-        t_cmp = float(traj.times[idx])
-        q_red = traj.states[idx].q
-        q_dir = radial_coords(d, start.X + t_cmp * start.Y)
-        devs.append(float(np.max(np.abs(q_dir - q_red))))
-        kept.append(t_cmp)
+    # compare at the nearest computed step time (exact when the grid
+    # matches the step count, the default)
+    idx = [int(np.argmin(np.abs(traj.times - t))) for t in t_grid if t <= traj.times[-1] + 1e-12]
+    kept = traj.times[idx]
+    # X + tY lies in p by linearity: reduce_phase_point checked X and Y
+    X, Y = np.asarray(start.X, dtype=complex), np.asarray(start.Y, dtype=complex)
+    q_dir = radial_coords_batch(d, X[None] + kept[:, None, None] * Y[None])
+    q_red = np.array([traj.states[i].q for i in idx])
+    devs = np.max(np.abs(q_dir - q_red), axis=1)
     return OracleReport(
-        times=np.array(kept),
-        deviations=np.array(devs),
-        max_deviation=float(np.max(devs)) if devs else np.nan,
+        times=kept,
+        deviations=devs,
+        max_deviation=float(np.max(devs)),
+        trajectory=traj,
         truncated=traj.aborted,
     )

@@ -136,6 +136,8 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
             f"matrix object claims {rows}x{cols} but carries {len(data)} entries"
         )
     flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    if not np.all(np.isfinite(flat)):
+        raise ContractViolation("matrix object carries non-finite entries")
     return flat.reshape(rows, cols)
 
 

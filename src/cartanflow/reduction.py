@@ -24,7 +24,6 @@ from .spaces import (
     SpaceDescriptor,
     check_p_membership,
     geometry,
-    restricted_roots,
     wall_distance,
 )
 
@@ -56,8 +55,8 @@ class ReducedState:
 @dataclass(frozen=True)
 class AqOperator:
     """Matrix of ad(H(e)) o ad(H(q)) on the centralizer orthocomplement,
-    in the fixed orthonormal basis.  Symmetric; its eigenvalues are the
-    products alpha(e) * alpha(q) over positive roots with multiplicity."""
+    in the fixed root-adapted orthonormal basis.  Diagonal; its entries are
+    the products alpha(e) * alpha(q) over positive roots with multiplicity."""
 
     matrix: np.ndarray
     q: np.ndarray
@@ -90,8 +89,7 @@ def r_from_l(d: SpaceDescriptor, q, l) -> np.ndarray:
             "q lies on or near a chamber wall: the bracket map is singular there"
         )
     lc = geo.zk_coords(np.asarray(l, dtype=complex))
-    rc = np.linalg.solve(geo.t_matrix(q), lc)
-    return geo.aperp_from_coords(rc)
+    return geo.aperp_from_coords(lc / (geo.bracket_coeffs @ q))
 
 
 def a_q_matrix(d: SpaceDescriptor, q) -> AqOperator:
@@ -99,25 +97,21 @@ def a_q_matrix(d: SpaceDescriptor, q) -> AqOperator:
     with e the fixed generic chamber point (rank, rank-1, ..., 1)."""
     geo = geometry(d)
     q = np.asarray(q, dtype=float)
-    A = geo.t_matrix(geo.e_coords) @ geo.t_matrix(q).T
+    C = geo.bracket_coeffs
+    A = np.diag((C @ geo.e_coords) * (C @ q))
     return AqOperator(matrix=A, q=q.copy(), e=geo.e_coords.copy())
 
 
 def jacobian_density(d: SpaceDescriptor, q) -> float:
     """|det| of r -> [r, H(q)] between orthonormal bases of a-perp and the
-    centralizer orthocomplement.  Vanishes exactly on the chamber walls."""
-    geo = geometry(d)
-    T = geo.t_matrix(np.asarray(q, dtype=float))
-    if T.shape[0] == 0:
-        return 1.0
-    return float(abs(np.linalg.det(T)))
+    centralizer orthocomplement: the product of the measured diagonal
+    |C q| in the root-adapted bases.  Vanishes exactly on the chamber walls."""
+    C = geometry(d).bracket_coeffs
+    return float(np.prod(np.abs(C @ np.asarray(q, dtype=float))))
 
 
-def _root_product(roots: list[RestrictedRoot], q: np.ndarray) -> float:
-    out = 1.0
-    for r in roots:
-        out *= abs(r.value(q)) ** r.multiplicity
-    return out
+def _root_product(coeffs: np.ndarray, mults: np.ndarray, q: np.ndarray) -> float:
+    return float(np.prod(np.abs(coeffs @ q) ** mults))
 
 
 def closed_form_density(
@@ -133,7 +127,8 @@ def closed_form_density(
     """
     q = np.asarray(q, dtype=float)
     if roots is not None:
-        return _root_product(roots, q)
+        coeffs = np.array([r.coeffs for r in roots], dtype=float).reshape(len(roots), len(q))
+        return _root_product(coeffs, np.array([r.multiplicity for r in roots]), q)
     if d.kind == "aiii":
         out = float(np.prod(np.abs(q) ** (2 * (d.m - d.n) + 1)))
         for i in range(d.n):
@@ -146,7 +141,7 @@ def closed_form_density(
             for j in range(i + 1, d.n):
                 out *= abs(q[i] ** 2 - q[j] ** 2)
         return abs(out)
-    return _root_product(restricted_roots(d), q)
+    return _root_product(*geometry(d).root_table, q)
 
 
 def random_chamber_point(

@@ -8,10 +8,10 @@ its defining relations (pseudo-unitarity, reality, quaternionic or
 Abelian subspace of p0 with explicit "radial" generators, and the table
 of positive restricted roots with their real multiplicities.
 
-The heavy lifting (orthonormal bases of k, p, a, a-perp, the centralizer
-algebra of a inside k and its orthocomplement, and the bracket tensors
-used by the densities and the reduced flow) is computed numerically once
-per descriptor and cached.
+The heavy lifting (orthonormal bases of k, p, a, the centralizer algebra
+of a inside k, and root-adapted bases of its orthocomplement and of a-perp,
+in which the bracket map r -> [r, H(q)] is the diagonal of root values) is
+computed numerically once per descriptor and cached.
 
 Supported kinds::
 
@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import ConsistencyError, ContractViolation, as_cmat, commutator, frobenius
+from .linalg import ConsistencyError, ContractViolation, as_cmat, frobenius
 
 __all__ = [
     "KINDS",
@@ -59,6 +59,9 @@ TWO_PARAM_KINDS = ("aiii", "bdi", "cii")
 
 MEMBERSHIP_RTOL = 1e-10
 _GS_TOL = 1e-10
+# seed of the generic radial point that separates the restricted-root spaces
+_ROOT_SEED = 20260809
+_BRACKET_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -251,6 +254,8 @@ def check_membership(d: SpaceDescriptor, X, rtol: float = MEMBERSHIP_RTOL) -> No
     N = d.ambient_dim
     if X.shape != (N, N):
         raise ContractViolation(f"{d.label()} lives in {N}x{N} matrices, got {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ContractViolation("matrix has non-finite entries")
     scale = max(frobenius(X), 1.0)
     for name, residual in _relations(d, X):
         if residual > rtol * scale:
@@ -477,11 +482,7 @@ def restricted_roots(d: SpaceDescriptor) -> list[RestrictedRoot]:
 
 def root_values(d: SpaceDescriptor, q: np.ndarray) -> np.ndarray:
     """alpha(q) over the positive roots, in table order."""
-    roots = restricted_roots(d)
-    if not roots:
-        return np.zeros(0)
-    coeff = np.array([r.coeffs for r in roots], dtype=float)
-    return coeff @ np.asarray(q, dtype=float)
+    return geometry(d).root_table[0] @ np.asarray(q, dtype=float)
 
 
 def wall_distance(d: SpaceDescriptor, q: np.ndarray) -> float:
@@ -494,8 +495,30 @@ def wall_distance(d: SpaceDescriptor, q: np.ndarray) -> float:
 # numeric basis machinery
 
 
-def _vec_real(X: np.ndarray) -> np.ndarray:
-    return np.concatenate([X.real.reshape(-1), X.imag.reshape(-1)])
+def _vec_rows(stack: np.ndarray) -> np.ndarray:
+    """One real row per matrix of a stack: dot products of rows are the
+    Frobenius real inner products of the matrices."""
+    flat = stack.reshape(-1, stack.shape[-1] ** 2)
+    return np.concatenate([flat.real, flat.imag], axis=1)
+
+
+def _ad_rows(stack: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """``_vec_rows`` of the commutators [B, H] over a stack of matrices B."""
+    return _vec_rows(stack @ H - H @ stack)
+
+
+def _generic_point(rank: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(rank) + np.linspace(0.5, 1.5, rank)
+
+
+def _root_step(stack: np.ndarray, He: np.ndarray, Hg: np.ndarray) -> np.ndarray:
+    """Eigenvectors (columns) of ad(He) ad(Hg) on the span of an orthonormal
+    stack of k elements.  The maps are self-adjoint and commute, so the
+    product is symmetric; at a generic g its eigenspaces are root spaces."""
+    A = _ad_rows(stack, He) @ _ad_rows(stack, Hg).T
+    _, vecs = np.linalg.eigh((A + A.T) / 2.0)
+    return vecs
 
 
 def _gram_schmidt(mats: list[np.ndarray], tol: float = _GS_TOL) -> list[np.ndarray]:
@@ -505,7 +528,7 @@ def _gram_schmidt(mats: list[np.ndarray], tol: float = _GS_TOL) -> list[np.ndarr
     basis: list[np.ndarray] = []
     vecs: list[np.ndarray] = []
     for M in mats:
-        v = _vec_real(M)
+        v = _vec_rows(M[None])[0]
         for _ in range(2):  # twice for numerical orthogonality
             for b in vecs:
                 v = v - np.dot(b, v) * b
@@ -633,75 +656,77 @@ class SpaceGeometry:
         return _gram_schmidt(self.a_embed)
 
     @cached_property
-    def a_perp_basis(self) -> list[np.ndarray]:
-        d = self.descriptor
-        reduced = []
-        for P in self.p_basis:
-            Q = P.copy()
-            for A in self.a_basis:
-                Q = Q - np.vdot(A, Q).real * A
-            reduced.append(Q)
-        basis = _gram_schmidt(reduced)
-        want = d.dim_p - d.real_rank
-        if len(basis) != want:
-            raise ConsistencyError(
-                f"{d.label()}: a-perp dimension {len(basis)}, expected {want}"
-            )
-        return basis
+    def _root_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Root-adapted bases: stacks of m, zk-perp and a-perp, and C.
 
-    @cached_property
-    def _m_and_zk(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Split k into the centralizer algebra of a and its orthocomplement,
-        via the kernel of xi -> ([xi, H_1], ..., [xi, H_rank])."""
+        m is the kernel of ad(H(e))^2 on k (every root has |alpha(e)| >= 1).
+        zk-perp holds the eigenvectors Z_k of ad(H(e)) ad(H(g)) on the rest
+        of k at the seeded generic g, each in one restricted-root space;
+        a-perp holds the partners R_k = [Z_k, H(e)] / |alpha_k(e)|.  There
+        r -> [r, H(q)] is diag(C q), C[k, i] = <Z_k, [R_k, H_i]> being the
+        integer coefficients of the root of Z_k.  The measured map is checked
+        to be such a diagonal; C keeps the integers, dropping rounding noise.
+        """
         d = self.descriptor
-        kb = self.k_basis
-        if not kb:
-            return [], []
-        cols = []
-        for xi in kb:
-            cols.append(np.concatenate([_vec_real(commutator(xi, H)) for H in self.a_embed]))
-        C = np.array(cols).T  # (rank*2N^2, dim k)
-        U, s, Vh = np.linalg.svd(C, full_matrices=True)
-        tol = 1e-8 * max(1.0, s[0] if s.size else 0.0)
-        nker = int(np.sum(s <= tol)) + (C.shape[1] - len(s))
-        rank_c = C.shape[1] - nker
-        combine = lambda row: sum(c * b for c, b in zip(row, kb))
-        zk = [combine(Vh[i]) for i in range(rank_c)]
-        mz = [combine(Vh[i]) for i in range(rank_c, C.shape[1])]
-        want = d.dim_p - d.real_rank
-        if len(zk) != want:
+        rank, N = d.real_rank, d.ambient_dim
+        want = d.dim_p - rank
+        kb = np.array(self.k_basis, dtype=complex).reshape(-1, N, N)
+        He = self.embed_radial(self.e_coords)
+        Ve = _ad_rows(kb, He)
+        lam, U = np.linalg.eigh(Ve @ Ve.T)
+        rest = lam >= 0.5
+        m = np.tensordot(U[:, ~rest].T, kb, axes=1)
+        k_rest = np.tensordot(U[:, rest].T, kb, axes=1)
+        if len(k_rest) != want:
             raise ConsistencyError(
-                f"{d.label()}: dim zk-perp {len(zk)} does not match dim a-perp {want}"
+                f"{d.label()}: dim zk-perp {len(k_rest)} does not match dim a-perp {want}"
             )
-        return mz, zk
+        Hg = self.embed_radial(_generic_point(rank, _ROOT_SEED))
+        Z = np.tensordot(_root_step(k_rest, He, Hg).T, k_rest, axes=1)
+        R = Z @ He - He @ Z
+        R /= np.linalg.norm(R, axis=(1, 2))[:, None, None]
+        C = np.empty((want, rank))
+        for i, Hi in enumerate(self.a_embed):
+            B = R @ Hi - Hi @ R  # [R_k, H_i] lies in zk-perp and should be C_ki Z_k
+            C[:, i] = np.rint(np.einsum("kab,kab->k", Z.conj(), B).real)
+            resid = np.linalg.norm(B - C[:, i, None, None] * Z, axis=(1, 2))
+            if np.max(resid, initial=0.0) > _BRACKET_TOL:
+                raise ConsistencyError(
+                    f"{d.label()}: bracket map with generator {i} is not diag(C q) with "
+                    f"integer C in the root-adapted bases (deviation {np.max(resid):.3e})"
+                )
+        return m, Z, R, C
 
     @property
     def m_basis(self) -> list[np.ndarray]:
-        return self._m_and_zk[0]
+        return list(self._root_split[0])
 
     @property
     def zk_perp_basis(self) -> list[np.ndarray]:
-        return self._m_and_zk[1]
+        return list(self._root_split[1])
+
+    @property
+    def a_perp_basis(self) -> list[np.ndarray]:
+        return list(self._root_split[2])
+
+    @property
+    def bracket_coeffs(self) -> np.ndarray:
+        """C with r -> [r, H(q)] equal to diag(C q) from a-perp to zk-perp."""
+        return self._root_split[3]
 
     # -- coordinates -------------------------------------------------------
 
-    @staticmethod
-    def _stack(basis: list[np.ndarray]) -> np.ndarray:
-        if not basis:
-            return np.zeros((0, 1, 1), dtype=complex)
-        return np.stack(basis)
-
-    @cached_property
+    @property
     def _ap_stack(self) -> np.ndarray:
-        return self._stack(self.a_perp_basis)
+        return self._root_split[2]
 
-    @cached_property
+    @property
     def _zk_stack(self) -> np.ndarray:
-        return self._stack(self.zk_perp_basis)
+        return self._root_split[1]
 
     @cached_property
     def _p_stack(self) -> np.ndarray:
-        return self._stack(self.p_basis)
+        return np.stack(self.p_basis)
 
     def coords(self, basis_stack: np.ndarray, X: np.ndarray) -> np.ndarray:
         if basis_stack.shape[0] == 0:
@@ -750,23 +775,6 @@ class SpaceGeometry:
         b = np.array([np.einsum("ij,ji->", Hi, X).real for Hi in self.a_embed])
         return self.gram_inv @ b
 
-    # -- bracket tensors ----------------------------------------------------
-
-    @cached_property
-    def t_tensor(self) -> np.ndarray:
-        """T[i, b, a] = <K_b, [R_a, H_i]>: the map a-perp -> zk-perp for each
-        radial generator.  T(q) = sum_i q_i T_i sends r to [r, H(q)]."""
-        d = self.descriptor
-        rank, dap = d.real_rank, len(self.a_perp_basis)
-        T = np.zeros((rank, dap, dap))
-        for i, Hi in enumerate(self.a_embed):
-            for a, R in enumerate(self.a_perp_basis):
-                T[i, :, a] = self.zk_coords(commutator(R, Hi))
-        return T
-
-    def t_matrix(self, q: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(q, dtype=float), self.t_tensor, axes=1)
-
     @cached_property
     def e_coords(self) -> np.ndarray:
         """The fixed generic radial point (rank, rank-1, ..., 1)."""
@@ -774,17 +782,15 @@ class SpaceGeometry:
         return np.arange(r, 0, -1, dtype=float)
 
     @cached_property
-    def zk_bracket_tensor(self) -> np.ndarray:
-        """Structure tensor L[a, b, c] = <K_c, [K_a, K_b]> on zk-perp."""
-        zb = self.zk_perp_basis
-        dz = len(zb)
-        L = np.zeros((dz, dz, dz))
-        for a in range(dz):
-            for b in range(a + 1, dz):
-                c = self.zk_coords(commutator(zb[a], zb[b]))
-                L[a, b, :] = c
-                L[b, a, :] = -c
-        return L
+    def root_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (coefficients, multiplicities) of ``restricted_roots``."""
+        roots = restricted_roots(self.descriptor)
+        coeffs = np.array([r.coeffs for r in roots], dtype=float).reshape(
+            len(roots), self.descriptor.real_rank
+        )
+        mults = np.array([r.multiplicity for r in roots], dtype=float)
+        coeffs.flags.writeable = mults.flags.writeable = False
+        return coeffs, mults
 
 
 _GEOMETRY_CACHE: dict[SpaceDescriptor, SpaceGeometry] = {}
@@ -828,29 +834,23 @@ def basis_of(d: SpaceDescriptor, which: str) -> list[np.ndarray]:
 # numeric restricted-root oracle
 
 
-def numeric_roots(d: SpaceDescriptor, seed: int = 20260809) -> list[RestrictedRoot]:
+def numeric_roots(d: SpaceDescriptor, seed: int = _ROOT_SEED) -> list[RestrictedRoot]:
     """Recover the restricted roots from the bracket geometry alone.
 
-    Diagonalizes ad(H(E)) o ad(H(g)) on zk-perp at a random generic g,
-    reads off the per-coordinate eigenvalues alpha(E)*alpha_i of each
-    eigenvector, and fits integer coefficient vectors.  Serves as an
+    Reruns the root step on zk-perp at its own seeded generic g, measures
+    on each eigenvector the diagonal alpha(E)*alpha_i of ad(H(E)) o ad(H_i)
+    and its residual, and fits integer coefficient vectors.  Serves as an
     independent oracle for the tabulated roots.
     """
     geo = geometry(d)
-    rank = d.real_rank
-    dz = len(geo.zk_perp_basis)
-    if dz == 0:
-        return []
-    rng = np.random.default_rng(seed)
+    Z = geo._zk_stack
     e = geo.e_coords
-    Te = geo.t_matrix(e)
-    g = rng.standard_normal(rank) + np.linspace(0.5, 1.5, rank)
-    Ag = Te @ geo.t_matrix(g).T
-    _, vecs = np.linalg.eigh((Ag + Ag.T) / 2.0)
-    A_i = [Te @ geo.t_tensor[i].T for i in range(rank)]
+    He = geo.embed_radial(e)
+    vecs = _root_step(Z, He, geo.embed_radial(_generic_point(d.real_rank, seed)))
+    Ve = _ad_rows(Z, He)
+    A_i = [Ve @ _ad_rows(Z, Hi).T for Hi in geo.a_embed]
     found: dict[tuple[int, ...], int] = {}
-    for idx in range(dz):
-        v = vecs[:, idx]
+    for idx, v in enumerate(vecs.T):
         w = np.array([v @ (A @ v) for A in A_i])
         resid = max(np.linalg.norm(A @ v - wi * v) for A, wi in zip(A_i, w))
         s2 = float(np.dot(w, e))
@@ -858,8 +858,7 @@ def numeric_roots(d: SpaceDescriptor, seed: int = 20260809) -> list[RestrictedRo
             raise ConsistencyError(
                 f"{d.label()}: eigenvector {idx} has nonpositive alpha(E)^2 = {s2:.3e}"
             )
-        s = np.sqrt(s2)
-        c = w / s
+        c = w / np.sqrt(s2)
         c_int = np.rint(c)
         fit = max(resid, float(np.max(np.abs(c - c_int))))
         if fit > 1e-6:

@@ -60,3 +60,21 @@ def centralizer_orbit_dimension(d, seed: int = 1010) -> int:
     # singular values are O(1) or at round-off (~1e-16), so a relative
     # cut far from both separates them
     return int(np.sum(sv > 1e-8 * sv[0]))
+
+
+def dense_aperp_basis(d) -> list:
+    """a-perp without root adaptation: the p basis projected off a, then
+    Gram-Schmidt orthonormalized.  Reference for the diagonal bracket map."""
+    from cartanflow.spaces import _gram_schmidt
+
+    geo = geometry(d)
+    reduced = []
+    for P in geo.p_basis:
+        Q = P.copy()
+        for A in geo.a_basis:
+            Q = Q - np.vdot(A, Q).real * A
+        reduced.append(Q)
+    basis = _gram_schmidt(reduced)
+    assert len(basis) == d.dim_p - d.real_rank
+    return basis
+

@@ -207,3 +207,61 @@ def test_atomic_write_no_partial_on_failure(tmp_path, capsys):
     )
     assert code == 2
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("q", ["nan", "inf", "-inf", "abc"])
+def test_density_rejects_non_finite_q(capsys, q):
+    code, out, err = run_cli(
+        capsys, "density", "--class", "aiii", "--m", "2", "--n", "1", f"--q={q}"
+    )
+    assert code == 2 and out == "" and err.startswith("error: validation:")
+
+
+def test_density_overflow_is_not_emitted_as_nan(capsys):
+    # finite input whose density overflows: no NaN or Infinity in the JSON
+    code, out, err = run_cli(
+        capsys, "density", "--class", "aiii", "--m", "2", "--n", "1", "--q", "1e200"
+    )
+    assert code == 3 and out == "" and err.startswith("error: consistency:")
+
+
+@pytest.mark.parametrize("bad", [["--t-max", "nan"], ["--t-max", "inf"], ["--steps", "-3"]])
+def test_flow_rejects_non_finite_t_max_and_bad_steps(capsys, bad):
+    code, out, err = run_cli(
+        capsys, "flow", "--class", "aiii", "--m", "2", "--n", "1", "--compare", *bad
+    )
+    assert code == 2 and out == "" and err.startswith("error: validation:")
+
+
+def test_decompose_rejects_nan_input(tmp_path, capsys):
+    X = sample_p_gaussian(make_space("ai", 0, 3), 9)
+    X[0, 0] = np.nan
+    path = tmp_path / "x.json"
+    save_matrix(path, X)
+    code, out, err = run_cli(
+        capsys, "decompose", "--class", "ai", "--n", "3", "--input", str(path)
+    )
+    assert code == 2 and out == "" and "non-finite" in err
+
+
+def test_linalg_error_exit_3(capsys, monkeypatch):
+    import cartanflow.radial as radial
+
+    def broken(d, X):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(radial, "radial_decompose", broken)
+    code, out, err = run_cli(
+        capsys, "decompose", "--class", "aiii", "--m", "2", "--n", "1", "--seed", "1"
+    )
+    assert code == 3 and out == "" and err.startswith("error: consistency:")
+
+
+@pytest.mark.parametrize("command", ["sample", "verify-density"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_must_be_positive(capsys, command, threads):
+    code, out, err = run_cli(
+        capsys, command, "--class", "aiii", "--m", "2", "--n", "1",
+        "--count", "100", "--threads", threads,
+    )
+    assert code == 2 and out == "" and "--threads" in err

@@ -20,7 +20,7 @@ from cartanflow.radial import embed_radial
 from cartanflow.reduction import ReducedState, random_chamber_point
 from cartanflow.spaces import geometry
 
-from conftest import REPRESENTATIVES
+from conftest import REPRESENTATIVES, dense_aperp_basis
 
 ORACLE_CASES = [("aiii", 2, 1), ("aiii", 3, 2), ("ai", 0, 3), ("a2", 0, 3)]
 
@@ -98,13 +98,13 @@ def test_vector_field_gradients_match_finite_differences(case, rng):
     geo = sys.geo
     q, p = state.q, state.p
     lc = geo.zk_coords(state.l)
-    r, w = sys.solve_r_w(q, lc)
+    r, w = sys.r_and_w(q, lc)
     eps = 1e-5
     for i in range(len(q)):
         e = np.zeros_like(q)
         e[i] = eps
         fd = (sys.hamiltonian(q + e, p, lc) - sys.hamiltonian(q - e, p, lc)) / (2 * eps)
-        analytic = -(w @ (sys.T[i] @ r))
+        analytic = -((w * r) @ sys.C[:, i])
         assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-6)
     for i in range(len(lc)):
         e = np.zeros_like(lc)
@@ -117,6 +117,40 @@ def test_vector_field_gradients_match_finite_differences(case, rng):
         e[i] = eps
         fd = (sys.hamiltonian(q, p + e, lc) - sys.hamiltonian(q, p - e, lc)) / (2 * eps)
         assert fd == pytest.approx(gp[i], rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize("case", REPRESENTATIVES + [("aiii", 3, 2), ("cii", 3, 2)])
+def test_diagonal_field_matches_dense_solves(case, rng):
+    # oracle: the dense bracket tensor T[i, b, a] = <Z_b, [R_a, H_i]> in an
+    # a-perp basis that is not root-adapted, two dense solves per evaluation
+    # and the dense zk-perp structure tensor
+    from cartanflow.linalg import commutator
+
+    d = make_space(*case)
+    geo = geometry(d)
+    aperp = dense_aperp_basis(d)
+    T = np.array([[geo.zk_coords(commutator(R, Hi)) for R in aperp] for Hi in geo.a_embed])
+    T = T.transpose(0, 2, 1)
+    zb = geo.zk_perp_basis
+    L = np.array([[geo.zk_coords(commutator(a, b)) for b in zb] for a in zb])
+    sys = _Reduced(d)
+    for _ in range(3):
+        state, _ = reduce_phase_point(
+            d, PhasePoint(random_p_element(d, rng), random_p_element(d, rng))
+        )
+        q, p = state.q, state.p
+        lc = geo.zk_coords(state.l)
+        Tq = np.tensordot(q, T, axes=1)
+        r = np.linalg.solve(Tq, lc)
+        w = np.linalg.solve(Tq.T, r)
+        dp = np.linalg.solve(geo.gram, np.array([w @ (Tj @ r) for Tj in T]))
+        dl = np.einsum("abc,a,b->c", L, lc, w)
+        energy = 0.5 * p @ geo.gram @ p + 0.5 * r @ r
+        got = sys.field(q, p, lc)
+        scale = max(1.0, np.max(np.abs(dp)), np.max(np.abs(dl)))
+        assert np.max(np.abs(got[1] - dp)) <= 1e-9 * scale
+        assert np.max(np.abs(got[2] - dl)) <= 1e-9 * scale
+        assert sys.hamiltonian(q, p, lc) == pytest.approx(energy, rel=1e-10)
 
 
 def test_vector_field_free_motion(rng):
@@ -137,8 +171,8 @@ def test_energy_gradient_orthogonal_to_field(rng):
     sys = _Reduced(d)
     lc = sys.geo.zk_coords(state.l)
     dq, dp, dl = sys.field(state.q, state.p, lc)
-    r, w = sys.solve_r_w(state.q, lc)
-    grad_q = np.array([-(w @ (Tj @ r)) for Tj in sys.T])
+    r, w = sys.r_and_w(state.q, lc)
+    grad_q = -(sys.C.T @ (w * r))
     dH = grad_q @ dq + (sys.gram @ state.p) @ dp + w @ dl
     assert abs(dH) <= 1e-10 * max(1.0, abs(sys.hamiltonian(state.q, state.p, lc)))
 
@@ -172,6 +206,33 @@ def test_oracle_agreement(case):
     report = compare_with_oracle(d, start, np.linspace(0.0, 1.0, 1001))
     assert report.truncated is None
     assert report.max_deviation <= 1e-6
+
+
+def test_oracle_report_carries_its_trajectory():
+    d = make_space("aiii", 3, 2)
+    start = generic_start(d, seed=101)
+    report = compare_with_oracle(d, start, np.linspace(0.0, 0.5, 51))
+    state, _ = reduce_phase_point(d, start)
+    traj = integrate_reduced(d, state, 0.5, 50)
+    assert np.array_equal(report.trajectory.times, traj.times)
+    assert np.array_equal(report.trajectory.energies, traj.energies)
+    assert np.array_equal(report.trajectory.l_spectra, traj.l_spectra)
+    for a, b in zip(report.trajectory.states, traj.states):
+        assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
+        assert np.array_equal(a.l, b.l)
+
+
+def test_oracle_times_are_trajectory_steps_after_wall_abort():
+    # the collision course of test_wall_abort as an unreduced start
+    d = make_space("ai", 0, 3)
+    X = embed_radial(d, np.array([0.4, 0.0]))
+    Y = embed_radial(d, np.array([-0.8, 0.0]))
+    report = compare_with_oracle(d, PhasePoint(X, Y), np.linspace(0.0, 2.0, 201))
+    assert report.truncated is not None and "wall" in report.truncated
+    steps = report.trajectory.times
+    assert steps[-1] < 2.0
+    assert len(report.times) == len(report.deviations) == len(steps)
+    assert all(np.any(t == steps) for t in report.times)
 
 
 def test_oracle_trivial_momentum(rng):

@@ -117,6 +117,12 @@ def test_matrix_json_malformed():
         matrix_from_obj({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_matrix_json_rejects_non_finite(bad):
+    with pytest.raises(ContractViolation, match="non-finite"):
+        matrix_from_obj({"rows": 1, "cols": 2, "data": [[1.0, 0.0], [0.0, bad]]})
+
+
 def test_save_load_matrix(tmp_path, rng):
     X = random_cmat(rng, 4)
     path = tmp_path / "x.json"

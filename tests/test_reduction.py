@@ -21,7 +21,7 @@ from cartanflow.radial import SliceCoords, embed_radial
 from cartanflow.reduction import _ratio_spread, random_chamber_point
 from cartanflow.spaces import RestrictedRoot, geometry
 
-from conftest import REPRESENTATIVES
+from conftest import REPRESENTATIVES, dense_aperp_basis, parameter_grid
 
 
 def random_aperp(d, rng):
@@ -206,3 +206,22 @@ def test_jacobian_matches_finite_difference(rng):
             Jac[:, a] = geo.zk_coords((plus - minus) / (2 * eps))
         fd = abs(np.linalg.det(Jac))
         assert fd == pytest.approx(jacobian_density(d, q), rel=1e-6)
+
+
+@pytest.mark.parametrize("case", parameter_grid(4))
+def test_jacobian_density_matches_dense_gram_oracle(case):
+    # |det| of r -> [r, H(q)] from a-perp built without root adaptation:
+    # [a-perp, a] is orthogonal to the centralizer, so the Gram determinant
+    # of the images needs no zk-perp basis
+    from cartanflow.linalg import commutator
+
+    d = make_space(*case)
+    aperp = dense_aperp_basis(d)
+    rng = np.random.default_rng(4242)
+    for _ in range(20):
+        q = random_chamber_point(d, rng)
+        H = embed_radial(d, q)
+        imgs = np.array([commutator(R, H).ravel() for R in aperp]).reshape(len(aperp), H.size)
+        gram = (imgs.conj() @ imgs.T).real
+        oracle = float(np.sqrt(np.linalg.det(gram)))
+        assert jacobian_density(d, q) == pytest.approx(oracle, rel=1e-9)

@@ -94,6 +94,45 @@ def test_basis_orthonormality_and_dimensions(case):
     assert len(basis_of(d, "zk_perp")) == d.dim_p - d.real_rank
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_membership_rejects_non_finite(bad):
+    d = make_space("aiii", 2, 1)
+    X = np.zeros((3, 3), dtype=complex)
+    X[0, 2] = X[2, 0] = bad
+    with pytest.raises(ContractViolation, match="non-finite"):
+        check_membership(d, X)
+
+
+def test_root_split_rejects_bases_that_are_not_root_adapted(monkeypatch):
+    # negative control: a random rotation of the root step's eigenvectors
+    # mixes root spaces, and the build must refuse the non-diagonal map
+    import cartanflow.spaces as spaces
+    from cartanflow.linalg import ConsistencyError
+
+    def rotated(stack, He, Hg):
+        rng = np.random.default_rng(5)
+        Q, _ = np.linalg.qr(rng.standard_normal((len(stack), len(stack))))
+        return Q
+
+    monkeypatch.setattr(spaces, "_root_step", rotated)
+    with pytest.raises(ConsistencyError, match="not diag"):
+        spaces.SpaceGeometry(make_space("aiii", 3, 2)).bracket_coeffs
+
+
+@pytest.mark.parametrize("case", REPRESENTATIVES)
+def test_root_table_cached_read_only_and_restricted_roots_fresh(case):
+    d = make_space(*case)
+    coeffs, mults = geometry(d).root_table
+    assert coeffs is geometry(d).root_table[0]
+    assert not coeffs.flags.writeable and not mults.flags.writeable
+    roots = restricted_roots(d)
+    assert roots is not restricted_roots(d)
+    roots.clear()
+    assert [(tuple(c), m) for c, m in zip(coeffs.astype(int).tolist(), mults)] == [
+        (r.coeffs, r.multiplicity) for r in restricted_roots(d)
+    ]
+
+
 def test_basis_selector_validation():
     with pytest.raises(ContractViolation):
         basis_of(make_space("ai", 0, 3), "nonsense")
