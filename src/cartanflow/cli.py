@@ -368,6 +368,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ContractViolation(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ContractViolation as exc:
         print(f"error: validation: {exc}", file=sys.stderr)

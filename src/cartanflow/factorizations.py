@@ -25,10 +25,11 @@ from .linalg import ContractViolation
 
 __all__ = ["takagi", "antisym_canonical", "quaternionic_eigh", "quaternionic_svd"]
 
-# Cluster/zero detection threshold on singular values.  Singular values come
-# from the square root of eigh output, so exact zeros surface as
-# sqrt(machine eps) ~ 1e-8 times the scale; 1e-7 catches them with margin
-# while still splitting generically separated values.
+# Cluster/zero detection threshold on singular values, relative to the
+# largest.  Singular values come from LAPACK's SVD (exact zeros surface at
+# machine eps times the scale); the singular vectors are eigenvectors of
+# the Gram matrix, whose eigenvalues are the squares, so values closer than
+# this are grouped and their vectors resolved together.
 _PAIR_TOL = 1e-7
 
 
@@ -73,16 +74,15 @@ def takagi(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``B = U @ diag(s) @ U.T``.  Built on the eigendecomposition of the
     positive semidefinite B B†: on each singular subspace the antiunitary
     map phi(w) = B conj(w)/s squares to +1, so phi-fixed vectors exist and
-    are exactly the Takagi columns.
+    are exactly the Takagi columns.  The values themselves come from the
+    SVD of B, which keeps a zero singular value at machine precision.
     """
     B = np.asarray(B, dtype=complex)
     n = B.shape[0]
     if B.shape != (n, n):
         raise ContractViolation("takagi needs a square matrix")
-    w, W = np.linalg.eigh(B @ B.conj().T)
-    w = np.maximum(w[::-1], 0.0)
-    W = W[:, ::-1]
-    s = np.sqrt(w)
+    W = np.linalg.eigh(B @ B.conj().T)[1][:, ::-1]
+    s = np.linalg.svd(B, compute_uv=False)
     scale = float(s[0]) if n else 0.0
     cols: list[np.ndarray] = [None] * n
     order = 0
@@ -127,10 +127,8 @@ def antisym_canonical(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = B.shape[0]
     if B.shape != (n, n):
         raise ContractViolation("antisym_canonical needs a square matrix")
-    w, W = np.linalg.eigh(B @ B.conj().T)
-    w = np.maximum(w[::-1], 0.0)
-    W = W[:, ::-1]
-    sv = np.sqrt(w)
+    W = np.linalg.eigh(B @ B.conj().T)[1][:, ::-1]
+    sv = np.linalg.svd(B, compute_uv=False)
     scale = float(sv[0]) if n else 0.0
     cols: list[np.ndarray] = []
     svals: list[float] = []
@@ -214,10 +212,9 @@ def quaternionic_svd(
     rows, cols = B.shape
     hr, hc = rows // 2, cols // 2
     sgn = float(np.real(J_right[hc, 0])) if hc else 1.0
-    w, W = np.linalg.eigh(B.conj().T @ B)
-    w = np.maximum(w[::-1], 0.0)
-    W = W[:, ::-1]
-    sv = np.sqrt(w)
+    W = np.linalg.eigh(B.conj().T @ B)[1][:, ::-1]
+    sv = np.zeros(cols)
+    sv[: min(rows, cols)] = np.linalg.svd(B, compute_uv=False)
     scale = float(sv[0]) if cols else 0.0
     v_first: list[np.ndarray] = []
     v_second: list[np.ndarray] = []

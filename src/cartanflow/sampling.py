@@ -8,7 +8,9 @@ measure to the Weyl chamber has density
     rho(q) * exp(-q^T G q / 2) / Z
 
 with rho the slice density, G the Gram matrix of the radial generators
-and Z a chamber normalization computed by adaptive quadrature.
+and Z the chamber normalization.  rho is a product of root values
+prod |alpha(q)|^m_alpha, so Z is Mehta's integral (ai, a2, aii) or the
+Laguerre-Selberg integral (aiii, bdi, cii, diii, ci) in closed form.
 
 Reproducibility contract: work is split into fixed-size chunks; chunk c
 derives its generator from ``SeedSequence(seed, spawn_key=(c,))``, so the
@@ -17,14 +19,14 @@ merged sample stream is bit-identical for any worker count.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from threading import Lock
 
 import numpy as np
 from scipy import integrate
 
-from .linalg import ContractViolation
+from .linalg import ConsistencyError, ContractViolation
 from .radial import chamber_contains, radial_coords_batch
 from .reduction import closed_form_density, density_constant
 from .spaces import SpaceDescriptor, geometry
@@ -67,11 +69,13 @@ class RadialHistogram:
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
+    if seed < 0:
+        raise ContractViolation(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
 
 
 def sample_p_gaussian(d: SpaceDescriptor, seed: int) -> np.ndarray:
-    """One Gaussian draw on p; bit-reproducible for a fixed seed."""
+    """One Gaussian draw on p; bit-reproducible for a fixed seed >= 0."""
     geo = geometry(d)
     rng = _chunk_rng(int(seed), 0)
     return geo.p_from_coords(rng.standard_normal(d.dim_p))
@@ -174,33 +178,67 @@ def _chamber_ranges(d: SpaceDescriptor):
     return [make_range(j) for j in range(rank)]
 
 
-_NORM_CACHE: dict[SpaceDescriptor, float] = {}
-_NORM_LOCK = Lock()
+def _chamber_integral(d: SpaceDescriptor) -> float:
+    """Closed-form chamber integral of prod |alpha(q)|^m_alpha * exp(-q^T G q / 2).
+
+    The A-type classes (ai, a2, aii), with G = c (I + 1 1^T) and one root
+    multiplicity beta, take Mehta's integral over the trace-zero
+    eigenvalues.  The BC-type classes, with G = g I and multiplicities
+    beta, s, l of e_i +- e_j, e_i, 2 e_i, take the Laguerre-Selberg
+    integral after x_i = q_i^2 (Macdonald, SIAM J. Math. Anal. 13 (1982);
+    Forrester-Warnaar, Bull. AMS 45 (2008)).
+    """
+    geo = geometry(d)
+    coeffs, mults = geo.root_table
+    r, lg = d.real_rank, math.lgamma
+    shape = np.eye(r) + (1.0 if d.trace_constrained else 0.0)
+    g = geo.gram[0, 0] / shape[0, 0]
+    if not (g > 0 and np.max(np.abs(geo.gram - g * shape)) <= 1e-12 * g):
+        raise ConsistencyError(f"{d.label()}: Gram matrix is not a multiple of the assumed shape")
+    # multiplicity per root family, keyed (nonzero coefficients, largest
+    # |coefficient|): (2, 1) e_i +- e_j, (1, 1) e_i, (1, 2) 2 e_i; A-type has one
+    keys = zip(np.count_nonzero(coeffs, axis=1), np.max(np.abs(coeffs), axis=1))
+    found = {((0, 0) if d.trace_constrained else k, m) for k, m in zip(keys, mults.tolist())}
+    mult = dict(found)
+    if len(mult) < len(found) or not set(mult) <= {(0, 0), (2, 1), (1, 1), (1, 2)}:
+        raise ConsistencyError(f"{d.label()}: root multiplicities do not fit Mehta or Selberg")
+    if d.trace_constrained:
+        n, beta = r + 1, mult[(0, 0)]
+        log_z = (
+            -((n - 1) / 2 + beta * n * (n - 1) / 4) * math.log(g)
+            + (n - 1) / 2 * math.log(2 * math.pi) - math.log(n) / 2 - lg(n + 1)
+            + sum(lg(1 + j * beta / 2) - lg(1 + beta / 2) for j in range(1, n + 1))
+        )
+    else:
+        beta, s, ell = (mult.get(f, 0.0) for f in ((2, 1), (1, 1), (1, 2)))
+        a = s + ell
+        log_z = (
+            r * ell * math.log(2) - lg(r + 1)
+            + (r * a / 2 + beta * r * (r - 1) / 2) * math.log(2 / g) - r / 2 * math.log(2 * g)
+            + sum(
+                lg((a + 1) / 2 + j * beta / 2) + lg(1 + (j + 1) * beta / 2) - lg(1 + beta / 2)
+                for j in range(r)
+            )
+        )
+        if not d.has_sign_flip_weyl:
+            log_z += math.log(2)  # so(n,n): the last coordinate takes either sign
+    try:
+        return math.exp(log_z)
+    except OverflowError:
+        msg = f"{d.label()}: chamber integral overflows (log Z = {log_z:.1f})"
+        raise ConsistencyError(msg) from None
 
 
 def _normalizer(d: SpaceDescriptor) -> float:
-    with _NORM_LOCK:
-        if d in _NORM_CACHE:
-            return _NORM_CACHE[d]
-    rank = d.real_rank
-    if rank > 4:
-        raise ContractViolation("quadrature normalization supported for real rank <= 4")
-
-    def f(*xs):
-        q = np.array(xs[::-1], dtype=float)
-        return _unnormalized(d, q)
-
-    val, _ = integrate.nquad(f, _chamber_ranges(d), opts={"epsabs": 1e-12, "epsrel": 1e-9})
-    if not np.isfinite(val) or val <= 0:
-        raise ContractViolation(f"chamber quadrature failed for {d.label()}")
-    with _NORM_LOCK:
-        _NORM_CACHE[d] = float(val)
-    return float(val)
+    """Chamber integral Z of ``_unnormalized``."""
+    # the classical aiii density leaves out the factor 2 of each long root 2 q_i
+    kappa = 0.5**d.real_rank if d.kind == "aiii" else 1.0
+    return kappa * _chamber_integral(d)
 
 
 def theoretical_radial_density(d: SpaceDescriptor, q) -> float:
     """Probability density of the radial spectrum of the Gaussian ensemble,
-    normalized to unit mass over the chamber (real rank <= 4)."""
+    normalized to unit mass over the chamber."""
     q = np.asarray(q, dtype=float)
     if not chamber_contains(d, q, tol=1e-12):
         return 0.0
@@ -252,11 +290,8 @@ def verify_density(
 
     Always verifies that the numeric and closed-form densities agree up to
     a constant; for rank-1 classes additionally runs the Monte Carlo
-    Kolmogorov-Smirnov comparison against the quadrature-normalized
-    density.
+    Kolmogorov-Smirnov comparison against the normalized density.
     """
-    from .linalg import ConsistencyError
-
     result: dict = {"space": d.label(), "count": count, "bins": bins, "seed": seed}
     try:
         result["density_constant"] = density_constant(d)

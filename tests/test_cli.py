@@ -265,3 +265,11 @@ def test_threads_must_be_positive(capsys, command, threads):
         "--count", "100", "--threads", threads,
     )
     assert code == 2 and out == "" and "--threads" in err
+
+
+@pytest.mark.parametrize("command", ["sample", "flow", "decompose", "verify-density"])
+def test_negative_seed_is_a_validation_error(capsys, command):
+    code, out, err = run_cli(
+        capsys, command, "--class", "aiii", "--m", "2", "--n", "1", "--seed", "-1"
+    )
+    assert code == 2 and out == "" and "--seed" in err

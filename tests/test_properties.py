@@ -1,0 +1,62 @@
+"""Properties of the radial decomposition at degenerate chamber points.
+
+Chamber points are drawn from the grid {-3, ..., 3}/2 and mapped into the
+closed chamber, so repeated and zero coordinates (points on the walls) are
+common; each point is conjugated by exp of a random element of k.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from cartanflow import (
+    chamber_contains,
+    embed_radial,
+    make_space,
+    radial_decompose,
+    random_k_element,
+)
+from cartanflow.linalg import frobenius
+
+# every class, with the m = n edge cases and the D-type chamber of bdi(n,n)
+ROUND_TRIP_CASES = [
+    ("aiii", 2, 1), ("aiii", 3, 2), ("aiii", 2, 2),
+    ("bdi", 2, 1), ("bdi", 3, 2), ("bdi", 2, 2), ("bdi", 3, 3),
+    ("cii", 2, 1), ("cii", 2, 2), ("cii", 3, 2),
+    ("ai", 0, 3), ("ai", 0, 4), ("a2", 0, 3), ("aii", 0, 3),
+    ("diii", 0, 4), ("diii", 0, 5), ("ci", 0, 2), ("ci", 0, 3),
+]
+
+
+def grid_chamber_point(d, ints):
+    """Map grid values into the closed chamber by the Weyl group."""
+    x = np.asarray(ints, dtype=float) / 2.0
+    if d.trace_constrained:
+        lam = np.sort(x)[::-1]
+        return (lam - np.mean(lam))[: d.real_rank]
+    q = np.sort(np.abs(x))[::-1]
+    if not d.has_sign_flip_weyl:
+        # so(n,n): only even sign changes, so the last coordinate keeps the
+        # sign of the product
+        q[-1] *= np.prod(np.sign(x))
+    return q
+
+
+@st.composite
+def degenerate_points(draw):
+    d = make_space(*draw(st.sampled_from(ROUND_TRIP_CASES)))
+    size = d.real_rank + (1 if d.trace_constrained else 0)
+    ints = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    return d, grid_chamber_point(d, ints), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(degenerate_points())
+def test_round_trip_at_degenerate_points(case):
+    d, q0, seed = case
+    assert chamber_contains(d, q0, tol=1e-12)
+    k0 = random_k_element(d, np.random.default_rng(seed))
+    X = k0 @ embed_radial(d, q0) @ k0.conj().T
+    q, k = radial_decompose(d, X)
+    residual = frobenius(k @ embed_radial(d, q) @ k.conj().T - X)
+    assert residual <= 1e-12 * max(1.0, frobenius(X)), (d.label(), q0, residual)
+    assert np.max(np.abs(q - q0)) <= 1e-12 * max(1.0, np.max(np.abs(q0))), (d.label(), q0, q)

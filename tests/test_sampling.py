@@ -13,12 +13,15 @@ from cartanflow import (
     verify_density,
 )
 from cartanflow.radial import radial_coords_batch
+from cartanflow.reduction import random_chamber_point
 from cartanflow.sampling import (
     _chamber_ranges,
     _unnormalized,
     theoretical_radial_cdf,
 )
 from cartanflow.spaces import check_p_membership, geometry, random_k_element
+
+from conftest import parameter_grid
 
 KS_CASES = [("aiii", 2, 1), ("bdi", 2, 1), ("ai", 0, 2), ("a2", 0, 2)]
 
@@ -109,8 +112,15 @@ def test_k_invariance_of_radial_samples():
     assert np.max(np.abs(np.sort(qa[:, 0]) - np.sort(qb[:, 0]))) <= 1e-8
 
 
-@pytest.mark.parametrize("case", KS_CASES + [("aiii", 3, 2), ("ai", 0, 3), ("bdi", 2, 2)])
+# every rank-1 and rank-2 case of the grid, plus ci(3), the cheapest rank 3
+DENSITY_ORACLE_CASES = [
+    c for c in parameter_grid(4) if make_space(*c).real_rank <= 2
+] + [("ci", 0, 3)]
+
+
+@pytest.mark.parametrize("case", DENSITY_ORACLE_CASES)
 def test_theoretical_density_integrates_to_one(case):
+    # nquad over the chamber is the oracle for the closed-form normalizer
     d = make_space(*case)
     from cartanflow.sampling import _normalizer
 
@@ -120,7 +130,39 @@ def test_theoretical_density_integrates_to_one(case):
         _chamber_ranges(d),
         opts={"epsabs": 1e-12, "epsrel": 1e-9},
     )
-    assert val == pytest.approx(1.0, abs=1e-6)
+    assert val == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("case", [("ai", 0, 6), ("ci", 0, 5), ("bdi", 5, 5)])
+def test_theoretical_density_beyond_rank_four(case, rng):
+    d = make_space(*case)
+    for _ in range(5):
+        rho = theoretical_radial_density(d, random_chamber_point(d, rng))
+        assert np.isfinite(rho) and rho > 0
+
+
+def test_chamber_integral_rejects_unexpected_shape(monkeypatch):
+    # a non-scalar Gram matrix, or a root family with two multiplicities
+    from cartanflow.linalg import ConsistencyError
+    from cartanflow.sampling import _chamber_integral
+
+    d = make_space("ci", 0, 2)
+    geo = geometry(d)
+    coeffs, mults = geo.root_table
+    bad_gram = np.array([[2.0, 0.1], [0.1, 2.0]])
+    for name, value in [("gram", bad_gram), ("root_table", (coeffs, mults + np.eye(4)[0]))]:
+        with monkeypatch.context() as patch:
+            patch.setattr(geo, name, value)
+            with pytest.raises(ConsistencyError):
+                _chamber_integral(d)
+
+
+def test_negative_seed_rejected():
+    d = make_space("aiii", 2, 1)
+    with pytest.raises(ContractViolation):
+        sample_p_gaussian(d, -1)
+    with pytest.raises(ContractViolation):
+        sample_radial_batch(d, 10, seed=-1)
 
 
 def test_density_vanishes_on_walls_and_outside():
