@@ -205,15 +205,17 @@ def _cmd_density(args) -> int:
     if not np.all(np.isfinite(q)):
         raise ContractViolation(f"--q must be finite, got {args.q}")
     payload = {"meta": _meta(d, q=[float(v) for v in q])}
-    if args.method in ("numeric", "both"):
-        payload["numeric"] = jacobian_density(d, q)
-    if args.method in ("closed", "both"):
-        payload["closed"] = closed_form_density(d, q)
-    if args.method == "both":
-        payload["ratio"] = (
-            payload["numeric"] / payload["closed"] if payload["closed"] else None
-        )
-        payload["constant"] = density_constant(d)
+    # a density that overflows is reported once, by the JSON's refusal of inf
+    with np.errstate(over="ignore"):
+        if args.method in ("numeric", "both"):
+            payload["numeric"] = jacobian_density(d, q)
+        if args.method in ("closed", "both"):
+            payload["closed"] = closed_form_density(d, q)
+        if args.method == "both":
+            payload["ratio"] = (
+                payload["numeric"] / payload["closed"] if payload["closed"] else None
+            )
+            payload["constant"] = density_constant(d)
     _emit(_json_text(payload), args.out)
     return 0
 

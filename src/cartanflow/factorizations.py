@@ -29,7 +29,8 @@ __all__ = ["takagi", "antisym_canonical", "quaternionic_eigh", "quaternionic_svd
 # largest.  Singular values come from LAPACK's SVD (exact zeros surface at
 # machine eps times the scale); the singular vectors are eigenvectors of
 # the Gram matrix, whose eigenvalues are the squares, so values closer than
-# this are grouped and their vectors resolved together.
+# this are grouped and their vectors resolved together; each vector (or
+# pair) picked in a group keeps its own value, in order.
 _PAIR_TOL = 1e-7
 
 
@@ -44,22 +45,30 @@ def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return [np.array(g) for g in groups]
 
 
-def _orthonormalize_against(v: np.ndarray, chosen: list[np.ndarray]) -> np.ndarray:
+def _project_off(v: np.ndarray, chosen: list[np.ndarray]) -> np.ndarray:
     for _ in range(2):
         for c in chosen:
             v = v - np.vdot(c, v) * c
+    return v
+
+
+def _orthonormalize_against(v: np.ndarray, chosen: list[np.ndarray]) -> np.ndarray:
+    v = _project_off(v, chosen)
     nrm = np.linalg.norm(v)
     return v / nrm if nrm > 1e-12 else np.zeros_like(v)
 
 
 def _pick_independent(cols: np.ndarray, chosen: list[np.ndarray]) -> np.ndarray:
-    """First column of ``cols`` with a healthy component off ``chosen``."""
+    """First column of ``cols`` with a healthy component off ``chosen``
+    (residual norm above 0.5, else the largest), normalized.  Columns that
+    lie in the span of ``chosen`` up to round-off leave residuals of that
+    size and are never taken."""
     best, best_norm = None, -1.0
     for i in range(cols.shape[1]):
-        v = _orthonormalize_against(cols[:, i].copy(), chosen)
+        v = _project_off(cols[:, i], chosen)
         nrm = np.linalg.norm(v)
         if nrm > 0.5:
-            return v
+            return v / nrm
         if nrm > best_norm:
             best, best_norm = v, nrm
     if best is None or best_norm < 1e-8:
@@ -87,24 +96,24 @@ def takagi(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cols: list[np.ndarray] = [None] * n
     order = 0
     for grp in _cluster(s, _PAIR_TOL * scale):
-        sigma = s[grp[0]]
         sub = W[:, grp]
         chosen: list[np.ndarray] = []
-        if sigma <= _PAIR_TOL * scale:
+        if s[grp[0]] <= _PAIR_TOL * scale:
             for i in range(len(grp)):
                 v = _pick_independent(sub, chosen)
                 chosen.append(v)
         else:
-            phi = lambda v: (B @ v.conj()) / sigma
             while len(chosen) < len(grp):
+                sigma = s[grp[len(chosen)]]  # the k-th column picked takes the k-th value
                 u = _pick_independent(sub, chosen)
                 u = _orthonormalize_against(u, chosen)
                 u /= np.linalg.norm(u)
                 # phi-fixed combination; orthogonality to the previously
                 # chosen phi-fixed columns is automatic, so no re-projection
                 # (which would break phi-fixedness).
-                t1 = u + phi(u)
-                t2 = 1j * (u - phi(u))
+                phiu = (B @ u.conj()) / sigma
+                t1 = u + phiu
+                t2 = 1j * (u - phiu)
                 t = t1 if np.linalg.norm(t1) >= np.linalg.norm(t2) else t2
                 chosen.append(t / np.linalg.norm(t))
         for v in chosen:
@@ -134,22 +143,21 @@ def antisym_canonical(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     svals: list[float] = []
     kernel: list[np.ndarray] = []
     for grp in _cluster(sv, _PAIR_TOL * scale):
-        sigma = sv[grp[0]]
         sub = W[:, grp]
-        if sigma <= _PAIR_TOL * scale:
+        if sv[grp[0]] <= _PAIR_TOL * scale:
             chosen: list[np.ndarray] = []
             for i in range(len(grp)):
                 v = _pick_independent(sub, chosen)
                 chosen.append(v)
             kernel.extend(chosen)
             continue
-        phi = lambda v: (B @ v.conj()) / sigma
         chosen = []
         while len(chosen) < len(grp):
+            sigma = sv[grp[len(chosen)]]  # the k-th pair picked takes the k-th value pair
             u = _pick_independent(sub, chosen)
             u = _orthonormalize_against(u, chosen)
             u /= np.linalg.norm(u)
-            v = phi(u)  # automatically orthogonal to u, phi(v) = -u
+            v = (B @ u.conj()) / sigma  # automatically orthogonal to u, phi(v) = -u
             chosen.extend([u, v])
             cols.extend([v, u])  # column order (phi(u), u) gives +s at (2k-1, 2k)
             svals.append(sigma)
@@ -179,6 +187,7 @@ def quaternionic_eigh(X: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndar
         sub = W[:, grp]
         chosen: list[np.ndarray] = []
         while len(chosen) < len(grp):
+            d.append(w[grp[len(chosen)]])  # the k-th pair picked takes the k-th value pair
             u = _pick_independent(sub, chosen)
             u = _orthonormalize_against(u, chosen)
             u /= np.linalg.norm(u)
@@ -186,13 +195,12 @@ def quaternionic_eigh(X: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndar
             chosen.extend([u, v])
             first.append(u)
             second.append(v)
-            d.append(w[grp[0]])
     U = np.column_stack(first + second)
     return np.array(d), U
 
 
 def quaternionic_svd(
-    B: np.ndarray, J_left: np.ndarray, J_right: np.ndarray, tail_sign: float = 1.0
+    B: np.ndarray, J_left: np.ndarray, J_right: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Structured SVD of B with B J_right = J_left conj(B).
 
@@ -204,9 +212,8 @@ def quaternionic_svd(
     read off J_right so that V satisfies the group relation
     ``V J_right = J_right conj(V)``; the induced left partners
     ``u2 = B v2 / s`` then automatically satisfy the matching relation on
-    the paired slots.  ``tail_sign`` fixes the convention on the leftover
-    left columns (rows > cols), whose slot pairing may sit in a different
-    sign family of J_left.
+    the paired slots.  The leftover left columns (rows > cols) take the
+    partners ``u2 = J_left conj(u)``.
     """
     B = np.asarray(B, dtype=complex)
     rows, cols = B.shape
@@ -222,10 +229,10 @@ def quaternionic_svd(
     u_second: list[np.ndarray] = []
     svals: list[float] = []
     for grp in _cluster(sv, _PAIR_TOL * scale):
-        sigma = sv[grp[0]]
         sub = W[:, grp]
         chosen: list[np.ndarray] = []
         while len(chosen) < len(grp):
+            sigma = sv[grp[len(chosen)]]  # the k-th pair picked takes the k-th value pair
             v = _pick_independent(sub, chosen)
             v = _orthonormalize_against(v, chosen)
             v /= np.linalg.norm(v)
@@ -242,8 +249,8 @@ def quaternionic_svd(
                 u_first.append(None)
                 u_second.append(None)
     # Left columns for zero singular values keep the paired-slot sign
-    # convention (same as B-derived partners); extra row dimensions use the
-    # tail convention.
+    # convention (same as B-derived partners); extra row dimensions take
+    # J_left's own pairing.
     needed = [i for i, u in enumerate(u_first) if u is None]
     present = [u for u in u_first + u_second if u is not None]
     chosen = list(present)
@@ -260,7 +267,7 @@ def quaternionic_svd(
         u = _pick_independent(eye, chosen)
         u = _orthonormalize_against(u, chosen)
         u /= np.linalg.norm(u)
-        u2 = tail_sign * (J_left @ u.conj())
+        u2 = J_left @ u.conj()
         chosen.extend([u, u2])
         tail.append((u, u2))
     u_cols = u_first + [t[0] for t in tail] + u_second + [t[1] for t in tail]

@@ -229,9 +229,11 @@ def radial_decompose(d: SpaceDescriptor, X) -> tuple[np.ndarray, np.ndarray]:
 
 
 def radial_coords(d: SpaceDescriptor, X) -> np.ndarray:
-    """Chamber coordinates only (cheaper than the full decomposition)."""
-    q, _ = radial_decompose(d, X)
-    return q
+    """Chamber coordinates only: the membership check, then the spectral
+    step of ``radial_coords_batch`` without building the compact factor."""
+    X = np.asarray(X, dtype=complex)
+    check_p_membership(d, X)
+    return radial_coords_batch(d, X[None])[0]
 
 
 def radial_coords_batch(d: SpaceDescriptor, Xs: np.ndarray) -> np.ndarray:

@@ -81,11 +81,6 @@ def sample_p_gaussian(d: SpaceDescriptor, seed: int) -> np.ndarray:
     return geo.p_from_coords(rng.standard_normal(d.dim_p))
 
 
-def _basis_tensor(d: SpaceDescriptor) -> np.ndarray:
-    geo = geometry(d)
-    return np.stack(geo.p_basis)
-
-
 def sample_radial_batch(
     d: SpaceDescriptor, count: int, seed: int, threads: int = 1
 ) -> np.ndarray:
@@ -95,7 +90,7 @@ def sample_radial_batch(
     """
     if count < 1:
         raise ContractViolation("count must be >= 1")
-    basis = _basis_tensor(d)
+    basis = geometry(d)._p_stack
     n_chunks = (count + CHUNK_SIZE - 1) // CHUNK_SIZE
 
     def run_chunk(c: int) -> np.ndarray:

@@ -521,70 +521,61 @@ def _root_step(stack: np.ndarray, He: np.ndarray, Hg: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _gram_schmidt(mats: list[np.ndarray], tol: float = _GS_TOL) -> list[np.ndarray]:
-    """Modified Gram-Schmidt on matrices under the Frobenius real inner
-    product (which equals the trace form on Hermitians and its negative on
-    anti-Hermitians).  Drops dependent members; deterministic order."""
-    basis: list[np.ndarray] = []
-    vecs: list[np.ndarray] = []
-    for M in mats:
-        v = _vec_rows(M[None])[0]
-        for _ in range(2):  # twice for numerical orthogonality
-            for b in vecs:
-                v = v - np.dot(b, v) * b
+def _orthonormalize(stack: np.ndarray, tol: float = _GS_TOL) -> np.ndarray:
+    """Order-preserving Gram-Schmidt on a stack of matrices under the
+    Frobenius real inner product (which equals the trace form on Hermitians
+    and its negative on anti-Hermitians).  Each candidate is projected off
+    the whole kept stack with one matrix-vector product per pass, in two
+    passes ("twice is enough": Giraud, Langou and Rozloznik, 2005); members
+    left with norm at most ``tol`` are dependent and dropped."""
+    rows = _vec_rows(stack)
+    rows = rows[rows.any(axis=1)]  # exact zeros stay zero: drop them up front
+    kept = np.empty_like(rows)
+    k = 0
+    for v in rows:
+        for _ in range(2):
+            v = v - kept[:k].T @ (kept[:k] @ v)
         nrm = np.linalg.norm(v)
         if nrm > tol:
-            v /= nrm
-            vecs.append(v)
-            half = v.size // 2
-            side = M.shape[0]
-            basis.append((v[:half] + 1j * v[half:]).reshape(side, side))
-    return basis
+            kept[k] = v / nrm
+            k += 1
+    half, side = rows.shape[1] // 2, stack.shape[-1]
+    return (kept[:k, :half] + 1j * kept[:k, half:]).reshape(k, side, side)
 
 
-def _hermitian_units(N: int) -> list[np.ndarray]:
-    out = []
-    for i in range(N):
-        for j in range(i, N):
-            E = np.zeros((N, N), dtype=complex)
-            if i == j:
-                E[i, i] = 1.0
-                out.append(E)
-            else:
-                E[i, j] = E[j, i] = 1.0
-                out.append(E / np.sqrt(2))
-                F = np.zeros((N, N), dtype=complex)
-                F[i, j], F[j, i] = 1j, -1j
-                out.append(F / np.sqrt(2))
-    return out
+def _hermitian_units(N: int) -> np.ndarray:
+    """Stack of the trace-form-orthonormal Hermitian units: E_ii, then
+    (E_ij + E_ji)/sqrt2 and i(E_ij - E_ji)/sqrt2, over i <= j row by row."""
+    i, j = np.triu_indices(N)
+    off = i != j
+    width = 1 + off  # an off-diagonal pair gives two units
+    first = np.cumsum(width) - width
+    units = np.zeros((N * N, N, N), dtype=complex)
+    units[first[~off], i[~off], i[~off]] = 1.0
+    s, a, b = first[off], i[off], j[off]
+    units[s, a, b] = units[s, b, a] = 1.0 / np.sqrt(2)
+    units[s + 1, a, b], units[s + 1, b, a] = 1j / np.sqrt(2), -1j / np.sqrt(2)
+    return units
 
 
-def _antihermitian_units(N: int) -> list[np.ndarray]:
-    return [1j * H for H in _hermitian_units(N)]
-
-
-def _projector_chain(d: SpaceDescriptor, onto_p: bool):
-    """Linear maps whose composition projects Hermitian (resp.
-    anti-Hermitian) matrices onto p (resp. k) of the class."""
+def _project(d: SpaceDescriptor, X: np.ndarray, onto_p: bool) -> np.ndarray:
+    """Project a stack of Hermitian (resp. anti-Hermitian) matrices onto p
+    (resp. k) of the class by averaging over each defining relation."""
     k, N = d.kind, d.ambient_dim
-    chain = []
     if k in ("aiii", "bdi", "cii", "diii", "ci"):
         G = _gamma(d)
-        sign = -1.0 if onto_p else 1.0
-        chain.append(lambda X, G=G, s=sign: (X + s * (G @ X @ G)) / 2.0)
+        X = (X + (-1.0 if onto_p else 1.0) * (G @ X @ G)) / 2.0
     if k in ("bdi", "ai"):
-        chain.append(lambda X: (X + X.conj()) / 2.0)
+        X = (X + X.conj()) / 2.0
     if k in ("aii", "cii"):
         J = _quaternionic_j(d)
-        Jinv = -J
-        chain.append(lambda X, J=J, Ji=Jinv: (X + J @ X.conj() @ Ji) / 2.0)
+        X = (X + J @ X.conj() @ -J) / 2.0
     if k in ("diii", "ci"):
         S = _sym_form(d)
-        Sinv = np.linalg.inv(S)
-        chain.append(lambda X, S=S, Si=Sinv: (X - Si @ X.T @ S) / 2.0)
+        X = (X - np.linalg.inv(S) @ X.transpose(0, 2, 1) @ S) / 2.0
     if k in ("aiii", "ai", "a2", "aii"):
-        chain.append(lambda X, N=N: X - (np.trace(X) / N) * np.eye(N))
-    return chain
+        X = X - (np.trace(X, axis1=1, axis2=2) / N)[:, None, None] * np.eye(N)
+    return X
 
 
 class SpaceGeometry:
@@ -600,37 +591,45 @@ class SpaceGeometry:
 
     # -- bases ------------------------------------------------------------
 
-    @cached_property
-    def p_basis(self) -> list[np.ndarray]:
+    def _unit_basis(self, onto_p: bool) -> np.ndarray:
+        """Read-only orthonormal stack of p, from the Hermitian units, or of
+        k, from the anti-Hermitian ones."""
         d = self.descriptor
-        chain = _projector_chain(d, onto_p=True)
-        cands = []
-        for U in _hermitian_units(d.ambient_dim):
-            for f in chain:
-                U = f(U)
-            cands.append(U)
-        basis = _gram_schmidt(cands)
-        if len(basis) != d.dim_p:
+        units = _hermitian_units(d.ambient_dim)
+        stack = _orthonormalize(_project(d, units if onto_p else 1j * units, onto_p))
+        name, want = ("p", d.dim_p) if onto_p else ("k", d.dim_k)
+        if len(stack) != want:
             raise ConsistencyError(
-                f"{d.label()}: built {len(basis)} p-basis elements, theory says {d.dim_p}"
+                f"{d.label()}: built {len(stack)} {name}-basis elements, theory says {want}"
             )
-        return basis
+        stack.flags.writeable = False
+        return stack
 
     @cached_property
+    def _p_stack(self) -> np.ndarray:
+        return self._unit_basis(onto_p=True)
+
+    @cached_property
+    def _k_stack(self) -> np.ndarray:
+        return self._unit_basis(onto_p=False)
+
+    @cached_property
+    def _a_stack(self) -> np.ndarray:
+        stack = _orthonormalize(np.stack(self.a_embed))
+        stack.flags.writeable = False
+        return stack
+
+    @property
+    def p_basis(self) -> list[np.ndarray]:
+        return list(self._p_stack)
+
+    @property
     def k_basis(self) -> list[np.ndarray]:
-        d = self.descriptor
-        chain = _projector_chain(d, onto_p=False)
-        cands = []
-        for U in _antihermitian_units(d.ambient_dim):
-            for f in chain:
-                U = f(U)
-            cands.append(U)
-        basis = _gram_schmidt(cands)
-        if len(basis) != d.dim_k:
-            raise ConsistencyError(
-                f"{d.label()}: built {len(basis)} k-basis elements, theory says {d.dim_k}"
-            )
-        return basis
+        return list(self._k_stack)
+
+    @property
+    def a_basis(self) -> list[np.ndarray]:
+        return list(self._a_stack)
 
     @cached_property
     def a_embed(self) -> list[np.ndarray]:
@@ -652,10 +651,6 @@ class SpaceGeometry:
         return np.linalg.inv(self.gram)
 
     @cached_property
-    def a_basis(self) -> list[np.ndarray]:
-        return _gram_schmidt(self.a_embed)
-
-    @cached_property
     def _root_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Root-adapted bases: stacks of m, zk-perp and a-perp, and C.
 
@@ -668,9 +663,9 @@ class SpaceGeometry:
         to be such a diagonal; C keeps the integers, dropping rounding noise.
         """
         d = self.descriptor
-        rank, N = d.real_rank, d.ambient_dim
+        rank = d.real_rank
         want = d.dim_p - rank
-        kb = np.array(self.k_basis, dtype=complex).reshape(-1, N, N)
+        kb = self._k_stack
         He = self.embed_radial(self.e_coords)
         Ve = _ad_rows(kb, He)
         lam, U = np.linalg.eigh(Ve @ Ve.T)
@@ -723,10 +718,6 @@ class SpaceGeometry:
     @property
     def _zk_stack(self) -> np.ndarray:
         return self._root_split[1]
-
-    @cached_property
-    def _p_stack(self) -> np.ndarray:
-        return np.stack(self.p_basis)
 
     def coords(self, basis_stack: np.ndarray, X: np.ndarray) -> np.ndarray:
         if basis_stack.shape[0] == 0:

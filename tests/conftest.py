@@ -3,7 +3,7 @@ import pytest
 
 from cartanflow import make_space
 from cartanflow.linalg import commutator
-from cartanflow.spaces import geometry
+from cartanflow.spaces import _GS_TOL, _vec_rows, geometry
 
 # one representative per class, small enough for fast tests
 REPRESENTATIVES = [
@@ -62,11 +62,30 @@ def centralizer_orbit_dimension(d, seed: int = 1010) -> int:
     return int(np.sum(sv > 1e-8 * sv[0]))
 
 
+def _gram_schmidt(mats: list[np.ndarray], tol: float = _GS_TOL) -> list[np.ndarray]:
+    """Modified Gram-Schmidt on matrices under the Frobenius real inner
+    product (which equals the trace form on Hermitians and its negative on
+    anti-Hermitians).  Drops dependent members; deterministic order."""
+    basis: list[np.ndarray] = []
+    vecs: list[np.ndarray] = []
+    for M in mats:
+        v = _vec_rows(M[None])[0]
+        for _ in range(2):  # twice for numerical orthogonality
+            for b in vecs:
+                v = v - np.dot(b, v) * b
+        nrm = np.linalg.norm(v)
+        if nrm > tol:
+            v /= nrm
+            vecs.append(v)
+            half = v.size // 2
+            side = M.shape[0]
+            basis.append((v[:half] + 1j * v[half:]).reshape(side, side))
+    return basis
+
+
 def dense_aperp_basis(d) -> list:
     """a-perp without root adaptation: the p basis projected off a, then
     Gram-Schmidt orthonormalized.  Reference for the diagonal bracket map."""
-    from cartanflow.spaces import _gram_schmidt
-
     geo = geometry(d)
     reduced = []
     for P in geo.p_basis:

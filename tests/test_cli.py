@@ -217,12 +217,16 @@ def test_density_rejects_non_finite_q(capsys, q):
     assert code == 2 and out == "" and err.startswith("error: validation:")
 
 
-def test_density_overflow_is_not_emitted_as_nan(capsys):
-    # finite input whose density overflows: no NaN or Infinity in the JSON
+@pytest.mark.parametrize("method", ["numeric", "closed", "both"])
+def test_density_overflow_is_not_emitted_as_nan(capsys, method):
+    # finite input whose density overflows: no NaN or Infinity in the JSON,
+    # and the exit-3 line is all of stderr (an overflow warning raises here)
     code, out, err = run_cli(
-        capsys, "density", "--class", "aiii", "--m", "2", "--n", "1", "--q", "1e200"
+        capsys, "density", "--class", "aiii", "--m", "2", "--n", "1", "--q", "1e200",
+        "--method", method,
     )
-    assert code == 3 and out == "" and err.startswith("error: consistency:")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: consistency:")
 
 
 @pytest.mark.parametrize("bad", [["--t-max", "nan"], ["--t-max", "inf"], ["--steps", "-3"]])

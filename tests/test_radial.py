@@ -14,7 +14,12 @@ from cartanflow import (
     trace_form,
 )
 from cartanflow.linalg import commutator, frobenius
-from cartanflow.radial import SliceCoords, exact_slice_constraint_count, radial_coords_batch
+from cartanflow.radial import (
+    SliceCoords,
+    exact_slice_constraint_count,
+    radial_coords,
+    radial_coords_batch,
+)
 from cartanflow.spaces import check_k_group_membership, geometry
 
 from conftest import REPRESENTATIVES, centralizer_orbit_dimension
@@ -132,6 +137,33 @@ def test_radial_degenerate_chamber_points():
             check_k_group_membership(d, k, rtol=1e-8)
 
 
+# values 3e-8 apart fall inside one cluster of the structured factorizations
+NEAR_EQUAL_POINTS = [
+    (("aii", 0, 3), (0.5 + 3e-8, 0.5)),
+    (("aii", 0, 4), (1.0 + 3e-8, 1.0, -0.5)),
+    (("cii", 2, 2), (1.0 + 3e-8, 1.0)),
+    (("cii", 3, 2), (1.0 + 3e-8, 1.0)),
+    (("diii", 0, 4), (1.0 + 3e-8, 1.0)),
+    (("diii", 0, 5), (1.0 + 3e-8, 1.0)),
+    (("ci", 0, 2), (1.0 + 3e-8, 1.0)),
+    (("ci", 0, 3), (1.0 + 3e-8, 1.0, 1.0 - 3e-8)),
+]
+
+
+@pytest.mark.parametrize("case, q0", NEAR_EQUAL_POINTS)
+def test_radial_round_trip_at_near_equal_values(case, q0, rng):
+    # each pair of a cluster keeps its own value, and k stays unitary
+    d = make_space(*case)
+    q0 = np.array(q0)
+    for _ in range(10):
+        k0 = random_k_element(d, rng)
+        X = k0 @ embed_radial(d, q0) @ k0.conj().T
+        q, k = radial_decompose(d, X)
+        assert frobenius(k @ embed_radial(d, q) @ k.conj().T - X) <= 1e-12
+        assert np.max(np.abs(q - q0)) <= 1e-12
+        assert frobenius(k.conj().T @ k - np.eye(d.ambient_dim)) <= 1e-12
+
+
 def test_radial_rejects_non_p():
     d = make_space("aiii", 2, 1)
     with pytest.raises(ContractViolation):
@@ -146,6 +178,7 @@ def test_batch_coords_match_single(case, rng):
     for i in range(5):
         q, _ = radial_decompose(d, Xs[i])
         assert np.max(np.abs(qb[i] - q)) <= 1e-10 * max(1.0, np.max(np.abs(q)))
+        assert np.max(np.abs(radial_coords(d, Xs[i]) - q)) <= 1e-10 * max(1.0, np.max(np.abs(q)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ from cartanflow import (
     restricted_roots,
     trace_form,
 )
-from cartanflow.spaces import check_membership, geometry
+from cartanflow.spaces import _project, check_membership, geometry
 
-from conftest import REPRESENTATIVES, parameter_grid
+from conftest import REPRESENTATIVES, _gram_schmidt, parameter_grid
 
 
 def random_g0(d, rng):
@@ -206,3 +206,49 @@ def test_random_k_element_is_in_k(case, rng):
 
     X = random_p_element(d, rng)
     check_p_membership(d, k @ X @ k.conj().T, rtol=1e-8)
+
+
+BASIS_CASES = parameter_grid(4) + [
+    ("aiii", 8, 8), ("diii", 0, 8), ("cii", 4, 3), ("ci", 0, 6),
+    ("aii", 0, 6), ("ai", 0, 8), ("a2", 0, 12), ("bdi", 8, 8),
+]
+
+
+def unit_list(N):
+    """Hermitian units one at a time, in the order of the stacked build."""
+    out = []
+    for i in range(N):
+        for j in range(i, N):
+            E = np.zeros((N, N), dtype=complex)
+            if i == j:
+                E[i, i] = 1.0
+                out.append(E)
+            else:
+                E[i, j] = E[j, i] = 1.0
+                out.append(E / np.sqrt(2))
+                F = np.zeros((N, N), dtype=complex)
+                F[i, j], F[j, i] = 1j, -1j
+                out.append(F / np.sqrt(2))
+    return out
+
+
+@pytest.mark.parametrize("case", BASIS_CASES)
+def test_stacked_bases_match_unit_by_unit_gram_schmidt(case):
+    # reference: each unit projected alone, then sequential modified
+    # Gram-Schmidt; same count, order and signs to the last bits
+    d = make_space(*case)
+    geo = geometry(d)
+    units = unit_list(d.ambient_dim)
+    ref = {
+        "p": _gram_schmidt([_project(d, U[None], True)[0] for U in units]),
+        "k": _gram_schmidt([_project(d, 1j * U[None], False)[0] for U in units]),
+        "a": _gram_schmidt(geo.a_embed),
+    }
+    for which, stack in (("p", geo._p_stack), ("k", geo._k_stack), ("a", geo._a_stack)):
+        assert len(stack) == len(ref[which])
+        want = np.array(ref[which]).reshape(stack.shape)
+        assert np.max(np.abs(stack - want), initial=0.0) <= 1e-15
+        assert not stack.flags.writeable
+        assert all(not M.flags.writeable for M in getattr(geo, f"{which}_basis"))
+    if d.kind in ("aiii", "bdi", "cii", "diii", "ci"):
+        assert np.array_equal(geo._p_stack, np.array(ref["p"]))
