@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ContractViolation, commutator
+from .linalg import ContractViolation
 from .radial import WALL_TOL, SliceCoords, radial_coords_batch, radial_decompose
 from .reduction import ReducedState, l_from_slice
 from .spaces import SpaceDescriptor, check_p_membership, geometry, wall_distance
@@ -103,9 +103,11 @@ def reduce_phase_point(d: SpaceDescriptor, point: PhasePoint) -> tuple[ReducedSt
 class _Reduced:
     """Coordinate-level reduced system for one descriptor (internal).
 
-    In the root-adapted bases r -> [r, H(q)] is diag(C q), so r and w come
-    from two divisions and the energy has the Calogero-Moser/Sutherland form
-    p^T G p / 2 + sum_k l_k^2 / (C q)_k^2 / 2.
+    A state is one flat vector y = (q, p, lc), lc the zk-perp coordinates
+    of l.  In the root-adapted bases r -> [r, H(q)] is diag(C q), so r and w
+    come from two divisions and the energy has the Calogero-Moser/Sutherland
+    form p^T G p / 2 + sum_k l_k^2 / (C q)_k^2 / 2.  ``split``, ``r_and_w``
+    and ``hamiltonian`` broadcast over leading axes (a stack of states).
     """
 
     def __init__(self, d: SpaceDescriptor):
@@ -113,39 +115,54 @@ class _Reduced:
         self.geo = geometry(d)
         self.gram = self.geo.gram
         self.C = self.geo.bracket_coeffs  # (dzk, rank)
+        self.rank = d.real_rank
+        # dH/dq = -C^T (w r); Hamilton's equations flip the sign back and
+        # G^{-1} turns the force into dp
+        self._force = self.geo.gram_inv @ self.C.T
+        self._zk = self.geo._zk_rows
+        self._shape = (d.ambient_dim, d.ambient_dim)
+
+    def flat(self, state: ReducedState) -> np.ndarray:
+        q, p = np.asarray(state.q, dtype=float), np.asarray(state.p, dtype=float)
+        return np.concatenate((q, p, self.geo.zk_coords(np.asarray(state.l, dtype=complex))))
+
+    def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        r = self.rank
+        return y[..., :r], y[..., r : 2 * r], y[..., 2 * r :]
 
     def r_and_w(self, q: np.ndarray, lc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a = self.C @ q
+        a = q @ self.C.T
         r = lc / a
         return r, r / a
 
-    def hamiltonian(self, q, p, lc) -> float:
+    def hamiltonian(self, q, p, lc):
         r, _ = self.r_and_w(q, lc)
-        return 0.5 * float(p @ self.gram @ p) + 0.5 * float(r @ r)
+        return 0.5 * np.sum((p @ self.gram) * p, axis=-1) + 0.5 * np.sum(r * r, axis=-1)
 
-    def field(self, q, p, lc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def field(self, y: np.ndarray) -> np.ndarray:
+        q, p, lc = self.split(y)
         r, w = self.r_and_w(q, lc)
-        geo = self.geo
-        dq = p.copy()
-        # dH/dq = -C^T (w r); Hamilton's equations flip the sign back
-        dp = np.linalg.solve(self.gram, self.C.T @ (w * r))
-        dl = geo.zk_coords(commutator(geo.zk_from_coords(lc), geo.zk_from_coords(w)))
-        return dq, dp, dl
+        zk, shape = self._zk, self._shape
+        L = (lc @ zk).view(complex).reshape(shape)
+        W = (w @ zk).view(complex).reshape(shape)
+        # L and W are anti-Hermitian, so [L, W] = LW - (LW)^dagger and its
+        # coordinates against the anti-Hermitian zk-perp basis are twice those of LW
+        dl = 2.0 * ((L @ W).reshape(-1).view(float) @ zk.T)
+        return np.concatenate((p, self._force @ (w * r), dl))
 
-    def l_matrix_spectrum(self, lc: np.ndarray) -> np.ndarray:
-        lmat = self.geo.zk_from_coords(lc)
-        return np.sort(np.linalg.eigvalsh(1j * lmat))[::-1]
+
+def _flat_state(sys: _Reduced, state: ReducedState, what: str) -> np.ndarray:
+    y = sys.flat(state)
+    if wall_distance(sys.d, y[: sys.rank]) <= WALL_TOL:
+        raise ContractViolation(f"reduced {what} undefined on a chamber wall")
+    return y
 
 
 def reduced_hamiltonian(d: SpaceDescriptor, state: ReducedState) -> float:
     """Energy of a reduced state: half the trace-form square of the
     reconstructed momentum H(p) + r(q, l)."""
     sys = _Reduced(d)
-    q = np.asarray(state.q, dtype=float)
-    if wall_distance(d, q) <= WALL_TOL:
-        raise ContractViolation("reduced Hamiltonian undefined on a chamber wall")
-    lc = sys.geo.zk_coords(np.asarray(state.l, dtype=complex))
-    return sys.hamiltonian(q, np.asarray(state.p, dtype=float), lc)
+    return float(sys.hamiltonian(*sys.split(_flat_state(sys, state, "Hamiltonian"))))
 
 
 def reduced_vector_field(
@@ -154,11 +171,7 @@ def reduced_vector_field(
     """Time derivatives (dq, dp, dl) of the reduced flow; dl is returned as
     a matrix in the centralizer orthocomplement."""
     sys = _Reduced(d)
-    q = np.asarray(state.q, dtype=float)
-    if wall_distance(d, q) <= WALL_TOL:
-        raise ContractViolation("reduced vector field undefined on a chamber wall")
-    lc = sys.geo.zk_coords(np.asarray(state.l, dtype=complex))
-    dq, dp, dl = sys.field(q, np.asarray(state.p, dtype=float), lc)
+    dq, dp, dl = sys.split(sys.field(_flat_state(sys, state, "vector field")))
     return dq, dp, sys.geo.zk_from_coords(dl)
 
 
@@ -174,44 +187,52 @@ def integrate_reduced(
     if steps < 1:
         raise ContractViolation("steps must be a positive integer")
     sys = _Reduced(d)
-    geo = sys.geo
-    q = np.asarray(initial.q, dtype=float).copy()
-    p = np.asarray(initial.p, dtype=float).copy()
-    lc = geo.zk_coords(np.asarray(initial.l, dtype=complex))
+    y = sys.flat(initial)
     h = float(t_max) / steps
-    times = [0.0]
-    states = [ReducedState(q.copy(), p.copy(), geo.zk_from_coords(lc))]
-    energies = [sys.hamiltonian(q, p, lc)]
-    spectra = [sys.l_matrix_spectrum(lc)]
-    aborted = None
+    half, sixth = 0.5 * h, h / 6.0
 
-    def wall_ok(qv) -> bool:
-        return wall_distance(d, qv) > _ABORT_FACTOR * WALL_TOL
+    def wall_ok(yv) -> bool:
+        return wall_distance(d, yv[: sys.rank]) > _ABORT_FACTOR * WALL_TOL
 
-    if not wall_ok(q):
+    if not wall_ok(y):
         raise ContractViolation("initial radial point is too close to a chamber wall")
+    history = np.empty((steps + 1, y.size))
+    history[0] = y
+    done, aborted = 0, None
+    # the loop only steps and checks the wall; the log is built after it
     for step in range(steps):
-        k1 = sys.field(q, p, lc)
-        k2 = sys.field(q + 0.5 * h * k1[0], p + 0.5 * h * k1[1], lc + 0.5 * h * k1[2])
-        k3 = sys.field(q + 0.5 * h * k2[0], p + 0.5 * h * k2[1], lc + 0.5 * h * k2[2])
-        k4 = sys.field(q + h * k3[0], p + h * k3[1], lc + h * k3[2])
-        q = q + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        p = p + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        lc = lc + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        if not wall_ok(q):
-            aborted = f"radial point reached a chamber wall at t={times[-1] + h:.6g}"
+        k1 = sys.field(y)
+        k2 = sys.field(y + half * k1)
+        k3 = sys.field(y + half * k2)
+        k4 = sys.field(y + h * k3)
+        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not wall_ok(y):
+            aborted = f"radial point reached a chamber wall at t={step * h + h:.6g}"
             break
-        times.append((step + 1) * h)
-        states.append(ReducedState(q.copy(), p.copy(), geo.zk_from_coords(lc)))
-        energies.append(sys.hamiltonian(q, p, lc))
-        spectra.append(sys.l_matrix_spectrum(lc))
+        done = step + 1
+        history[done] = y
+    q, p, lc = sys.split(history[: done + 1])
+    lmats = sys.geo.zk_from_coords(lc)
+    # eigvalsh returns ascending values; the log keeps them descending
+    spectra = np.linalg.eigvalsh(1j * lmats)[:, ::-1]
     return Trajectory(
-        times=np.array(times),
-        states=states,
-        energies=np.array(energies),
-        l_spectra=np.array(spectra),
+        times=np.arange(done + 1) * h,
+        states=[ReducedState(*s) for s in zip(q, p, lmats)],
+        energies=sys.hamiltonian(q, p, lc),
+        l_spectra=spectra,
         aborted=aborted,
     )
+
+
+def _nearest_steps(times: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """Index of the nearest step time for each grid point up to the last
+    step (exact when the grid matches the step count, the default); a tie
+    goes to the earlier step.  ``times`` is increasing, so the nearest step
+    is one of the two that bracket the point."""
+    t = t_grid[t_grid <= times[-1] + 1e-12]
+    hi = np.minimum(np.searchsorted(times, t), len(times) - 1)
+    lo = np.maximum(hi - 1, 0)
+    return np.where(np.abs(times[lo] - t) <= np.abs(times[hi] - t), lo, hi)
 
 
 def compare_with_oracle(
@@ -230,9 +251,7 @@ def compare_with_oracle(
     state0, _ = reduce_phase_point(d, start)
     n_steps = steps if steps is not None else (t_grid.size - 1)
     traj = integrate_reduced(d, state0, float(t_grid[-1]), n_steps)
-    # compare at the nearest computed step time (exact when the grid
-    # matches the step count, the default)
-    idx = [int(np.argmin(np.abs(traj.times - t))) for t in t_grid if t <= traj.times[-1] + 1e-12]
+    idx = _nearest_steps(traj.times, t_grid)
     kept = traj.times[idx]
     # X + tY lies in p by linearity: reduce_phase_point checked X and Y
     X, Y = np.asarray(start.X, dtype=complex), np.asarray(start.Y, dtype=complex)

@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .linalg import ConsistencyError, ContractViolation
 from .radial import chamber_contains, radial_coords_batch
@@ -149,30 +148,6 @@ def _unnormalized(d: SpaceDescriptor, q: np.ndarray) -> float:
     return closed_form_density(d, q) * _weight(d, q)
 
 
-def _chamber_ranges(d: SpaceDescriptor):
-    """nquad integration ranges over the chamber.
-
-    Variables are ordered innermost-first: x_0 = q_rank, ...,
-    x_{rank-1} = q_1; each range callable receives the outer variables.
-    """
-    rank = d.real_rank
-
-    def make_range(j: int):
-        def rng_fn(*outer):
-            upper = outer[0] if outer else np.inf
-            if d.trace_constrained:
-                lower = -sum(outer) / (j + 2)
-            elif d.kind == "bdi" and d.m == d.n and j == 0:
-                lower = -outer[0] if outer else -np.inf
-            else:
-                lower = 0.0
-            return (lower, upper)
-
-        return rng_fn
-
-    return [make_range(j) for j in range(rank)]
-
-
 def _chamber_integral(d: SpaceDescriptor) -> float:
     """Closed-form chamber integral of prod |alpha(q)|^m_alpha * exp(-q^T G q / 2).
 
@@ -241,30 +216,24 @@ def theoretical_radial_density(d: SpaceDescriptor, q) -> float:
 
 
 def theoretical_radial_cdf(d: SpaceDescriptor, x: np.ndarray) -> np.ndarray:
-    """Cumulative distribution of the single radial coordinate (rank 1)."""
+    """Cumulative distribution of the single radial coordinate (rank 1).
+
+    Every root is a multiple of q, so the density is proportional to
+    |q|^a exp(-g q^2 / 2) with a the sum of the root multiplicities and
+    g = G_11: a regularized lower incomplete gamma in g x^2 / 2 on the
+    chamber q >= 0.  bdi(1,1) has no roots and the whole line as its
+    chamber: a Gaussian.
+    """
+    from scipy.special import gammainc, ndtr
+
     if d.real_rank != 1:
         raise ContractViolation("theoretical CDF implemented for real rank 1")
-    Z = _normalizer(d)
-    lo, _ = _chamber_ranges(d)[0]()
+    geo = geometry(d)
+    g, a = geo.gram[0, 0], float(np.sum(geo.root_table[1]))
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    if np.isfinite(lo):
-        prev_x, acc = float(lo), 0.0
-    else:
-        # far-left anchor; the Gaussian weight makes the truncated tail
-        # negligible
-        prev_x, acc = float(min(x.min(), 0.0) - 12.0), 0.0
-    order = np.argsort(x)
-    for i in order:
-        xi = float(x[i])
-        if xi <= prev_x:
-            out[i] = acc
-            continue
-        seg, _ = integrate.quad(lambda t: _unnormalized(d, np.array([t])), prev_x, xi)
-        acc += seg
-        prev_x = xi
-        out[i] = acc
-    return np.clip(out / Z, 0.0, 1.0)
+    if d.kind == "bdi" and d.m == d.n:
+        return ndtr(np.sqrt(g) * x)
+    return gammainc((a + 1) / 2, g * np.maximum(x, 0.0) ** 2 / 2)
 
 
 def ks_distance(d: SpaceDescriptor, hist: RadialHistogram) -> float:

@@ -543,6 +543,23 @@ def _orthonormalize(stack: np.ndarray, tol: float = _GS_TOL) -> np.ndarray:
     return (kept[:k, :half] + 1j * kept[:k, half:]).reshape(k, side, side)
 
 
+def _real_rows(stack: np.ndarray) -> np.ndarray:
+    """Read-only real view (dim, 2 N^2) of a contiguous stack of matrices,
+    one row per member with its real and imaginary parts interleaved.  Row
+    dot products are Frobenius real inner products, so for an orthonormal
+    stack the coordinates Re<B_a, X> are one product with the transposed
+    rows and sum_a c_a B_a is one product with the rows."""
+    rows = stack.reshape(len(stack), stack.shape[-1] ** 2).view(float)
+    rows.flags.writeable = False
+    return rows
+
+
+def _real_flat(X) -> np.ndarray:
+    """Real view of a matrix (or a stack) matching ``_real_rows``."""
+    X = np.ascontiguousarray(X, dtype=complex)
+    return X.reshape(X.shape[:-2] + (-1,)).view(float)
+
+
 def _hermitian_units(N: int) -> np.ndarray:
     """Stack of the trace-form-orthonormal Hermitian units: E_ii, then
     (E_ij + E_ji)/sqrt2 and i(E_ij - E_ji)/sqrt2, over i <= j row by row."""
@@ -712,41 +729,38 @@ class SpaceGeometry:
     # -- coordinates -------------------------------------------------------
 
     @property
-    def _ap_stack(self) -> np.ndarray:
-        return self._root_split[2]
-
-    @property
     def _zk_stack(self) -> np.ndarray:
         return self._root_split[1]
 
-    def coords(self, basis_stack: np.ndarray, X: np.ndarray) -> np.ndarray:
-        if basis_stack.shape[0] == 0:
-            return np.zeros(0)
-        return np.einsum("aij,ij->a", basis_stack.conj(), X).real
+    @cached_property
+    def _ap_rows(self) -> np.ndarray:
+        return _real_rows(self._root_split[2])
 
-    def from_coords(self, basis_stack: np.ndarray, c: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _zk_rows(self) -> np.ndarray:
+        return _real_rows(self._zk_stack)
+
+    def _from_rows(self, rows: np.ndarray, c) -> np.ndarray:
+        """sum_a c_a B_a, batched over the leading axes of ``c``."""
+        c = np.asarray(c, dtype=float)
         N = self.descriptor.ambient_dim
-        if basis_stack.shape[0] == 0:
-            return np.zeros((N, N), dtype=complex)
-        return np.einsum("a,aij->ij", c, basis_stack)
+        return (c @ rows).view(complex).reshape(c.shape[:-1] + (N, N))
 
     def aperp_coords(self, X) -> np.ndarray:
-        return self.coords(self._ap_stack, X)
+        return _real_flat(X) @ self._ap_rows.T
 
     def aperp_from_coords(self, c) -> np.ndarray:
-        return self.from_coords(self._ap_stack, c)
+        return self._from_rows(self._ap_rows, c)
 
     def zk_coords(self, X) -> np.ndarray:
-        return self.coords(self._zk_stack, X)
+        return _real_flat(X) @ self._zk_rows.T
 
     def zk_from_coords(self, c) -> np.ndarray:
-        return self.from_coords(self._zk_stack, c)
-
-    def p_coords(self, X) -> np.ndarray:
-        return self.coords(self._p_stack, X)
+        return self._from_rows(self._zk_rows, c)
 
     def p_from_coords(self, c) -> np.ndarray:
-        return self.from_coords(self._p_stack, c)
+        # einsum, not a matmul: the seeded draws of sample_p_gaussian keep its summation order
+        return np.einsum("a,aij->ij", c, self._p_stack)
 
     def embed_radial(self, q: np.ndarray) -> np.ndarray:
         d = self.descriptor

@@ -97,3 +97,78 @@ def dense_aperp_basis(d) -> list:
     assert len(basis) == d.dim_p - d.real_rank
     return basis
 
+
+
+def reference_integrate_reduced(d, initial, t_max, steps):
+    """The per-step RK4 loop of the reduced flow with separate (q, p, l)
+    states, einsum coordinate maps, a Gram solve in every field call and the
+    invariants logged step by step.  Reference for ``integrate_reduced``."""
+    from cartanflow.dynamics import _ABORT_FACTOR, Trajectory
+    from cartanflow.radial import WALL_TOL
+    from cartanflow.reduction import ReducedState
+    from cartanflow.spaces import wall_distance
+
+    geo = geometry(d)
+    Z, G, C = geo._zk_stack, geo.gram, geo.bracket_coeffs
+
+    def zk_coords(X):
+        return np.einsum("aij,ij->a", Z.conj(), X).real
+
+    def zk_from_coords(c):
+        return np.einsum("a,aij->ij", c, Z)
+
+    def r_and_w(q, lc):
+        a = C @ q
+        r = lc / a
+        return r, r / a
+
+    def hamiltonian(q, p, lc):
+        r, _ = r_and_w(q, lc)
+        return 0.5 * float(p @ G @ p) + 0.5 * float(r @ r)
+
+    def field(q, p, lc):
+        r, w = r_and_w(q, lc)
+        dq = p.copy()
+        dp = np.linalg.solve(G, C.T @ (w * r))
+        dl = zk_coords(commutator(zk_from_coords(lc), zk_from_coords(w)))
+        return dq, dp, dl
+
+    def l_matrix_spectrum(lc):
+        return np.sort(np.linalg.eigvalsh(1j * zk_from_coords(lc)))[::-1]
+
+    q = np.asarray(initial.q, dtype=float).copy()
+    p = np.asarray(initial.p, dtype=float).copy()
+    lc = zk_coords(np.asarray(initial.l, dtype=complex))
+    h = float(t_max) / steps
+    times = [0.0]
+    states = [ReducedState(q.copy(), p.copy(), zk_from_coords(lc))]
+    energies = [hamiltonian(q, p, lc)]
+    spectra = [l_matrix_spectrum(lc)]
+    aborted = None
+
+    def wall_ok(qv) -> bool:
+        return wall_distance(d, qv) > _ABORT_FACTOR * WALL_TOL
+
+    assert wall_ok(q)
+    for step in range(steps):
+        k1 = field(q, p, lc)
+        k2 = field(q + 0.5 * h * k1[0], p + 0.5 * h * k1[1], lc + 0.5 * h * k1[2])
+        k3 = field(q + 0.5 * h * k2[0], p + 0.5 * h * k2[1], lc + 0.5 * h * k2[2])
+        k4 = field(q + h * k3[0], p + h * k3[1], lc + h * k3[2])
+        q = q + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        p = p + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        lc = lc + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        if not wall_ok(q):
+            aborted = f"radial point reached a chamber wall at t={times[-1] + h:.6g}"
+            break
+        times.append((step + 1) * h)
+        states.append(ReducedState(q.copy(), p.copy(), zk_from_coords(lc)))
+        energies.append(hamiltonian(q, p, lc))
+        spectra.append(l_matrix_spectrum(lc))
+    return Trajectory(
+        times=np.array(times),
+        states=states,
+        energies=np.array(energies),
+        l_spectra=np.array(spectra),
+        aborted=aborted,
+    )

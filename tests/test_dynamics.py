@@ -14,13 +14,13 @@ from cartanflow import (
     reduced_vector_field,
     trace_form,
 )
-from cartanflow.dynamics import _Reduced
+from cartanflow.dynamics import _nearest_steps, _Reduced
 from cartanflow.linalg import frobenius
 from cartanflow.radial import embed_radial
 from cartanflow.reduction import ReducedState, random_chamber_point
 from cartanflow.spaces import geometry
 
-from conftest import REPRESENTATIVES, dense_aperp_basis
+from conftest import REPRESENTATIVES, dense_aperp_basis, reference_integrate_reduced
 
 ORACLE_CASES = [("aiii", 2, 1), ("aiii", 3, 2), ("ai", 0, 3), ("a2", 0, 3)]
 
@@ -146,7 +146,7 @@ def test_diagonal_field_matches_dense_solves(case, rng):
         dp = np.linalg.solve(geo.gram, np.array([w @ (Tj @ r) for Tj in T]))
         dl = np.einsum("abc,a,b->c", L, lc, w)
         energy = 0.5 * p @ geo.gram @ p + 0.5 * r @ r
-        got = sys.field(q, p, lc)
+        got = sys.split(sys.field(np.concatenate((q, p, lc))))
         scale = max(1.0, np.max(np.abs(dp)), np.max(np.abs(dl)))
         assert np.max(np.abs(got[1] - dp)) <= 1e-9 * scale
         assert np.max(np.abs(got[2] - dl)) <= 1e-9 * scale
@@ -170,7 +170,7 @@ def test_energy_gradient_orthogonal_to_field(rng):
     state, _ = reduce_phase_point(d, PhasePoint(X, Y))
     sys = _Reduced(d)
     lc = sys.geo.zk_coords(state.l)
-    dq, dp, dl = sys.field(state.q, state.p, lc)
+    dq, dp, dl = sys.split(sys.field(np.concatenate((state.q, state.p, lc))))
     r, w = sys.r_and_w(state.q, lc)
     grad_q = -(sys.C.T @ (w * r))
     dH = grad_q @ dq + (sys.gram @ state.p) @ dp + w @ dl
@@ -289,3 +289,60 @@ def test_wall_abort():
     l0 = np.zeros((3, 3), dtype=complex)
     traj = integrate_reduced(d, ReducedState(q0, p0, l0), 2.0, 200)
     assert traj.aborted is not None and "wall" in traj.aborted
+
+
+@pytest.mark.parametrize("case", REPRESENTATIVES + [("aiii", 5, 5)])
+def test_flat_state_integration_matches_reference_loop(case):
+    # the reference keeps einsum coordinate maps and a Gram solve per field
+    # call; summation order and G^-1 b against solve(G, b) differ by rounding
+    # only, so q and p agree to 1e-13 rather than bit for bit
+    d = make_space(*case)
+    state, _ = reduce_phase_point(d, generic_start(d, seed=101))
+    got = integrate_reduced(d, state, 1.0, 500)
+    ref = reference_integrate_reduced(d, state, 1.0, 500)
+    assert got.aborted is None and ref.aborted is None
+    assert np.array_equal(got.times, ref.times)
+    for a, b in zip(got.states, ref.states, strict=True):
+        assert np.max(np.abs(a.q - b.q)) <= 1e-13
+        assert np.max(np.abs(a.p - b.p)) <= 1e-13
+    scale = 1e-12 * max(1.0, abs(ref.energies[0]))
+    assert np.max(np.abs(got.energies - ref.energies)) <= scale
+    assert np.max(np.abs(got.l_spectra - ref.l_spectra)) <= scale
+
+
+def test_wall_abort_matches_reference_loop():
+    d = make_space("ai", 0, 3)
+    state = ReducedState(np.array([0.4, 0.0]), np.array([-0.8, 0.0]), np.zeros((3, 3), complex))
+    got = integrate_reduced(d, state, 2.0, 200)
+    ref = reference_integrate_reduced(d, state, 2.0, 200)
+    assert got.aborted is not None and got.aborted == ref.aborted
+    assert np.array_equal(got.times, ref.times)
+
+
+def _argmin_steps(times, t_grid):
+    return [int(np.argmin(np.abs(times - t))) for t in t_grid if t <= times[-1] + 1e-12]
+
+
+@pytest.mark.parametrize("n_grid", [9, 17, 5, 3, 41, 2])
+def test_nearest_steps_match_argmin_rule(n_grid):
+    # steps of 0.25 on [0, 2]: the grid matches (9), is finer with exact
+    # ties at the midpoints (17, 41) or coarser (5, 3, 2)
+    times = np.arange(9) * 0.25
+    for grid in (np.linspace(0.0, 2.0, n_grid), np.linspace(0.0, 2.0 + 1e-13, n_grid),
+                 np.linspace(0.0, 1.3, n_grid), np.linspace(0.0, 3.1, n_grid)):
+        assert _nearest_steps(times, grid).tolist() == _argmin_steps(times, grid)
+    steps = np.arange(201) * (1.7 / 200)
+    grid = np.sort(np.random.default_rng(n_grid).uniform(0.0, 2.0, 50))
+    assert _nearest_steps(steps, grid).tolist() == _argmin_steps(steps, grid)
+
+
+def test_nearest_steps_on_truncated_trajectory():
+    d = make_space("ai", 0, 3)
+    X = embed_radial(d, np.array([0.4, 0.0]))
+    Y = embed_radial(d, np.array([-0.8, 0.0]))
+    for n_grid, steps in ((201, 200), (51, 200), (801, 200)):
+        grid = np.linspace(0.0, 2.0, n_grid)
+        report = compare_with_oracle(d, PhasePoint(X, Y), grid, steps=steps)
+        times = report.trajectory.times
+        assert report.truncated is not None
+        assert np.array_equal(report.times, times[_argmin_steps(times, grid)])

@@ -1,4 +1,5 @@
-"""Properties of the radial decomposition at degenerate chamber points.
+"""Properties of the radial decomposition at degenerate chamber points,
+and of the sharded Gaussian sampler.
 
 Chamber points are drawn from the grid {-3, ..., 3}/2 and mapped into the
 closed chamber, so repeated and zero coordinates (points on the walls) are
@@ -14,8 +15,12 @@ from cartanflow import (
     make_space,
     radial_decompose,
     random_k_element,
+    sample_radial_batch,
 )
 from cartanflow.linalg import frobenius
+from cartanflow.sampling import CHUNK_SIZE
+
+from conftest import REPRESENTATIVES
 
 # every class, with the m = n edge cases and the D-type chamber of bdi(n,n)
 ROUND_TRIP_CASES = [
@@ -60,3 +65,16 @@ def test_round_trip_at_degenerate_points(case):
     residual = frobenius(k @ embed_radial(d, q) @ k.conj().T - X)
     assert residual <= 1e-12 * max(1.0, frobenius(X)), (d.label(), q0, residual)
     assert np.max(np.abs(q - q0)) <= 1e-12 * max(1.0, np.max(np.abs(q0))), (d.label(), q0, q)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(REPRESENTATIVES),
+    st.integers(CHUNK_SIZE - 1, 2 * CHUNK_SIZE + 1),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3, 4]),
+)
+def test_sample_stream_independent_of_threads(case, count, seed, threads):
+    d = make_space(*case)
+    one = sample_radial_batch(d, count, seed, threads=1)
+    assert np.array_equal(one, sample_radial_batch(d, count, seed, threads=threads))

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -14,16 +18,62 @@ from cartanflow import (
 )
 from cartanflow.radial import radial_coords_batch
 from cartanflow.reduction import random_chamber_point
-from cartanflow.sampling import (
-    _chamber_ranges,
-    _unnormalized,
-    theoretical_radial_cdf,
-)
+from cartanflow.sampling import _normalizer, _unnormalized, theoretical_radial_cdf
 from cartanflow.spaces import check_p_membership, geometry, random_k_element
 
 from conftest import parameter_grid
 
 KS_CASES = [("aiii", 2, 1), ("bdi", 2, 1), ("ai", 0, 2), ("a2", 0, 2)]
+
+
+def chamber_ranges(d):
+    """nquad integration ranges over the chamber.
+
+    Variables are ordered innermost-first: x_0 = q_rank, ...,
+    x_{rank-1} = q_1; each range callable receives the outer variables.
+    """
+    rank = d.real_rank
+
+    def make_range(j: int):
+        def rng_fn(*outer):
+            upper = outer[0] if outer else np.inf
+            if d.trace_constrained:
+                lower = -sum(outer) / (j + 2)
+            elif d.kind == "bdi" and d.m == d.n and j == 0:
+                lower = -outer[0] if outer else -np.inf
+            else:
+                lower = 0.0
+            return (lower, upper)
+
+        return rng_fn
+
+    return [make_range(j) for j in range(rank)]
+
+
+def quad_radial_cdf(d, x):
+    """Rank-1 CDF by adaptive quadrature of the normalized density from the
+    chamber's lower end: the oracle for the closed-form CDF."""
+    Z = _normalizer(d)
+    lo, _ = chamber_ranges(d)[0]()
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    if np.isfinite(lo):
+        prev_x, acc = float(lo), 0.0
+    else:
+        # far-left anchor; the Gaussian weight makes the truncated tail
+        # negligible
+        prev_x, acc = float(min(x.min(), 0.0) - 12.0), 0.0
+    order = np.argsort(x)
+    for i in order:
+        xi = float(x[i])
+        if xi <= prev_x:
+            out[i] = acc
+            continue
+        seg, _ = integrate.quad(lambda t: _unnormalized(d, np.array([t])), prev_x, xi)
+        acc += seg
+        prev_x = xi
+        out[i] = acc
+    return np.clip(out / Z, 0.0, 1.0)
 
 
 def test_sample_deterministic_and_in_p():
@@ -122,12 +172,10 @@ DENSITY_ORACLE_CASES = [
 def test_theoretical_density_integrates_to_one(case):
     # nquad over the chamber is the oracle for the closed-form normalizer
     d = make_space(*case)
-    from cartanflow.sampling import _normalizer
-
     Z = _normalizer(d)
     val, _ = integrate.nquad(
         lambda *xs: _unnormalized(d, np.array(xs[::-1])) / Z,
-        _chamber_ranges(d),
+        chamber_ranges(d),
         opts={"epsabs": 1e-12, "epsrel": 1e-9},
     )
     assert val == pytest.approx(1.0, abs=1e-9)
@@ -155,6 +203,19 @@ def test_chamber_integral_rejects_unexpected_shape(monkeypatch):
             patch.setattr(geo, name, value)
             with pytest.raises(ConsistencyError):
                 _chamber_integral(d)
+
+
+def test_import_does_not_load_scipy_integrate():
+    # every CLI process pays the package import; quadrature lives in the tests
+    import cartanflow
+
+    src = os.path.dirname(os.path.dirname(cartanflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, cartanflow; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_negative_seed_rejected():
@@ -185,6 +246,16 @@ def test_cdf_monotone_and_normalized():
     cdf = theoretical_radial_cdf(d, x)
     assert np.all(np.diff(cdf) >= -1e-12)
     assert cdf[-1] == pytest.approx(1.0, abs=1e-6)
+
+
+RANK_ONE_CASES = [c for c in parameter_grid(4) if make_space(*c).real_rank == 1]
+
+
+@pytest.mark.parametrize("case", RANK_ONE_CASES)
+def test_closed_form_cdf_matches_quadrature(case):
+    d = make_space(*case)
+    x = np.concatenate([np.linspace(-3.0, 5.0, 65), [1e-3, 7.5]])
+    assert np.max(np.abs(theoretical_radial_cdf(d, x) - quad_radial_cdf(d, x))) <= 1e-12
 
 
 @pytest.mark.parametrize("case", KS_CASES)
