@@ -4,8 +4,7 @@ Plain eigendecomposition and SVD ignore the antiunitary symmetries of the
 quaternionic, complex-symmetric and complex-antisymmetric classes, so the
 factors they return do not land in the right compact groups.  The
 routines here post-process LAPACK spectral data with the relevant
-antiunitary map phi (a conjugation intertwiner with phi^2 = +-1) to
-produce structured factors:
+antiunitary map phi to produce structured factors:
 
 * ``takagi``:            complex symmetric B    = U diag(s) U^T
 * ``antisym_canonical``: complex antisymmetric B = U (pairwise J-blocks) U^T
@@ -14,10 +13,21 @@ produce structured factors:
 * ``quaternionic_svd``:  B with B J_R = J_L conj(B):  B = U S V† with
   structured U, V and pairwise-equal singular values.
 
+All four share one kernel, ``_resolve``: it groups the descending values
+into near-equal clusters, picks vectors inside each cluster's eigenspace
+one at a time, and hands each pick to the routine's partner rule.  With
+phi^2 = +1 (Takagi) the rule returns the phi-fixed combination of u and
+phi(u); with phi^2 = -1 (the other three) it returns the Kramers pair
+(u, phi(u)), which is automatically orthogonal.  A routine differs from
+the others only in how it gets the eigenvectors and values, in its
+partner rule and in its column order.
+
 All spectra are returned descending.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -52,17 +62,12 @@ def _project_off(v: np.ndarray, chosen: list[np.ndarray]) -> np.ndarray:
     return v
 
 
-def _orthonormalize_against(v: np.ndarray, chosen: list[np.ndarray]) -> np.ndarray:
-    v = _project_off(v, chosen)
-    nrm = np.linalg.norm(v)
-    return v / nrm if nrm > 1e-12 else np.zeros_like(v)
-
-
 def _pick_independent(cols: np.ndarray, chosen: list[np.ndarray]) -> np.ndarray:
     """First column of ``cols`` with a healthy component off ``chosen``
-    (residual norm above 0.5, else the largest), normalized.  Columns that
-    lie in the span of ``chosen`` up to round-off leave residuals of that
-    size and are never taken."""
+    (residual norm above 0.5, else the largest), normalized.  The residual
+    is projected off twice, so the result is orthonormal to ``chosen`` to
+    round-off.  Columns that lie in the span of ``chosen`` up to round-off
+    leave residuals of that size and are never taken."""
     best, best_norm = None, -1.0
     for i in range(cols.shape[1]):
         v = _project_off(cols[:, i], chosen)
@@ -74,6 +79,34 @@ def _pick_independent(cols: np.ndarray, chosen: list[np.ndarray]) -> np.ndarray:
     if best is None or best_norm < 1e-8:
         raise ContractViolation("degenerate subspace: no independent vector found")
     return best / best_norm
+
+
+def _resolve(
+    W: np.ndarray,
+    values: np.ndarray,
+    tol: float,
+    make: Callable[[np.ndarray, float], list[np.ndarray]],
+) -> list[tuple[float, list[np.ndarray]]]:
+    """Structured vectors for the descending ``values`` with eigenvectors W.
+
+    Values within ``tol`` of a cluster's first value form one cluster; its
+    columns of W are resolved together.  Each pick is a unit vector of the
+    cluster's span orthogonal to the vectors already chosen there, and
+    ``make(u, value)`` returns it with its partners (or their combination).
+    A pick takes the cluster's value at the position of its first vector,
+    so near-equal values keep their order.  Returns one ``(value,
+    vectors)`` per pick, in order.
+    """
+    picks: list[tuple[float, list[np.ndarray]]] = []
+    for grp in _cluster(values, tol):
+        sub = W[:, grp]
+        chosen: list[np.ndarray] = []
+        while len(chosen) < len(grp):
+            value = values[grp[len(chosen)]]
+            vectors = make(_pick_independent(sub, chosen), value)
+            chosen.extend(vectors)
+            picks.append((value, vectors))
+    return picks
 
 
 def takagi(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,33 +125,20 @@ def takagi(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ContractViolation("takagi needs a square matrix")
     W = np.linalg.eigh(B @ B.conj().T)[1][:, ::-1]
     s = np.linalg.svd(B, compute_uv=False)
-    scale = float(s[0]) if n else 0.0
-    cols: list[np.ndarray] = [None] * n
-    order = 0
-    for grp in _cluster(s, _PAIR_TOL * scale):
-        sub = W[:, grp]
-        chosen: list[np.ndarray] = []
-        if s[grp[0]] <= _PAIR_TOL * scale:
-            for i in range(len(grp)):
-                v = _pick_independent(sub, chosen)
-                chosen.append(v)
-        else:
-            while len(chosen) < len(grp):
-                sigma = s[grp[len(chosen)]]  # the k-th column picked takes the k-th value
-                u = _pick_independent(sub, chosen)
-                u = _orthonormalize_against(u, chosen)
-                u /= np.linalg.norm(u)
-                # phi-fixed combination; orthogonality to the previously
-                # chosen phi-fixed columns is automatic, so no re-projection
-                # (which would break phi-fixedness).
-                phiu = (B @ u.conj()) / sigma
-                t1 = u + phiu
-                t2 = 1j * (u - phiu)
-                t = t1 if np.linalg.norm(t1) >= np.linalg.norm(t2) else t2
-                chosen.append(t / np.linalg.norm(t))
-        for v in chosen:
-            cols[order] = v
-            order += 1
+    tol = _PAIR_TOL * (float(s[0]) if n else 0.0)
+
+    def phi_fixed(u: np.ndarray, sigma: float) -> list[np.ndarray]:
+        if sigma <= tol:
+            return [u]  # the null space of B: any orthonormal vector will do
+        # orthogonality to the previously chosen phi-fixed columns is
+        # automatic, so no re-projection (which would break phi-fixedness)
+        phiu = (B @ u.conj()) / sigma
+        t1 = u + phiu
+        t2 = 1j * (u - phiu)
+        t = t1 if np.linalg.norm(t1) >= np.linalg.norm(t2) else t2
+        return [t / np.linalg.norm(t)]
+
+    cols = [t for _, (t,) in _resolve(W, s, tol, phi_fixed)]
     U = np.column_stack(cols) if n else np.zeros((0, 0), dtype=complex)
     return U, s
 
@@ -138,31 +158,18 @@ def antisym_canonical(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ContractViolation("antisym_canonical needs a square matrix")
     W = np.linalg.eigh(B @ B.conj().T)[1][:, ::-1]
     sv = np.linalg.svd(B, compute_uv=False)
-    scale = float(sv[0]) if n else 0.0
-    cols: list[np.ndarray] = []
-    svals: list[float] = []
-    kernel: list[np.ndarray] = []
-    for grp in _cluster(sv, _PAIR_TOL * scale):
-        sub = W[:, grp]
-        if sv[grp[0]] <= _PAIR_TOL * scale:
-            chosen: list[np.ndarray] = []
-            for i in range(len(grp)):
-                v = _pick_independent(sub, chosen)
-                chosen.append(v)
-            kernel.extend(chosen)
-            continue
-        chosen = []
-        while len(chosen) < len(grp):
-            sigma = sv[grp[len(chosen)]]  # the k-th pair picked takes the k-th value pair
-            u = _pick_independent(sub, chosen)
-            u = _orthonormalize_against(u, chosen)
-            u /= np.linalg.norm(u)
-            v = (B @ u.conj()) / sigma  # automatically orthogonal to u, phi(v) = -u
-            chosen.extend([u, v])
-            cols.extend([v, u])  # column order (phi(u), u) gives +s at (2k-1, 2k)
-            svals.append(sigma)
-    cols.extend(kernel)
-    svals.extend([0.0] * (n // 2 - len(svals)))
+    tol = _PAIR_TOL * (float(sv[0]) if n else 0.0)
+
+    def kramers(u: np.ndarray, sigma: float) -> list[np.ndarray]:
+        # automatically orthogonal to u, phi(v) = -u; the null space takes u alone
+        return [u, (B @ u.conj()) / sigma] if sigma > tol else [u]
+
+    picks = _resolve(W, sv, tol, kramers)
+    pairs = [(sigma, vs) for sigma, vs in picks if len(vs) == 2]
+    # column order (phi(u), u) gives +s at (2k-1, 2k); the null space comes last
+    cols = [w for _, (u, v) in pairs for w in (v, u)]
+    cols += [vs[0] for _, vs in picks if len(vs) == 1]
+    svals = [sigma for sigma, _ in pairs] + [0.0] * (n // 2 - len(pairs))
     U = np.column_stack(cols) if n else np.zeros((0, 0), dtype=complex)
     return U, np.array(svals)
 
@@ -175,28 +182,13 @@ def quaternionic_eigh(X: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndar
     half/half column ordering (column j pairs with column N/2 + j).
     """
     X = np.asarray(X, dtype=complex)
-    N = X.shape[0]
-    h = N // 2
     w, W = np.linalg.eigh(X)
     w, W = w[::-1], W[:, ::-1]
-    scale = float(np.max(np.abs(w))) if N else 0.0
-    first: list[np.ndarray] = []
-    second: list[np.ndarray] = []
-    d: list[float] = []
-    for grp in _cluster(w, _PAIR_TOL * scale):
-        sub = W[:, grp]
-        chosen: list[np.ndarray] = []
-        while len(chosen) < len(grp):
-            d.append(w[grp[len(chosen)]])  # the k-th pair picked takes the k-th value pair
-            u = _pick_independent(sub, chosen)
-            u = _orthonormalize_against(u, chosen)
-            u /= np.linalg.norm(u)
-            v = J @ u.conj()  # Kramers partner, automatically orthogonal
-            chosen.extend([u, v])
-            first.append(u)
-            second.append(v)
-    U = np.column_stack(first + second)
-    return np.array(d), U
+    scale = float(np.max(np.abs(w))) if w.size else 0.0
+    # the Kramers partner J conj(u) is automatically orthogonal to u
+    picks = _resolve(W, w, _PAIR_TOL * scale, lambda u, _: [u, J @ u.conj()])
+    U = np.column_stack([u for _, (u, _) in picks] + [v for _, (_, v) in picks])
+    return np.array([value for value, _ in picks]), U
 
 
 def quaternionic_svd(
@@ -222,55 +214,23 @@ def quaternionic_svd(
     W = np.linalg.eigh(B.conj().T @ B)[1][:, ::-1]
     sv = np.zeros(cols)
     sv[: min(rows, cols)] = np.linalg.svd(B, compute_uv=False)
-    scale = float(sv[0]) if cols else 0.0
-    v_first: list[np.ndarray] = []
-    v_second: list[np.ndarray] = []
-    u_first: list[np.ndarray] = []
-    u_second: list[np.ndarray] = []
-    svals: list[float] = []
-    for grp in _cluster(sv, _PAIR_TOL * scale):
-        sub = W[:, grp]
-        chosen: list[np.ndarray] = []
-        while len(chosen) < len(grp):
-            sigma = sv[grp[len(chosen)]]  # the k-th pair picked takes the k-th value pair
-            v = _pick_independent(sub, chosen)
-            v = _orthonormalize_against(v, chosen)
-            v /= np.linalg.norm(v)
-            v2 = sgn * (J_right @ v.conj())
-            chosen.extend([v, v2])
-            v_first.append(v)
-            v_second.append(v2)
-            svals.append(sigma)
-            if sigma > _PAIR_TOL * scale:
-                u = (B @ v) / sigma
-                u_first.append(u)
-                u_second.append((B @ v2) / sigma)
-            else:
-                u_first.append(None)
-                u_second.append(None)
-    # Left columns for zero singular values keep the paired-slot sign
-    # convention (same as B-derived partners); extra row dimensions take
-    # J_left's own pairing.
-    needed = [i for i, u in enumerate(u_first) if u is None]
-    present = [u for u in u_first + u_second if u is not None]
-    chosen = list(present)
+    tol = _PAIR_TOL * (float(sv[0]) if cols else 0.0)
+    picks = _resolve(W, sv, tol, lambda v, _: [v, sgn * (J_right @ v.conj())])
+    V = np.column_stack([v for _, (v, _) in picks] + [v2 for _, (_, v2) in picks])
+    # left pairs B v / s on the nonzero singular values; the slots of the
+    # zero ones and the rows > cols tail are filled from the identity
+    u_pairs = [
+        [B @ v / sigma, B @ v2 / sigma] if sigma > tol else None for sigma, (v, v2) in picks
+    ]
+    u_pairs += [None] * (hr - hc)
+    chosen = [u for pair in u_pairs if pair for u in pair]
     eye = np.eye(rows, dtype=complex)
-    for i in needed:
-        u = _pick_independent(eye, chosen)
-        u = _orthonormalize_against(u, chosen)
-        u /= np.linalg.norm(u)
-        u2 = sgn * (J_left @ u.conj())
-        chosen.extend([u, u2])
-        u_first[i], u_second[i] = u, u2
-    tail: list[tuple[np.ndarray, np.ndarray]] = []
-    for _ in range(hr - hc):
-        u = _pick_independent(eye, chosen)
-        u = _orthonormalize_against(u, chosen)
-        u /= np.linalg.norm(u)
-        u2 = J_left @ u.conj()
-        chosen.extend([u, u2])
-        tail.append((u, u2))
-    u_cols = u_first + [t[0] for t in tail] + u_second + [t[1] for t in tail]
-    U = np.column_stack(u_cols)
-    V = np.column_stack(v_first + v_second)
-    return U, np.array(svals), V
+    for i, pair in enumerate(u_pairs):
+        if pair is None:
+            u = _pick_independent(eye, chosen)
+            # zero singular values keep the paired-slot sign convention of
+            # the B-derived partners; the tail takes J_left's own pairing
+            u_pairs[i] = [u, (sgn if i < hc else 1.0) * (J_left @ u.conj())]
+            chosen.extend(u_pairs[i])
+    U = np.column_stack([u for u, _ in u_pairs] + [u2 for _, u2 in u_pairs])
+    return U, np.array([sigma for sigma, _ in picks]), V

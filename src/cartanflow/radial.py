@@ -111,24 +111,6 @@ def _block(d: SpaceDescriptor, X: np.ndarray) -> np.ndarray:
     return X[:top, top:]
 
 
-def _antidiag_perm(m: int) -> np.ndarray:
-    L = np.zeros((m, m))
-    for j in range(m):
-        L[m - 1 - j, j] = 1.0
-    return L
-
-
-def _cii_perm(m: int, n: int) -> np.ndarray:
-    L = np.zeros((2 * m, 2 * m))
-    for j in range(n):
-        L[m + n - 1 - j, j] = 1.0
-        L[m - 1 - j, m + j] = 1.0
-    for k in range(m - n):
-        L[k, n + k] = 1.0
-        L[m + n + k, m + n + k] = 1.0
-    return L
-
-
 def _assemble_k(d: SpaceDescriptor, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     N = d.ambient_dim
     k = np.zeros((N, N), dtype=complex)
@@ -151,7 +133,7 @@ def radial_decompose(d: SpaceDescriptor, X) -> tuple[np.ndarray, np.ndarray]:
     if kind == "aiii":
         B = _block(d, X)
         U, s, Vh = np.linalg.svd(B, full_matrices=True)
-        k1 = U @ _antidiag_perm(m).T
+        k1 = U[:, ::-1]
         k2 = Vh.conj().T
         det = np.linalg.det(k1) * np.linalg.det(k2)
         if m > n:
@@ -166,7 +148,7 @@ def radial_decompose(d: SpaceDescriptor, X) -> tuple[np.ndarray, np.ndarray]:
         B = _block(d, X).real
         U, s, Vh = np.linalg.svd(B, full_matrices=True)
         q = s.copy()
-        k1 = U @ _antidiag_perm(m).T
+        k1 = U[:, ::-1]
         k2 = Vh.T
         if np.linalg.det(k1) < 0:
             if m > n:
@@ -193,8 +175,13 @@ def radial_decompose(d: SpaceDescriptor, X) -> tuple[np.ndarray, np.ndarray]:
         Jf = _cii_j(d)
         JL, JR = Jf[: 2 * m, : 2 * m].real, Jf[2 * m :, 2 * m :].real
         U, s, V = fac.quaternionic_svd(B, JL, JR)
-        k1 = U @ _cii_perm(m, n).T
-        return s.copy(), _assemble_k(d, k1, V)
+        # the rows of H(q)'s block: spare first halves, the pairs' second
+        # and then first halves in reverse, spare second halves
+        order = np.concatenate([
+            np.arange(n, m), np.arange(m + n - 1, m - 1, -1),
+            np.arange(n - 1, -1, -1), np.arange(m + n, 2 * m),
+        ])
+        return s.copy(), _assemble_k(d, U[:, order], V)
 
     if kind in ("ai", "a2"):
         w, U = np.linalg.eigh(X)

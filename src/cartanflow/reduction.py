@@ -117,31 +117,23 @@ def _root_product(coeffs: np.ndarray, mults: np.ndarray, q: np.ndarray) -> float
 def closed_form_density(
     d: SpaceDescriptor, q, roots: list[RestrictedRoot] | None = None
 ) -> float:
-    """Closed-form slice density.
+    """Closed-form slice density: kappa * prod |alpha(q)|^mult(alpha).
 
-    For su(m,n) and so(m,n) this is the classical expression
-    prod q_i^(2(m-n)+1) * prod (q_i^2-q_j^2)^2   and
-    |prod q_i^(m-n) * prod (q_i^2-q_j^2)|; for the remaining classes the
-    density is the root product prod |alpha(q)|^mult(alpha).  ``roots``
-    overrides the multiplicity table (used by consistency checks).
+    kappa = 2^-rank for su(m,n), whose classical expression
+    prod q_i^(2(m-n)+1) * prod (q_i^2-q_j^2)^2 leaves out the factor 2 of
+    each long root 2 q_i; kappa = 1 for every other class (the classical
+    so(m,n) expression is already the root product, its long roots having
+    multiplicity 0).  ``roots`` overrides the multiplicity table (used by
+    consistency checks).
     """
     q = np.asarray(q, dtype=float)
-    if roots is not None:
+    if roots is None:
+        coeffs, mults = geometry(d).root_table
+    else:
         coeffs = np.array([r.coeffs for r in roots], dtype=float).reshape(len(roots), len(q))
-        return _root_product(coeffs, np.array([r.multiplicity for r in roots]), q)
-    if d.kind == "aiii":
-        out = float(np.prod(np.abs(q) ** (2 * (d.m - d.n) + 1)))
-        for i in range(d.n):
-            for j in range(i + 1, d.n):
-                out *= (q[i] ** 2 - q[j] ** 2) ** 2
-        return abs(out)
-    if d.kind == "bdi":
-        out = float(np.prod(np.abs(q) ** (d.m - d.n)))
-        for i in range(d.n):
-            for j in range(i + 1, d.n):
-                out *= abs(q[i] ** 2 - q[j] ** 2)
-        return abs(out)
-    return _root_product(*geometry(d).root_table, q)
+        mults = np.array([r.multiplicity for r in roots])
+    kappa = 0.5**d.real_rank if d.kind == "aiii" else 1.0
+    return kappa * _root_product(coeffs, mults, q)
 
 
 def random_chamber_point(

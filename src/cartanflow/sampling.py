@@ -27,7 +27,7 @@ import numpy as np
 
 from .linalg import ConsistencyError, ContractViolation
 from .radial import chamber_contains, radial_coords_batch
-from .reduction import closed_form_density, density_constant
+from .reduction import _root_product, density_constant
 from .spaces import SpaceDescriptor, geometry
 
 __all__ = [
@@ -145,7 +145,7 @@ def _weight(d: SpaceDescriptor, q: np.ndarray) -> float:
 
 
 def _unnormalized(d: SpaceDescriptor, q: np.ndarray) -> float:
-    return closed_form_density(d, q) * _weight(d, q)
+    return _root_product(*geometry(d).root_table, q) * _weight(d, q)
 
 
 def _chamber_integral(d: SpaceDescriptor) -> float:
@@ -199,20 +199,13 @@ def _chamber_integral(d: SpaceDescriptor) -> float:
         raise ConsistencyError(msg) from None
 
 
-def _normalizer(d: SpaceDescriptor) -> float:
-    """Chamber integral Z of ``_unnormalized``."""
-    # the classical aiii density leaves out the factor 2 of each long root 2 q_i
-    kappa = 0.5**d.real_rank if d.kind == "aiii" else 1.0
-    return kappa * _chamber_integral(d)
-
-
 def theoretical_radial_density(d: SpaceDescriptor, q) -> float:
     """Probability density of the radial spectrum of the Gaussian ensemble,
     normalized to unit mass over the chamber."""
     q = np.asarray(q, dtype=float)
     if not chamber_contains(d, q, tol=1e-12):
         return 0.0
-    return _unnormalized(d, q) / _normalizer(d)
+    return _unnormalized(d, q) / _chamber_integral(d)
 
 
 def theoretical_radial_cdf(d: SpaceDescriptor, x: np.ndarray) -> np.ndarray:

@@ -487,8 +487,7 @@ def root_values(d: SpaceDescriptor, q: np.ndarray) -> np.ndarray:
 
 def wall_distance(d: SpaceDescriptor, q: np.ndarray) -> float:
     """min_alpha |alpha(q)|: zero exactly on the chamber walls."""
-    vals = root_values(d, q)
-    return float(np.min(np.abs(vals))) if vals.size else np.inf
+    return float(np.abs(root_values(d, q)).min(initial=np.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Properties of the radial decomposition at degenerate chamber points,
-and of the sharded Gaussian sampler.
+"""Properties of the radial decomposition and the slice density at
+degenerate chamber points, and of the sharded Gaussian sampler.
 
 Chamber points are drawn from the grid {-3, ..., 3}/2 and mapped into the
 closed chamber, so repeated and zero coordinates (points on the walls) are
@@ -11,8 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from cartanflow import (
     chamber_contains,
+    closed_form_density,
+    density_constant,
     embed_radial,
+    jacobian_density,
     make_space,
+    radial_coords,
     radial_decompose,
     random_k_element,
     sample_radial_batch,
@@ -47,10 +51,15 @@ def grid_chamber_point(d, ints):
 
 
 @st.composite
-def degenerate_points(draw):
+def grid_points(draw):
     d = make_space(*draw(st.sampled_from(ROUND_TRIP_CASES)))
     size = d.real_rank + (1 if d.trace_constrained else 0)
-    ints = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    return d, draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+
+
+@st.composite
+def degenerate_points(draw):
+    d, ints = draw(grid_points())
     return d, grid_chamber_point(d, ints), draw(st.integers(0, 2**32 - 1))
 
 
@@ -65,6 +74,31 @@ def test_round_trip_at_degenerate_points(case):
     residual = frobenius(k @ embed_radial(d, q) @ k.conj().T - X)
     assert residual <= 1e-12 * max(1.0, frobenius(X)), (d.label(), q0, residual)
     assert np.max(np.abs(q - q0)) <= 1e-12 * max(1.0, np.max(np.abs(q0))), (d.label(), q0, q)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(grid_points())
+def test_radial_coords_weyl_invariant(case):
+    # H(x) at an unsorted, signed x has the chamber representative of x as
+    # its radial coordinates
+    d, ints = case
+    x = np.asarray(ints, dtype=float) / 2.0
+    if d.trace_constrained:
+        x = (x - np.mean(x))[: d.real_rank]
+    q0 = grid_chamber_point(d, ints)
+    q = radial_coords(d, embed_radial(d, x))
+    assert np.max(np.abs(q - q0)) <= 1e-12 * max(1.0, np.max(np.abs(q0))), (d.label(), x, q)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(grid_points())
+def test_density_identity_at_grid_points(case):
+    # both sides vanish exactly on the walls, where root values are exact
+    d, ints = case
+    q = grid_chamber_point(d, ints)
+    jac = jacobian_density(d, q)
+    closed = closed_form_density(d, q)
+    assert np.isclose(jac, density_constant(d) * closed, rtol=1e-10, atol=0.0), (d.label(), q)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -18,7 +18,7 @@ from cartanflow import (
 )
 from cartanflow.radial import radial_coords_batch
 from cartanflow.reduction import random_chamber_point
-from cartanflow.sampling import _normalizer, _unnormalized, theoretical_radial_cdf
+from cartanflow.sampling import _chamber_integral, _unnormalized, theoretical_radial_cdf
 from cartanflow.spaces import check_p_membership, geometry, random_k_element
 
 from conftest import parameter_grid
@@ -53,7 +53,7 @@ def chamber_ranges(d):
 def quad_radial_cdf(d, x):
     """Rank-1 CDF by adaptive quadrature of the normalized density from the
     chamber's lower end: the oracle for the closed-form CDF."""
-    Z = _normalizer(d)
+    Z = _chamber_integral(d)
     lo, _ = chamber_ranges(d)[0]()
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
@@ -172,7 +172,7 @@ DENSITY_ORACLE_CASES = [
 def test_theoretical_density_integrates_to_one(case):
     # nquad over the chamber is the oracle for the closed-form normalizer
     d = make_space(*case)
-    Z = _normalizer(d)
+    Z = _chamber_integral(d)
     val, _ = integrate.nquad(
         lambda *xs: _unnormalized(d, np.array(xs[::-1])) / Z,
         chamber_ranges(d),
@@ -192,7 +192,6 @@ def test_theoretical_density_beyond_rank_four(case, rng):
 def test_chamber_integral_rejects_unexpected_shape(monkeypatch):
     # a non-scalar Gram matrix, or a root family with two multiplicities
     from cartanflow.linalg import ConsistencyError
-    from cartanflow.sampling import _chamber_integral
 
     d = make_space("ci", 0, 2)
     geo = geometry(d)
