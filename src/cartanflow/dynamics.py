@@ -190,9 +190,11 @@ def integrate_reduced(
     y = sys.flat(initial)
     h = float(t_max) / steps
     half, sixth = 0.5 * h, h / 6.0
+    coeffs = sys.geo.root_table[0]
 
     def wall_ok(yv) -> bool:
-        return wall_distance(d, yv[: sys.rank]) > _ABORT_FACTOR * WALL_TOL
+        # wall_distance with the root table bound once, not looked up per step
+        return np.abs(coeffs @ yv[: sys.rank]).min(initial=np.inf) > _ABORT_FACTOR * WALL_TOL
 
     if not wall_ok(y):
         raise ContractViolation("initial radial point is too close to a chamber wall")

@@ -45,10 +45,12 @@ _PAIR_TOL = 1e-7
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Group indices of a descending array into near-equal clusters."""
+    """Group indices of a descending array into near-equal clusters: a value
+    joins the current cluster when it lies within ``tol`` of the cluster's
+    last value, so the gaps chain and no near-equal pair is split."""
     groups: list[list[int]] = []
     for i, v in enumerate(values):
-        if groups and abs(values[groups[-1][0]] - v) <= tol:
+        if groups and abs(values[groups[-1][-1]] - v) <= tol:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -89,8 +91,8 @@ def _resolve(
 ) -> list[tuple[float, list[np.ndarray]]]:
     """Structured vectors for the descending ``values`` with eigenvectors W.
 
-    Values within ``tol`` of a cluster's first value form one cluster; its
-    columns of W are resolved together.  Each pick is a unit vector of the
+    Values chained by gaps within ``tol`` form one cluster; its columns of
+    W are resolved together.  Each pick is a unit vector of the
     cluster's span orthogonal to the vectors already chosen there, and
     ``make(u, value)`` returns it with its partners (or their combination).
     A pick takes the cluster's value at the position of its first vector,

@@ -20,6 +20,7 @@ from .linalg import ContractViolation, frobenius
 from .spaces import (
     SpaceDescriptor,
     _cii_j,
+    _spectral_block,
     check_p_membership,
     geometry,
     wall_distance,
@@ -106,11 +107,6 @@ def embed_radial(d: SpaceDescriptor, q) -> np.ndarray:
 # per-class radial decomposition
 
 
-def _block(d: SpaceDescriptor, X: np.ndarray) -> np.ndarray:
-    top = {"aiii": d.m, "bdi": d.m, "cii": 2 * d.m, "diii": d.n, "ci": d.n}[d.kind]
-    return X[:top, top:]
-
-
 def _assemble_k(d: SpaceDescriptor, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     N = d.ambient_dim
     k = np.zeros((N, N), dtype=complex)
@@ -131,7 +127,7 @@ def radial_decompose(d: SpaceDescriptor, X) -> tuple[np.ndarray, np.ndarray]:
     kind, m, n = d.kind, d.m, d.n
 
     if kind == "aiii":
-        B = _block(d, X)
+        B = _spectral_block(d, X)
         U, s, Vh = np.linalg.svd(B, full_matrices=True)
         k1 = U[:, ::-1]
         k2 = Vh.conj().T
@@ -145,7 +141,7 @@ def radial_decompose(d: SpaceDescriptor, X) -> tuple[np.ndarray, np.ndarray]:
         return s.copy(), _assemble_k(d, k1, k2)
 
     if kind == "bdi":
-        B = _block(d, X).real
+        B = _spectral_block(d, X).real
         U, s, Vh = np.linalg.svd(B, full_matrices=True)
         q = s.copy()
         k1 = U[:, ::-1]
@@ -171,7 +167,7 @@ def radial_decompose(d: SpaceDescriptor, X) -> tuple[np.ndarray, np.ndarray]:
         return q, _assemble_k(d, (k1 + 0j), (k2 + 0j))
 
     if kind == "cii":
-        B = _block(d, X)
+        B = _spectral_block(d, X)
         Jf = _cii_j(d)
         JL, JR = Jf[: 2 * m, : 2 * m].real, Jf[2 * m :, 2 * m :].real
         U, s, V = fac.quaternionic_svd(B, JL, JR)
@@ -203,12 +199,12 @@ def radial_decompose(d: SpaceDescriptor, X) -> tuple[np.ndarray, np.ndarray]:
         return dvals[: d.real_rank].copy(), U
 
     if kind == "diii":
-        B = _block(d, X)
+        B = _spectral_block(d, X)
         U, s = fac.antisym_canonical(B)
         return s.copy(), _assemble_k(d, U, U.conj())
 
     if kind == "ci":
-        B = _block(d, X)
+        B = _spectral_block(d, X)
         U, s = fac.takagi(B)
         return s.copy(), _assemble_k(d, U, U.conj())
 
@@ -226,35 +222,37 @@ def radial_coords(d: SpaceDescriptor, X) -> np.ndarray:
 def radial_coords_batch(d: SpaceDescriptor, Xs: np.ndarray) -> np.ndarray:
     """Vectorized chamber coordinates for a stack of p elements.
 
-    No membership checks; intended for the Monte Carlo sampler which
-    constructs its inputs in p by design.
+    ``Xs`` holds either N x N p elements or their spectral blocks, the
+    region ``_spectral_block`` cuts out and the only one read here; the
+    trailing shape tells the two apart (for ai, a2 and aii the block is the
+    whole matrix).  No membership checks; intended for the Monte Carlo
+    sampler, which builds the blocks from the p basis by design.
     """
-    kind, m, n = d.kind, d.m, d.n
+    kind, m, n, N = d.kind, d.m, d.n, d.ambient_dim
+    B = _spectral_block(d, Xs) if Xs.shape[-2:] == (N, N) else Xs
     if kind in ("aiii", "bdi"):
-        s = np.linalg.svd(Xs[:, :m, m:], compute_uv=False)
+        s = np.linalg.svd(B, compute_uv=False)
         if kind == "bdi" and m == n:
             # so(n,n): only even sign flips are available, so the last
             # coordinate carries sign(det B) (times the parity of the
             # antidiagonal pattern permutation)
             parity = (-1.0) ** (n * (n - 1) // 2)
-            dets = np.linalg.det(Xs[:, :m, m:].real)
-            s[:, -1] *= parity * np.sign(dets)
+            s[:, -1] *= parity * np.sign(np.linalg.det(B.real))
         return s
     if kind == "cii":
-        s = np.linalg.svd(Xs[:, : 2 * m, 2 * m :], compute_uv=False)
-        return s[:, 0::2]
+        return np.linalg.svd(B, compute_uv=False)[:, 0::2]
     if kind in ("ai", "a2"):
-        w = np.linalg.eigvalsh(Xs)[:, ::-1]
+        w = np.linalg.eigvalsh(B)[:, ::-1]
         return w[:, : d.real_rank]
     if kind == "aii":
-        w = np.linalg.eigvalsh(Xs)[:, ::-1]
+        w = np.linalg.eigvalsh(B)[:, ::-1]
         d2 = 0.5 * (w[:, 0::2] + w[:, 1::2])
         return d2[:, : d.real_rank]
     if kind == "diii":
-        s = np.linalg.svd(Xs[:, :n, n:], compute_uv=False)
+        s = np.linalg.svd(B, compute_uv=False)
         return s[:, 0::2][:, : d.real_rank]
     if kind == "ci":
-        return np.linalg.svd(Xs[:, :n, n:], compute_uv=False)
+        return np.linalg.svd(B, compute_uv=False)
     raise ContractViolation(f"unknown kind {kind!r}")
 
 

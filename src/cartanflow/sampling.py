@@ -22,13 +22,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .linalg import ConsistencyError, ContractViolation
 from .radial import chamber_contains, radial_coords_batch
 from .reduction import _root_product, density_constant
-from .spaces import SpaceDescriptor, geometry
+from .spaces import SpaceDescriptor, _spectral_block, geometry
 
 __all__ = [
     "CHUNK_SIZE",
@@ -89,14 +90,16 @@ def sample_radial_batch(
     """
     if count < 1:
         raise ContractViolation("count must be >= 1")
-    basis = geometry(d)._p_stack
+    geo = geometry(d)
+    # each draw is built only on the block the spectral step reads, by one
+    # real product (a product, not a gather: empty entries stay +0.0)
+    rows, shape = geo._block_rows, _spectral_block(d, geo._p_stack).shape[1:]
     n_chunks = (count + CHUNK_SIZE - 1) // CHUNK_SIZE
 
     def run_chunk(c: int) -> np.ndarray:
         size = min(CHUNK_SIZE, count - c * CHUNK_SIZE)
         g = _chunk_rng(int(seed), c).standard_normal((size, d.dim_p))
-        Xs = np.tensordot(g, basis, axes=([1], [0]))
-        return radial_coords_batch(d, Xs)
+        return radial_coords_batch(d, (g @ rows).view(complex).reshape(size, *shape))
 
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -199,13 +202,41 @@ def _chamber_integral(d: SpaceDescriptor) -> float:
         raise ConsistencyError(msg) from None
 
 
+@lru_cache(maxsize=None)
+def _normalizer(d: SpaceDescriptor) -> float:
+    """``_chamber_integral`` once per descriptor (a failure is not cached)."""
+    return _chamber_integral(d)
+
+
 def theoretical_radial_density(d: SpaceDescriptor, q) -> float:
     """Probability density of the radial spectrum of the Gaussian ensemble,
     normalized to unit mass over the chamber."""
     q = np.asarray(q, dtype=float)
     if not chamber_contains(d, q, tol=1e-12):
         return 0.0
-    return _unnormalized(d, q) / _chamber_integral(d)
+    return _unnormalized(d, q) / _normalizer(d)
+
+
+def _lower_gamma(k: float, x: np.ndarray) -> np.ndarray:
+    """Regularized lower incomplete gamma P(k, x), elementwise on x >= 0,
+    for an integer or half-integer order k > 0 (the rank-1 orders (a + 1)/2
+    have integer multiplicity sums a).
+
+    Steps up the recurrence P(o + 1, x) = P(o, x) - x^o e^{-x} / Gamma(o + 1)
+    (DLMF 8.8.5) from P(0, x) = 1 or P(1/2, x) = erf(sqrt x).
+    """
+    o = k % 1.0
+    if o:
+        start = np.vectorize(math.erf, otypes=[float])(np.sqrt(x))
+        term = np.sqrt(x) / math.gamma(1.5)
+    else:
+        start, term = np.ones_like(x), np.ones_like(x)
+    total = np.zeros_like(x)
+    while o < k:
+        total += term
+        o += 1.0
+        term = term * x / o
+    return start - np.exp(-x) * total
 
 
 def theoretical_radial_cdf(d: SpaceDescriptor, x: np.ndarray) -> np.ndarray:
@@ -213,20 +244,18 @@ def theoretical_radial_cdf(d: SpaceDescriptor, x: np.ndarray) -> np.ndarray:
 
     Every root is a multiple of q, so the density is proportional to
     |q|^a exp(-g q^2 / 2) with a the sum of the root multiplicities and
-    g = G_11: a regularized lower incomplete gamma in g x^2 / 2 on the
-    chamber q >= 0.  bdi(1,1) has no roots and the whole line as its
-    chamber: a Gaussian.
+    g = G_11: a regularized lower incomplete gamma of order (a + 1)/2 in
+    g x^2 / 2 on the chamber q >= 0.  bdi(1,1) has no roots and the whole
+    line as its chamber: a Gaussian, 1/2 erfc(-sqrt(g) x / sqrt 2).
     """
-    from scipy.special import gammainc, ndtr
-
     if d.real_rank != 1:
         raise ContractViolation("theoretical CDF implemented for real rank 1")
     geo = geometry(d)
     g, a = geo.gram[0, 0], float(np.sum(geo.root_table[1]))
     x = np.asarray(x, dtype=float)
     if d.kind == "bdi" and d.m == d.n:
-        return ndtr(np.sqrt(g) * x)
-    return gammainc((a + 1) / 2, g * np.maximum(x, 0.0) ** 2 / 2)
+        return 0.5 * np.vectorize(math.erfc, otypes=[float])(-math.sqrt(g / 2) * x)
+    return _lower_gamma((a + 1) / 2, g * np.maximum(x, 0.0) ** 2 / 2)
 
 
 def ks_distance(d: SpaceDescriptor, hist: RadialHistogram) -> float:

@@ -368,6 +368,15 @@ def _embed_offdiag(top: int, N: int, B: np.ndarray) -> np.ndarray:
     return X
 
 
+def _spectral_block(d: SpaceDescriptor, X: np.ndarray) -> np.ndarray:
+    """The region of a p element (or of a stack) that the spectral step
+    reads: the off-diagonal block [:top, top:] for aiii, bdi, cii, diii and
+    ci, whose other entries it mirrors or leaves zero, and the whole matrix
+    for ai, a2 and aii."""
+    top = {"aiii": d.m, "bdi": d.m, "cii": 2 * d.m, "diii": d.n, "ci": d.n}.get(d.kind)
+    return X if top is None else X[..., :top, top:]
+
+
 def _a_generators(d: SpaceDescriptor) -> list[np.ndarray]:
     """Matrices H_i with H(q) = sum_i q_i H_i spanning the radial subspace."""
     k, m, n, N = d.kind, d.m, d.n, d.ambient_dim
@@ -543,12 +552,12 @@ def _orthonormalize(stack: np.ndarray, tol: float = _GS_TOL) -> np.ndarray:
 
 
 def _real_rows(stack: np.ndarray) -> np.ndarray:
-    """Read-only real view (dim, 2 N^2) of a contiguous stack of matrices,
+    """Read-only real view (dim, 2 size) of a contiguous stack of matrices,
     one row per member with its real and imaginary parts interleaved.  Row
     dot products are Frobenius real inner products, so for an orthonormal
     stack the coordinates Re<B_a, X> are one product with the transposed
     rows and sum_a c_a B_a is one product with the rows."""
-    rows = stack.reshape(len(stack), stack.shape[-1] ** 2).view(float)
+    rows = stack.reshape(len(stack), -1).view(float)
     rows.flags.writeable = False
     return rows
 
@@ -628,6 +637,12 @@ class SpaceGeometry:
     @cached_property
     def _k_stack(self) -> np.ndarray:
         return self._unit_basis(onto_p=False)
+
+    @cached_property
+    def _block_rows(self) -> np.ndarray:
+        """``_real_rows`` of the p stack cut to its spectral block: the blocks
+        of sum_a c_a B_a are one real product with these rows."""
+        return _real_rows(np.ascontiguousarray(_spectral_block(self.descriptor, self._p_stack)))
 
     @cached_property
     def _a_stack(self) -> np.ndarray:

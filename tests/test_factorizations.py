@@ -144,3 +144,23 @@ def test_quaternionic_svd_zero_values_and_tail(m, n, q):
     signs = np.where(np.arange(m) < n, sgn, 1.0)
     assert np.linalg.norm(U[:, m:] - signs * (JL @ U[:, :m].conj())) <= 1e-12
     assert np.array_equal(s, np.linalg.svd(B, compute_uv=False)[0::2])
+
+
+def test_antisym_canonical_near_equal_pair_is_not_split():
+    # values 1 and 1 - 1e-7 (1 - 1e-7 * s_max up to rounding): LAPACK's four
+    # singular values straddle the first value's tolerance, so a cluster
+    # anchored on its first value split a degenerate pair and returned a
+    # 4x6 U with three values
+    n = 4
+    U0 = random_k_element(make_space("diii", 0, n), np.random.default_rng(4))[:n, :n]
+    Sig = np.zeros((n, n))
+    for k, sk in enumerate([1.0, 0.9999999000000004]):
+        Sig[2 * k, 2 * k + 1], Sig[2 * k + 1, 2 * k] = sk, -sk
+    B = U0 @ Sig @ U0.T
+    U, s = antisym_canonical(B)
+    assert U.shape == (n, n) and s.shape == (n // 2,)
+    assert np.linalg.norm(U.conj().T @ U - np.eye(n)) <= 1e-12
+    Sig = np.zeros((n, n))
+    for k, sk in enumerate(s):
+        Sig[2 * k, 2 * k + 1], Sig[2 * k + 1, 2 * k] = sk, -sk
+    assert np.linalg.norm(U @ Sig @ U.T - B) <= 1e-12 * np.linalg.norm(B)

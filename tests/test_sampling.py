@@ -19,9 +19,9 @@ from cartanflow import (
 from cartanflow.radial import radial_coords_batch
 from cartanflow.reduction import random_chamber_point
 from cartanflow.sampling import _chamber_integral, _unnormalized, theoretical_radial_cdf
-from cartanflow.spaces import check_p_membership, geometry, random_k_element
+from cartanflow.spaces import _spectral_block, check_p_membership, geometry, random_k_element
 
-from conftest import parameter_grid
+from conftest import REPRESENTATIVES, parameter_grid
 
 KS_CASES = [("aiii", 2, 1), ("bdi", 2, 1), ("ai", 0, 2), ("a2", 0, 2)]
 
@@ -110,6 +110,27 @@ def test_shard_independence_bit_identical():
     a = sample_radial_batch(d, 30_000, seed=7, threads=1)
     b = sample_radial_batch(d, 30_000, seed=7, threads=4)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("case", REPRESENTATIVES)
+def test_block_sampler_matches_dense_path(case, seed):
+    # the oracle builds every draw as a full N x N matrix from the same
+    # chunk generator; the sampler builds only the spectral block
+    d = make_space(*case)
+    count = 2000
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    Xs = np.tensordot(rng.standard_normal((count, d.dim_p)), geometry(d)._p_stack, axes=([1], [0]))
+    dense = radial_coords_batch(d, Xs)
+    q = sample_radial_batch(d, count, seed)
+    if d.kind in ("ai", "a2", "aii"):
+        # a real and a complex product sum a diagonal's contributors in
+        # different orders
+        assert np.max(np.abs(q - dense)) <= 1e-13 * np.max(np.abs(dense))
+    else:
+        assert np.array_equal(q, dense)
+    blocks = np.ascontiguousarray(_spectral_block(d, Xs))
+    assert np.array_equal(radial_coords_batch(d, blocks), dense)
 
 
 def test_histogram_counts_and_density():
@@ -255,6 +276,40 @@ def test_closed_form_cdf_matches_quadrature(case):
     d = make_space(*case)
     x = np.concatenate([np.linspace(-3.0, 5.0, 65), [1e-3, 7.5]])
     assert np.max(np.abs(theoretical_radial_cdf(d, x) - quad_radial_cdf(d, x))) <= 1e-12
+
+
+@pytest.mark.parametrize("case", RANK_ONE_CASES)
+def test_closed_form_cdf_matches_scipy_special(case):
+    # scipy.special is the oracle for the incomplete gamma and normal CDF
+    from scipy.special import gammainc, ndtr
+
+    d = make_space(*case)
+    geo = geometry(d)
+    g, a = geo.gram[0, 0], float(np.sum(geo.root_table[1]))
+    x = np.concatenate([np.linspace(-3.0, 8.0, 221), [0.0, 1e-8, 1e-3, 30.0]])
+    if d.kind == "bdi" and d.m == d.n:
+        ref = ndtr(np.sqrt(g) * x)
+    else:
+        ref = gammainc((a + 1) / 2, g * np.maximum(x, 0.0) ** 2 / 2)
+    assert np.max(np.abs(theoretical_radial_cdf(d, x) - ref)) <= 1e-14
+
+
+def test_verify_density_does_not_load_scipy_special():
+    # the rank-1 CDF is closed form; every verify-density process would
+    # otherwise pay the scipy.special import
+    import cartanflow
+
+    src = os.path.dirname(os.path.dirname(cartanflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["verify-density", "--class", "aiii", "--m", "2", "--n", "1"]
+    code = (
+        "import sys; from cartanflow.cli import main; "
+        f"rc = main({argv!r}); print(rc, 'scipy.special' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("case", KS_CASES)
