@@ -19,7 +19,7 @@ from . import factorizations as fac
 from .linalg import ContractViolation, frobenius
 from .spaces import (
     SpaceDescriptor,
-    _cii_j,
+    _quaternionic_j,
     _spectral_block,
     check_p_membership,
     geometry,
@@ -91,11 +91,9 @@ def chamber_contains(d: SpaceDescriptor, q, tol: float = 1e-12) -> bool:
         return False
     if d.has_sign_flip_weyl:
         return bool(q[-1] >= -tol)
-    if d.kind == "bdi" and d.m == d.n:
-        # Weyl group flips signs only in pairs: the last coordinate keeps
-        # its sign, bounded in modulus by the one before.
-        return bool(q.size < 2 or q[-2] >= abs(q[-1]) - tol)
-    return True
+    # so(n,n): the Weyl group flips signs only in pairs, so the last
+    # coordinate keeps its sign, bounded in modulus by the one before
+    return bool(q.size < 2 or q[-2] >= abs(q[-1]) - tol)
 
 
 def embed_radial(d: SpaceDescriptor, q) -> np.ndarray:
@@ -168,7 +166,7 @@ def radial_decompose(d: SpaceDescriptor, X) -> tuple[np.ndarray, np.ndarray]:
 
     if kind == "cii":
         B = _spectral_block(d, X)
-        Jf = _cii_j(d)
+        Jf = _quaternionic_j(d)
         JL, JR = Jf[: 2 * m, : 2 * m].real, Jf[2 * m :, 2 * m :].real
         U, s, V = fac.quaternionic_svd(B, JL, JR)
         # the rows of H(q)'s block: spare first halves, the pairs' second
@@ -193,9 +191,7 @@ def radial_decompose(d: SpaceDescriptor, X) -> tuple[np.ndarray, np.ndarray]:
         return q, U
 
     if kind == "aii":
-        from .spaces import _plain_j
-
-        dvals, U = fac.quaternionic_eigh(X, _plain_j(n))
+        dvals, U = fac.quaternionic_eigh(X, _quaternionic_j(d))
         return dvals[: d.real_rank].copy(), U
 
     if kind == "diii":
@@ -228,11 +224,11 @@ def radial_coords_batch(d: SpaceDescriptor, Xs: np.ndarray) -> np.ndarray:
     whole matrix).  No membership checks; intended for the Monte Carlo
     sampler, which builds the blocks from the p basis by design.
     """
-    kind, m, n, N = d.kind, d.m, d.n, d.ambient_dim
+    kind, n, N = d.kind, d.n, d.ambient_dim
     B = _spectral_block(d, Xs) if Xs.shape[-2:] == (N, N) else Xs
     if kind in ("aiii", "bdi"):
         s = np.linalg.svd(B, compute_uv=False)
-        if kind == "bdi" and m == n:
+        if not d.has_sign_flip_weyl:
             # so(n,n): only even sign flips are available, so the last
             # coordinate carries sign(det B) (times the parity of the
             # antidiagonal pattern permutation)
@@ -316,7 +312,7 @@ def exact_slice_reduce(d: SpaceDescriptor, s: SliceCoords) -> tuple[ExactSliceEl
             "q lies on or near a chamber wall: the centralizer orbit is degenerate"
         )
     m, n, N = d.m, d.n, d.ambient_dim
-    B = r[:m, m:].copy()
+    B = _spectral_block(d, r).copy()
     scale = max(frobenius(r), 1.0)
     mu = min(n, m - n)
     degenerate: list[int] = []
@@ -424,7 +420,7 @@ def slice_contains(d: SpaceDescriptor, s: SliceCoords, tol: float = _PATTERN_TOL
     if d.kind not in _EXACT_SLICE_KINDS:
         return SliceCheck(True)
     m, n = d.m, d.n
-    B = r[:m, m:]
+    B = _spectral_block(d, r)
     scale = max(frobenius(r), 1.0)
     mu = min(n, m - n)
     if d.kind == "bdi" and frobenius(r.imag) > tol * scale:

@@ -13,7 +13,7 @@ of the radial image of any K-invariant measure on p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from threading import Lock
+from functools import lru_cache
 
 import numpy as np
 
@@ -147,15 +147,11 @@ def random_chamber_point(
             q = (lam - np.mean(lam))[:rank]
         else:
             q = np.sort(np.abs(rng.standard_normal(rank)))[::-1]
-            if d.kind == "bdi" and d.m == d.n and rng.random() < 0.5:
+            if not d.has_sign_flip_weyl and rng.random() < 0.5:
                 q[-1] = -q[-1]
         if wall_distance(d, q) > min_wall:
             return q
     raise ConsistencyError("could not sample a chamber point away from the walls")
-
-
-_DENSITY_CONSTANT_CACHE: dict[SpaceDescriptor, float] = {}
-_DENSITY_LOCK = Lock()
 
 
 def _ratio_spread(
@@ -179,27 +175,23 @@ def _ratio_spread(
     return mean, spread
 
 
-def density_constant(
-    d: SpaceDescriptor,
-    samples: int = 100,
-    seed: int = 715,
-    rtol: float = 1e-8,
-) -> float:
+# the seeded chamber points of density_constant and the constancy it requires
+_RATIO_SAMPLES, _RATIO_SEED, _RATIO_RTOL = 100, 715, 1e-8
+
+
+@lru_cache(maxsize=None)
+def density_constant(d: SpaceDescriptor) -> float:
     """The q-independent ratio jacobian_density / closed_form_density.
 
-    Estimated at random chamber points and required to be constant to
-    ``rtol``; a non-constant ratio signals a wrong multiplicity table and
-    raises ``ConsistencyError``.  Memoized per descriptor.
+    Estimated at ``_RATIO_SAMPLES`` seeded random chamber points and
+    required to be constant to ``_RATIO_RTOL``; a non-constant ratio
+    signals a wrong multiplicity table and raises ``ConsistencyError``.
+    Memoized per descriptor (a failure is not cached).
     """
-    with _DENSITY_LOCK:
-        if d in _DENSITY_CONSTANT_CACHE:
-            return _DENSITY_CONSTANT_CACHE[d]
-    mean, spread = _ratio_spread(d, None, samples, seed)
-    if not np.isfinite(mean) or spread > rtol:
+    mean, spread = _ratio_spread(d, None, _RATIO_SAMPLES, _RATIO_SEED)
+    if not np.isfinite(mean) or spread > _RATIO_RTOL:
         raise ConsistencyError(
             f"{d.label()}: jacobian/closed density ratio varies by {spread:.3e} "
-            f"(> {rtol:.1e}); multiplicity table inconsistent"
+            f"(> {_RATIO_RTOL:.1e}); multiplicity table inconsistent"
         )
-    with _DENSITY_LOCK:
-        _DENSITY_CONSTANT_CACHE[d] = mean
     return mean

@@ -253,7 +253,7 @@ def theoretical_radial_cdf(d: SpaceDescriptor, x: np.ndarray) -> np.ndarray:
     geo = geometry(d)
     g, a = geo.gram[0, 0], float(np.sum(geo.root_table[1]))
     x = np.asarray(x, dtype=float)
-    if d.kind == "bdi" and d.m == d.n:
+    if not (d.has_sign_flip_weyl or d.trace_constrained):
         return 0.5 * np.vectorize(math.erfc, otypes=[float])(-math.sqrt(g / 2) * x)
     return _lower_gamma((a + 1) / 2, g * np.maximum(x, 0.0) ** 2 / 2)
 

@@ -2,11 +2,16 @@
 
 Each class is realized inside the N x N complex matrices so that the
 Cartan involution is X -> -X†: the compact part k0 consists of the
-anti-Hermitian members and p0 of the Hermitian ones.  A descriptor knows
-its defining relations (pseudo-unitarity, reality, quaternionic or
-(skew-)orthogonal structure, tracelessness), a distinguished maximal
-Abelian subspace of p0 with explicit "radial" generators, and the table
-of positive restricted roots with their real multiplicities.
+anti-Hermitian members and p0 of the Hermitian ones.  The class is cut
+out by a short table of conjugations M with signs s (``_conjugations``):
+the signature Γ (M(X) = ΓXΓ, s = -1), complex conjugation (s = +1), the
+quaternionic J (M(X) = -JX̄J, s = +1) and the bilinear form S
+(M(X) = SᵀX̄S, s = -1).  k0 is the anti-Hermitian X with M(X) = X, p0 the
+Hermitian X with M(X) = s X and K the unitary k with M(k) = k, for every
+entry; aiii, ai, a2 and aii are traceless besides, and K has unit
+determinant.  A descriptor also knows a distinguished maximal Abelian
+subspace of p0 with explicit "radial" generators and the table of
+positive restricted roots with their real multiplicities.
 
 The heavy lifting (orthonormal bases of k, p, a, the centralizer algebra
 of a inside k, and root-adapted bases of its orthocomplement and of a-perp,
@@ -28,6 +33,7 @@ Supported kinds::
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,6 +68,8 @@ _GS_TOL = 1e-10
 # seed of the generic radial point that separates the restricted-root spaces
 _ROOT_SEED = 20260809
 _BRACKET_TOL = 1e-9
+# classes whose g0 lies in sl(N, C)
+_TRACELESS = ("aiii", "ai", "a2", "aii")
 
 
 @dataclass(frozen=True)
@@ -180,18 +188,12 @@ def make_space(kind: str, m: int = 0, n: int = 1) -> SpaceDescriptor:
 # structure matrices
 
 
-def _gamma(d: SpaceDescriptor) -> np.ndarray:
-    """Signature matrix diag(I, -I) for the pseudo-unitary classes."""
-    N = d.ambient_dim
-    if d.kind in ("aiii", "bdi"):
-        top = d.m
-    elif d.kind == "cii":
-        top = 2 * d.m
-    else:  # diii, ci embedded in u(n, n)
-        top = d.n
-    g = np.ones(N)
-    g[top:] = -1.0
-    return np.diag(g).astype(complex)
+def _split(d: SpaceDescriptor) -> int | None:
+    """Row where the block split of the class falls: p sits in the
+    off-diagonal blocks [:top, top:] and [top:, :top] of aiii, bdi, cii,
+    diii and ci (the last two embedded in u(n, n)); None for ai, a2 and
+    aii, whose p fills the whole matrix."""
+    return {"aiii": d.m, "bdi": d.m, "cii": 2 * d.m, "diii": d.n, "ci": d.n}.get(d.kind)
 
 
 def _plain_j(h: int) -> np.ndarray:
@@ -241,6 +243,39 @@ def _sym_form(d: SpaceDescriptor) -> np.ndarray:
     return S.astype(complex)
 
 
+def _conjugations(d: SpaceDescriptor) -> list[tuple[str, str, Callable, int]]:
+    """The defining conjugations of the class, as (g0 relation, K condition,
+    M, s) in check order.  K is the unitary k with M(k) = k, k0 the
+    anti-Hermitian X with M(X) = X and p0 the Hermitian X with M(X) = s X;
+    so X lies in g0 when M(X) = X (s = +1) or M(X) = -X† (s = -1).  M acts
+    on a matrix or on a stack."""
+    kind, top = d.kind, _split(d)
+    table: list[tuple[str, str, Callable, int]] = []
+    if top is not None:
+        G = np.diag(np.where(np.arange(d.ambient_dim) < top, 1.0, -1.0)).astype(complex)
+        table.append(("pseudo-unitarity (X†Γ + ΓX = 0)", "block-diagonality",
+                      lambda X: G @ X @ G, -1))
+    if kind in ("bdi", "ai"):
+        table.append(("reality", "reality", np.conj, 1))
+    if kind in ("aii", "cii"):
+        J = _quaternionic_j(d)
+        table.append(("quaternionic structure (XJ = JX̄)", "quaternionic structure",
+                      lambda X: J @ X.conj() @ -J, 1))
+    if kind in ("diii", "ci"):
+        S = _sym_form(d)
+        relation = ("complex-orthogonal structure (XᵀS + SX = 0)" if kind == "diii"
+                    else "symplectic structure (XᵀΩ + ΩX = 0)")
+        table.append((relation, "bilinear-form preservation",
+                      lambda X: S.T @ X.conj() @ S, -1))
+    return table
+
+
+def _fixed_residual(M: Callable, X: np.ndarray, target: np.ndarray) -> float:
+    """|M(X) - target|, halved for complex conjugation so that it reads
+    |Im X| when the target is X."""
+    return frobenius(M(X) - target) / (2.0 if M is np.conj else 1.0)
+
+
 # ---------------------------------------------------------------------------
 # membership
 
@@ -266,22 +301,9 @@ def check_membership(d: SpaceDescriptor, X, rtol: float = MEMBERSHIP_RTOL) -> No
 
 
 def _relations(d: SpaceDescriptor, X: np.ndarray):
-    k = d.kind
-    if k in ("aiii", "bdi", "cii", "diii", "ci"):
-        G = _gamma(d)
-        yield "pseudo-unitarity (X†Γ + ΓX = 0)", frobenius(X.conj().T @ G + G @ X)
-    if k in ("bdi", "ai"):
-        yield "reality", frobenius(X.imag)
-    if k in ("aii", "cii"):
-        J = _quaternionic_j(d)
-        yield "quaternionic structure (XJ = JX̄)", frobenius(X @ J - J @ X.conj())
-    if k == "diii":
-        S = _sym_form(d)
-        yield "complex-orthogonal structure (XᵀS + SX = 0)", frobenius(X.T @ S + S @ X)
-    if k == "ci":
-        S = _sym_form(d)
-        yield "symplectic structure (XᵀΩ + ΩX = 0)", frobenius(X.T @ S + S @ X)
-    if k in ("aiii", "ai", "a2", "aii"):
+    for name, _, M, s in _conjugations(d):
+        yield name, _fixed_residual(M, X, X if s > 0 else -X.conj().T)
+    if d.kind in _TRACELESS:
         yield "tracelessness", abs(np.trace(X))
 
 
@@ -293,21 +315,13 @@ def check_p_membership(d: SpaceDescriptor, X, rtol: float = MEMBERSHIP_RTOL) -> 
         raise ContractViolation(f"matrix is not Hermitian, hence not in p of {d.label()}")
 
 
-def check_k_membership(d: SpaceDescriptor, X, rtol: float = MEMBERSHIP_RTOL) -> None:
-    X = as_cmat(X)
-    check_membership(d, X, rtol)
-    scale = max(frobenius(X), 1.0)
-    if frobenius(X + X.conj().T) > rtol * scale:
-        raise ContractViolation(f"matrix is not anti-Hermitian, hence not in k of {d.label()}")
-
-
 def check_k_group_membership(d: SpaceDescriptor, k, rtol: float = 1e-9) -> None:
     """Raise unless k lies in the compact group K of the class.
 
-    Checks unitarity plus the structural relations: block-diagonality for
-    the pseudo-unitary classes, reality for bdi/ai, the quaternionic
-    intertwining for aii/cii, preservation of the bilinear form for
-    diii/ci, and the determinant conditions of the special groups.
+    Checks unitarity, that k is fixed by each defining conjugation
+    (block-diagonality, reality, the quaternionic structure, preservation
+    of the bilinear form), and unit determinant: of each of bdi's two
+    diagonal factors, of the whole matrix for every other class.
     """
     k = as_cmat(k)
     N = d.ambient_dim
@@ -323,23 +337,14 @@ def check_k_group_membership(d: SpaceDescriptor, k, rtol: float = 1e-9) -> None:
             )
 
     _req("unitarity", frobenius(k.conj().T @ k - np.eye(N)))
-    if d.kind in ("aiii", "bdi", "cii", "diii", "ci"):
-        G = _gamma(d)
-        _req("block-diagonality", frobenius(k @ G - G @ k))
-    if d.kind in ("bdi", "ai"):
-        _req("reality", frobenius(k.imag))
-    if d.kind in ("aii", "cii"):
-        J = _quaternionic_j(d)
-        _req("quaternionic structure", frobenius(k @ J - J @ k.conj()))
-    if d.kind in ("diii", "ci"):
-        S = _sym_form(d)
-        _req("bilinear-form preservation", frobenius(k.T @ S @ k - S))
-    if d.kind in ("aiii", "ai", "a2", "aii", "cii", "diii", "ci"):
-        _req("unit determinant", abs(np.linalg.det(k) - 1.0))
+    for _, name, M, _ in _conjugations(d):
+        _req(name, _fixed_residual(M, k, k))
     if d.kind == "bdi":
         m = d.m
         _req("unit determinant of the first factor", abs(np.linalg.det(k[:m, :m]) - 1.0))
         _req("unit determinant of the second factor", abs(np.linalg.det(k[m:, m:]) - 1.0))
+    else:
+        _req("unit determinant", abs(np.linalg.det(k) - 1.0))
 
 
 def project_k(d: SpaceDescriptor, X) -> np.ndarray:
@@ -361,59 +366,38 @@ def project_p(d: SpaceDescriptor, X) -> np.ndarray:
 # radial generators (the distinguished maximal Abelian subspace of p)
 
 
-def _embed_offdiag(top: int, N: int, B: np.ndarray) -> np.ndarray:
-    X = np.zeros((N, N), dtype=complex)
-    X[:top, top:] = B
-    X[top:, :top] = B.conj().T
-    return X
-
-
 def _spectral_block(d: SpaceDescriptor, X: np.ndarray) -> np.ndarray:
     """The region of a p element (or of a stack) that the spectral step
-    reads: the off-diagonal block [:top, top:] for aiii, bdi, cii, diii and
-    ci, whose other entries it mirrors or leaves zero, and the whole matrix
-    for ai, a2 and aii."""
-    top = {"aiii": d.m, "bdi": d.m, "cii": 2 * d.m, "diii": d.n, "ci": d.n}.get(d.kind)
+    reads: the off-diagonal block [:top, top:] of ``_split`` for aiii, bdi,
+    cii, diii and ci, whose other entries it mirrors or leaves zero, and the
+    whole matrix for ai, a2 and aii."""
+    top = _split(d)
     return X if top is None else X[..., :top, top:]
 
 
 def _a_generators(d: SpaceDescriptor) -> list[np.ndarray]:
     """Matrices H_i with H(q) = sum_i q_i H_i spanning the radial subspace."""
-    k, m, n, N = d.kind, d.m, d.n, d.ambient_dim
-    rank = d.real_rank
+    k, m, n, N, top = d.kind, d.m, d.n, d.ambient_dim, _split(d)
     gens: list[np.ndarray] = []
-    if k in ("aiii", "bdi"):
-        for j in range(1, n + 1):
-            B = np.zeros((m, n), dtype=complex)
-            B[m - j, j - 1] = 1.0  # lower-left antidiagonal slot of column j
-            gens.append(_embed_offdiag(m, N, B))
-    elif k == "cii":
-        for j in range(1, n + 1):
-            B = np.zeros((2 * m, 2 * n), dtype=complex)
-            B[m + n - j, j - 1] = 1.0
-            B[m - j, n + j - 1] = 1.0  # paired slot: a_{j+n} = a_j
-            gens.append(_embed_offdiag(2 * m, N, B))
-    elif k in ("ai", "a2"):
-        for j in range(rank):
+    for j in range(d.real_rank):
+        if top is None:  # ai, a2, aii: trace-free diagonals
             v = np.zeros(n)
             v[j], v[-1] = 1.0, -1.0
-            gens.append(np.diag(v).astype(complex))
-    elif k == "aii":
-        for j in range(rank):
-            v = np.zeros(n)
-            v[j], v[-1] = 1.0, -1.0
-            gens.append(np.diag(np.concatenate([v, v])).astype(complex))
-    elif k == "diii":
-        for j in range(rank):
-            B = np.zeros((n, n), dtype=complex)
-            B[2 * j, 2 * j + 1] = 1.0
-            B[2 * j + 1, 2 * j] = -1.0
-            gens.append(_embed_offdiag(n, N, B))
-    else:  # ci
-        for j in range(n):
-            B = np.zeros((n, n), dtype=complex)
+            gens.append(np.diag(np.tile(v, 2 if k == "aii" else 1)).astype(complex))
+            continue
+        H = np.zeros((N, N), dtype=complex)
+        B = H[:top, top:]  # a view: the generator is B and its mirror
+        if k in ("aiii", "bdi"):
+            B[m - 1 - j, j] = 1.0  # lower-left antidiagonal slot of column j
+        elif k == "cii":
+            B[m + n - 1 - j, j] = 1.0
+            B[m - 1 - j, n + j] = 1.0  # paired slot: a_{j+n} = a_j
+        elif k == "diii":
+            B[2 * j, 2 * j + 1], B[2 * j + 1, 2 * j] = 1.0, -1.0
+        else:  # ci
             B[j, j] = 1.0
-            gens.append(_embed_offdiag(n, N, B))
+        H[top:, :top] = B.conj().T
+        gens.append(H)
     return gens
 
 
@@ -585,20 +569,11 @@ def _hermitian_units(N: int) -> np.ndarray:
 
 def _project(d: SpaceDescriptor, X: np.ndarray, onto_p: bool) -> np.ndarray:
     """Project a stack of Hermitian (resp. anti-Hermitian) matrices onto p
-    (resp. k) of the class by averaging over each defining relation."""
-    k, N = d.kind, d.ambient_dim
-    if k in ("aiii", "bdi", "cii", "diii", "ci"):
-        G = _gamma(d)
-        X = (X + (-1.0 if onto_p else 1.0) * (G @ X @ G)) / 2.0
-    if k in ("bdi", "ai"):
-        X = (X + X.conj()) / 2.0
-    if k in ("aii", "cii"):
-        J = _quaternionic_j(d)
-        X = (X + J @ X.conj() @ -J) / 2.0
-    if k in ("diii", "ci"):
-        S = _sym_form(d)
-        X = (X - np.linalg.inv(S) @ X.transpose(0, 2, 1) @ S) / 2.0
-    if k in ("aiii", "ai", "a2", "aii"):
+    (resp. k) of the class by averaging over each defining conjugation."""
+    for _, _, M, s in _conjugations(d):
+        X = (X + (s if onto_p else 1) * M(X)) / 2.0
+    if d.kind in _TRACELESS:
+        N = d.ambient_dim
         X = X - (np.trace(X, axis1=1, axis2=2) / N)[:, None, None] * np.eye(N)
     return X
 

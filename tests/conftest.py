@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from cartanflow import make_space
-from cartanflow.linalg import commutator
-from cartanflow.spaces import _GS_TOL, _vec_rows, geometry
+from cartanflow.linalg import ContractViolation, as_cmat, commutator, frobenius
+from cartanflow.spaces import (
+    _GS_TOL,
+    SpaceDescriptor,
+    _quaternionic_j,
+    _sym_form,
+    _vec_rows,
+    geometry,
+)
 
 # one representative per class, small enough for fast tests
 REPRESENTATIVES = [
@@ -98,7 +105,6 @@ def dense_aperp_basis(d) -> list:
     return basis
 
 
-
 def reference_integrate_reduced(d, initial, t_max, steps):
     """The per-step RK4 loop of the reduced flow with separate (q, p, l)
     states, einsum coordinate maps, a Gram solve in every field call and the
@@ -172,3 +178,104 @@ def reference_integrate_reduced(d, initial, t_max, steps):
         l_spectra=np.array(spectra),
         aborted=aborted,
     )
+
+
+# ---------------------------------------------------------------------------
+# the kind-by-kind structure chains of spaces.py before the conjugation table,
+# kept verbatim (only renamed) as the reference for _project, _relations and
+# check_k_group_membership
+
+
+def _gamma(d: SpaceDescriptor) -> np.ndarray:
+    """Signature matrix diag(I, -I) for the pseudo-unitary classes."""
+    N = d.ambient_dim
+    if d.kind in ("aiii", "bdi"):
+        top = d.m
+    elif d.kind == "cii":
+        top = 2 * d.m
+    else:  # diii, ci embedded in u(n, n)
+        top = d.n
+    g = np.ones(N)
+    g[top:] = -1.0
+    return np.diag(g).astype(complex)
+
+
+def reference_relations(d: SpaceDescriptor, X: np.ndarray):
+    k = d.kind
+    if k in ("aiii", "bdi", "cii", "diii", "ci"):
+        G = _gamma(d)
+        yield "pseudo-unitarity (X†Γ + ΓX = 0)", frobenius(X.conj().T @ G + G @ X)
+    if k in ("bdi", "ai"):
+        yield "reality", frobenius(X.imag)
+    if k in ("aii", "cii"):
+        J = _quaternionic_j(d)
+        yield "quaternionic structure (XJ = JX̄)", frobenius(X @ J - J @ X.conj())
+    if k == "diii":
+        S = _sym_form(d)
+        yield "complex-orthogonal structure (XᵀS + SX = 0)", frobenius(X.T @ S + S @ X)
+    if k == "ci":
+        S = _sym_form(d)
+        yield "symplectic structure (XᵀΩ + ΩX = 0)", frobenius(X.T @ S + S @ X)
+    if k in ("aiii", "ai", "a2", "aii"):
+        yield "tracelessness", abs(np.trace(X))
+
+
+def reference_check_k_group_membership(d: SpaceDescriptor, k, rtol: float = 1e-9) -> None:
+    """Raise unless k lies in the compact group K of the class.
+
+    Checks unitarity plus the structural relations: block-diagonality for
+    the pseudo-unitary classes, reality for bdi/ai, the quaternionic
+    intertwining for aii/cii, preservation of the bilinear form for
+    diii/ci, and the determinant conditions of the special groups.
+    """
+    k = as_cmat(k)
+    N = d.ambient_dim
+    if k.shape != (N, N):
+        raise ContractViolation(f"K of {d.label()} lives in {N}x{N} matrices")
+    scale = max(frobenius(k), 1.0)
+
+    def _req(name: str, resid: float) -> None:
+        if resid > rtol * scale:
+            raise ContractViolation(
+                f"matrix violates the {name} condition of K for {d.label()} "
+                f"(residual {resid:.3e})"
+            )
+
+    _req("unitarity", frobenius(k.conj().T @ k - np.eye(N)))
+    if d.kind in ("aiii", "bdi", "cii", "diii", "ci"):
+        G = _gamma(d)
+        _req("block-diagonality", frobenius(k @ G - G @ k))
+    if d.kind in ("bdi", "ai"):
+        _req("reality", frobenius(k.imag))
+    if d.kind in ("aii", "cii"):
+        J = _quaternionic_j(d)
+        _req("quaternionic structure", frobenius(k @ J - J @ k.conj()))
+    if d.kind in ("diii", "ci"):
+        S = _sym_form(d)
+        _req("bilinear-form preservation", frobenius(k.T @ S @ k - S))
+    if d.kind in ("aiii", "ai", "a2", "aii", "cii", "diii", "ci"):
+        _req("unit determinant", abs(np.linalg.det(k) - 1.0))
+    if d.kind == "bdi":
+        m = d.m
+        _req("unit determinant of the first factor", abs(np.linalg.det(k[:m, :m]) - 1.0))
+        _req("unit determinant of the second factor", abs(np.linalg.det(k[m:, m:]) - 1.0))
+
+
+def reference_project(d: SpaceDescriptor, X: np.ndarray, onto_p: bool) -> np.ndarray:
+    """Project a stack of Hermitian (resp. anti-Hermitian) matrices onto p
+    (resp. k) of the class by averaging over each defining relation."""
+    k, N = d.kind, d.ambient_dim
+    if k in ("aiii", "bdi", "cii", "diii", "ci"):
+        G = _gamma(d)
+        X = (X + (-1.0 if onto_p else 1.0) * (G @ X @ G)) / 2.0
+    if k in ("bdi", "ai"):
+        X = (X + X.conj()) / 2.0
+    if k in ("aii", "cii"):
+        J = _quaternionic_j(d)
+        X = (X + J @ X.conj() @ -J) / 2.0
+    if k in ("diii", "ci"):
+        S = _sym_form(d)
+        X = (X - np.linalg.inv(S) @ X.transpose(0, 2, 1) @ S) / 2.0
+    if k in ("aiii", "ai", "a2", "aii"):
+        X = X - (np.trace(X, axis1=1, axis2=2) / N)[:, None, None] * np.eye(N)
+    return X

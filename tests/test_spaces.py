@@ -14,9 +14,24 @@ from cartanflow import (
     restricted_roots,
     trace_form,
 )
-from cartanflow.spaces import _project, check_membership, geometry
+from cartanflow import spaces
+from cartanflow.spaces import (
+    _conjugations,
+    _hermitian_units,
+    _project,
+    check_k_group_membership,
+    check_membership,
+    geometry,
+)
 
-from conftest import REPRESENTATIVES, _gram_schmidt, parameter_grid
+from conftest import (
+    REPRESENTATIVES,
+    _gram_schmidt,
+    parameter_grid,
+    reference_check_k_group_membership,
+    reference_project,
+    reference_relations,
+)
 
 
 def random_g0(d, rng):
@@ -240,8 +255,8 @@ def test_stacked_bases_match_unit_by_unit_gram_schmidt(case):
     geo = geometry(d)
     units = unit_list(d.ambient_dim)
     ref = {
-        "p": _gram_schmidt([_project(d, U[None], True)[0] for U in units]),
-        "k": _gram_schmidt([_project(d, 1j * U[None], False)[0] for U in units]),
+        "p": _gram_schmidt([reference_project(d, U[None], True)[0] for U in units]),
+        "k": _gram_schmidt([reference_project(d, 1j * U[None], False)[0] for U in units]),
         "a": _gram_schmidt(geo.a_embed),
     }
     for which, stack in (("p", geo._p_stack), ("k", geo._k_stack), ("a", geo._a_stack)):
@@ -252,3 +267,80 @@ def test_stacked_bases_match_unit_by_unit_gram_schmidt(case):
         assert all(not M.flags.writeable for M in getattr(geo, f"{which}_basis"))
     if d.kind in ("aiii", "bdi", "cii", "diii", "ci"):
         assert np.array_equal(geo._p_stack, np.array(ref["p"]))
+
+
+@pytest.mark.parametrize("case", BASIS_CASES)
+def test_project_matches_kind_by_kind_reference_bitwise(case):
+    # tobytes, not array_equal: the signs of zeros count as well
+    d = make_space(*case)
+    units = _hermitian_units(d.ambient_dim)
+    for X, onto_p in ((units, True), (1j * units, False)):
+        got = _project(d, X.copy(), onto_p)
+        assert got.tobytes() == reference_project(d, X.copy(), onto_p).tobytes()
+
+
+def _message(check, *args) -> str | None:
+    try:
+        check(*args)
+    except ContractViolation as exc:
+        return str(exc)
+    return None
+
+
+def _fix_prefix(table, E, count, anti_hermitian):
+    """E made to satisfy the first ``count`` entries' g0 relations, or
+    their K conditions on the Lie algebra when ``anti_hermitian``."""
+    for _, _, M, s in table[:count]:
+        E = (E + (M(E) if s > 0 or anti_hermitian else -M(E).conj().T)) / 2.0
+    return E
+
+
+@pytest.mark.parametrize("case", parameter_grid(3))
+def test_membership_messages_match_kind_by_kind_reference(case, monkeypatch):
+    from scipy.linalg import expm
+
+    d = make_space(*case)
+    N = d.ambient_dim
+    rng = np.random.default_rng(909)
+    table = _conjugations(d)
+    X, k = random_g0(d, rng), random_k_element(d, rng)
+    inputs = []
+    for count in range(len(table) + 1):
+        for eps in (1e-6, 1e-2):
+            E = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+            inputs.append(("g0", X + eps * _fix_prefix(table, E, count, False)))
+            A = _fix_prefix(table, (E - E.conj().T) / 2.0, count, True)
+            inputs.append(("K", k @ expm(eps * A)))
+    inputs += [("g0", X + 1e-6 * np.eye(N)), ("g0", X), ("K", k), ("K", k + 1e-6),
+               ("K", 1j * k), ("K", k @ np.diag(np.exp(1e-3j * np.arange(N))))]
+    wants = []
+    with monkeypatch.context() as mp:
+        mp.setattr(spaces, "_relations", reference_relations)
+        for which, Y in inputs:
+            if which == "g0":
+                wants.append(_message(check_membership, d, Y))
+            else:
+                wants.append(_message(reference_check_k_group_membership, d, Y))
+    for (which, Y), want in zip(inputs, wants):
+        check = check_membership if which == "g0" else check_k_group_membership
+        assert _message(check, d, Y) == want, (which, want)
+    for relation, condition, _, _ in table:  # every entry was reached
+        assert any(f"the {relation} relation" in (w or "") for w in wants)
+        assert any(f"the {condition} condition" in (w or "") for w in wants)
+
+
+@pytest.mark.parametrize("case", parameter_grid(3))
+def test_bases_and_k_elements_are_fixed_by_each_conjugation(case):
+    d = make_space(*case)
+    geo = geometry(d)
+    k = random_k_element(d, np.random.default_rng(31))
+    for name, _, M, s in _conjugations(d):
+        for X in geo.p_basis:
+            assert np.linalg.norm(M(X) - s * X) <= 1e-12, name
+        for X in geo.k_basis:
+            assert np.linalg.norm(M(X) - X) <= 1e-12, name
+        assert np.linalg.norm(M(k) - k) <= 1e-12, name
+    # and against the kind-by-kind relations, which do not read the table
+    for X in (*geo.p_basis, *geo.k_basis):
+        assert all(resid <= 1e-12 for _, resid in reference_relations(d, X))
+    reference_check_k_group_membership(d, k, rtol=1e-12)
