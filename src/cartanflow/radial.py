@@ -11,6 +11,7 @@ from the transverse coordinate r.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,25 +81,18 @@ class SliceCheck:
 
 
 def chamber_contains(d: SpaceDescriptor, q, tol: float = 1e-12) -> bool:
-    """Whether q lies in the closed positive Weyl chamber of the class."""
+    """Whether q lies in the closed positive Weyl chamber of the class:
+    alpha(q) >= -tol for every positive root.  False for a q of the wrong
+    length or with non-finite entries."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (d.real_rank,):
+    if q.shape != (d.real_rank,) or not all(map(math.isfinite, q.tolist())):
         return False
-    if d.trace_constrained:
-        lam = np.concatenate([q, [-np.sum(q)]])
-        return bool(np.all(np.diff(lam) <= tol))
-    if not np.all(np.diff(q) <= tol):
-        return False
-    if d.has_sign_flip_weyl:
-        return bool(q[-1] >= -tol)
-    # so(n,n): the Weyl group flips signs only in pairs, so the last
-    # coordinate keeps its sign, bounded in modulus by the one before
-    return bool(q.size < 2 or q[-2] >= abs(q[-1]) - tol)
+    return bool((geometry(d).root_table[0] @ q >= -tol).all())
 
 
 def embed_radial(d: SpaceDescriptor, q) -> np.ndarray:
     """The radial element H(q) of a with pattern coordinates q."""
-    return geometry(d).embed_radial(np.asarray(q, dtype=float))
+    return geometry(d).embed_radial(q)
 
 
 # ---------------------------------------------------------------------------

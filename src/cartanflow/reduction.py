@@ -22,6 +22,7 @@ from .radial import WALL_TOL, SliceCoords
 from .spaces import (
     RestrictedRoot,
     SpaceDescriptor,
+    _radial_vector,
     check_p_membership,
     geometry,
     wall_distance,
@@ -96,7 +97,7 @@ def a_q_matrix(d: SpaceDescriptor, q) -> AqOperator:
     """The operator ad(H(e)) o ad(H(q)) on the centralizer orthocomplement,
     with e the fixed generic chamber point (rank, rank-1, ..., 1)."""
     geo = geometry(d)
-    q = np.asarray(q, dtype=float)
+    q = _radial_vector(d, q)
     C = geo.bracket_coeffs
     A = np.diag((C @ geo.e_coords) * (C @ q))
     return AqOperator(matrix=A, q=q.copy(), e=geo.e_coords.copy())
@@ -107,7 +108,7 @@ def jacobian_density(d: SpaceDescriptor, q) -> float:
     centralizer orthocomplement: the product of the measured diagonal
     |C q| in the root-adapted bases.  Vanishes exactly on the chamber walls."""
     C = geometry(d).bracket_coeffs
-    return float(np.prod(np.abs(C @ np.asarray(q, dtype=float))))
+    return float(np.prod(np.abs(C @ _radial_vector(d, q))))
 
 
 def _root_product(coeffs: np.ndarray, mults: np.ndarray, q: np.ndarray) -> float:
@@ -126,7 +127,7 @@ def closed_form_density(
     multiplicity 0).  ``roots`` overrides the multiplicity table (used by
     consistency checks).
     """
-    q = np.asarray(q, dtype=float)
+    q = _radial_vector(d, q)
     if roots is None:
         coeffs, mults = geometry(d).root_table
     else:
@@ -140,14 +141,14 @@ def random_chamber_point(
     d: SpaceDescriptor, rng: np.random.Generator, min_wall: float = 1e-3
 ) -> np.ndarray:
     """A generic chamber-interior point, resampled away from the walls."""
-    rank = d.real_rank
+    rank, trace, flips = d.real_rank, d.trace_constrained, d.has_sign_flip_weyl
     for _ in range(200):
-        if d.trace_constrained:
+        if trace:
             lam = np.sort(rng.standard_normal(rank + 1))[::-1]
             q = (lam - np.mean(lam))[:rank]
         else:
             q = np.sort(np.abs(rng.standard_normal(rank)))[::-1]
-            if not d.has_sign_flip_weyl and rng.random() < 0.5:
+            if not flips and rng.random() < 0.5:
                 q[-1] = -q[-1]
         if wall_distance(d, q) > min_wall:
             return q

@@ -29,7 +29,7 @@ import numpy as np
 from .linalg import ConsistencyError, ContractViolation
 from .radial import chamber_contains, radial_coords_batch
 from .reduction import _root_product, density_constant
-from .spaces import SpaceDescriptor, _spectral_block, geometry
+from .spaces import SpaceDescriptor, _root_system, _spectral_block, geometry
 
 __all__ = [
     "CHUNK_SIZE",
@@ -154,36 +154,29 @@ def _unnormalized(d: SpaceDescriptor, q: np.ndarray) -> float:
 def _chamber_integral(d: SpaceDescriptor) -> float:
     """Closed-form chamber integral of prod |alpha(q)|^m_alpha * exp(-q^T G q / 2).
 
-    The A-type classes (ai, a2, aii), with G = c (I + 1 1^T) and one root
-    multiplicity beta, take Mehta's integral over the trace-zero
-    eigenvalues.  The BC-type classes, with G = g I and multiplicities
-    beta, s, l of e_i +- e_j, e_i, 2 e_i, take the Laguerre-Selberg
-    integral after x_i = q_i^2 (Macdonald, SIAM J. Math. Anal. 13 (1982);
-    Forrester-Warnaar, Bull. AMS 45 (2008)).
+    The multiplicities are read from ``_root_system``.  The A-type classes
+    (ai, a2, aii), with G = c (I + 1 1^T) and one root multiplicity beta,
+    take Mehta's integral over the trace-zero eigenvalues.  The BC-type
+    classes, with G = g I and multiplicities beta, s, l of e_i +- e_j, e_i,
+    2 e_i, take the Laguerre-Selberg integral after x_i = q_i^2 (Macdonald,
+    SIAM J. Math. Anal. 13 (1982); Forrester-Warnaar, Bull. AMS 45 (2008)).
+    Raises ``ConsistencyError`` if the Gram matrix has another shape.
     """
     geo = geometry(d)
-    coeffs, mults = geo.root_table
+    a_type, beta, s, ell = _root_system(d)
     r, lg = d.real_rank, math.lgamma
-    shape = np.eye(r) + (1.0 if d.trace_constrained else 0.0)
+    shape = np.eye(r) + (1.0 if a_type == "A" else 0.0)
     g = geo.gram[0, 0] / shape[0, 0]
     if not (g > 0 and np.max(np.abs(geo.gram - g * shape)) <= 1e-12 * g):
         raise ConsistencyError(f"{d.label()}: Gram matrix is not a multiple of the assumed shape")
-    # multiplicity per root family, keyed (nonzero coefficients, largest
-    # |coefficient|): (2, 1) e_i +- e_j, (1, 1) e_i, (1, 2) 2 e_i; A-type has one
-    keys = zip(np.count_nonzero(coeffs, axis=1), np.max(np.abs(coeffs), axis=1))
-    found = {((0, 0) if d.trace_constrained else k, m) for k, m in zip(keys, mults.tolist())}
-    mult = dict(found)
-    if len(mult) < len(found) or not set(mult) <= {(0, 0), (2, 1), (1, 1), (1, 2)}:
-        raise ConsistencyError(f"{d.label()}: root multiplicities do not fit Mehta or Selberg")
-    if d.trace_constrained:
-        n, beta = r + 1, mult[(0, 0)]
+    if a_type == "A":
+        n = r + 1
         log_z = (
             -((n - 1) / 2 + beta * n * (n - 1) / 4) * math.log(g)
             + (n - 1) / 2 * math.log(2 * math.pi) - math.log(n) / 2 - lg(n + 1)
             + sum(lg(1 + j * beta / 2) - lg(1 + beta / 2) for j in range(1, n + 1))
         )
     else:
-        beta, s, ell = (mult.get(f, 0.0) for f in ((2, 1), (1, 1), (1, 2)))
         a = s + ell
         log_z = (
             r * ell * math.log(2) - lg(r + 1)

@@ -10,8 +10,10 @@ quaternionic J (M(X) = -JX̄J, s = +1) and the bilinear form S
 Hermitian X with M(X) = s X and K the unitary k with M(k) = k, for every
 entry; aiii, ai, a2 and aii are traceless besides, and K has unit
 determinant.  A descriptor also knows a distinguished maximal Abelian
-subspace of p0 with explicit "radial" generators and the table of
-positive restricted roots with their real multiplicities.
+subspace of p0 with explicit "radial" generators and its restricted root
+system, written once per class as (type, β, s, ℓ) (``_root_system``):
+type A with multiplicity β, or type BC with multiplicities β, s, ℓ on
+e_i ± e_j, e_i, 2 e_i.  The table of positive roots is generated from it.
 
 The heavy lifting (orthonormal bases of k, p, a, the centralizer algebra
 of a inside k, and root-adapted bases of its orthocomplement and of a-perp,
@@ -32,10 +34,12 @@ Supported kinds::
 
 from __future__ import annotations
 
+import math
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -132,19 +136,19 @@ class SpaceDescriptor:
 
     @property
     def has_sign_flip_weyl(self) -> bool:
-        """Whether the restricted Weyl group contains all sign changes.
-
-        For so(n,n) only products of an even number of flips occur, so the
+        """Whether the restricted Weyl group contains all sign changes: the
+        root system is BC-type with a root e_i or 2 e_i.  so(n,n) has
+        neither, so only products of an even number of flips occur and the
         last radial coordinate keeps a free sign there.
         """
-        if self.kind == "bdi" and self.m == self.n:
-            return False
-        return self.kind in ("aiii", "bdi", "cii", "diii", "ci")
+        a_type, _, s, ell = _root_system(self)
+        return a_type == "BC" and s + ell > 0
 
     @property
     def trace_constrained(self) -> bool:
-        """Radial coordinates carry an implied last eigenvalue -sum(q)."""
-        return self.kind in ("ai", "a2", "aii")
+        """Radial coordinates carry an implied last eigenvalue -sum(q): the
+        root system is A-type."""
+        return _root_system(self)[0] == "A"
 
     def label(self) -> str:
         if self.kind in TWO_PARAM_KINDS:
@@ -243,12 +247,13 @@ def _sym_form(d: SpaceDescriptor) -> np.ndarray:
     return S.astype(complex)
 
 
-def _conjugations(d: SpaceDescriptor) -> list[tuple[str, str, Callable, int]]:
+@lru_cache(maxsize=None)
+def _conjugations(d: SpaceDescriptor) -> tuple[tuple[str, str, Callable, int], ...]:
     """The defining conjugations of the class, as (g0 relation, K condition,
     M, s) in check order.  K is the unitary k with M(k) = k, k0 the
     anti-Hermitian X with M(X) = X and p0 the Hermitian X with M(X) = s X;
     so X lies in g0 when M(X) = X (s = +1) or M(X) = -X† (s = -1).  M acts
-    on a matrix or on a stack."""
+    on a matrix or on a stack.  Built once per descriptor."""
     kind, top = d.kind, _split(d)
     table: list[tuple[str, str, Callable, int]] = []
     if top is not None:
@@ -267,7 +272,7 @@ def _conjugations(d: SpaceDescriptor) -> list[tuple[str, str, Callable, int]]:
                     else "symplectic structure (XᵀΩ + ΩX = 0)")
         table.append((relation, "bilinear-form preservation",
                       lambda X: S.T @ X.conj() @ S, -1))
-    return table
+    return tuple(table)
 
 
 def _fixed_residual(M: Callable, X: np.ndarray, target: np.ndarray) -> float:
@@ -405,77 +410,62 @@ def _a_generators(d: SpaceDescriptor) -> list[np.ndarray]:
 # restricted root tables
 
 
-def _trace_class_root_coeffs(n: int) -> list[tuple[int, ...]]:
-    """Functionals f_i - f_j on the reduced coordinates of sl-type classes.
-
-    Coordinates are the first n-1 eigenvalues; the last eigenvalue is
-    -sum(q), so f_i - f_n picks up +1 on every coordinate.
-    """
-    rank = n - 1
-    out = []
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            c = [0] * rank
-            c[i], c[j] = 1, -1
-            out.append(tuple(c))
-    for i in range(rank):
-        c = [1] * rank
-        c[i] = 2
-        out.append(tuple(c))  # f_i - f_n
-    return out
+@lru_cache(maxsize=None)
+def _root_system(d: SpaceDescriptor) -> tuple[str, int, int, int]:
+    """The restricted root system of the class as (type, β, s, ℓ): type A
+    with multiplicity β on every root, or type BC with β on e_i ± e_j, s on
+    e_i and ℓ on 2 e_i (Helgason, ch. X, Table VI).  The root table, the
+    chamber, the Weyl flags and the normalizer are read from here."""
+    m, n = d.m, d.n
+    return {
+        "ai": ("A", 1, 0, 0),
+        "a2": ("A", 2, 0, 0),
+        "aii": ("A", 4, 0, 0),
+        "aiii": ("BC", 2, 2 * (m - n), 1),
+        "bdi": ("BC", 1, m - n, 0),
+        "cii": ("BC", 4, 4 * (m - n), 3),
+        "diii": ("BC", 4, 4 * (n % 2), 1),
+        "ci": ("BC", 1, 0, 1),
+    }[d.kind]
 
 
 def restricted_roots(d: SpaceDescriptor) -> list[RestrictedRoot]:
-    """Positive restricted roots with real multiplicities (table data)."""
-    k, m, n, rank = d.kind, d.m, d.n, d.real_rank
-    roots: list[RestrictedRoot] = []
+    """Positive restricted roots with real multiplicities, generated from
+    ``_root_system`` and sorted by coefficients.
 
-    def unit(i: int, v: int = 1) -> tuple[int, ...]:
-        c = [0] * rank
-        c[i] = v
-        return tuple(c)
+    A-type: f_i - f_j (i < j) over the rank + 1 trace-free eigenvalues,
+    the last being -sum(q).  BC-type: e_i ± e_j (i < j), then e_i and
+    2 e_i where their multiplicity is nonzero.
+    """
+    a_type, beta, s, ell = _root_system(d)
+    e = np.eye(d.real_rank, dtype=int)
+    if a_type == "A":
+        f = np.vstack([e, -e.sum(axis=0)])
+        table = [(f[i] - f[j], beta) for i, j in combinations(range(len(f)), 2)]
+    else:
+        table = [(e[i] + sign * e[j], beta)
+                 for i, j in combinations(range(len(e)), 2) for sign in (-1, 1)]
+        table += [(k * e[i], mult) for k, mult in ((1, s), (2, ell)) if mult for i in range(len(e))]
+    roots = [RestrictedRoot(tuple(c.tolist()), mult) for c, mult in table]
+    return sorted(roots, key=lambda r: r.coeffs)
 
-    def pair(i: int, j: int, sj: int) -> tuple[int, ...]:
-        c = [0] * rank
-        c[i], c[j] = 1, sj
-        return tuple(c)
 
-    if k in ("aiii", "bdi", "cii"):
-        mult_pair = {"aiii": 2, "bdi": 1, "cii": 4}[k]
-        mult_short = {"aiii": 2 * (m - n), "bdi": m - n, "cii": 4 * (m - n)}[k]
-        mult_long = {"aiii": 1, "bdi": 0, "cii": 3}[k]
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                roots.append(RestrictedRoot(pair(i, j, -1), mult_pair))
-                roots.append(RestrictedRoot(pair(i, j, +1), mult_pair))
-        if mult_short:
-            roots.extend(RestrictedRoot(unit(i), mult_short) for i in range(rank))
-        if mult_long:
-            roots.extend(RestrictedRoot(unit(i, 2), mult_long) for i in range(rank))
-    elif k in ("ai", "a2", "aii"):
-        mult = {"ai": 1, "a2": 2, "aii": 4}[k]
-        roots = [RestrictedRoot(c, mult) for c in _trace_class_root_coeffs(n)]
-    elif k == "diii":
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                roots.append(RestrictedRoot(pair(i, j, -1), 4))
-                roots.append(RestrictedRoot(pair(i, j, +1), 4))
-        roots.extend(RestrictedRoot(unit(i, 2), 1) for i in range(rank))
-        if n % 2 == 1:
-            roots.extend(RestrictedRoot(unit(i), 4) for i in range(rank))
-    else:  # ci
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                roots.append(RestrictedRoot(pair(i, j, -1), 1))
-                roots.append(RestrictedRoot(pair(i, j, +1), 1))
-        roots.extend(RestrictedRoot(unit(i, 2), 1) for i in range(rank))
-    roots.sort(key=lambda r: r.coeffs)
-    return roots
+def _radial_vector(d: SpaceDescriptor, q) -> np.ndarray:
+    """q as a float vector; ContractViolation unless it has the length of
+    the real rank and finite entries."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (d.real_rank,):
+        raise ContractViolation(
+            f"radial vector must have length {d.real_rank}, got shape {q.shape}"
+        )
+    if not all(map(math.isfinite, q.tolist())):  # faster than np.isfinite at this size
+        raise ContractViolation("radial vector has non-finite entries")
+    return q
 
 
 def root_values(d: SpaceDescriptor, q: np.ndarray) -> np.ndarray:
     """alpha(q) over the positive roots, in table order."""
-    return geometry(d).root_table[0] @ np.asarray(q, dtype=float)
+    return geometry(d).root_table[0] @ _radial_vector(d, q)
 
 
 def wall_distance(d: SpaceDescriptor, q: np.ndarray) -> float:
@@ -644,13 +634,8 @@ class SpaceGeometry:
     @cached_property
     def gram(self) -> np.ndarray:
         """Gram matrix of the radial generators under the trace form."""
-        H = self.a_embed
-        r = len(H)
-        G = np.empty((r, r))
-        for i in range(r):
-            for j in range(r):
-                G[i, j] = np.einsum("ij,ji->", H[i], H[j]).real
-        return G
+        H = np.stack(self.a_embed)
+        return np.einsum("aij,bji->ab", H, H).real.copy()  # contiguous, not a view
 
     @cached_property
     def gram_inv(self) -> np.ndarray:
@@ -753,11 +738,7 @@ class SpaceGeometry:
 
     def embed_radial(self, q: np.ndarray) -> np.ndarray:
         d = self.descriptor
-        q = np.asarray(q, dtype=float)
-        if q.shape != (d.real_rank,):
-            raise ContractViolation(
-                f"radial vector must have length {d.real_rank}, got shape {q.shape}"
-            )
+        q = _radial_vector(d, q)
         N = d.ambient_dim
         H = np.zeros((N, N), dtype=complex)
         for qi, Hi in zip(q, self.a_embed):

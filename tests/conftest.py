@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from cartanflow import make_space
-from cartanflow.linalg import ContractViolation, as_cmat, commutator, frobenius
+from cartanflow.linalg import ConsistencyError, ContractViolation, as_cmat, commutator, frobenius
 from cartanflow.spaces import (
     _GS_TOL,
+    RestrictedRoot,
     SpaceDescriptor,
     _quaternionic_j,
     _sym_form,
@@ -279,3 +282,188 @@ def reference_project(d: SpaceDescriptor, X: np.ndarray, onto_p: bool) -> np.nda
     if k in ("aiii", "ai", "a2", "aii"):
         X = X - (np.trace(X, axis1=1, axis2=2) / N)[:, None, None] * np.eye(N)
     return X
+
+
+# ---------------------------------------------------------------------------
+# the kind-by-kind root tables, Weyl flags, chamber test and chamber integral
+# of the code before ``spaces._root_system``, kept verbatim (only renamed, and
+# reading each other in place of the library's table and flags) as the
+# reference for the code generated from (type, beta, s, l)
+
+
+def root_system_grid():
+    """aiii, bdi and cii with n <= 8 and m <= 10; ai, a2, aii and diii with
+    n <= 12; ci with n <= 12: 212 spaces."""
+    cases = []
+    for kind in ("aiii", "bdi", "cii"):
+        for n in range(1, 9):
+            for m in range(n, 11):
+                cases.append((kind, m, n))
+    for kind in ("ai", "a2", "aii", "diii"):
+        for n in range(2, 13):
+            cases.append((kind, 0, n))
+    for n in range(1, 13):
+        cases.append(("ci", 0, n))
+    return cases
+
+
+def reference_has_sign_flip_weyl(d: SpaceDescriptor) -> bool:
+    if d.kind == "bdi" and d.m == d.n:
+        return False
+    return d.kind in ("aiii", "bdi", "cii", "diii", "ci")
+
+
+def reference_trace_constrained(d: SpaceDescriptor) -> bool:
+    return d.kind in ("ai", "a2", "aii")
+
+
+def _reference_trace_class_root_coeffs(n: int) -> list[tuple[int, ...]]:
+    """Functionals f_i - f_j on the reduced coordinates of sl-type classes.
+
+    Coordinates are the first n-1 eigenvalues; the last eigenvalue is
+    -sum(q), so f_i - f_n picks up +1 on every coordinate.
+    """
+    rank = n - 1
+    out = []
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            c = [0] * rank
+            c[i], c[j] = 1, -1
+            out.append(tuple(c))
+    for i in range(rank):
+        c = [1] * rank
+        c[i] = 2
+        out.append(tuple(c))  # f_i - f_n
+    return out
+
+
+def reference_restricted_roots(d: SpaceDescriptor) -> list[RestrictedRoot]:
+    """Positive restricted roots with real multiplicities (table data)."""
+    k, m, n, rank = d.kind, d.m, d.n, d.real_rank
+    roots: list[RestrictedRoot] = []
+
+    def unit(i: int, v: int = 1) -> tuple[int, ...]:
+        c = [0] * rank
+        c[i] = v
+        return tuple(c)
+
+    def pair(i: int, j: int, sj: int) -> tuple[int, ...]:
+        c = [0] * rank
+        c[i], c[j] = 1, sj
+        return tuple(c)
+
+    if k in ("aiii", "bdi", "cii"):
+        mult_pair = {"aiii": 2, "bdi": 1, "cii": 4}[k]
+        mult_short = {"aiii": 2 * (m - n), "bdi": m - n, "cii": 4 * (m - n)}[k]
+        mult_long = {"aiii": 1, "bdi": 0, "cii": 3}[k]
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                roots.append(RestrictedRoot(pair(i, j, -1), mult_pair))
+                roots.append(RestrictedRoot(pair(i, j, +1), mult_pair))
+        if mult_short:
+            roots.extend(RestrictedRoot(unit(i), mult_short) for i in range(rank))
+        if mult_long:
+            roots.extend(RestrictedRoot(unit(i, 2), mult_long) for i in range(rank))
+    elif k in ("ai", "a2", "aii"):
+        mult = {"ai": 1, "a2": 2, "aii": 4}[k]
+        roots = [RestrictedRoot(c, mult) for c in _reference_trace_class_root_coeffs(n)]
+    elif k == "diii":
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                roots.append(RestrictedRoot(pair(i, j, -1), 4))
+                roots.append(RestrictedRoot(pair(i, j, +1), 4))
+        roots.extend(RestrictedRoot(unit(i, 2), 1) for i in range(rank))
+        if n % 2 == 1:
+            roots.extend(RestrictedRoot(unit(i), 4) for i in range(rank))
+    else:  # ci
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                roots.append(RestrictedRoot(pair(i, j, -1), 1))
+                roots.append(RestrictedRoot(pair(i, j, +1), 1))
+        roots.extend(RestrictedRoot(unit(i, 2), 1) for i in range(rank))
+    roots.sort(key=lambda r: r.coeffs)
+    return roots
+
+
+def reference_root_table(d: SpaceDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """(coefficients, multiplicities) of ``reference_restricted_roots`` as
+    the float arrays of ``SpaceGeometry.root_table``."""
+    roots = reference_restricted_roots(d)
+    coeffs = np.array([r.coeffs for r in roots], dtype=float).reshape(len(roots), d.real_rank)
+    mults = np.array([r.multiplicity for r in roots], dtype=float)
+    return coeffs, mults
+
+
+def reference_chamber_contains(d: SpaceDescriptor, q, tol: float = 1e-12) -> bool:
+    """Whether q lies in the closed positive Weyl chamber of the class."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (d.real_rank,):
+        return False
+    if reference_trace_constrained(d):
+        lam = np.concatenate([q, [-np.sum(q)]])
+        return bool(np.all(np.diff(lam) <= tol))
+    if not np.all(np.diff(q) <= tol):
+        return False
+    if reference_has_sign_flip_weyl(d):
+        return bool(q[-1] >= -tol)
+    # so(n,n): the Weyl group flips signs only in pairs, so the last
+    # coordinate keeps its sign, bounded in modulus by the one before
+    return bool(q.size < 2 or q[-2] >= abs(q[-1]) - tol)
+
+
+def reference_root_families(d: SpaceDescriptor, coeffs: np.ndarray, mults: np.ndarray) -> dict:
+    """The multiplicity per root family decoded from a root table."""
+    # multiplicity per root family, keyed (nonzero coefficients, largest
+    # |coefficient|): (2, 1) e_i +- e_j, (1, 1) e_i, (1, 2) 2 e_i; A-type has one
+    keys = zip(np.count_nonzero(coeffs, axis=1), np.max(np.abs(coeffs), axis=1))
+    found = {
+        ((0, 0) if reference_trace_constrained(d) else k, m) for k, m in zip(keys, mults.tolist())
+    }
+    mult = dict(found)
+    if len(mult) < len(found) or not set(mult) <= {(0, 0), (2, 1), (1, 1), (1, 2)}:
+        raise ConsistencyError(f"{d.label()}: root multiplicities do not fit Mehta or Selberg")
+    return mult
+
+
+def reference_gram(d: SpaceDescriptor) -> np.ndarray:
+    """Gram matrix of the radial generators under the trace form."""
+    H = geometry(d).a_embed
+    r = len(H)
+    G = np.empty((r, r))
+    for i in range(r):
+        for j in range(r):
+            G[i, j] = np.einsum("ij,ji->", H[i], H[j]).real
+    return G
+
+
+def reference_chamber_integral(d: SpaceDescriptor) -> float:
+    """Closed-form chamber integral of prod |alpha(q)|^m_alpha * exp(-q^T G q / 2),
+    with the multiplicities decoded from the reference root table."""
+    geo = geometry(d)
+    r, lg = d.real_rank, math.lgamma
+    shape = np.eye(r) + (1.0 if reference_trace_constrained(d) else 0.0)
+    g = geo.gram[0, 0] / shape[0, 0]
+    if not (g > 0 and np.max(np.abs(geo.gram - g * shape)) <= 1e-12 * g):
+        raise ConsistencyError(f"{d.label()}: Gram matrix is not a multiple of the assumed shape")
+    mult = reference_root_families(d, *reference_root_table(d))
+    if reference_trace_constrained(d):
+        n, beta = r + 1, mult[(0, 0)]
+        log_z = (
+            -((n - 1) / 2 + beta * n * (n - 1) / 4) * math.log(g)
+            + (n - 1) / 2 * math.log(2 * math.pi) - math.log(n) / 2 - lg(n + 1)
+            + sum(lg(1 + j * beta / 2) - lg(1 + beta / 2) for j in range(1, n + 1))
+        )
+    else:
+        beta, s, ell = (mult.get(f, 0.0) for f in ((2, 1), (1, 1), (1, 2)))
+        a = s + ell
+        log_z = (
+            r * ell * math.log(2) - lg(r + 1)
+            + (r * a / 2 + beta * r * (r - 1) / 2) * math.log(2 / g) - r / 2 * math.log(2 * g)
+            + sum(
+                lg((a + 1) / 2 + j * beta / 2) + lg(1 + (j + 1) * beta / 2) - lg(1 + beta / 2)
+                for j in range(r)
+            )
+        )
+        if not reference_has_sign_flip_weyl(d):
+            log_z += math.log(2)  # so(n,n): the last coordinate takes either sign
+    return math.exp(log_z)

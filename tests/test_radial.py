@@ -20,9 +20,15 @@ from cartanflow.radial import (
     radial_coords,
     radial_coords_batch,
 )
+from cartanflow.sampling import sample_radial_batch
 from cartanflow.spaces import check_k_group_membership, geometry
 
-from conftest import REPRESENTATIVES, centralizer_orbit_dimension
+from conftest import (
+    REPRESENTATIVES,
+    centralizer_orbit_dimension,
+    reference_chamber_contains,
+    reference_root_table,
+)
 
 DECOMPOSE_CASES = REPRESENTATIVES + [
     ("aiii", 3, 2),
@@ -60,6 +66,64 @@ def test_embed_radial_zero_and_norm():
     assert trace_form(H, H) == pytest.approx(2 * 1.5**2)  # class constant 2
     with pytest.raises(ContractViolation):
         embed_radial(d, np.zeros(2))
+
+
+CHAMBER_CASES = [
+    ("aiii", 2, 1), ("aiii", 2, 2), ("aiii", 4, 3), ("bdi", 1, 1), ("bdi", 3, 1),
+    ("bdi", 2, 2), ("bdi", 3, 3), ("cii", 3, 2), ("ai", 0, 4), ("a2", 0, 3),
+    ("aii", 0, 3), ("diii", 0, 4), ("diii", 0, 7), ("ci", 0, 1), ("ci", 0, 3),
+]
+
+
+def chamber_probes(d, rng, tol):
+    """Points in, on and off the chamber: small-integer lattice points (many
+    on walls), the same sorted and with absolute values, each pushed off by
+    up to 3 tol per coordinate, Gaussian points and radial samples."""
+    r = d.real_rank
+    lattice = rng.integers(-3, 4, size=(200, r)).astype(float)
+    descending = -np.sort(-lattice, axis=1)
+    lattice = np.concatenate([lattice, descending, -np.sort(-np.abs(lattice), axis=1)])
+    scale = rng.choice([0.3, 1.0, 3.0], size=(len(lattice), 1))
+    nudge = tol * scale * rng.integers(-1, 2, size=lattice.shape)
+    gauss = rng.standard_normal((200, r))
+    return np.concatenate([lattice, lattice + nudge, gauss, -np.sort(-np.abs(gauss), axis=1),
+                           sample_radial_batch(d, 64, seed=17)])
+
+
+@pytest.mark.parametrize("tol", [1e-12, 0.0])
+@pytest.mark.parametrize("case", CHAMBER_CASES)
+def test_chamber_contains_matches_kind_by_kind_reference(case, tol):
+    # alpha(q) >= -tol over every positive root against the per-kind
+    # inequalities; they can part only where some |alpha(q)| lies in
+    # (0, 2 rank tol]: each per-kind inequality is a simple root or, where
+    # 2 e_i is the only root on e_i, half of one
+    d = make_space(*case)
+    coeffs, _ = reference_root_table(d)
+    band = 2 * d.real_rank * tol
+    agree = on_wall = inside = 0
+    for q in chamber_probes(d, np.random.default_rng(4242), tol):
+        vals = coeffs @ q
+        if not np.all((vals == 0) | (np.abs(vals) > band)):
+            continue
+        want = reference_chamber_contains(d, q, tol)
+        assert chamber_contains(d, q, tol) == want, q
+        agree += 1
+        inside += want
+        on_wall += want and bool(np.any(vals == 0))
+    assert agree >= 600 and inside >= 100
+    if len(coeffs):  # bdi(1,1) has no roots: its chamber is the whole line
+        assert agree - inside >= 100 and on_wall >= 20
+
+
+def test_chamber_contains_tolerance_band_and_malformed_q():
+    d = make_space("aiii", 2, 2)
+    q = np.array([1.0, -7e-13])
+    # the per-kind test reads q_2 >= -tol; the long root 2 e_2 reads -1.4e-12
+    assert reference_chamber_contains(d, q, tol=1e-12)
+    assert not chamber_contains(d, q, tol=1e-12)
+    assert chamber_contains(d, q, tol=2e-12)
+    for bad in ([1.0], [1.0, 0.5, 0.2], [[1.0, 0.5]], [np.nan, 0.5], [np.inf, 0.5]):
+        assert chamber_contains(d, bad) is False
 
 
 @pytest.mark.parametrize("case", DECOMPOSE_CASES)

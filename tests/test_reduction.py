@@ -19,7 +19,7 @@ from cartanflow import (
 from cartanflow.linalg import frobenius
 from cartanflow.radial import SliceCoords, embed_radial
 from cartanflow.reduction import _ratio_spread, random_chamber_point
-from cartanflow.spaces import RestrictedRoot, geometry
+from cartanflow.spaces import RestrictedRoot, geometry, root_values, wall_distance
 
 from conftest import REPRESENTATIVES, dense_aperp_basis, parameter_grid
 
@@ -225,3 +225,13 @@ def test_jacobian_density_matches_dense_gram_oracle(case):
         gram = (imgs.conj() @ imgs.T).real
         oracle = float(np.sqrt(np.linalg.det(gram)))
         assert jacobian_density(d, q) == pytest.approx(oracle, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [[1.0, 0.5, 0.2], [[1.0, 0.5]], [np.nan, 0.5], [0.5, np.inf]])
+@pytest.mark.parametrize(
+    "entry",
+    [jacobian_density, closed_form_density, root_values, wall_distance, a_q_matrix, embed_radial],
+)
+def test_q_taking_entry_points_reject_malformed_q(entry, bad):
+    with pytest.raises(ContractViolation, match="radial vector"):
+        entry(make_space("aiii", 3, 2), bad)

@@ -18,10 +18,24 @@ from cartanflow import (
 )
 from cartanflow.radial import radial_coords_batch
 from cartanflow.reduction import random_chamber_point
+from cartanflow.linalg import ConsistencyError
 from cartanflow.sampling import _chamber_integral, _unnormalized, theoretical_radial_cdf
-from cartanflow.spaces import _spectral_block, check_p_membership, geometry, random_k_element
+from cartanflow.spaces import (
+    _root_system,
+    _spectral_block,
+    check_p_membership,
+    geometry,
+    random_k_element,
+)
 
-from conftest import REPRESENTATIVES, parameter_grid
+from conftest import (
+    REPRESENTATIVES,
+    parameter_grid,
+    reference_chamber_integral,
+    reference_root_families,
+    reference_root_table,
+    root_system_grid,
+)
 
 KS_CASES = [("aiii", 2, 1), ("bdi", 2, 1), ("ai", 0, 2), ("a2", 0, 2)]
 
@@ -211,18 +225,32 @@ def test_theoretical_density_beyond_rank_four(case, rng):
 
 
 def test_chamber_integral_rejects_unexpected_shape(monkeypatch):
-    # a non-scalar Gram matrix, or a root family with two multiplicities
-    from cartanflow.linalg import ConsistencyError
-
+    # a non-scalar Gram matrix
     d = make_space("ci", 0, 2)
-    geo = geometry(d)
-    coeffs, mults = geo.root_table
-    bad_gram = np.array([[2.0, 0.1], [0.1, 2.0]])
-    for name, value in [("gram", bad_gram), ("root_table", (coeffs, mults + np.eye(4)[0]))]:
-        with monkeypatch.context() as patch:
-            patch.setattr(geo, name, value)
-            with pytest.raises(ConsistencyError):
-                _chamber_integral(d)
+    monkeypatch.setattr(geometry(d), "gram", np.array([[2.0, 0.1], [0.1, 2.0]]))
+    with pytest.raises(ConsistencyError):
+        _chamber_integral(d)
+
+
+@pytest.mark.parametrize("case", root_system_grid())
+def test_chamber_integral_matches_family_decode_reference(case):
+    d = make_space(*case)
+    assert _chamber_integral(d).hex() == reference_chamber_integral(d).hex()
+
+
+@pytest.mark.parametrize("case", root_system_grid())
+def test_family_decode_of_reference_table_gives_root_system(case):
+    # _chamber_integral reads beta, s, l from _root_system; the decode of the
+    # per-kind table it ran before must find the same numbers (beta only
+    # where e_i +- e_j exist, at rank >= 2)
+    d = make_space(*case)
+    a_type, beta, s, ell = _root_system(d)
+    decoded = reference_root_families(d, *reference_root_table(d))
+    if a_type == "A":
+        assert decoded == {(0, 0): beta}
+    else:
+        want = {(2, 1): beta if d.real_rank >= 2 else 0, (1, 1): s, (1, 2): ell}
+        assert decoded == {family: mult for family, mult in want.items() if mult}
 
 
 def test_import_does_not_load_scipy_integrate():

@@ -29,8 +29,14 @@ from conftest import (
     _gram_schmidt,
     parameter_grid,
     reference_check_k_group_membership,
+    reference_gram,
+    reference_has_sign_flip_weyl,
     reference_project,
     reference_relations,
+    reference_restricted_roots,
+    reference_root_table,
+    reference_trace_constrained,
+    root_system_grid,
 )
 
 
@@ -195,6 +201,29 @@ def test_root_tables_match_numeric_oracle(case):
     numeric = {r.coeffs: r.multiplicity for r in numeric_roots(d)}
     assert table == numeric
     assert sum(table.values()) == d.dim_p - d.real_rank
+
+
+@pytest.mark.parametrize("case", root_system_grid())
+def test_root_system_matches_kind_by_kind_reference(case):
+    # the table generated from (type, beta, s, l) against the per-kind loops
+    d = make_space(*case)
+    roots = restricted_roots(d)
+    assert roots == reference_restricted_roots(d)
+    assert all(type(x) is int for r in roots for x in (*r.coeffs, r.multiplicity))
+    coeffs, mults = geometry(d).root_table
+    want_coeffs, want_mults = reference_root_table(d)
+    assert coeffs.shape == want_coeffs.shape and coeffs.tobytes() == want_coeffs.tobytes()
+    assert mults.tobytes() == want_mults.tobytes()
+    assert d.has_sign_flip_weyl == reference_has_sign_flip_weyl(d)
+    assert d.trace_constrained == reference_trace_constrained(d)
+
+
+def test_gram_matches_generator_by_generator_loop():
+    # sums of small integers: one stacked einsum cannot move a bit
+    for case in root_system_grid():
+        d = make_space(*case)
+        G = geometry(d).gram
+        assert G.flags.c_contiguous and G.tobytes() == reference_gram(d).tobytes(), case
 
 
 def test_specific_root_tables():
