@@ -2,9 +2,10 @@
 
 Subcommands: ``spaces``, ``decompose``, ``density``, ``sample``, ``flow``,
 ``verify-density``.  Structured single results are JSON, series are CSV
-with a ``#`` metadata header.  Exit codes: 0 success, 2 validation error,
-3 numerical-consistency failure.  All file output is atomic (temp file +
-rename), and every seeded subcommand is bit-reproducible.
+with a ``#`` metadata header.  Exit codes: 0 success, 1 closed output
+pipe, 2 validation error, 3 numerical-consistency failure.  All file
+output is atomic (temp file + rename), and every seeded subcommand is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -372,7 +373,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ContractViolation(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, inside the try
+        return code
+    except BrokenPipeError:
+        # the reader went away (`| head`): point stdout at devnull so the
+        # flush at exit cannot fail again, and exit 1 as Python does on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ContractViolation as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ of the radial image of any K-invariant measure on p.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,7 +21,6 @@ import numpy as np
 from .linalg import ConsistencyError, ContractViolation, commutator
 from .radial import WALL_TOL, SliceCoords
 from .spaces import (
-    RestrictedRoot,
     SpaceDescriptor,
     _radial_vector,
     check_p_membership,
@@ -115,26 +115,24 @@ def _root_product(coeffs: np.ndarray, mults: np.ndarray, q: np.ndarray) -> float
     return float(np.prod(np.abs(coeffs @ q) ** mults))
 
 
-def closed_form_density(
-    d: SpaceDescriptor, q, roots: list[RestrictedRoot] | None = None
-) -> float:
+def _kappa(d: SpaceDescriptor) -> float:
+    """The constant factor of ``closed_form_density``."""
+    return 0.5**d.real_rank if d.kind == "aiii" else 1.0
+
+
+def closed_form_density(d: SpaceDescriptor, q) -> float:
     """Closed-form slice density: kappa * prod |alpha(q)|^mult(alpha).
 
     kappa = 2^-rank for su(m,n), whose classical expression
     prod q_i^(2(m-n)+1) * prod (q_i^2-q_j^2)^2 leaves out the factor 2 of
     each long root 2 q_i; kappa = 1 for every other class (the classical
     so(m,n) expression is already the root product, its long roots having
-    multiplicity 0).  ``roots`` overrides the multiplicity table (used by
-    consistency checks).
+    multiplicity 0).  jacobian_density is 1/kappa times this, as
+    ``density_constant`` checks.
     """
     q = _radial_vector(d, q)
-    if roots is None:
-        coeffs, mults = geometry(d).root_table
-    else:
-        coeffs = np.array([r.coeffs for r in roots], dtype=float).reshape(len(roots), len(q))
-        mults = np.array([r.multiplicity for r in roots])
-    kappa = 0.5**d.real_rank if d.kind == "aiii" else 1.0
-    return kappa * _root_product(coeffs, mults, q)
+    coeffs, mults = geometry(d).root_table
+    return _kappa(d) * _root_product(coeffs, mults, q)
 
 
 def random_chamber_point(
@@ -155,44 +153,35 @@ def random_chamber_point(
     raise ConsistencyError("could not sample a chamber point away from the walls")
 
 
-def _ratio_spread(
-    d: SpaceDescriptor,
-    roots: list[RestrictedRoot] | None,
-    samples: int,
-    seed: int,
-) -> tuple[float, float]:
-    """(mean ratio, relative spread) of jacobian/closed over random points."""
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(samples):
-        q = random_chamber_point(d, rng)
-        closed = closed_form_density(d, q, roots=roots)
-        if closed <= 0:
-            continue
-        ratios.append(jacobian_density(d, q) / closed)
-    ratios = np.array(ratios)
-    mean = float(np.mean(ratios))
-    spread = float((np.max(ratios) - np.min(ratios)) / abs(mean))
-    return mean, spread
-
-
-# the seeded chamber points of density_constant and the constancy it requires
-_RATIO_SAMPLES, _RATIO_SEED, _RATIO_RTOL = 100, 715, 1e-8
+def _check_root_multiset(
+    C: np.ndarray, e: np.ndarray, coeffs: np.ndarray, mults: np.ndarray, label: str
+) -> None:
+    """Raise unless the rows of C, each signed to be positive at e, are the
+    rows of ``coeffs`` repeated by ``mults``.  Every root has |alpha(e)| >= 1,
+    so the sign of a row is never in doubt."""
+    rows = Counter(map(tuple, (C * np.sign(C @ e)[:, None]).tolist()))
+    roots = Counter(map(tuple, np.repeat(coeffs, mults.astype(int), axis=0).tolist()))
+    if rows != roots:
+        raise ConsistencyError(
+            f"{label}: {sum((rows - roots).values())} bracket rows and "
+            f"{sum((roots - rows).values())} roots counted by multiplicity have no "
+            "partner; multiplicity table inconsistent"
+        )
 
 
 @lru_cache(maxsize=None)
 def density_constant(d: SpaceDescriptor) -> float:
-    """The q-independent ratio jacobian_density / closed_form_density.
+    """The ratio jacobian_density / closed_form_density, exactly 1/kappa.
 
-    Estimated at ``_RATIO_SAMPLES`` seeded random chamber points and
-    required to be constant to ``_RATIO_RTOL``; a non-constant ratio
-    signals a wrong multiplicity table and raises ``ConsistencyError``.
-    Memoized per descriptor (a failure is not cached).
+    jacobian_density is prod |C q| over the rows of the bracket
+    coefficients C, and closed_form_density is kappa times
+    prod |alpha(q)|^mult(alpha).  The two products are the same polynomial
+    when the rows of C, up to sign, are the positive roots, each repeated
+    by its multiplicity (the polar-coordinates Jacobian on p; Helgason,
+    Groups and Geometric Analysis, ch. I sec. 5).  That multiset identity is
+    checked exactly; a mismatch means a wrong multiplicity table and raises
+    ``ConsistencyError``.  Memoized per descriptor (a failure is not cached).
     """
-    mean, spread = _ratio_spread(d, None, _RATIO_SAMPLES, _RATIO_SEED)
-    if not np.isfinite(mean) or spread > _RATIO_RTOL:
-        raise ConsistencyError(
-            f"{d.label()}: jacobian/closed density ratio varies by {spread:.3e} "
-            f"(> {_RATIO_RTOL:.1e}); multiplicity table inconsistent"
-        )
-    return mean
+    geo = geometry(d)
+    _check_root_multiset(geo.bracket_coeffs, geo.e_coords, *geo.root_table, d.label())
+    return 1.0 / _kappa(d)

@@ -267,9 +267,11 @@ def verify_density(
 ) -> dict:
     """Bundle of the density cross-checks used by the CLI.
 
-    Always verifies that the numeric and closed-form densities agree up to
-    a constant; for rank-1 classes additionally runs the Monte Carlo
-    Kolmogorov-Smirnov comparison against the normalized density.
+    Always checks, exactly, that the numeric density is the closed form
+    times ``density_constant`` (the bracket rows of C are the positive
+    roots repeated by multiplicity); for rank-1 classes additionally runs
+    the Monte Carlo Kolmogorov-Smirnov comparison against the normalized
+    density.
     """
     result: dict = {"space": d.label(), "count": count, "bins": bins, "seed": seed}
     try:

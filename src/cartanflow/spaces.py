@@ -232,10 +232,13 @@ def _cii_j(d: SpaceDescriptor) -> np.ndarray:
     return J.astype(complex)
 
 
+@lru_cache(maxsize=None)
 def _quaternionic_j(d: SpaceDescriptor) -> np.ndarray:
-    if d.kind == "cii":
-        return _cii_j(d)
-    return _plain_j(d.n)  # aii
+    """The quaternionic structure of cii or aii, read-only.  Built once per
+    descriptor."""
+    J = _cii_j(d) if d.kind == "cii" else _plain_j(d.n)  # aii
+    J.flags.writeable = False
+    return J
 
 
 def _sym_form(d: SpaceDescriptor) -> np.ndarray:

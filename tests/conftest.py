@@ -5,11 +5,13 @@ import pytest
 
 from cartanflow import make_space
 from cartanflow.linalg import ConsistencyError, ContractViolation, as_cmat, commutator, frobenius
+from cartanflow.reduction import _root_product, jacobian_density, random_chamber_point
 from cartanflow.spaces import (
     _GS_TOL,
     RestrictedRoot,
     SpaceDescriptor,
     _quaternionic_j,
+    _radial_vector,
     _sym_form,
     _vec_rows,
     geometry,
@@ -467,3 +469,56 @@ def reference_chamber_integral(d: SpaceDescriptor) -> float:
         if not reference_has_sign_flip_weyl(d):
             log_z += math.log(2)  # so(n,n): the last coordinate takes either sign
     return math.exp(log_z)
+
+
+# ---------------------------------------------------------------------------
+# the Monte Carlo estimate of the density constant, kept verbatim from the
+# code before ``reduction.density_constant`` became an exact multiset check
+# (only renamed; the ``roots`` override of the closed form lives here now)
+
+# the eight spaces of the perfbench geometry-cold workload
+GEOMETRY_COLD = [
+    ("aiii", 8, 8),
+    ("diii", 0, 8),
+    ("cii", 4, 3),
+    ("ci", 0, 6),
+    ("aii", 0, 6),
+    ("ai", 0, 8),
+    ("aiii", 3, 2),
+    ("bdi", 3, 3),
+]
+
+
+def reference_closed_form_density(
+    d: SpaceDescriptor, q, roots: list[RestrictedRoot] | None = None
+) -> float:
+    """kappa * prod |alpha(q)|^mult(alpha); ``roots`` overrides the table."""
+    q = _radial_vector(d, q)
+    if roots is None:
+        coeffs, mults = geometry(d).root_table
+    else:
+        coeffs = np.array([r.coeffs for r in roots], dtype=float).reshape(len(roots), len(q))
+        mults = np.array([r.multiplicity for r in roots])
+    kappa = 0.5**d.real_rank if d.kind == "aiii" else 1.0
+    return kappa * _root_product(coeffs, mults, q)
+
+
+def reference_ratio_spread(
+    d: SpaceDescriptor,
+    roots: list[RestrictedRoot] | None,
+    samples: int,
+    seed: int,
+) -> tuple[float, float]:
+    """(mean ratio, relative spread) of jacobian/closed over random points."""
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(samples):
+        q = random_chamber_point(d, rng)
+        closed = reference_closed_form_density(d, q, roots=roots)
+        if closed <= 0:
+            continue
+        ratios.append(jacobian_density(d, q) / closed)
+    ratios = np.array(ratios)
+    mean = float(np.mean(ratios))
+    spread = float((np.max(ratios) - np.min(ratios)) / abs(mean))
+    return mean, spread

@@ -14,6 +14,7 @@ dimension, measured as a numeric commutator rank.
 import time
 
 import numpy as np
+import pytest
 
 from cartanflow import (
     commutator,
@@ -33,18 +34,23 @@ from cartanflow import (
     verify_density,
 )
 from cartanflow.dynamics import PhasePoint
-from cartanflow.linalg import frobenius
+from cartanflow.linalg import ConsistencyError, frobenius
 from cartanflow.radial import (
     SliceCoords,
     exact_slice_constraint_count,
     exact_slice_reduce,
     slice_contains,
 )
-from cartanflow.reduction import _ratio_spread, a_q_matrix, random_chamber_point
+from cartanflow.reduction import _check_root_multiset, a_q_matrix, random_chamber_point
 from cartanflow.sampling import sample_radial_batch
 from cartanflow.spaces import RestrictedRoot, geometry
 
-from conftest import REPRESENTATIVES, centralizer_orbit_dimension, parameter_grid
+from conftest import (
+    REPRESENTATIVES,
+    centralizer_orbit_dimension,
+    parameter_grid,
+    reference_ratio_spread,
+)
 
 GRID = parameter_grid(4)
 
@@ -107,17 +113,23 @@ DENSITY_CASES = [
 def test_criterion_3_density_identity():
     for case in DENSITY_CASES:
         d = make_space(*case)
-        _, spread = _ratio_spread(d, None, samples=100, seed=715)
+        _, spread = reference_ratio_spread(d, None, samples=100, seed=715)
         assert spread <= 1e-8, f"{d.label()}: ratio spread {spread:.2e}"
         c = density_constant(d)
         assert c > 0
-    # negative control: a corrupted multiplicity table must fail
+    # negative control: a corrupted multiplicity table must fail, both the
+    # exact multiset check and the reference Monte Carlo
     d = make_space("aiii", 3, 2)
     corrupted = [
         RestrictedRoot(r.coeffs, r.multiplicity + (1 if i == 0 else 0))
         for i, r in enumerate(restricted_roots(d))
     ]
-    _, spread = _ratio_spread(d, corrupted, samples=100, seed=715)
+    geo = geometry(d)
+    coeffs = np.array([r.coeffs for r in corrupted], dtype=float)
+    mults = np.array([r.multiplicity for r in corrupted], dtype=float)
+    with pytest.raises(ConsistencyError, match="multiplicity table inconsistent$"):
+        _check_root_multiset(geo.bracket_coeffs, geo.e_coords, coeffs, mults, d.label())
+    _, spread = reference_ratio_spread(d, corrupted, samples=100, seed=715)
     assert spread > 1e-8
     print(f"\n[criterion 3] PASS density identity on {len(DENSITY_CASES)} cases + negative control")
 

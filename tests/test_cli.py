@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -277,3 +279,30 @@ def test_negative_seed_is_a_validation_error(capsys, command):
         capsys, command, "--class", "aiii", "--m", "2", "--n", "1", "--seed", "-1"
     )
     assert code == 2 and out == "" and "--seed" in err
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away, backed by a real descriptor."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+def test_closed_stdout_pipe_exits_1_silently(capsys, monkeypatch, tmp_path):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        code = main(["spaces", "list", "--format", "json"])
+        os.write(fd, b"late flush")  # the descriptor now points at devnull
+    finally:
+        os.close(fd)
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "stdout").read_bytes() == b""

@@ -21,7 +21,7 @@ from cartanflow.radial import (
     radial_coords_batch,
 )
 from cartanflow.sampling import sample_radial_batch
-from cartanflow.spaces import check_k_group_membership, geometry
+from cartanflow.spaces import _quaternionic_j, check_k_group_membership, geometry
 
 from conftest import (
     REPRESENTATIVES,
@@ -399,3 +399,17 @@ def test_constraint_counts_match_orbit_dimensions():
     for case in SLICE_CASES + [("bdi", 4, 1), ("bdi", 5, 1), ("bdi", 6, 2), ("bdi", 6, 3)]:
         d = make_space(*case)
         assert exact_slice_constraint_count(d) == centralizer_orbit_dimension(d), d.label()
+
+
+@pytest.mark.parametrize("case", [("cii", 4, 3), ("aii", 0, 6)])
+def test_quaternionic_j_is_cached_read_only_and_decompositions_unchanged(case, monkeypatch):
+    import cartanflow.radial as radial
+
+    d = make_space(*case)
+    J = _quaternionic_j(d)
+    assert _quaternionic_j(d) is J and not J.flags.writeable
+    X = random_p_element(d, np.random.default_rng(31))
+    q, k = radial_decompose(d, X)
+    monkeypatch.setattr(radial, "_quaternionic_j", _quaternionic_j.__wrapped__)
+    q0, k0 = radial_decompose(d, X)
+    assert q.tobytes() == q0.tobytes() and k.tobytes() == k0.tobytes()

@@ -16,12 +16,18 @@ from cartanflow import (
     restricted_roots,
     trace_form,
 )
-from cartanflow.linalg import frobenius
+from cartanflow.linalg import ConsistencyError, frobenius
 from cartanflow.radial import SliceCoords, embed_radial
-from cartanflow.reduction import _ratio_spread, random_chamber_point
-from cartanflow.spaces import RestrictedRoot, geometry, root_values, wall_distance
+from cartanflow.reduction import _check_root_multiset, random_chamber_point
+from cartanflow.spaces import geometry, root_values, wall_distance
 
-from conftest import REPRESENTATIVES, dense_aperp_basis, parameter_grid
+from conftest import (
+    GEOMETRY_COLD,
+    REPRESENTATIVES,
+    dense_aperp_basis,
+    parameter_grid,
+    reference_ratio_spread,
+)
 
 
 def random_aperp(d, rng):
@@ -165,24 +171,30 @@ def test_closed_form_weyl_invariance(case, rng):
             assert closed_form_density(d, q3) == pytest.approx(val, rel=1e-9)
 
 
-@pytest.mark.parametrize("case", REPRESENTATIVES)
+@pytest.mark.parametrize("case", list(dict.fromkeys(parameter_grid(4) + GEOMETRY_COLD)))
 def test_density_constant_is_constant(case):
+    # exact, and equal to the reference Monte Carlo mean over seeded points
     d = make_space(*case)
     c = density_constant(d)
-    assert c > 0
-    expected = {"aiii": 2.0 ** d.n, "bdi": 1.0}.get(d.kind, 1.0)
-    assert c == pytest.approx(expected, rel=1e-8)
+    assert c == (2.0 ** d.real_rank if d.kind == "aiii" else 1.0)
+    mean, _ = reference_ratio_spread(d, None, samples=100, seed=715)
+    assert c == pytest.approx(mean, rel=1e-8)
 
 
 def test_density_constant_negative_control():
-    d = make_space("aiii", 3, 2)
-    roots = restricted_roots(d)
-    corrupted = [
-        RestrictedRoot(r.coeffs, r.multiplicity + (1 if i == 0 else 0))
-        for i, r in enumerate(roots)
-    ]
-    _, spread = _ratio_spread(d, corrupted, samples=50, seed=715)
-    assert spread > 1e-3  # far beyond the 1e-8 constancy requirement
+    # the exact check on a corrupted table: one multiplicity raised by one,
+    # then one coefficient of the first root changed
+    geo = geometry(make_space("aiii", 3, 2))
+    C, e = geo.bracket_coeffs, geo.e_coords
+    coeffs, mults = geo.root_table
+    _check_root_multiset(C, e, coeffs, mults, "aiii(3,2)")
+    bumped = mults.copy()
+    bumped[0] += 1
+    changed = coeffs.copy()
+    changed[0, 0] += 1
+    for table in [(coeffs, bumped), (changed, mults)]:
+        with pytest.raises(ConsistencyError, match="multiplicity table inconsistent$"):
+            _check_root_multiset(C, e, *table, "aiii(3,2)")
 
 
 def test_jacobian_matches_finite_difference(rng):
