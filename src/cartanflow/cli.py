@@ -273,20 +273,26 @@ def _cmd_flow(args) -> int:
     )
     if deviations is not None:
         header.append("deviation")
-    rows = []
-    for idx, t in enumerate(traj.times):
-        row = [f"{t:.12g}"]
-        row += [f"{v:.12g}" for v in traj.states[idx].q]
-        row.append(f"{traj.energies[idx]:.12g}")
-        row += [f"{v:.12g}" for v in traj.l_spectra[idx]]
-        if deviations is not None:
-            row.append(f"{deviations[idx]:.6e}" if idx < len(deviations) else "")
-        rows.append(row)
+    q = np.array([s.q for s in traj.states])
+    table = np.column_stack([traj.times, q, traj.energies, traj.l_spectra])
+    body = _flow_rows(table, deviations)
     meta = _meta(d, seed=args.seed, t_max=args.t_max, steps=args.steps)
     if traj.aborted:
         meta["aborted"] = traj.aborted
-    _emit(_csv_text(meta, header, rows), args.out)
+    _emit(_csv_text(meta, header, ()) + body, args.out)
     return 0
+
+
+def _flow_rows(table: np.ndarray, deviations: np.ndarray | None) -> str:
+    """The CSV rows of a flow table as ``csv.writer`` writes them, each
+    from one row template: every cell as %.12g, then, with ``deviations``,
+    the oracle deviation as %.6e, blank on rows past the last deviation."""
+    line = ",".join(["%.12g"] * table.shape[1])
+    rows = [line % row for row in map(tuple, table.tolist())]
+    if deviations is not None:
+        cells = ["," + "%.6e" % dev for dev in deviations.tolist()]
+        rows = [r + c for r, c in zip(rows, cells + [","] * (len(rows) - len(cells)))]
+    return "".join(r + "\r\n" for r in rows)
 
 
 def _cmd_verify_density(args) -> int:

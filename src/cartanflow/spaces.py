@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -512,14 +513,26 @@ def _orthonormalize(stack: np.ndarray, tol: float = _GS_TOL) -> np.ndarray:
     and its negative on anti-Hermitians).  Each candidate is projected off
     the whole kept stack with one matrix-vector product per pass, in two
     passes ("twice is enough": Giraud, Langou and Rozloznik, 2005); members
-    left with norm at most ``tol`` are dependent and dropped."""
+    left with norm at most ``tol`` are dependent and dropped.
+
+    A candidate that shares no nonzero entry with any earlier candidate is
+    only normalized: every kept row lies in the span of earlier candidates,
+    so its projections would be sums of exact zeros.  The support test is
+    made once for the whole stack, from the columns that the rows before
+    each candidate touch.  Every other candidate pays both passes against
+    all kept rows."""
     rows = _vec_rows(stack)
     rows = rows[rows.any(axis=1)]  # exact zeros stay zero: drop them up front
+    support = rows != 0
+    seen = np.zeros_like(support)  # seen[r]: the columns some row before r touches
+    np.logical_or.accumulate(support[:-1], axis=0, out=seen[1:])
+    fresh = ~(support & seen).any(axis=1)
     kept = np.empty_like(rows)
     k = 0
-    for v in rows:
-        for _ in range(2):
-            v = v - kept[:k].T @ (kept[:k] @ v)
+    for v, alone in zip(rows, fresh.tolist()):
+        if not alone:
+            for _ in range(2):
+                v = v - kept[:k].T @ (kept[:k] @ v)
         nrm = np.linalg.norm(v)
         if nrm > tol:
             kept[k] = v / nrm
@@ -796,16 +809,16 @@ def basis_of(d: SpaceDescriptor, which: str) -> list[np.ndarray]:
     """
     geo = geometry(d)
     table = {
-        "k": lambda: geo.k_basis,
-        "p": lambda: geo.p_basis,
-        "a": lambda: geo.a_basis,
-        "a_perp": lambda: geo.a_perp_basis,
-        "m_centralizer": lambda: geo.m_basis,
-        "zk_perp": lambda: geo.zk_perp_basis,
+        "k": lambda: geo._k_stack,
+        "p": lambda: geo._p_stack,
+        "a": lambda: geo._a_stack,
+        "a_perp": lambda: geo._root_split[2],
+        "m_centralizer": lambda: geo._root_split[0],
+        "zk_perp": lambda: geo._root_split[1],
     }
     if which not in table:
         raise ContractViolation(f"unknown subspace selector {which!r}")
-    return [M.copy() for M in table[which]()]
+    return list(table[which]().copy())  # one copy of the cached stack, detached from it
 
 
 # ---------------------------------------------------------------------------
@@ -815,41 +828,56 @@ def basis_of(d: SpaceDescriptor, which: str) -> list[np.ndarray]:
 def numeric_roots(d: SpaceDescriptor, seed: int = _ROOT_SEED) -> list[RestrictedRoot]:
     """Recover the restricted roots from the bracket geometry alone.
 
-    Reruns the root step on zk-perp at its own seeded generic g, measures
-    on each eigenvector the diagonal alpha(E)*alpha_i of ad(H(E)) o ad(H_i)
-    and its residual, and fits integer coefficient vectors.  Serves as an
-    independent oracle for the tabulated roots.
+    Reruns the root step on zk-perp at its own seeded generic g and fits
+    integer roots to the eigenvectors it finds (``_fit_roots``).  Serves as
+    an independent oracle for the tabulated roots.
     """
     geo = geometry(d)
     Z = geo._zk_stack
+    He = geo.embed_radial(geo.e_coords)
+    Hg = geo.embed_radial(_generic_point(d.real_rank, seed))
+    return _fit_roots(d, Z, _root_step(Z, He, Hg))
+
+
+def _fit_roots(d: SpaceDescriptor, Z: np.ndarray, vecs: np.ndarray) -> list[RestrictedRoot]:
+    """Positive roots with multiplicities of the vectors sum_j v_j Z_j, one
+    per column v of ``vecs``; ConsistencyError at the first column that is
+    no root vector.
+
+    A_i = <ad(H(E)) Z_j, ad(H_i) Z_k> should have each v as an eigenvector
+    with eigenvalue w_i = alpha(E) alpha_i, so that w / alpha(E), with
+    alpha(E)^2 = w.E, is an integer vector.  All columns are measured
+    together, one generator at a time: one product A_i V, its diagonal
+    V^T A_i V and its residual columns A_i v - w_i v, whose norms keep a
+    running maximum.  Holding every A_i V at once would raise the peak
+    memory.
+    """
+    geo = geometry(d)
     e = geo.e_coords
-    He = geo.embed_radial(e)
-    vecs = _root_step(Z, He, geo.embed_radial(_generic_point(d.real_rank, seed)))
-    Ve = _ad_rows(Z, He)
-    A_i = [Ve @ _ad_rows(Z, Hi).T for Hi in geo.a_embed]
-    found: dict[tuple[int, ...], int] = {}
-    for idx, v in enumerate(vecs.T):
-        w = np.array([v @ (A @ v) for A in A_i])
-        resid = max(np.linalg.norm(A @ v - wi * v) for A, wi in zip(A_i, w))
-        s2 = float(np.dot(w, e))
-        if s2 <= 0:
+    Ve = _ad_rows(Z, geo.embed_radial(e))
+    w = np.empty((vecs.shape[1], d.real_rank))
+    resid = np.zeros(vecs.shape[1])
+    for i, Hi in enumerate(geo.a_embed):
+        AV = (Ve @ _ad_rows(Z, Hi).T) @ vecs
+        w[:, i] = np.einsum("jk,jk->k", vecs, AV)
+        resid = np.maximum(resid, np.linalg.norm(AV - vecs * w[:, i], axis=0))
+    s2 = w @ e
+    c = w / np.sqrt(np.where(s2 > 0, s2, 1.0))[:, None]
+    c_int = np.rint(c)
+    fit = np.maximum(resid, np.max(np.abs(c - c_int), axis=1))
+    bad = np.flatnonzero((s2 <= 0) | (fit > 1e-6))
+    if bad.size:
+        idx = bad[0]
+        if s2[idx] <= 0:
             raise ConsistencyError(
-                f"{d.label()}: eigenvector {idx} has nonpositive alpha(E)^2 = {s2:.3e}"
+                f"{d.label()}: eigenvector {idx} has nonpositive alpha(E)^2 = {s2[idx]:.3e}"
             )
-        c = w / np.sqrt(s2)
-        c_int = np.rint(c)
-        fit = max(resid, float(np.max(np.abs(c - c_int))))
-        if fit > 1e-6:
-            raise ConsistencyError(
-                f"{d.label()}: root fit residual {fit:.3e} exceeds 1e-6 for eigenvector {idx}"
-            )
-        if np.dot(c_int, e) < 0:
-            c_int = -c_int
-        key = tuple(int(x) for x in c_int)
-        found[key] = found.get(key, 0) + 1
-    roots = [RestrictedRoot(c, mult) for c, mult in found.items()]
-    roots.sort(key=lambda r: r.coeffs)
-    return roots
+        raise ConsistencyError(
+            f"{d.label()}: root fit residual {fit[idx]:.3e} exceeds 1e-6 for eigenvector {idx}"
+        )
+    c_int[c_int @ e < 0] *= -1
+    found = Counter(map(tuple, c_int.astype(int).tolist()))
+    return sorted((RestrictedRoot(c, mult) for c, mult in found.items()), key=lambda r: r.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from cartanflow.spaces import (
     _GS_TOL,
     RestrictedRoot,
     SpaceDescriptor,
+    _ad_rows,
     _quaternionic_j,
     _radial_vector,
     _sym_form,
@@ -522,3 +525,116 @@ def reference_ratio_spread(
     mean = float(np.mean(ratios))
     spread = float((np.max(ratios) - np.min(ratios)) / abs(mean))
     return mean, spread
+
+
+# ---------------------------------------------------------------------------
+# Gram-Schmidt that projects every candidate, and the root fit one
+# eigenvector at a time, kept verbatim (only renamed; the fit takes the
+# zk-perp stack and the eigenvector columns as arguments) from the code
+# before the support test and the batched fit, as their reference
+
+
+def reference_orthonormalize(stack: np.ndarray, tol: float = _GS_TOL) -> np.ndarray:
+    """Order-preserving Gram-Schmidt on a stack of matrices under the
+    Frobenius real inner product (which equals the trace form on Hermitians
+    and its negative on anti-Hermitians).  Each candidate is projected off
+    the whole kept stack with one matrix-vector product per pass, in two
+    passes ("twice is enough": Giraud, Langou and Rozloznik, 2005); members
+    left with norm at most ``tol`` are dependent and dropped."""
+    rows = _vec_rows(stack)
+    rows = rows[rows.any(axis=1)]  # exact zeros stay zero: drop them up front
+    kept = np.empty_like(rows)
+    k = 0
+    for v in rows:
+        for _ in range(2):
+            v = v - kept[:k].T @ (kept[:k] @ v)
+        nrm = np.linalg.norm(v)
+        if nrm > tol:
+            kept[k] = v / nrm
+            k += 1
+    half, side = rows.shape[1] // 2, stack.shape[-1]
+    return (kept[:k, :half] + 1j * kept[:k, half:]).reshape(k, side, side)
+
+
+def reference_numeric_roots(
+    d: SpaceDescriptor, Z: np.ndarray, vecs: np.ndarray
+) -> list[RestrictedRoot]:
+    """Integer roots of the columns of ``vecs`` (coordinates in the stack
+    Z), measured on each eigenvector in turn: the diagonal
+    alpha(E)*alpha_i of ad(H(E)) o ad(H_i) and its residual."""
+    geo = geometry(d)
+    e = geo.e_coords
+    He = geo.embed_radial(e)
+    Ve = _ad_rows(Z, He)
+    A_i = [Ve @ _ad_rows(Z, Hi).T for Hi in geo.a_embed]
+    found: dict[tuple[int, ...], int] = {}
+    for idx, v in enumerate(vecs.T):
+        w = np.array([v @ (A @ v) for A in A_i])
+        resid = max(np.linalg.norm(A @ v - wi * v) for A, wi in zip(A_i, w))
+        s2 = float(np.dot(w, e))
+        if s2 <= 0:
+            raise ConsistencyError(
+                f"{d.label()}: eigenvector {idx} has nonpositive alpha(E)^2 = {s2:.3e}"
+            )
+        c = w / np.sqrt(s2)
+        c_int = np.rint(c)
+        fit = max(resid, float(np.max(np.abs(c - c_int))))
+        if fit > 1e-6:
+            raise ConsistencyError(
+                f"{d.label()}: root fit residual {fit:.3e} exceeds 1e-6 for eigenvector {idx}"
+            )
+        if np.dot(c_int, e) < 0:
+            c_int = -c_int
+        key = tuple(int(x) for x in c_int)
+        found[key] = found.get(key, 0) + 1
+    roots = [RestrictedRoot(c, mult) for c, mult in found.items()]
+    roots.sort(key=lambda r: r.coeffs)
+    return roots
+
+
+
+# ---------------------------------------------------------------------------
+# the CSV formatting of ``cli._cmd_flow`` before its rows came from one
+# stacked array, kept verbatim (only renamed, with the csv writer of
+# ``cli._csv_text`` and the trajectory as arguments) as its reference
+
+
+def _reference_csv_text(meta: dict, header: list[str], rows) -> str:
+    buf = io.StringIO()
+    for k, v in meta.items():
+        buf.write(f"# {k}={v}\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def reference_flow_csv(d: SpaceDescriptor, args, traj, deviations) -> str:
+    """What ``cartanflow flow`` writes for ``traj`` and its oracle
+    ``deviations`` (None without --compare); ``args`` holds seed, t_max and
+    steps."""
+    from cartanflow.cli import _meta
+
+    nspec = traj.l_spectra.shape[1] if traj.l_spectra.size else d.ambient_dim
+    header = (
+        ["t"]
+        + [f"q_{i + 1}" for i in range(d.real_rank)]
+        + ["H"]
+        + [f"l_spec_{i + 1}" for i in range(nspec)]
+    )
+    if deviations is not None:
+        header.append("deviation")
+    rows = []
+    for idx, t in enumerate(traj.times):
+        row = [f"{t:.12g}"]
+        row += [f"{v:.12g}" for v in traj.states[idx].q]
+        row.append(f"{traj.energies[idx]:.12g}")
+        row += [f"{v:.12g}" for v in traj.l_spectra[idx]]
+        if deviations is not None:
+            row.append(f"{deviations[idx]:.6e}" if idx < len(deviations) else "")
+        rows.append(row)
+    meta = _meta(d, seed=args.seed, t_max=args.t_max, steps=args.steps)
+    if traj.aborted:
+        meta["aborted"] = traj.aborted
+    return _reference_csv_text(meta, header, rows)

@@ -4,11 +4,15 @@ import json
 import os
 import sys
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from cartanflow import make_space, sample_p_gaussian, save_matrix
 from cartanflow.cli import main
+
+from conftest import reference_flow_csv
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +166,51 @@ def test_flow_csv_with_compare(tmp_path, capsys):
     assert np.max(np.abs(energies - energies[0])) <= 1e-8 * max(1.0, abs(energies[0]))
     devs = np.array([float(r[-1]) for r in rows])
     assert devs.max() <= 1e-6
+
+
+# the seven spaces of the flow-oracle benchmark, one per radial route
+FLOW_SPACES = [("bdi", 3, 2), ("cii", 2, 1), ("ai", 0, 4), ("aii", 0, 3), ("diii", 0, 5),
+               ("ci", 0, 3), ("aiii", 5, 5)]
+
+
+@pytest.mark.parametrize("case", FLOW_SPACES)
+def test_flow_stdout_matches_value_by_value_formatter(capsys, case):
+    from cartanflow.dynamics import (
+        PhasePoint, compare_with_oracle, integrate_reduced, reduce_phase_point,
+    )
+
+    d = make_space(*case)
+    args = SimpleNamespace(seed=11, t_max=0.25, steps=250)
+    argv = ["flow", "--class", case[0], "--m", str(case[1]), "--n", str(case[2]),
+            "--seed", str(args.seed), "--t-max", "0.25", "--steps", "250"]
+    start = PhasePoint(sample_p_gaussian(d, args.seed), sample_p_gaussian(d, args.seed + 1))
+    report = compare_with_oracle(d, start, np.linspace(0.0, 0.25, 251), steps=250)
+    code, out, _ = run_cli(capsys, *argv, "--compare")
+    assert code == 0 and out == reference_flow_csv(d, args, report.trajectory, report.deviations)
+    traj = integrate_reduced(d, reduce_phase_point(d, start)[0], 0.25, 250)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == reference_flow_csv(d, args, traj, None)
+
+
+def test_flow_stdout_of_wall_aborted_run_matches_value_by_value_formatter(capsys, monkeypatch):
+    # a collision course that stops at a wall; the last rows get no
+    # deviation, so their cell stays blank
+    import cartanflow.dynamics as dynamics
+
+    d = make_space("ai", 0, 3)
+    state = dynamics.ReducedState(np.array([0.4, 0.0]), np.array([-0.8, 0.0]),
+                                  np.zeros((3, 3), complex))
+    traj = dynamics.integrate_reduced(d, state, 2.0, 200)
+    assert traj.aborted
+    devs = np.geomspace(1e-12, 1e-3, len(traj.times) - 3)
+    report = dynamics.OracleReport(traj.times[: len(devs)], devs, float(devs[-1]), traj,
+                                   traj.aborted)
+    monkeypatch.setattr(dynamics, "compare_with_oracle", lambda *a, **k: report)
+    code, out, _ = run_cli(capsys, "flow", "--class", "ai", "--n", "3", "--seed", "3",
+                           "--t-max", "2", "--steps", "200", "--compare")
+    args = SimpleNamespace(seed=3, t_max=2.0, steps=200)
+    assert code == 0 and out == reference_flow_csv(d, args, traj, devs)
+    assert "# aborted=" in out and out.endswith(",\r\n") and out.count(",\r\n") == 3
 
 
 def test_verify_density_cli(capsys):

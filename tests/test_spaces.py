@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cartanflow
+
 from cartanflow import (
+    ConsistencyError,
     ContractViolation,
     basis_of,
     commutator,
@@ -31,6 +39,8 @@ from conftest import (
     reference_check_k_group_membership,
     reference_gram,
     reference_has_sign_flip_weyl,
+    reference_numeric_roots,
+    reference_orthonormalize,
     reference_project,
     reference_relations,
     reference_restricted_roots,
@@ -306,6 +316,127 @@ def test_project_matches_kind_by_kind_reference_bitwise(case):
     for X, onto_p in ((units, True), (1j * units, False)):
         got = _project(d, X.copy(), onto_p)
         assert got.tobytes() == reference_project(d, X.copy(), onto_p).tobytes()
+
+
+def _built(geo) -> dict[str, np.ndarray]:
+    m, zk, ap, C = geo._root_split
+    return {"p": geo._p_stack, "k": geo._k_stack, "a": geo._a_stack, "m": m, "zk_perp": zk,
+            "a_perp": ap, "C": C, "block_rows": geo._block_rows}
+
+
+@pytest.mark.parametrize("case", BASIS_CASES)
+def test_bases_and_root_split_match_reference_gram_schmidt_bytewise(case, monkeypatch):
+    # a candidate whose support no earlier candidate touches skips only
+    # sums of exact zeros: not one byte of any output may move
+    d = make_space(*case)
+    monkeypatch.setattr(spaces, "_orthonormalize", reference_orthonormalize)
+    want = _built(spaces.SpaceGeometry(d))
+    monkeypatch.undo()
+    got = _built(spaces.SpaceGeometry(d))
+    for name, stack in got.items():
+        assert stack.shape == want[name].shape and stack.tobytes() == want[name].tobytes(), name
+
+
+def _root_vectors(d, seed):
+    geo = geometry(d)
+    Z, He = geo._zk_stack, geo.embed_radial(geo.e_coords)
+    Hg = geo.embed_radial(spaces._generic_point(d.real_rank, seed))
+    return Z, spaces._root_step(Z, He, Hg)
+
+
+@pytest.mark.parametrize("case", BASIS_CASES)
+def test_numeric_roots_match_eigenvector_by_eigenvector_reference(case):
+    d = make_space(*case)
+    for seed in (spaces._ROOT_SEED, 7):
+        got = numeric_roots(d, seed)
+        assert got == reference_numeric_roots(d, *_root_vectors(d, seed))
+        assert all(type(x) is int for r in got for x in r.coeffs)
+
+
+def _fit_errors(d, Z, vecs) -> list[str]:
+    messages = []
+    for fit in (spaces._fit_roots, reference_numeric_roots):
+        with pytest.raises(ConsistencyError) as exc:
+            fit(d, Z, vecs)
+        messages.append(str(exc.value))
+    return messages
+
+
+@pytest.mark.parametrize("case", [("aiii", 2, 1), ("aiii", 3, 2), ("bdi", 3, 2), ("cii", 2, 1),
+                                  ("ai", 0, 3), ("diii", 0, 5), ("ci", 0, 2), ("aii", 0, 3)])
+def test_root_fit_raises_like_the_reference(case):
+    d = make_space(*case)
+    geo = geometry(d)
+    Z, C = geo._zk_stack.copy(), geo.bracket_coeffs
+    eye = np.eye(len(Z))
+    # the members of zk-perp are root vectors already
+    assert spaces._fit_roots(d, Z, eye) == reference_numeric_roots(d, Z, eye) == restricted_roots(d)
+    # rotating Z_0 by 45 degrees with a member of another root leaves two
+    # vectors that are not: both fits fail at eigenvector 0, in the same words
+    j = next(j for j in range(len(C)) if not any(np.array_equal(s * C[j], C[0]) for s in (1, -1)))
+    Z[0], Z[j] = (Z[0] + Z[j]) / np.sqrt(2), (Z[0] - Z[j]) / np.sqrt(2)
+    got, want = _fit_errors(d, Z, eye)
+    assert got == want and "root fit residual" in got and got.endswith("eigenvector 0")
+    # a zero column has alpha(E)^2 = 0
+    eye[:, 1] = 0.0
+    got, want = _fit_errors(d, geo._zk_stack, eye)
+    assert got == want and "eigenvector 1 has nonpositive alpha(E)^2 = 0.000e+00" in got
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", [("aiii", 16, 16), ("aii", 0, 16)])
+def test_large_bases_and_numeric_roots_match_references(case, monkeypatch):
+    d = make_space(*case)
+    monkeypatch.setattr(spaces, "_orthonormalize", reference_orthonormalize)
+    ref = spaces.SpaceGeometry(d)
+    want = ref._p_stack, ref._k_stack
+    monkeypatch.undo()
+    geo = geometry(d)
+    assert geo._p_stack.tobytes() == want[0].tobytes()
+    assert geo._k_stack.tobytes() == want[1].tobytes()
+    assert numeric_roots(d) == reference_numeric_roots(d, *_root_vectors(d, spaces._ROOT_SEED))
+
+
+def test_basis_of_returns_writeable_copies_detached_from_the_cache():
+    d = make_space("aiii", 3, 2)
+    geo = geometry(d)
+    stacks = {"k": geo._k_stack, "p": geo._p_stack, "a": geo._a_stack,
+              "a_perp": geo._root_split[2], "m_centralizer": geo._root_split[0],
+              "zk_perp": geo._root_split[1]}
+    for which, stack in stacks.items():
+        got = basis_of(d, which)
+        assert len(got) == len(stack) > 0, which
+        assert all(M.flags.writeable for M in got)
+        assert np.array(got).tobytes() == stack.tobytes()
+        got[0][...] = 7.0
+        assert np.array(basis_of(d, which)).tobytes() == stack.tobytes()
+
+
+def test_cold_geometry_path_imports_no_scipy():
+    # the geometry-cold benchmark calls for aiii(3,2) in a fresh interpreter:
+    # importing SciPy would cost more than the whole cold build
+    code = """if True:
+        import sys
+        import cartanflow as cf
+
+        d = cf.make_space("aiii", 3, 2)
+        for which in ("p", "k", "a_perp", "m_centralizer", "zk_perp"):
+            cf.basis_of(d, which)
+        cf.numeric_roots(d)
+        cf.density_constant(d)
+        start = cf.PhasePoint(cf.sample_p_gaussian(d, 1), cf.sample_p_gaussian(d, 2))
+        state, _ = cf.reduce_phase_point(d, start)
+        cf.reduced_vector_field(d, state)
+        cf.theoretical_radial_density(d, state.q)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """
+    src = str(Path(cartanflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _message(check, *args) -> str | None:
