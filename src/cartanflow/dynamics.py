@@ -18,6 +18,8 @@ exactly solvable and serves as the oracle for the reduced integration.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +110,9 @@ class _Reduced:
     come from two divisions and the energy has the Calogero-Moser/Sutherland
     form p^T G p / 2 + sum_k l_k^2 / (C q)_k^2 / 2.  ``split``, ``r_and_w``
     and ``hamiltonian`` broadcast over leading axes (a stack of states).
+    ``field`` works through scratch arrays that the instance allocates once,
+    so an instance serves one caller at a time; the cached geometry it reads
+    is never written.
     """
 
     def __init__(self, d: SpaceDescriptor):
@@ -120,11 +125,37 @@ class _Reduced:
         # G^{-1} turns the force into dp
         self._force = self.geo.gram_inv @ self.C.T
         self._zk = self.geo._zk_rows
-        self._shape = (d.ambient_dim, d.ambient_dim)
+        # L and W are anti-Hermitian, so [L, W] = LW - (LW)^dagger and its
+        # coordinates against the anti-Hermitian zk-perp basis are twice those
+        # of LW.  Doubling the rows is exact, and the transposed view keeps
+        # the operand layout of the product.
+        self._zk2_t = (2.0 * self._zk).T
+        N, dz = d.ambient_dim, len(self.C)
+        self._a, self._r, self._w, self._wr = np.empty((4, dz))
+        self._L, self._W, self._LW = np.empty((3, N, N), dtype=complex)
+        self._Lf, self._Wf, self._LWf = (
+            M.reshape(-1).view(float) for M in (self._L, self._W, self._LW)
+        )
 
     def flat(self, state: ReducedState) -> np.ndarray:
-        q, p = np.asarray(state.q, dtype=float), np.asarray(state.p, dtype=float)
-        return np.concatenate((q, p, self.geo.zk_coords(np.asarray(state.l, dtype=complex))))
+        """The flat vector of a reduced state.  ContractViolation unless q
+        and p have the length of the real rank, l is N x N, and all entries
+        are finite numbers."""
+        rk, N = self.rank, self.d.ambient_dim
+        try:
+            q = np.asarray(state.q, dtype=float)
+            p = np.asarray(state.p, dtype=float)
+            l = np.asarray(state.l, dtype=complex)
+        except (TypeError, ValueError):
+            raise ContractViolation("reduced state entries must be numeric arrays") from None
+        if q.shape != (rk,) or p.shape != (rk,) or l.shape != (N, N):
+            raise ContractViolation(
+                f"reduced state of {self.d.label()} needs q and p of length {rk} and l of "
+                f"shape ({N}, {N}); got {q.shape}, {p.shape} and {l.shape}"
+            )
+        if not (np.isfinite(q).all() and np.isfinite(p).all() and np.isfinite(l).all()):
+            raise ContractViolation("reduced state has non-finite entries")
+        return np.concatenate((q, p, self.geo.zk_coords(l)))
 
     def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         r = self.rank
@@ -139,16 +170,24 @@ class _Reduced:
         r, _ = self.r_and_w(q, lc)
         return 0.5 * np.sum((p @ self.gram) * p, axis=-1) + 0.5 * np.sum(r * r, axis=-1)
 
-    def field(self, y: np.ndarray) -> np.ndarray:
-        q, p, lc = self.split(y)
-        r, w = self.r_and_w(q, lc)
-        zk, shape = self._zk, self._shape
-        L = (lc @ zk).view(complex).reshape(shape)
-        W = (w @ zk).view(complex).reshape(shape)
-        # L and W are anti-Hermitian, so [L, W] = LW - (LW)^dagger and its
-        # coordinates against the anti-Hermitian zk-perp basis are twice those of LW
-        dl = 2.0 * ((L @ W).reshape(-1).view(float) @ zk.T)
-        return np.concatenate((p, self._force @ (w * r), dl))
+    def field(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write dy/dt at the flat state ``y`` into ``out`` and return it.
+
+        Allocates nothing: every product lands in the instance's scratch.
+        ``np.dot`` makes the same BLAS calls as ``@`` on these operands, with
+        less set-up per call."""
+        rk = self.rank
+        lc, a, r, w = y[2 * rk :], self._a, self._r, self._w
+        np.dot(y[:rk], self.C.T, out=a)
+        np.divide(lc, a, out=r)
+        np.divide(r, a, out=w)
+        np.dot(lc, self._zk, out=self._Lf)
+        np.dot(w, self._zk, out=self._Wf)
+        np.dot(self._L, self._W, out=self._LW)
+        np.dot(self._LWf, self._zk2_t, out=out[2 * rk :])
+        out[:rk] = y[rk : 2 * rk]
+        np.dot(self._force, np.multiply(w, r, out=self._wr), out=out[rk : 2 * rk])
+        return out
 
 
 def _flat_state(sys: _Reduced, state: ReducedState, what: str) -> np.ndarray:
@@ -156,6 +195,17 @@ def _flat_state(sys: _Reduced, state: ReducedState, what: str) -> np.ndarray:
     if wall_distance(sys.d, y[: sys.rank]) <= WALL_TOL:
         raise ContractViolation(f"reduced {what} undefined on a chamber wall")
     return y
+
+
+def _step_size(t_max, steps) -> float:
+    """h = t_max / steps.  ContractViolation unless t_max is a finite real
+    number (a negative one integrates backwards) and steps a positive
+    integer."""
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ContractViolation(f"steps must be a positive integer, got {steps!r}")
+    if isinstance(t_max, bool) or not isinstance(t_max, numbers.Real) or not math.isfinite(t_max):
+        raise ContractViolation(f"t_max must be a finite real number, got {t_max!r}")
+    return float(t_max) / steps
 
 
 def reduced_hamiltonian(d: SpaceDescriptor, state: ReducedState) -> float:
@@ -171,7 +221,8 @@ def reduced_vector_field(
     """Time derivatives (dq, dp, dl) of the reduced flow; dl is returned as
     a matrix in the centralizer orthocomplement."""
     sys = _Reduced(d)
-    dq, dp, dl = sys.split(sys.field(_flat_state(sys, state, "vector field")))
+    y = _flat_state(sys, state, "vector field")
+    dq, dp, dl = sys.split(sys.field(y, np.empty_like(y)))
     return dq, dp, sys.geo.zk_from_coords(dl)
 
 
@@ -182,13 +233,19 @@ def integrate_reduced(
 
     Logs the energy and the spectrum of l at every step.  If the radial
     point approaches a chamber wall the trajectory is truncated and the
-    abort reason recorded.
+    abort reason recorded.  A negative ``t_max`` integrates backwards.
+
+    The RK4 stages allocate nothing.  The four stage derivatives and the
+    stage state are five vectors made once per call; ``_Reduced.field``
+    writes each derivative into its vector through scratch arrays of its
+    own; and each new state is formed in its row of the preallocated
+    history.  The stages are summed in the order of
+    y + h/6 (((k1 + 2 k2) + 2 k3) + k4), so a step rounds exactly as that
+    expression evaluated with temporaries does.
     """
-    if steps < 1:
-        raise ContractViolation("steps must be a positive integer")
+    h = _step_size(t_max, steps)
     sys = _Reduced(d)
     y = sys.flat(initial)
-    h = float(t_max) / steps
     half, sixth = 0.5 * h, h / 6.0
     coeffs = sys.geo.root_table[0]
 
@@ -200,19 +257,23 @@ def integrate_reduced(
         raise ContractViolation("initial radial point is too close to a chamber wall")
     history = np.empty((steps + 1, y.size))
     history[0] = y
+    k1, k2, k3, k4, tmp = np.empty((5, y.size))
+    field = sys.field
     done, aborted = 0, None
     # the loop only steps and checks the wall; the log is built after it
     for step in range(steps):
-        k1 = sys.field(y)
-        k2 = sys.field(y + half * k1)
-        k3 = sys.field(y + half * k2)
-        k4 = sys.field(y + h * k3)
-        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        field(y, k1)
+        field(np.add(y, np.multiply(half, k1, out=tmp), out=tmp), k2)
+        field(np.add(y, np.multiply(half, k2, out=tmp), out=tmp), k3)
+        field(np.add(y, np.multiply(h, k3, out=tmp), out=tmp), k4)
+        np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+        np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+        np.add(k1, k4, out=k1)
+        y = np.add(y, np.multiply(sixth, k1, out=k1), out=history[step + 1])
         if not wall_ok(y):
             aborted = f"radial point reached a chamber wall at t={step * h + h:.6g}"
             break
         done = step + 1
-        history[done] = y
     q, p, lc = sys.split(history[: done + 1])
     lmats = sys.geo.zk_from_coords(lc)
     # eigvalsh returns ascending values; the log keeps them descending
@@ -248,6 +309,8 @@ def compare_with_oracle(
     report carries that trajectory.
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    if not np.isfinite(t_grid).all():
+        raise ContractViolation("t_grid must be finite")
     if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0) or t_grid[0] != 0.0:
         raise ContractViolation("t_grid must be an increasing 1-d grid starting at 0")
     state0, _ = reduce_phase_point(d, start)

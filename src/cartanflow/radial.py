@@ -21,6 +21,8 @@ from .linalg import ContractViolation, frobenius
 from .spaces import (
     SpaceDescriptor,
     _quaternionic_j,
+    _real_flat,
+    _real_rows,
     _spectral_block,
     check_p_membership,
     geometry,
@@ -260,10 +262,10 @@ def _check_slice_coords(d: SpaceDescriptor, s: SliceCoords) -> np.ndarray:
         raise ContractViolation("q and p must have length equal to the real rank")
     r = np.asarray(s.r, dtype=complex)
     check_p_membership(d, r)
-    scale = max(frobenius(r), 1.0)
-    for A in geo.a_basis:
-        if abs(np.vdot(A, r).real) > 1e-10 * scale:
-            raise ContractViolation("r has a component along a; it must lie in a-perp")
+    # Re<A, r> for every member A of the a basis, in one product
+    along_a = _real_rows(geo._a_stack) @ _real_flat(r)
+    if np.max(np.abs(along_a)) > 1e-10 * max(frobenius(r), 1.0):
+        raise ContractViolation("r has a component along a; it must lie in a-perp")
     return r
 
 

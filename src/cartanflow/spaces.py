@@ -547,7 +547,8 @@ def _real_rows(stack: np.ndarray) -> np.ndarray:
     dot products are Frobenius real inner products, so for an orthonormal
     stack the coordinates Re<B_a, X> are one product with the transposed
     rows and sum_a c_a B_a is one product with the rows."""
-    rows = stack.reshape(len(stack), -1).view(float)
+    # the explicit width keeps an empty stack (bdi(1,1) has no zk-perp) reshapable
+    rows = stack.reshape(len(stack), math.prod(stack.shape[1:])).view(float)
     rows.flags.writeable = False
     return rows
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from cartanflow import make_space
+from cartanflow.dynamics import _ABORT_FACTOR, Trajectory
 from cartanflow.linalg import ConsistencyError, ContractViolation, as_cmat, commutator, frobenius
-from cartanflow.reduction import _root_product, jacobian_density, random_chamber_point
+from cartanflow.radial import WALL_TOL, SliceCoords
+from cartanflow.reduction import ReducedState, _root_product, jacobian_density, random_chamber_point
 from cartanflow.spaces import (
     _GS_TOL,
     RestrictedRoot,
@@ -17,6 +19,7 @@ from cartanflow.spaces import (
     _radial_vector,
     _sym_form,
     _vec_rows,
+    check_p_membership,
     geometry,
 )
 
@@ -186,6 +189,148 @@ def reference_integrate_reduced(d, initial, t_max, steps):
         l_spectra=np.array(spectra),
         aborted=aborted,
     )
+
+
+
+# ---------------------------------------------------------------------------
+# the flat-state reduced flow as it was before the field wrote into
+# preallocated arrays, kept verbatim (only renamed; the vector field skips
+# the wall check) as the byte-identity reference for ``_Reduced.field``,
+# ``reduced_vector_field`` and ``integrate_reduced``
+
+
+class _ReferenceFlatReduced:
+    """Coordinate-level reduced system for one descriptor (internal).
+
+    A state is one flat vector y = (q, p, lc), lc the zk-perp coordinates
+    of l.  In the root-adapted bases r -> [r, H(q)] is diag(C q), so r and w
+    come from two divisions and the energy has the Calogero-Moser/Sutherland
+    form p^T G p / 2 + sum_k l_k^2 / (C q)_k^2 / 2.  ``split``, ``r_and_w``
+    and ``hamiltonian`` broadcast over leading axes (a stack of states).
+    """
+
+    def __init__(self, d: SpaceDescriptor):
+        self.d = d
+        self.geo = geometry(d)
+        self.gram = self.geo.gram
+        self.C = self.geo.bracket_coeffs  # (dzk, rank)
+        self.rank = d.real_rank
+        # dH/dq = -C^T (w r); Hamilton's equations flip the sign back and
+        # G^{-1} turns the force into dp
+        self._force = self.geo.gram_inv @ self.C.T
+        self._zk = self.geo._zk_rows
+        self._shape = (d.ambient_dim, d.ambient_dim)
+
+    def flat(self, state: ReducedState) -> np.ndarray:
+        q, p = np.asarray(state.q, dtype=float), np.asarray(state.p, dtype=float)
+        return np.concatenate((q, p, self.geo.zk_coords(np.asarray(state.l, dtype=complex))))
+
+    def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        r = self.rank
+        return y[..., :r], y[..., r : 2 * r], y[..., 2 * r :]
+
+    def r_and_w(self, q: np.ndarray, lc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a = q @ self.C.T
+        r = lc / a
+        return r, r / a
+
+    def hamiltonian(self, q, p, lc):
+        r, _ = self.r_and_w(q, lc)
+        return 0.5 * np.sum((p @ self.gram) * p, axis=-1) + 0.5 * np.sum(r * r, axis=-1)
+
+    def field(self, y: np.ndarray) -> np.ndarray:
+        q, p, lc = self.split(y)
+        r, w = self.r_and_w(q, lc)
+        zk, shape = self._zk, self._shape
+        L = (lc @ zk).view(complex).reshape(shape)
+        W = (w @ zk).view(complex).reshape(shape)
+        # L and W are anti-Hermitian, so [L, W] = LW - (LW)^dagger and its
+        # coordinates against the anti-Hermitian zk-perp basis are twice those of LW
+        dl = 2.0 * ((L @ W).reshape(-1).view(float) @ zk.T)
+        return np.concatenate((p, self._force @ (w * r), dl))
+
+
+def reference_flat_vector_field(
+    d: SpaceDescriptor, state: ReducedState
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Time derivatives (dq, dp, dl) of the reduced flow; dl is returned as
+    a matrix in the centralizer orthocomplement."""
+    sys = _ReferenceFlatReduced(d)
+    dq, dp, dl = sys.split(sys.field(sys.flat(state)))
+    return dq, dp, sys.geo.zk_from_coords(dl)
+
+
+def reference_flat_integrate_reduced(
+    d: SpaceDescriptor, initial: ReducedState, t_max: float, steps: int
+) -> Trajectory:
+    """Classical fixed-step fourth-order integration of the reduced flow.
+
+    Logs the energy and the spectrum of l at every step.  If the radial
+    point approaches a chamber wall the trajectory is truncated and the
+    abort reason recorded.
+    """
+    if steps < 1:
+        raise ContractViolation("steps must be a positive integer")
+    sys = _ReferenceFlatReduced(d)
+    y = sys.flat(initial)
+    h = float(t_max) / steps
+    half, sixth = 0.5 * h, h / 6.0
+    coeffs = sys.geo.root_table[0]
+
+    def wall_ok(yv) -> bool:
+        # wall_distance with the root table bound once, not looked up per step
+        return np.abs(coeffs @ yv[: sys.rank]).min(initial=np.inf) > _ABORT_FACTOR * WALL_TOL
+
+    if not wall_ok(y):
+        raise ContractViolation("initial radial point is too close to a chamber wall")
+    history = np.empty((steps + 1, y.size))
+    history[0] = y
+    done, aborted = 0, None
+    # the loop only steps and checks the wall; the log is built after it
+    for step in range(steps):
+        k1 = sys.field(y)
+        k2 = sys.field(y + half * k1)
+        k3 = sys.field(y + half * k2)
+        k4 = sys.field(y + h * k3)
+        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not wall_ok(y):
+            aborted = f"radial point reached a chamber wall at t={step * h + h:.6g}"
+            break
+        done = step + 1
+        history[done] = y
+    q, p, lc = sys.split(history[: done + 1])
+    lmats = sys.geo.zk_from_coords(lc)
+    # eigvalsh returns ascending values; the log keeps them descending
+    spectra = np.linalg.eigvalsh(1j * lmats)[:, ::-1]
+    return Trajectory(
+        times=np.arange(done + 1) * h,
+        states=[ReducedState(*s) for s in zip(q, p, lmats)],
+        energies=sys.hamiltonian(q, p, lc),
+        l_spectra=spectra,
+        aborted=aborted,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the slice-coordinate check before it tested r against the a stack in one
+# product, kept verbatim (only renamed)
+
+
+def reference_check_slice_coords(d: SpaceDescriptor, s: SliceCoords) -> np.ndarray:
+    """r of the slice coordinates, or ContractViolation; tests r against
+    the a basis one matrix at a time.  Reference for
+    ``radial._check_slice_coords``."""
+    geo = geometry(d)
+    q = np.asarray(s.q, dtype=float)
+    if q.shape != (d.real_rank,) or np.asarray(s.p).shape != (d.real_rank,):
+        raise ContractViolation("q and p must have length equal to the real rank")
+    r = np.asarray(s.r, dtype=complex)
+    check_p_membership(d, r)
+    scale = max(frobenius(r), 1.0)
+    for A in geo.a_basis:
+        if abs(np.vdot(A, r).real) > 1e-10 * scale:
+            raise ContractViolation("r has a component along a; it must lie in a-perp")
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,14 +18,25 @@ from cartanflow import (
     trace_form,
 )
 from cartanflow.dynamics import _nearest_steps, _Reduced
-from cartanflow.linalg import frobenius
+from cartanflow.linalg import ContractViolation, frobenius
 from cartanflow.radial import embed_radial
 from cartanflow.reduction import ReducedState, random_chamber_point
+from cartanflow.sampling import sample_p_gaussian
 from cartanflow.spaces import geometry
 
-from conftest import REPRESENTATIVES, dense_aperp_basis, reference_integrate_reduced
+from conftest import (
+    REPRESENTATIVES,
+    dense_aperp_basis,
+    reference_flat_integrate_reduced,
+    reference_flat_vector_field,
+    reference_integrate_reduced,
+)
 
 ORACLE_CASES = [("aiii", 2, 1), ("aiii", 3, 2), ("ai", 0, 3), ("a2", 0, 3)]
+# the seven spaces of the flow-oracle benchmark, one per radial route
+FLOW_SPACES = [("bdi", 3, 2), ("cii", 2, 1), ("ai", 0, 4), ("aii", 0, 3), ("diii", 0, 5),
+               ("ci", 0, 3), ("aiii", 5, 5)]
+BYTE_CASES = REPRESENTATIVES + [c for c in FLOW_SPACES if c not in REPRESENTATIVES]
 
 
 def generic_start(d, seed):
@@ -146,7 +160,8 @@ def test_diagonal_field_matches_dense_solves(case, rng):
         dp = np.linalg.solve(geo.gram, np.array([w @ (Tj @ r) for Tj in T]))
         dl = np.einsum("abc,a,b->c", L, lc, w)
         energy = 0.5 * p @ geo.gram @ p + 0.5 * r @ r
-        got = sys.split(sys.field(np.concatenate((q, p, lc))))
+        y = np.concatenate((q, p, lc))
+        got = sys.split(sys.field(y, np.empty_like(y)))
         scale = max(1.0, np.max(np.abs(dp)), np.max(np.abs(dl)))
         assert np.max(np.abs(got[1] - dp)) <= 1e-9 * scale
         assert np.max(np.abs(got[2] - dl)) <= 1e-9 * scale
@@ -170,7 +185,8 @@ def test_energy_gradient_orthogonal_to_field(rng):
     state, _ = reduce_phase_point(d, PhasePoint(X, Y))
     sys = _Reduced(d)
     lc = sys.geo.zk_coords(state.l)
-    dq, dp, dl = sys.split(sys.field(np.concatenate((state.q, state.p, lc))))
+    y = np.concatenate((state.q, state.p, lc))
+    dq, dp, dl = sys.split(sys.field(y, np.empty_like(y)))
     r, w = sys.r_and_w(state.q, lc)
     grad_q = -(sys.C.T @ (w * r))
     dH = grad_q @ dq + (sys.gram @ state.p) @ dp + w @ dl
@@ -346,3 +362,192 @@ def test_nearest_steps_on_truncated_trajectory():
         times = report.trajectory.times
         assert report.truncated is not None
         assert np.array_equal(report.times, times[_argmin_steps(times, grid)])
+
+
+# ---------------------------------------------------------------------------
+# the buffered kernel against the flat-state loop it replaced: same bytes
+
+
+def seeded_state(d, seed):
+    """The reduced start of ``cartanflow flow --seed seed``."""
+    start = PhasePoint(sample_p_gaussian(d, seed), sample_p_gaussian(d, seed + 1))
+    return reduce_phase_point(d, start)[0]
+
+
+def trajectory_bytes(traj):
+    stacks = [np.stack([getattr(s, f) for s in traj.states]) for f in ("q", "p", "l")]
+    arrays = [traj.times, *stacks, traj.energies, traj.l_spectra]
+    return traj.aborted, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("case", BYTE_CASES)
+def test_integration_is_byte_identical_to_flat_reference(case):
+    d = make_space(*case)
+    for seed, t_max, steps in ((11, 0.25, 250), (12, 0.5, 1), (13, -0.25, 40)):
+        state = seeded_state(d, seed)
+        got = integrate_reduced(d, state, t_max, steps)
+        ref = reference_flat_integrate_reduced(d, state, t_max, steps)
+        assert trajectory_bytes(got) == trajectory_bytes(ref)
+
+
+def test_wall_abort_is_byte_identical_to_flat_reference():
+    # the head-on collision course of test_wall_abort
+    d = make_space("ai", 0, 3)
+    state = ReducedState(np.array([0.4, 0.0]), np.array([-0.8, 0.0]), np.zeros((3, 3), complex))
+    got = integrate_reduced(d, state, 2.0, 200)
+    assert got.aborted is not None
+    ref = reference_flat_integrate_reduced(d, state, 2.0, 200)
+    assert trajectory_bytes(got) == trajectory_bytes(ref)
+
+
+@pytest.mark.parametrize("case", BYTE_CASES)
+def test_vector_field_is_byte_identical_to_flat_reference(case):
+    d = make_space(*case)
+    for seed in (21, 23):
+        state = seeded_state(d, seed)
+        got = reduced_vector_field(d, state)
+        ref = reference_flat_vector_field(d, state)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in ref]
+
+
+def test_space_without_zk_perp_flows_freely():
+    # so(1,1): a is all of p, so l = 0 and the flow is free motion
+    d = make_space("bdi", 1, 1)
+    state = seeded_state(d, 3)
+    traj = integrate_reduced(d, state, 1.0, 10)
+    assert traj.aborted is None and state.l.shape == (2, 2)
+    q = np.array([s.q for s in traj.states])
+    assert np.allclose(q[:, 0], state.q[0] + traj.times * state.p[0], rtol=0, atol=1e-14)
+    assert np.all(traj.energies == traj.energies[0]) and not traj.l_spectra.any()
+    dq, dp, dl = reduced_vector_field(d, state)
+    assert np.array_equal(dq, state.p) and not dp.any() and not dl.any()
+
+
+def test_second_vector_field_call_leaves_first_result_alone():
+    d = make_space("aiii", 3, 2)
+    first = reduced_vector_field(d, seeded_state(d, 31))
+    kept = [a.copy() for a in first]
+    second = reduced_vector_field(d, seeded_state(d, 33))
+    assert not np.array_equal(second[2], kept[2])
+    assert [a.tobytes() for a in first] == [b.tobytes() for b in kept]
+
+
+def test_concurrent_integrations_match_serial_bytes():
+    # four threads on two cores: two spaces, each integrated by two threads
+    # at once, share the cached geometry but no scratch
+    spaces = [make_space("bdi", 3, 2), make_space("aiii", 5, 5)] * 2
+    jobs = [(d, seeded_state(d, seed)) for d, seed in zip(spaces, (41, 43, 41, 43))]
+    serial = [trajectory_bytes(integrate_reduced(d, st, 0.25, 200)) for d, st in jobs]
+    results = [None] * len(jobs)
+    barrier = threading.Barrier(len(jobs))
+
+    def work(i):
+        barrier.wait(timeout=30)
+        d, st = jobs[i]
+        results[i] = trajectory_bytes(integrate_reduced(d, st, 0.25, 200))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial
+
+
+@pytest.mark.parametrize("case", [("cii", 2, 1), ("aiii", 5, 5)])
+def test_integration_reads_no_unwritten_scratch(case):
+    # np.empty tends to hand out the blocks just freed, here NaN-filled ones
+    # of the scratch sizes, so an entry read before it is written shows as NaN
+    d = make_space(*case)
+    state = seeded_state(d, 51)
+    ref = trajectory_bytes(reference_flat_integrate_reduced(d, state, 0.25, 50))
+    N, dz = d.ambient_dim, len(geometry(d).bracket_coeffs)
+    n = 2 * d.real_rank + dz
+    for _ in range(3):
+        junk = [np.full(shape, np.nan) for shape in ((4, dz), (dz,), (5, n), (n,), (51, n))]
+        junk += [np.full(shape, np.nan, dtype=complex) for shape in ((3, N, N), (N, N))]
+        del junk
+        assert trajectory_bytes(integrate_reduced(d, state, 0.25, 50)) == ref
+
+
+# ---------------------------------------------------------------------------
+# malformed input to the flow entry points
+
+
+@pytest.mark.parametrize(
+    "t_max, steps",
+    [(np.nan, 10), (np.inf, 10), (-np.inf, 10), ("1.0", 10), (1j, 10), (True, 10),
+     (1.0, 2.5), (1.0, 0), (1.0, -3), (1.0, True), (1.0, "10"), (1.0, np.float64(10))],
+)
+def test_integrate_rejects_bad_t_max_and_steps(t_max, steps):
+    d = make_space("aiii", 2, 1)
+    with pytest.raises(ContractViolation):
+        integrate_reduced(d, seeded_state(d, 61), t_max, steps)
+
+
+def test_integrate_accepts_numpy_scalars_and_negative_t_max():
+    # a negative t_max is the backward flow
+    d = make_space("aiii", 2, 1)
+    state = seeded_state(d, 61)
+    fwd = integrate_reduced(d, state, np.float64(0.5), np.int64(200))
+    end = fwd.states[-1]
+    back = integrate_reduced(d, end, -0.5, 200)
+    assert back.times[-1] == -0.5 and back.aborted is None
+    assert np.max(np.abs(back.states[-1].q - state.q)) <= 1e-9
+    assert np.max(np.abs(back.states[-1].p - state.p)) <= 1e-9
+
+
+def _malformed_states(d, state):
+    rank, N = d.real_rank, d.ambient_dim
+    nan_l = state.l.copy()
+    nan_l[0, 1] = np.nan
+    inf_l = state.l.copy()
+    inf_l[1, 0] = np.inf
+    return {
+        "nan q": ReducedState(np.full(rank, np.nan), state.p, state.l),
+        "nan p": ReducedState(state.q, np.array([np.nan] + [0.0] * (rank - 1)), state.l),
+        "inf p": ReducedState(state.q, np.full(rank, np.inf), state.l),
+        "nan l": ReducedState(state.q, state.p, nan_l),
+        "inf l": ReducedState(state.q, state.p, inf_l),
+        "short q": ReducedState(state.q[:-1], state.p, state.l),
+        "long p": ReducedState(state.q, np.zeros(rank + 1), state.l),
+        "p matrix": ReducedState(state.q, np.zeros((rank, 1)), state.l),
+        "small l": ReducedState(state.q, state.p, state.l[:-1, :-1]),
+        "flat l": ReducedState(state.q, state.p, state.l.ravel()),
+        "text p": ReducedState(state.q, ["a"] * rank, state.l),
+    }
+
+
+@pytest.mark.parametrize(
+    "which",
+    ["nan q", "nan p", "inf p", "nan l", "inf l", "short q", "long p", "p matrix", "small l",
+     "flat l", "text p"],
+)
+@pytest.mark.parametrize("entry", ["integrate", "field", "hamiltonian"])
+def test_flow_entry_points_reject_malformed_states(which, entry):
+    d = make_space("aiii", 3, 2)
+    bad = _malformed_states(d, seeded_state(d, 71))[which]
+    call = {
+        "integrate": lambda s: integrate_reduced(d, s, 0.5, 20),
+        "field": lambda s: reduced_vector_field(d, s),
+        "hamiltonian": lambda s: reduced_hamiltonian(d, s),
+    }[entry]
+    with pytest.raises(ContractViolation):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[0.0, 0.5, np.nan, 1.0], [0.0, 0.5, np.inf], [0.0, np.nan], [np.nan, 0.5],
+     [0.0, 0.5, -np.inf]],
+)
+def test_compare_with_oracle_rejects_non_finite_grids(grid):
+    d = make_space("aiii", 2, 1)
+    with pytest.raises(ContractViolation):
+        compare_with_oracle(d, generic_start(d, seed=5), np.array(grid))

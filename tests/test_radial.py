@@ -27,6 +27,7 @@ from conftest import (
     REPRESENTATIVES,
     centralizer_orbit_dimension,
     reference_chamber_contains,
+    reference_check_slice_coords,
     reference_root_table,
 )
 
@@ -287,6 +288,40 @@ def test_exact_slice_reduce_properties(case, rng):
         # idempotence
         elem2, _ = exact_slice_reduce(d, elem.coords)
         assert frobenius(elem2.coords.r - rc) <= 1e-10
+
+
+@pytest.mark.parametrize("case", SLICE_CASES + REPRESENTATIVES)
+def test_slice_verdicts_match_one_matrix_at_a_time_reference(case, rng, monkeypatch):
+    # r in a-perp, then pushed along a by half and by twice the threshold,
+    # and far off it; q of the wrong length
+    import cartanflow.radial as radial
+
+    d = make_space(*case)
+    geo = geometry(d)
+    inputs = []
+    for A in geo.a_basis:
+        r0 = random_aperp(d, rng)
+        bound = 1e-10 * max(frobenius(r0), 1.0)
+        for push in (0.0, 0.5 * bound, 2.0 * bound, 1e-3):
+            p = rng.standard_normal(d.real_rank)
+            inputs.append(SliceCoords(random_chamber(d, rng), p, r0 + push * A))
+    inputs.append(SliceCoords(np.zeros(d.real_rank + 1), np.zeros(d.real_rank), r0))
+
+    def verdicts():
+        out = []
+        for s in inputs:
+            out.append(slice_contains(d, s))
+            if d.kind in ("aiii", "bdi"):
+                try:
+                    out.append(exact_slice_reduce(d, s)[0].coords.r.tobytes())
+                except ContractViolation as exc:
+                    out.append(str(exc))
+        return out
+
+    got = verdicts()
+    assert sum(not v.ok for v in got if hasattr(v, "ok")) >= 2 * len(geo.a_basis) + 1
+    monkeypatch.setattr(radial, "_check_slice_coords", reference_check_slice_coords)
+    assert verdicts() == got
 
 
 def test_pair_components_carry_the_advertised_roots():
