@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -42,6 +43,17 @@ def _threads_default() -> int:
         return max(1, int(env)) if env else 1
     except ValueError:
         return 1
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads the ``--threads`` default from ``CARTANFLOW_THREADS`` on every
+    parse, so that one parser serves a whole process."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, rest = super().parse_known_args(args, namespace)
+        if getattr(ns, "threads", 0) is None:
+            ns.threads = _threads_default()
+        return ns, rest
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -310,8 +322,10 @@ def _cmd_verify_density(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The argument parser, built once per process."""
+    parser = _Parser(
         prog="cartanflow",
         description=(
             "Radial geometry, slice densities and level dynamics on the "
@@ -349,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100_000)
     p.add_argument("--bins", type=int, default=64)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--threads", type=int, default=_threads_default())
+    p.add_argument("--threads", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sample)
 
@@ -367,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100_000)
     p.add_argument("--bins", type=int, default=64)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--threads", type=int, default=_threads_default())
+    p.add_argument("--threads", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify_density)
     return parser

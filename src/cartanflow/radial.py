@@ -219,17 +219,32 @@ def radial_coords_batch(d: SpaceDescriptor, Xs: np.ndarray) -> np.ndarray:
     trailing shape tells the two apart (for ai, a2 and aii the block is the
     whole matrix).  No membership checks; intended for the Monte Carlo
     sampler, which builds the blocks from the p basis by design.
+
+    Each case takes the cheapest exact kernel.  At rank 1, H(q) = q H_1 and
+    K acts on the block by unitaries, so q = |B|_F / |block(H_1)|_F, with
+    no LAPACK call.  The real classes bdi and ai hand LAPACK the real part
+    of the block (their imaginary part is zero), a real SVD or eigvalsh.
     """
     kind, n, N = d.kind, d.n, d.ambient_dim
     B = _spectral_block(d, Xs) if Xs.shape[-2:] == (N, N) else Xs
+    if d.real_rank == 1:
+        c = frobenius(_spectral_block(d, geometry(d).a_embed[0]))
+        if not (d.has_sign_flip_weyl or d.trace_constrained):
+            # bdi(1,1): no Weyl element flips the sign, so q keeps it (+ 0.0
+            # turns a -0.0 entry into 0.0, the value sign(B) |B| gives)
+            return B.real.reshape(len(B), 1) / c + 0.0
+        return _frobenius_norms(B)[:, None] / c
+    if kind in ("bdi", "ai"):
+        B = B.real
     if kind in ("aiii", "bdi"):
         s = np.linalg.svd(B, compute_uv=False)
         if not d.has_sign_flip_weyl:
             # so(n,n): only even sign flips are available, so the last
             # coordinate carries sign(det B) (times the parity of the
-            # antidiagonal pattern permutation)
+            # antidiagonal pattern permutation); slogdet's sign, as det
+            # overflows or underflows to 0 at extreme scales
             parity = (-1.0) ** (n * (n - 1) // 2)
-            s[:, -1] *= parity * np.sign(np.linalg.det(B.real))
+            s[:, -1] *= parity * np.linalg.slogdet(B)[0]
         return s
     if kind == "cii":
         return np.linalg.svd(B, compute_uv=False)[:, 0::2]
@@ -246,6 +261,26 @@ def radial_coords_batch(d: SpaceDescriptor, Xs: np.ndarray) -> np.ndarray:
     if kind == "ci":
         return np.linalg.svd(B, compute_uv=False)
     raise ContractViolation(f"unknown kind {kind!r}")
+
+
+def _frobenius_norms(B: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, neither overflowing nor
+    underflowing.  A sum of squares inside [2^-960, 2^960] is used as it is
+    (no square overflowed, and one that underflowed is below an ulp of the
+    sum); every other matrix (zero, tiny, huge or non-finite) is divided by
+    its largest entry modulus first."""
+    x = np.ascontiguousarray(B).reshape(len(B), -1)
+    if x.dtype.kind == "c":
+        x = x.view(float)
+    ss = np.einsum("ij,ij->i", x, x)
+    norms = np.sqrt(ss)
+    rescale = ~((ss >= 2.0**-960) & (ss <= 2.0**960))
+    if rescale.any():
+        a = np.abs(x[rescale])
+        top = a.max(axis=1)
+        a /= np.where(top > 0.0, top, 1.0)[:, None]
+        norms[rescale] = top * np.sqrt(np.einsum("ij,ij->i", a, a))
+    return norms
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ merged sample stream is bit-identical for any worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -102,6 +101,9 @@ def sample_radial_batch(
         return radial_coords_batch(d, (g @ rows).view(complex).reshape(size, *shape))
 
     if threads > 1 and n_chunks > 1:
+        # imported here: it costs every `import cartanflow` several ms
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run_chunk, range(n_chunks)))
     else:

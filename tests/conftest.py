@@ -17,6 +17,7 @@ from cartanflow.spaces import (
     _ad_rows,
     _quaternionic_j,
     _radial_vector,
+    _spectral_block,
     _sym_form,
     _vec_rows,
     check_p_membership,
@@ -783,3 +784,38 @@ def reference_flow_csv(d: SpaceDescriptor, args, traj, deviations) -> str:
     if traj.aborted:
         meta["aborted"] = traj.aborted
     return _reference_csv_text(meta, header, rows)
+
+
+# ---------------------------------------------------------------------------
+# the per-class spectral step of ``radial.radial_coords_batch`` before the
+# rank-1 norm and the real LAPACK calls for bdi and ai, kept verbatim (only
+# renamed) as their reference: one complex SVD or eigvalsh per draw
+
+
+def reference_radial_coords_batch(d: SpaceDescriptor, Xs: np.ndarray) -> np.ndarray:
+    kind, n, N = d.kind, d.n, d.ambient_dim
+    B = _spectral_block(d, Xs) if Xs.shape[-2:] == (N, N) else Xs
+    if kind in ("aiii", "bdi"):
+        s = np.linalg.svd(B, compute_uv=False)
+        if not d.has_sign_flip_weyl:
+            # so(n,n): only even sign flips are available, so the last
+            # coordinate carries sign(det B) (times the parity of the
+            # antidiagonal pattern permutation)
+            parity = (-1.0) ** (n * (n - 1) // 2)
+            s[:, -1] *= parity * np.sign(np.linalg.det(B.real))
+        return s
+    if kind == "cii":
+        return np.linalg.svd(B, compute_uv=False)[:, 0::2]
+    if kind in ("ai", "a2"):
+        w = np.linalg.eigvalsh(B)[:, ::-1]
+        return w[:, : d.real_rank]
+    if kind == "aii":
+        w = np.linalg.eigvalsh(B)[:, ::-1]
+        d2 = 0.5 * (w[:, 0::2] + w[:, 1::2])
+        return d2[:, : d.real_rank]
+    if kind == "diii":
+        s = np.linalg.svd(B, compute_uv=False)
+        return s[:, 0::2][:, : d.real_rank]
+    if kind == "ci":
+        return np.linalg.svd(B, compute_uv=False)
+    raise ContractViolation(f"unknown kind {kind!r}")

@@ -249,6 +249,20 @@ def test_threads_env_fallback(monkeypatch):
     assert args.threads == 3
 
 
+def test_parser_built_once_and_threads_env_read_per_parse(monkeypatch):
+    from cartanflow.cli import build_parser
+
+    assert build_parser() is build_parser()
+    argv = ["verify-density", "--class", "aiii", "--m", "2", "--n", "1"]
+    for env, want in (("2", 2), ("5", 5), ("x", 1), ("", 1)):
+        monkeypatch.setenv("CARTANFLOW_THREADS", env)
+        assert build_parser().parse_args(argv).threads == want
+    assert build_parser().parse_args(argv + ["--threads", "4"]).threads == 4
+    monkeypatch.delenv("CARTANFLOW_THREADS")
+    assert build_parser().parse_args(argv).threads == 1
+    assert not hasattr(build_parser().parse_args(["spaces", "list"]), "threads")
+
+
 def test_atomic_write_no_partial_on_failure(tmp_path, capsys):
     out_file = tmp_path / "x.json"
     code, _, err = run_cli(

@@ -21,13 +21,20 @@ from cartanflow.radial import (
     radial_coords_batch,
 )
 from cartanflow.sampling import sample_radial_batch
-from cartanflow.spaces import _quaternionic_j, check_k_group_membership, geometry
+from cartanflow.spaces import (
+    _quaternionic_j,
+    _spectral_block,
+    check_k_group_membership,
+    geometry,
+)
 
 from conftest import (
     REPRESENTATIVES,
     centralizer_orbit_dimension,
+    parameter_grid,
     reference_chamber_contains,
     reference_check_slice_coords,
+    reference_radial_coords_batch,
     reference_root_table,
 )
 
@@ -244,6 +251,105 @@ def test_batch_coords_match_single(case, rng):
         q, _ = radial_decompose(d, Xs[i])
         assert np.max(np.abs(qb[i] - q)) <= 1e-10 * max(1.0, np.max(np.abs(q)))
         assert np.max(np.abs(radial_coords(d, Xs[i]) - q)) <= 1e-10 * max(1.0, np.max(np.abs(q)))
+
+
+# every rank-1 space of the grid, plus the representatives and the rank > 1
+# real spaces, whose spectral step left the complex LAPACK routines
+SPECTRAL_CASES = sorted(
+    set(REPRESENTATIVES)
+    | {c for c in parameter_grid(4) if make_space(*c).real_rank == 1}
+    | {c for c in parameter_grid(4) if c[0] in ("bdi", "ai")}
+)
+EPS = np.finfo(float).eps
+
+
+def _draws(d, count: int, seed: int) -> np.ndarray:
+    """Gaussian p elements built as the sampler's dense oracle builds them."""
+    rng = np.random.default_rng(seed)
+    return np.tensordot(rng.standard_normal((count, d.dim_p)), geometry(d)._p_stack, axes=1)
+
+
+def _assert_matches_reference(d, q, ref):
+    assert q.shape == ref.shape and np.isfinite(q).all()
+    if d.real_rank == 1:
+        # a norm against LAPACK's singular value or eigenvalue
+        assert np.all(np.abs(q - ref) <= 8 * EPS * np.abs(ref))
+    elif d.kind in ("bdi", "ai"):
+        # real against complex LAPACK: the same values up to rounding
+        assert np.max(np.abs(q - ref)) <= 4e-15 * max(1.0, np.max(np.abs(ref)))
+    else:
+        # every other route is the reference's own LAPACK call
+        assert np.array_equal(q, ref)
+
+
+def _sampler_blocks(d, count: int, seed: int) -> np.ndarray:
+    """The blocks ``sample_radial_batch`` hands the spectral step."""
+    geo = geometry(d)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    shape = _spectral_block(d, geo._p_stack).shape[1:]
+    g = rng.standard_normal((count, d.dim_p))
+    return (g @ geo._block_rows).view(complex).reshape(count, *shape)
+
+
+@pytest.mark.parametrize("case", SPECTRAL_CASES)
+def test_spectral_step_matches_per_class_reference(case):
+    d = make_space(*case)
+    Xs = _draws(d, 300, seed=41)
+    blocks = np.ascontiguousarray(_spectral_block(d, Xs))
+    _assert_matches_reference(d, radial_coords_batch(d, Xs), reference_radial_coords_batch(d, Xs))
+    assert np.array_equal(radial_coords_batch(d, blocks), radial_coords_batch(d, Xs))
+    q = sample_radial_batch(d, 300, seed=5)
+    _assert_matches_reference(d, q, reference_radial_coords_batch(d, _sampler_blocks(d, 300, 5)))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("case", SPECTRAL_CASES)
+def test_spectral_step_is_finite_at_extreme_scales(case, scale):
+    # the squares of 1e200 overflow and those of 1e-200 underflow: the
+    # rank-1 norm divides such blocks by their largest entry first
+    d = make_space(*case)
+    blocks = np.ascontiguousarray(_spectral_block(d, _draws(d, 50, seed=43)))
+    q = radial_coords_batch(d, blocks * scale)
+    assert np.isfinite(q).all()
+    # rescaled and plain blocks in one batch: each row as on its own
+    mixed = np.concatenate([blocks * scale, blocks])
+    assert np.array_equal(
+        radial_coords_batch(d, mixed), np.concatenate([q, radial_coords_batch(d, blocks)])
+    )
+    if d.real_rank > 1 and not (d.has_sign_flip_weyl or d.trace_constrained):
+        # so(n,n): the reference's det overflows (1e200) or underflows to 0
+        # and drops the last coordinate (1e-200); q is homogeneous of degree 1
+        _assert_matches_reference(d, q / scale, reference_radial_coords_batch(d, blocks))
+        return
+    ref = reference_radial_coords_batch(d, blocks * scale)
+    assert np.isfinite(ref).all()
+    _assert_matches_reference(d, q / scale, ref / scale)
+
+
+@pytest.mark.parametrize("case", SPECTRAL_CASES)
+def test_spectral_step_of_zero_blocks(case):
+    d = make_space(*case)
+    N = d.ambient_dim
+    for Xs in (np.zeros((3, N, N), dtype=complex), np.full((3, N, N), complex(-0.0, -0.0))):
+        q = radial_coords_batch(d, Xs)
+        assert np.array_equal(q, reference_radial_coords_batch(d, Xs))
+        assert not np.any(q)
+        if d.real_rank == 1:
+            assert not np.signbit(q).any()
+
+
+def test_bdi_11_coordinate_keeps_its_sign():
+    # so(1,1) has no Weyl element that flips q: the block itself is q
+    d = make_space("bdi", 1, 1)
+    for q0 in (-0.7, 0.0, 2.5):
+        X = embed_radial(d, [q0])
+        assert radial_coords(d, X)[0] == q0
+        assert radial_decompose(d, X)[0][0] == pytest.approx(q0, abs=1e-15)
+    Xs = _draws(d, 200, seed=47)
+    q = radial_coords_batch(d, Xs)
+    assert np.array_equal(np.sign(q[:, 0]), np.sign(_spectral_block(d, Xs)[:, 0, 0].real))
+    assert (q < 0).any() and (q > 0).any()
+    assert np.array_equal(q, reference_radial_coords_batch(d, Xs))
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,22 @@ def test_import_does_not_load_scipy_integrate():
     assert out.stdout.strip() == "False"
 
 
+def test_import_loads_neither_thread_pool_nor_scipy():
+    # the thread pool is imported by a multi-threaded sample only
+    import cartanflow
+
+    src = os.path.dirname(os.path.dirname(cartanflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, cartanflow; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_negative_seed_rejected():
     d = make_space("aiii", 2, 1)
     with pytest.raises(ContractViolation):
