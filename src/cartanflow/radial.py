@@ -217,8 +217,9 @@ def radial_coords_batch(d: SpaceDescriptor, Xs: np.ndarray) -> np.ndarray:
     ``Xs`` holds either N x N p elements or their spectral blocks, the
     region ``_spectral_block`` cuts out and the only one read here; the
     trailing shape tells the two apart (for ai, a2 and aii the block is the
-    whole matrix).  No membership checks; intended for the Monte Carlo
-    sampler, which builds the blocks from the p basis by design.
+    whole matrix); blocks of bdi and ai may come real.  No membership
+    checks; intended for the Monte Carlo sampler, which builds the blocks
+    from the p basis by design.
 
     Each case takes the cheapest exact kernel.  At rank 1, H(q) = q H_1 and
     K acts on the block by unitaries, so q = |B|_F / |block(H_1)|_F, with

@@ -14,12 +14,16 @@ Laguerre-Selberg integral (aiii, bdi, cii, diii, ci) in closed form.
 
 Reproducibility contract: work is split into fixed-size chunks; chunk c
 derives its generator from ``SeedSequence(seed, spawn_key=(c,))``, so the
-merged sample stream is bit-identical for any worker count.
+merged sample stream is bit-identical for any worker count.  A chunk draws,
+assembles and reduces its draws in fixed sub-blocks whose bounds depend on
+the count alone; the generator's stream drawn in consecutive slices is the
+stream of one call, and each draw's spectral step reads only its block.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,6 +47,9 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 8192
+# draws per sub-block of a chunk: a worker holds one sub-block's normals,
+# blocks and LAPACK copy, whatever the count
+_SUB_BLOCK = 1024
 #: one-sided Kolmogorov-Smirnov threshold at the 99% level is
 #: sqrt(-ln(0.005)/2)/sqrt(n); the verification band widens it by 1.5x to
 #: absorb binning.
@@ -67,16 +74,23 @@ class RadialHistogram:
     seed: int
 
 
+def _check_int(name: str, value, least: int) -> int:
+    """``value`` as an int; ContractViolation unless it is an integer (a
+    Python or NumPy one, not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ContractViolation(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    if seed < 0:
-        raise ContractViolation(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
 
 
 def sample_p_gaussian(d: SpaceDescriptor, seed: int) -> np.ndarray:
-    """One Gaussian draw on p; bit-reproducible for a fixed seed >= 0."""
+    """One Gaussian draw on p; bit-reproducible for a fixed integer seed >= 0."""
+    seed = _check_int("seed", seed, 0)
     geo = geometry(d)
-    rng = _chunk_rng(int(seed), 0)
+    rng = _chunk_rng(seed, 0)
     return geo.p_from_coords(rng.standard_normal(d.dim_p))
 
 
@@ -86,29 +100,49 @@ def sample_radial_batch(
     """Chamber coordinates of ``count`` independent Gaussian draws on p.
 
     Deterministic in (count, seed) and independent of ``threads``.
+    ContractViolation unless ``count`` and ``threads`` are integers >= 1 and
+    ``seed`` an integer >= 0.
     """
-    if count < 1:
-        raise ContractViolation("count must be >= 1")
+    count = _check_int("count", count, 1)
+    seed = _check_int("seed", seed, 0)
+    threads = _check_int("threads", threads, 1)
     geo = geometry(d)
     # each draw is built only on the block the spectral step reads, by one
-    # real product (a product, not a gather: empty entries stay +0.0)
-    rows, shape = geo._block_rows, _spectral_block(d, geo._p_stack).shape[1:]
+    # real product (a product, not a gather: empty entries stay +0.0); the
+    # p basis of bdi and ai is real, so their product skips the zero
+    # imaginary columns and yields the real blocks
+    real = d.kind in ("bdi", "ai")
+    rows = geo._real_block_rows if real else geo._block_rows
+    shape = _spectral_block(d, geo._p_stack).shape[1:]
+    out = np.empty((count, d.real_rank))
     n_chunks = (count + CHUNK_SIZE - 1) // CHUNK_SIZE
 
-    def run_chunk(c: int) -> np.ndarray:
-        size = min(CHUNK_SIZE, count - c * CHUNK_SIZE)
-        g = _chunk_rng(int(seed), c).standard_normal((size, d.dim_p))
-        return radial_coords_batch(d, (g @ rows).view(complex).reshape(size, *shape))
+    def blocks(g: np.ndarray) -> np.ndarray:
+        B = g @ rows
+        return (B if real else B.view(complex)).reshape(len(g), *shape)
+
+    def run_chunk(c: int) -> None:
+        rng, stop = _chunk_rng(seed, c), min(count, (c + 1) * CHUNK_SIZE)
+        cuts = [*range(c * CHUNK_SIZE, stop, _SUB_BLOCK), stop]
+        if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+            # NumPy multiplies a one-row matrix by gemv, whose sums can differ
+            # from gemm's in the last bit: a one-draw rest joins the sub-block
+            # before it, as it shared the chunk's product before sub-blocks
+            del cuts[-2]
+        for lo, hi in zip(cuts, cuts[1:]):
+            # one expression: no sub-block's normals or blocks outlive it
+            out[lo:hi] = radial_coords_batch(d, blocks(rng.standard_normal((hi - lo, d.dim_p))))
 
     if threads > 1 and n_chunks > 1:
         # imported here: it costs every `import cartanflow` several ms
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, range(n_chunks)))
+            list(pool.map(run_chunk, range(n_chunks)))  # re-raises a chunk's error
     else:
-        parts = [run_chunk(c) for c in range(n_chunks)]
-    return np.concatenate(parts, axis=0)
+        for c in range(n_chunks):
+            run_chunk(c)
+    return out
 
 
 def radial_histogram(
@@ -118,9 +152,10 @@ def radial_histogram(
 
     One histogram per chamber coordinate; bin edges span the observed
     range (anchored at 0 where the chamber is one-sidedly nonnegative).
+    ContractViolation unless ``bins`` is an integer >= 2 (and the arguments
+    pass ``sample_radial_batch``'s checks).
     """
-    if bins < 2:
-        raise ContractViolation("bins must be >= 2")
+    bins = _check_int("bins", bins, 2)
     qs = sample_radial_batch(d, count, seed, threads)
     edges, counts, dens = [], [], []
     for i in range(d.real_rank):
@@ -273,8 +308,13 @@ def verify_density(
     times ``density_constant`` (the bracket rows of C are the positive
     roots repeated by multiplicity); for rank-1 classes additionally runs
     the Monte Carlo Kolmogorov-Smirnov comparison against the normalized
-    density.
+    density.  ContractViolation unless ``count`` and ``threads`` are integers
+    >= 1, ``bins`` one >= 2 and ``seed`` one >= 0, at every rank.
     """
+    count = _check_int("count", count, 1)
+    bins = _check_int("bins", bins, 2)
+    seed = _check_int("seed", seed, 0)
+    threads = _check_int("threads", threads, 1)
     result: dict = {"space": d.label(), "count": count, "bins": bins, "seed": seed}
     try:
         result["density_constant"] = density_constant(d)

@@ -627,6 +627,15 @@ class SpaceGeometry:
         return _real_rows(np.ascontiguousarray(_spectral_block(self.descriptor, self._p_stack)))
 
     @cached_property
+    def _real_block_rows(self) -> np.ndarray:
+        """The real-part columns of ``_block_rows``.  For bdi and ai, whose p
+        basis is real, the imaginary columns are zero, and the real blocks of
+        sum_a c_a B_a are one product with these rows."""
+        rows = np.ascontiguousarray(self._block_rows[:, 0::2])
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
     def _a_stack(self) -> np.ndarray:
         stack = _orthonormalize(np.stack(self.a_embed))
         stack.flags.writeable = False

@@ -8,8 +8,9 @@ import pytest
 from cartanflow import make_space
 from cartanflow.dynamics import _ABORT_FACTOR, Trajectory
 from cartanflow.linalg import ConsistencyError, ContractViolation, as_cmat, commutator, frobenius
-from cartanflow.radial import WALL_TOL, SliceCoords
+from cartanflow.radial import WALL_TOL, SliceCoords, radial_coords_batch
 from cartanflow.reduction import ReducedState, _root_product, jacobian_density, random_chamber_point
+from cartanflow.sampling import CHUNK_SIZE
 from cartanflow.spaces import (
     _GS_TOL,
     RestrictedRoot,
@@ -819,3 +820,31 @@ def reference_radial_coords_batch(d: SpaceDescriptor, Xs: np.ndarray) -> np.ndar
     if kind == "ci":
         return np.linalg.svd(B, compute_uv=False)
     raise ContractViolation(f"unknown kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# the chunk loop of ``sampling.sample_radial_batch`` before it streamed each
+# chunk through sub-blocks, kept as its reference (renamed, with the chunk
+# generator inlined): every chunk's normals and blocks at once, and the
+# complex product for every class.  ``real`` makes the product take the real
+# columns, as the sampler does for bdi and ai
+
+
+def reference_sample_radial_batch(
+    d: SpaceDescriptor, count: int, seed: int, real: bool = False
+) -> np.ndarray:
+    geo = geometry(d)
+    rows, shape = geo._block_rows, _spectral_block(d, geo._p_stack).shape[1:]
+    if real:
+        rows = np.ascontiguousarray(rows[:, 0::2])
+    n_chunks = (count + CHUNK_SIZE - 1) // CHUNK_SIZE
+
+    def run_chunk(c: int) -> np.ndarray:
+        size = min(CHUNK_SIZE, count - c * CHUNK_SIZE)
+        rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(c,)))
+        g = rng.standard_normal((size, d.dim_p))
+        B = g @ rows
+        return radial_coords_batch(d, (B if real else B.view(complex)).reshape(size, *shape))
+
+    parts = [run_chunk(c) for c in range(n_chunks)]
+    return np.concatenate(parts, axis=0)

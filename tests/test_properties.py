@@ -7,9 +7,11 @@ common; each point is conjugated by exp of a random element of k.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cartanflow import (
+    ContractViolation,
     chamber_contains,
     closed_form_density,
     density_constant,
@@ -18,8 +20,11 @@ from cartanflow import (
     make_space,
     radial_coords,
     radial_decompose,
+    radial_histogram,
     random_k_element,
+    sample_p_gaussian,
     sample_radial_batch,
+    verify_density,
 )
 from cartanflow.linalg import frobenius
 from cartanflow.sampling import CHUNK_SIZE
@@ -112,3 +117,67 @@ def test_sample_stream_independent_of_threads(case, count, seed, threads):
     d = make_space(*case)
     one = sample_radial_batch(d, count, seed, threads=1)
     assert np.array_equal(one, sample_radial_batch(d, count, seed, threads=threads))
+
+
+# the integer arguments of each sampler entry point, and for each argument a
+# valid value and the least value allowed
+SAMPLER_ARGS = {
+    sample_radial_batch: ("count", "seed", "threads"),
+    radial_histogram: ("count", "bins", "seed", "threads"),
+    verify_density: ("count", "bins", "seed", "threads"),
+    sample_p_gaussian: ("seed",),
+}
+VALID_ARG = {"count": 5, "bins": 4, "seed": 0, "threads": 1}
+LEAST_ARG = {"count": 1, "bins": 2, "seed": 0, "threads": 1}
+NUMPY_INTS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def bad_sampler_call(draw):
+    """An entry point, its valid keyword arguments and one of them replaced
+    by a value that is no integer, a bool, or an integer below the least."""
+    fn, names = draw(st.sampled_from(list(SAMPLER_ARGS.items())))
+    name = draw(st.sampled_from(names))
+    below = st.integers(max_value=LEAST_ARG[name] - 1)
+    bad = draw(st.one_of(
+        below,
+        below.filter(lambda v: v >= -(2**63)).map(np.int64),
+        st.booleans(),
+        st.booleans().map(np.bool_),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(-10.0, 10.0).map(np.float64),
+        st.sampled_from([None, "3", 2 + 0j, [2]]),
+    ))
+    kwargs = {n: VALID_ARG[n] for n in names}
+    kwargs[name] = bad
+    return fn, kwargs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(bad_sampler_call())
+def test_sampler_entry_points_reject_bad_integers(call):
+    # no value here starts a thread: every bad threads value is below 1 or
+    # no integer
+    fn, kwargs = call
+    with pytest.raises(ContractViolation):
+        fn(make_space("aiii", 2, 1), **kwargs)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(NUMPY_INTS),
+    st.integers(1, 100),
+    st.integers(2, 20),
+    st.integers(0, 127),
+    st.integers(1, 3),
+)
+def test_sampler_entry_points_accept_numpy_integers(t, count, bins, seed, threads):
+    d = make_space("aiii", 2, 1)
+    q = sample_radial_batch(d, count, seed, threads)
+    assert np.array_equal(sample_radial_batch(d, t(count), t(seed), t(threads)), q)
+    hist = radial_histogram(d, t(count), t(bins), t(seed), t(threads))
+    want = radial_histogram(d, count, bins, seed, threads)
+    assert all(np.array_equal(a, b) for a, b in zip(hist.density, want.density))
+    res = verify_density(d, t(count), t(bins), t(seed), t(threads))
+    assert res == verify_density(d, count, bins, seed, threads)
+    assert np.array_equal(sample_p_gaussian(d, t(seed)), sample_p_gaussian(d, seed))

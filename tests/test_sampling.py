@@ -19,7 +19,12 @@ from cartanflow import (
 from cartanflow.radial import radial_coords_batch
 from cartanflow.reduction import random_chamber_point
 from cartanflow.linalg import ConsistencyError
-from cartanflow.sampling import _chamber_integral, _unnormalized, theoretical_radial_cdf
+from cartanflow.sampling import (
+    CHUNK_SIZE,
+    _chamber_integral,
+    _unnormalized,
+    theoretical_radial_cdf,
+)
 from cartanflow.spaces import (
     _root_system,
     _spectral_block,
@@ -34,6 +39,7 @@ from conftest import (
     reference_chamber_integral,
     reference_root_families,
     reference_root_table,
+    reference_sample_radial_batch,
     root_system_grid,
 )
 
@@ -145,6 +151,56 @@ def test_block_sampler_matches_dense_path(case, seed):
         assert np.array_equal(q, dense)
     blocks = np.ascontiguousarray(_spectral_block(d, Xs))
     assert np.array_equal(radial_coords_batch(d, blocks), dense)
+
+
+@pytest.mark.parametrize("count", [1, 1023, 1025, 8191, 8193, 3 * CHUNK_SIZE + 5])
+@pytest.mark.parametrize("case", REPRESENTATIVES + [("a2", 0, 4)])
+def test_sub_block_stream_matches_chunk_reference(case, count):
+    # a chunk streamed through sub-blocks gives the bytes of the whole chunk
+    # at once, at one and two threads; 1025 draws end in a one-draw rest,
+    # which a one-row product would sum in another order for a2(4)
+    d = make_space(*case)
+    want = reference_sample_radial_batch(d, count, 3, real=d.kind in ("bdi", "ai"))
+    for threads in (1, 2):
+        assert np.array_equal(sample_radial_batch(d, count, 3, threads), want)
+
+
+@pytest.mark.parametrize("count", [1100, 20_000])
+@pytest.mark.parametrize(
+    "case", [("bdi", 2, 1), ("bdi", 3, 1), ("ai", 0, 2), ("bdi", 3, 3), ("ai", 0, 6), ("a2", 0, 5)]
+)
+def test_sub_block_stream_within_ulps_of_complex_chunk_reference(case, count):
+    # against the complex product over whole chunks: the real product of
+    # bdi and ai can move a rank-1 sum of squares by an ulp, and BLAS can sum
+    # a row in an order that depends on how many rows the product has
+    # (bdi(3,1), ai(2), ai(6) and a2(5) move here on OpenBLAS)
+    d = make_space(*case)
+    q, want = sample_radial_batch(d, count, 13), reference_sample_radial_batch(d, count, 13)
+    if d.real_rank == 1:
+        assert np.all(np.abs(q - want) <= 8 * np.finfo(float).eps * np.abs(want))
+    else:
+        assert np.max(np.abs(q - want)) <= 4e-15 * max(1.0, np.max(np.abs(want)))
+
+
+def test_sampler_peak_memory_is_one_sub_block_per_worker():
+    # a worker holds one sub-block's normals and blocks, about
+    # 1024 x (143 + 288) doubles for a2(12), beside the 1.4 MB result; the
+    # whole 8192-draw chunk held about 28 MB per worker
+    import tracemalloc
+
+    d = make_space("a2", 0, 12)
+    sample_radial_batch(d, 2, seed=1, threads=2)  # geometry and thread pool import
+    peaks = {}
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            sample_radial_batch(d, 2 * CHUNK_SIZE, seed=1, threads=threads)
+            peaks[threads] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 8e6
+    assert peaks[2] <= 2 * 8e6
 
 
 def test_histogram_counts_and_density():
