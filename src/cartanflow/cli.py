@@ -409,7 +409,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConsistencyError, np.linalg.LinAlgError) as exc:
         print(f"error: consistency: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, MemoryError) as exc:
+        # MemoryError: an input too large to hold, such as a huge --count
         print(f"error: validation: {exc}", file=sys.stderr)
         return 2
 

@@ -223,20 +223,20 @@ def radial_coords_batch(d: SpaceDescriptor, Xs: np.ndarray) -> np.ndarray:
 
     Each case takes the cheapest exact kernel.  At rank 1, H(q) = q H_1 and
     K acts on the block by unitaries, so q = |B|_F / |block(H_1)|_F, with
-    no LAPACK call.  The real classes bdi and ai hand LAPACK the real part
-    of the block (their imaginary part is zero), a real SVD or eigvalsh.
+    no LAPACK call.  The real classes bdi and ai read the real part of the
+    block (their imaginary part is zero): a real norm, SVD or eigvalsh.
     """
     kind, n, N = d.kind, d.n, d.ambient_dim
     B = _spectral_block(d, Xs) if Xs.shape[-2:] == (N, N) else Xs
+    if kind in ("bdi", "ai"):
+        B = B.real
     if d.real_rank == 1:
         c = frobenius(_spectral_block(d, geometry(d).a_embed[0]))
         if not (d.has_sign_flip_weyl or d.trace_constrained):
             # bdi(1,1): no Weyl element flips the sign, so q keeps it (+ 0.0
             # turns a -0.0 entry into 0.0, the value sign(B) |B| gives)
-            return B.real.reshape(len(B), 1) / c + 0.0
+            return B.reshape(len(B), 1) / c + 0.0
         return _frobenius_norms(B)[:, None] / c
-    if kind in ("bdi", "ai"):
-        B = B.real
     if kind in ("aiii", "bdi"):
         s = np.linalg.svd(B, compute_uv=False)
         if not d.has_sign_flip_weyl:

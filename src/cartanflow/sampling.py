@@ -12,12 +12,15 @@ and Z the chamber normalization.  rho is a product of root values
 prod |alpha(q)|^m_alpha, so Z is Mehta's integral (ai, a2, aii) or the
 Laguerre-Selberg integral (aiii, bdi, cii, diii, ci) in closed form.
 
-Reproducibility contract: work is split into fixed-size chunks; chunk c
-derives its generator from ``SeedSequence(seed, spawn_key=(c,))``, so the
-merged sample stream is bit-identical for any worker count.  A chunk draws,
-assembles and reduces its draws in fixed sub-blocks whose bounds depend on
-the count alone; the generator's stream drawn in consecutive slices is the
-stream of one call, and each draw's spectral step reads only its block.
+Reproducibility contract: the output depends on (count, seed) only.  Work
+is split into fixed-size chunks; chunk c derives its generator from
+``SeedSequence(seed, spawn_key=(c,))``, so the merged sample stream is
+bit-identical for any worker count.  A chunk draws, assembles and reduces
+its draws in fixed sub-blocks; the generator's stream drawn in consecutive
+slices is the stream of one call, each block is built by index with no
+BLAS call (its entries do not depend on how many draws are built
+together), and each draw's spectral step reads only its block.  So the
+first n draws of a larger count are the n draws.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .linalg import ConsistencyError, ContractViolation
 from .radial import chamber_contains, radial_coords_batch
 from .reduction import _root_product, density_constant
-from .spaces import SpaceDescriptor, _root_system, _spectral_block, geometry
+from .spaces import SpaceDescriptor, _root_system, geometry
 
 __all__ = [
     "CHUNK_SIZE",
@@ -94,6 +97,20 @@ def sample_p_gaussian(d: SpaceDescriptor, seed: int) -> np.ndarray:
     return geo.p_from_coords(rng.standard_normal(d.dim_p))
 
 
+def _blocks(table: tuple, g: np.ndarray) -> np.ndarray:
+    """The spectral blocks of sum_a g[i, a] B_a over the p basis B, one per
+    row of ``g``, built by index from ``SpaceGeometry._block_gather``: each
+    entry is its first contributor's term, and each further contributor is
+    added in basis order, so no entry depends on how many rows ``g`` has."""
+    src, val, cols, more_src, more_val, shape = table
+    B = np.take(g, src, axis=1)
+    B *= val
+    B += 0.0  # an empty entry reads +0.0, as in a product, not g * 0 = -0.0
+    for s, v in zip(more_src, more_val):
+        B[:, cols] += g[:, s] * v
+    return B.view(complex).reshape(len(g), *shape)
+
+
 def sample_radial_batch(
     d: SpaceDescriptor, count: int, seed: int, threads: int = 1
 ) -> np.ndarray:
@@ -106,32 +123,18 @@ def sample_radial_batch(
     count = _check_int("count", count, 1)
     seed = _check_int("seed", seed, 0)
     threads = _check_int("threads", threads, 1)
-    geo = geometry(d)
-    # each draw is built only on the block the spectral step reads, by one
-    # real product (a product, not a gather: empty entries stay +0.0); the
-    # p basis of bdi and ai is real, so their product skips the zero
-    # imaginary columns and yields the real blocks
-    real = d.kind in ("bdi", "ai")
-    rows = geo._real_block_rows if real else geo._block_rows
-    shape = _spectral_block(d, geo._p_stack).shape[1:]
+    table = geometry(d)._block_gather
     out = np.empty((count, d.real_rank))
     n_chunks = (count + CHUNK_SIZE - 1) // CHUNK_SIZE
-
-    def blocks(g: np.ndarray) -> np.ndarray:
-        B = g @ rows
-        return (B if real else B.view(complex)).reshape(len(g), *shape)
 
     def run_chunk(c: int) -> None:
         rng, stop = _chunk_rng(seed, c), min(count, (c + 1) * CHUNK_SIZE)
         cuts = [*range(c * CHUNK_SIZE, stop, _SUB_BLOCK), stop]
-        if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-            # NumPy multiplies a one-row matrix by gemv, whose sums can differ
-            # from gemm's in the last bit: a one-draw rest joins the sub-block
-            # before it, as it shared the chunk's product before sub-blocks
-            del cuts[-2]
         for lo, hi in zip(cuts, cuts[1:]):
             # one expression: no sub-block's normals or blocks outlive it
-            out[lo:hi] = radial_coords_batch(d, blocks(rng.standard_normal((hi - lo, d.dim_p))))
+            out[lo:hi] = radial_coords_batch(
+                d, _blocks(table, rng.standard_normal((hi - lo, d.dim_p)))
+            )
 
     if threads > 1 and n_chunks > 1:
         # imported here: it costs every `import cartanflow` several ms

@@ -627,13 +627,28 @@ class SpaceGeometry:
         return _real_rows(np.ascontiguousarray(_spectral_block(self.descriptor, self._p_stack)))
 
     @cached_property
-    def _real_block_rows(self) -> np.ndarray:
-        """The real-part columns of ``_block_rows``.  For bdi and ai, whose p
-        basis is real, the imaginary columns are zero, and the real blocks of
-        sum_a c_a B_a are one product with these rows."""
-        rows = np.ascontiguousarray(self._block_rows[:, 0::2])
-        rows.flags.writeable = False
-        return rows
+    def _block_gather(self) -> tuple:
+        """``_block_rows`` as an index table, for building blocks without a
+        product: per column, its first contributing basis row ``src`` and that
+        row's entry ``val`` (entry 0 where no row contributes); for the
+        columns ``cols`` with further contributors (the A-type diagonals),
+        one level per further contributor in basis order, rows ``more_src``
+        and entries ``more_val``, padded with entry 0; last, the block shape."""
+        rows = self._block_rows
+        nz = rows != 0
+        src = np.argmax(nz, axis=0)  # row 0 for an empty column, whose entry is 0
+        val = rows[src, np.arange(rows.shape[1])]
+        cols = np.flatnonzero(nz.sum(axis=0) > 1)
+        further = [np.flatnonzero(nz[:, c])[1:] for c in cols]
+        levels = max(map(len, further), default=0)
+        more_src = np.zeros((levels, len(cols)), dtype=np.intp)
+        more_val = np.zeros((levels, len(cols)))
+        for k, (c, r) in enumerate(zip(cols, further)):
+            more_src[: len(r), k], more_val[: len(r), k] = r, rows[r, c]
+        for a in (src, val, cols, more_src, more_val):
+            a.flags.writeable = False
+        shape = _spectral_block(self.descriptor, self._p_stack).shape[1:]
+        return src, val, cols, more_src, more_val, shape
 
     @cached_property
     def _a_stack(self) -> np.ndarray:

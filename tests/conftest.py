@@ -823,15 +823,32 @@ def reference_radial_coords_batch(d: SpaceDescriptor, Xs: np.ndarray) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
+# a BLAS-free reference assembly of the sampler's blocks: from +0.0 zeros,
+# add g[:, a] times the a-th row of ``_block_rows`` for every p basis row in
+# basis order.  Adding a zero row is exact, so each entry is the sum of its
+# contributors' terms in basis order, whatever the number of draws
+
+
+def exact_block_assembly(d: SpaceDescriptor, g: np.ndarray) -> np.ndarray:
+    geo = geometry(d)
+    rows, shape = geo._block_rows, _spectral_block(d, geo._p_stack).shape[1:]
+    B = np.zeros((len(g), rows.shape[1]))
+    for a in range(len(rows)):
+        B += g[:, a, None] * rows[a]
+    return B.view(complex).reshape(len(g), *shape)
+
+
+# ---------------------------------------------------------------------------
 # the chunk loop of ``sampling.sample_radial_batch`` before it streamed each
 # chunk through sub-blocks, kept as its reference (renamed, with the chunk
 # generator inlined): every chunk's normals and blocks at once, and the
 # complex product for every class.  ``real`` makes the product take the real
-# columns, as the sampler does for bdi and ai
+# columns, as the sampler did for bdi and ai; ``exact`` replaces the product
+# by ``exact_block_assembly``
 
 
 def reference_sample_radial_batch(
-    d: SpaceDescriptor, count: int, seed: int, real: bool = False
+    d: SpaceDescriptor, count: int, seed: int, real: bool = False, exact: bool = False
 ) -> np.ndarray:
     geo = geometry(d)
     rows, shape = geo._block_rows, _spectral_block(d, geo._p_stack).shape[1:]
@@ -843,6 +860,8 @@ def reference_sample_radial_batch(
         size = min(CHUNK_SIZE, count - c * CHUNK_SIZE)
         rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(c,)))
         g = rng.standard_normal((size, d.dim_p))
+        if exact:
+            return radial_coords_batch(d, exact_block_assembly(d, g))
         B = g @ rows
         return radial_coords_batch(d, (B if real else B.view(complex)).reshape(size, *shape))
 

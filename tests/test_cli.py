@@ -282,6 +282,17 @@ def test_density_rejects_non_finite_q(capsys, q):
     assert code == 2 and out == "" and err.startswith("error: validation:")
 
 
+@pytest.mark.parametrize("command", ["sample", "verify-density"])
+def test_count_too_large_to_hold_is_a_validation_error(capsys, command):
+    # NumPy refuses the 8 PB result array at once, without touching memory
+    code, out, err = run_cli(
+        capsys, command, "--class", "aiii", "--m", "2", "--n", "1", "--count", str(10**15)
+    )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+    assert "Unable to allocate" in err
+
+
 @pytest.mark.parametrize("method", ["numeric", "closed", "both"])
 def test_density_overflow_is_not_emitted_as_nan(capsys, method):
     # finite input whose density overflows: no NaN or Infinity in the JSON,

@@ -31,6 +31,7 @@ from cartanflow.spaces import (
 from conftest import (
     REPRESENTATIVES,
     centralizer_orbit_dimension,
+    exact_block_assembly,
     parameter_grid,
     reference_chamber_contains,
     reference_check_slice_coords,
@@ -283,11 +284,15 @@ def _assert_matches_reference(d, q, ref):
 
 
 def _sampler_blocks(d, count: int, seed: int) -> np.ndarray:
-    """The blocks ``sample_radial_batch`` hands the spectral step."""
+    """The blocks ``sample_radial_batch`` hands the spectral step: the exact
+    assembly for the A-type classes, whose diagonals sum several
+    contributors, and the product for the others."""
     geo = geometry(d)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     shape = _spectral_block(d, geo._p_stack).shape[1:]
     g = rng.standard_normal((count, d.dim_p))
+    if d.trace_constrained:
+        return exact_block_assembly(d, g)
     return (g @ geo._block_rows).view(complex).reshape(count, *shape)
 
 

@@ -21,6 +21,8 @@ from cartanflow.reduction import random_chamber_point
 from cartanflow.linalg import ConsistencyError
 from cartanflow.sampling import (
     CHUNK_SIZE,
+    _SUB_BLOCK,
+    _blocks,
     _chamber_integral,
     _unnormalized,
     theoretical_radial_cdf,
@@ -144,7 +146,7 @@ def test_block_sampler_matches_dense_path(case, seed):
     dense = radial_coords_batch(d, Xs)
     q = sample_radial_batch(d, count, seed)
     if d.kind in ("ai", "a2", "aii"):
-        # a real and a complex product sum a diagonal's contributors in
+        # the sampler and the dense product sum a diagonal's contributors in
         # different orders
         assert np.max(np.abs(q - dense)) <= 1e-13 * np.max(np.abs(dense))
     else:
@@ -157,10 +159,12 @@ def test_block_sampler_matches_dense_path(case, seed):
 @pytest.mark.parametrize("case", REPRESENTATIVES + [("a2", 0, 4)])
 def test_sub_block_stream_matches_chunk_reference(case, count):
     # a chunk streamed through sub-blocks gives the bytes of the whole chunk
-    # at once, at one and two threads; 1025 draws end in a one-draw rest,
-    # which a one-row product would sum in another order for a2(4)
+    # at once, at one and two threads; 1025 draws end in a one-draw rest.
+    # The A-type diagonals sum several contributors, which a BLAS product
+    # orders by its row count: those cases take the exact assembly
     d = make_space(*case)
-    want = reference_sample_radial_batch(d, count, 3, real=d.kind in ("bdi", "ai"))
+    real, exact = d.kind in ("bdi", "ai"), d.trace_constrained
+    want = reference_sample_radial_batch(d, count, 3, real=real, exact=exact)
     for threads in (1, 2):
         assert np.array_equal(sample_radial_batch(d, count, 3, threads), want)
 
@@ -170,16 +174,41 @@ def test_sub_block_stream_matches_chunk_reference(case, count):
     "case", [("bdi", 2, 1), ("bdi", 3, 1), ("ai", 0, 2), ("bdi", 3, 3), ("ai", 0, 6), ("a2", 0, 5)]
 )
 def test_sub_block_stream_within_ulps_of_complex_chunk_reference(case, count):
-    # against the complex product over whole chunks: the real product of
-    # bdi and ai can move a rank-1 sum of squares by an ulp, and BLAS can sum
-    # a row in an order that depends on how many rows the product has
-    # (bdi(3,1), ai(2), ai(6) and a2(5) move here on OpenBLAS)
+    # against the complex product over whole chunks: the real rank-1 norm of
+    # bdi and ai can differ from the complex one by an ulp, and the sampler
+    # sums an A-type diagonal's contributors in basis order, BLAS in its own
     d = make_space(*case)
     q, want = sample_radial_batch(d, count, 13), reference_sample_radial_batch(d, count, 13)
     if d.real_rank == 1:
         assert np.all(np.abs(q - want) <= 8 * np.finfo(float).eps * np.abs(want))
     else:
         assert np.max(np.abs(q - want)) <= 4e-15 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize(
+    "case", sorted(set(REPRESENTATIVES) | {("a2", 0, 5), ("a2", 0, 11), ("ai", 0, 11)})
+)
+def test_sample_prefix_is_the_prefix_of_a_larger_sample(case):
+    # the output depends on (count, seed) only: the first n of 8192 draws are
+    # the n draws, whatever sub-blocks each count splits into (a BLAS product
+    # summed the A-type diagonals in an order that depends on its row count)
+    d = make_space(*case)
+    full = sample_radial_batch(d, CHUNK_SIZE, 3)
+    for n in (1, 2, 17, 476, 1025, 1500, 5000):
+        assert np.array_equal(sample_radial_batch(d, n, 3), full[:n]), n
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", [("aiii", 16, 16), ("aiii", 24, 24), ("bdi", 24, 24)])
+def test_large_gathered_blocks_equal_the_product(case):
+    # every block entry of these classes has one contributor, so the gather
+    # is the product's bytes, signed zeros included
+    d = make_space(*case)
+    geo = geometry(d)
+    g = np.random.default_rng(17).standard_normal((_SUB_BLOCK, d.dim_p))
+    got = _blocks(geo._block_gather, g)
+    want = (g @ geo._block_rows).view(complex).reshape(got.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sampler_peak_memory_is_one_sub_block_per_worker():
