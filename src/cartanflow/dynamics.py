@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ContractViolation
+from .linalg import ConsistencyError, ContractViolation
 from .radial import WALL_TOL, SliceCoords, radial_coords_batch, radial_decompose
 from .reduction import ReducedState, l_from_slice
 from .spaces import SpaceDescriptor, check_p_membership, geometry, wall_distance
@@ -110,9 +110,10 @@ class _Reduced:
     come from two divisions and the energy has the Calogero-Moser/Sutherland
     form p^T G p / 2 + sum_k l_k^2 / (C q)_k^2 / 2.  ``split``, ``r_and_w``
     and ``hamiltonian`` broadcast over leading axes (a stack of states).
-    ``field`` works through scratch arrays that the instance allocates once,
-    so an instance serves one caller at a time; the cached geometry it reads
-    is never written.
+    The field has one body, the closure ``bind`` returns: ``field`` and the
+    four RK4 stages of ``integrate_reduced`` all run it.  It works through
+    scratch arrays that the instance allocates once, so an instance serves
+    one caller at a time; the cached geometry it reads is never written.
     """
 
     def __init__(self, d: SpaceDescriptor):
@@ -170,23 +171,39 @@ class _Reduced:
         r, _ = self.r_and_w(q, lc)
         return 0.5 * np.sum((p @ self.gram) * p, axis=-1) + 0.5 * np.sum(r * r, axis=-1)
 
-    def field(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write dy/dt at the flat state ``y`` into ``out`` and return it.
+    def bind(self, src: np.ndarray, out: np.ndarray):
+        """A closure of no arguments that writes dy/dt at the flat state held
+        in ``src`` into ``out``, reading ``src`` afresh on every call.
 
-        Allocates nothing: every product lands in the instance's scratch.
-        ``np.dot`` makes the same BLAS calls as ``@`` on these operands, with
-        less set-up per call."""
+        The slice views of ``src`` and ``out``, the instance's scratch and
+        the constant operands are bound once, so a call makes eight NumPy
+        calls and one slice copy and allocates nothing.  ``np.dot`` makes
+        the same BLAS calls as ``@`` on these operands, with less set-up per
+        call."""
         rk = self.rank
-        lc, a, r, w = y[2 * rk :], self._a, self._r, self._w
-        np.dot(y[:rk], self.C.T, out=a)
-        np.divide(lc, a, out=r)
-        np.divide(r, a, out=w)
-        np.dot(lc, self._zk, out=self._Lf)
-        np.dot(w, self._zk, out=self._Wf)
-        np.dot(self._L, self._W, out=self._LW)
-        np.dot(self._LWf, self._zk2_t, out=out[2 * rk :])
-        out[:rk] = y[rk : 2 * rk]
-        np.dot(self._force, np.multiply(w, r, out=self._wr), out=out[rk : 2 * rk])
+        q, p, lc = src[:rk], src[rk : 2 * rk], src[2 * rk :]
+        dq, dp, dl = out[:rk], out[rk : 2 * rk], out[2 * rk :]
+        a, r, w, wr = self._a, self._r, self._w, self._wr
+        L, W, LW, Lf, Wf, LWf = self._L, self._W, self._LW, self._Lf, self._Wf, self._LWf
+        Ct, zk, zk2_t, force = self.C.T, self._zk, self._zk2_t, self._force
+        dot, divide, multiply = np.dot, np.divide, np.multiply
+
+        def field() -> None:
+            dot(q, Ct, out=a)
+            divide(lc, a, out=r)
+            divide(r, a, out=w)
+            dot(lc, zk, out=Lf)
+            dot(w, zk, out=Wf)
+            dot(L, W, out=LW)
+            dot(LWf, zk2_t, out=dl)
+            dq[...] = p
+            dot(force, multiply(w, r, out=wr), out=dp)
+
+        return field
+
+    def field(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write dy/dt at the flat state ``y`` into ``out`` and return it."""
+        self.bind(y, out)()
         return out
 
 
@@ -234,47 +251,67 @@ def integrate_reduced(
     Logs the energy and the spectrum of l at every step.  If the radial
     point approaches a chamber wall the trajectory is truncated and the
     abort reason recorded.  A negative ``t_max`` integrates backwards.
+    A step that leaves the finite numbers (an overflow, or the NaN that
+    follows one) raises ``ConsistencyError`` naming t and h: it is not a
+    wall approach, and no infinite value reaches the log.
 
-    The RK4 stages allocate nothing.  The four stage derivatives and the
-    stage state are five vectors made once per call; ``_Reduced.field``
-    writes each derivative into its vector through scratch arrays of its
-    own; and each new state is formed in its row of the preallocated
-    history.  The stages are summed in the order of
-    y + h/6 (((k1 + 2 k2) + 2 k3) + k4), so a step rounds exactly as that
-    expression evaluated with temporaries does.
+    The RK4 stages allocate nothing and run one kernel body, the one
+    ``reduced_vector_field`` runs.  The state and the intermediate stage
+    state live in two fixed vectors, and ``_Reduced.bind`` binds the four
+    stage closures to them once per call: state -> k1, and the
+    intermediate state -> k2, k3 and k4.  The stages are summed in the
+    order of y + h/6 (((k1 + 2 k2) + 2 k3) + k4), so a step rounds exactly
+    as that expression evaluated with temporaries does; the new state is
+    then copied into its row of the preallocated history.  The wall check
+    is ``wall_distance``'s arithmetic on a bound view of q, written into a
+    buffer of its own.
     """
     h = _step_size(t_max, steps)
     sys = _Reduced(d)
     y = sys.flat(initial)
-    half, sixth = 0.5 * h, h / 6.0
     coeffs = sys.geo.root_table[0]
-
-    def wall_ok(yv) -> bool:
-        # wall_distance with the root table bound once, not looked up per step
-        return np.abs(coeffs @ yv[: sys.rank]).min(initial=np.inf) > _ABORT_FACTOR * WALL_TOL
-
-    if not wall_ok(y):
+    floor = _ABORT_FACTOR * WALL_TOL
+    if not np.abs(coeffs @ y[: sys.rank]).min(initial=np.inf) > floor:
         raise ContractViolation("initial radial point is too close to a chamber wall")
     history = np.empty((steps + 1, y.size))
     history[0] = y
-    k1, k2, k3, k4, tmp = np.empty((5, y.size))
-    field = sys.field
+    tmp, k1, k2, k3, k4 = np.empty((5, y.size))
+    stage1, stage2, stage3, stage4 = (
+        sys.bind(src, k) for src, k in ((y, k1), (tmp, k2), (tmp, k3), (tmp, k4))
+    )
+    qv, vals = y[: sys.rank], np.empty(len(coeffs))
+    half, sixth = 0.5 * h, h / 6.0
+    add, multiply, matmul, absolute = np.add, np.multiply, np.matmul, np.absolute
+    least, inf = np.minimum.reduce, np.inf
     done, aborted = 0, None
-    # the loop only steps and checks the wall; the log is built after it
-    for step in range(steps):
-        field(y, k1)
-        field(np.add(y, np.multiply(half, k1, out=tmp), out=tmp), k2)
-        field(np.add(y, np.multiply(half, k2, out=tmp), out=tmp), k3)
-        field(np.add(y, np.multiply(h, k3, out=tmp), out=tmp), k4)
-        np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
-        np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
-        np.add(k1, k4, out=k1)
-        y = np.add(y, np.multiply(sixth, k1, out=k1), out=history[step + 1])
-        if not wall_ok(y):
-            aborted = f"radial point reached a chamber wall at t={step * h + h:.6g}"
-            break
-        done = step + 1
-    q, p, lc = sys.split(history[: done + 1])
+    # the loop only steps and checks the wall; the log is built after it.
+    # Overflow is caught by the finiteness checks, not reported as warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(steps):
+            stage1()
+            add(y, multiply(half, k1, out=tmp), out=tmp)
+            stage2()
+            add(y, multiply(half, k2, out=tmp), out=tmp)
+            stage3()
+            add(y, multiply(h, k3, out=tmp), out=tmp)
+            stage4()
+            add(k1, multiply(2.0, k2, out=k2), out=k1)
+            add(k1, multiply(2.0, k3, out=k3), out=k1)
+            add(k1, k4, out=k1)
+            add(y, multiply(sixth, k1, out=k1), out=y)
+            history[step + 1] = y
+            absolute(matmul(coeffs, qv, out=vals), out=vals)
+            if not least(vals, initial=inf) > floor:
+                if not np.isfinite(y).all():
+                    raise _non_finite(step + 1, h)
+                aborted = f"radial point reached a chamber wall at t={step * h + h:.6g}"
+                break
+            done = step + 1
+    kept = history[: done + 1]
+    if not np.isfinite(kept).all():
+        # an infinite q can pass the wall test; find the first such row
+        raise _non_finite(int(np.argmin(np.isfinite(kept).all(axis=1))), h)
+    q, p, lc = sys.split(kept)
     lmats = sys.geo.zk_from_coords(lc)
     # eigvalsh returns ascending values; the log keeps them descending
     spectra = np.linalg.eigvalsh(1j * lmats)[:, ::-1]
@@ -284,6 +321,12 @@ def integrate_reduced(
         energies=sys.hamiltonian(q, p, lc),
         l_spectra=spectra,
         aborted=aborted,
+    )
+
+
+def _non_finite(step: int, h: float) -> ConsistencyError:
+    return ConsistencyError(
+        f"reduced flow left the finite numbers at t={step * h:.6g} (step h={h:.6g})"
     )
 
 

@@ -313,6 +313,30 @@ def test_flow_rejects_non_finite_t_max_and_bad_steps(capsys, bad):
     assert code == 2 and out == "" and err.startswith("error: validation:")
 
 
+@pytest.mark.parametrize(
+    "space, steps", [(("aiii", "2", "1"), "1"), (("cii", "2", "1"), "2"), (("aiii", "3", "2"), "2")]
+)
+def test_flow_overflow_is_a_consistency_error(capsys, space, steps):
+    # an overflowing step is a consistency failure, not inf rows or a wall
+    # abort, and its exit-3 line is all of stderr (warnings raise here)
+    code, out, err = run_cli(
+        capsys, "flow", "--class", space[0], "--m", space[1], "--n", space[2], "--seed", "3",
+        "--t-max", "1e300", "--steps", steps, "--compare",
+    )
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: consistency:")
+
+
+def test_flow_free_motion_at_huge_time_exits_0(capsys):
+    code, out, err = run_cli(
+        capsys, "flow", "--class", "bdi", "--m", "1", "--n", "1", "--seed", "3",
+        "--t-max", "1e308", "--steps", "1", "--compare",
+    )
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert len(rows) == 2 and all(np.isfinite(float(v)) for v in rows[-1])
+
+
 def test_decompose_rejects_nan_input(tmp_path, capsys):
     X = sample_p_gaussian(make_space("ai", 0, 3), 9)
     X[0, 0] = np.nan

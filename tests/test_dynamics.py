@@ -18,7 +18,7 @@ from cartanflow import (
     trace_form,
 )
 from cartanflow.dynamics import _nearest_steps, _Reduced
-from cartanflow.linalg import ContractViolation, frobenius
+from cartanflow.linalg import ConsistencyError, ContractViolation, frobenius
 from cartanflow.radial import embed_radial
 from cartanflow.reduction import ReducedState, random_chamber_point
 from cartanflow.sampling import sample_p_gaussian
@@ -36,7 +36,10 @@ ORACLE_CASES = [("aiii", 2, 1), ("aiii", 3, 2), ("ai", 0, 3), ("a2", 0, 3)]
 # the seven spaces of the flow-oracle benchmark, one per radial route
 FLOW_SPACES = [("bdi", 3, 2), ("cii", 2, 1), ("ai", 0, 4), ("aii", 0, 3), ("diii", 0, 5),
                ("ci", 0, 3), ("aiii", 5, 5)]
-BYTE_CASES = REPRESENTATIVES + [c for c in FLOW_SPACES if c not in REPRESENTATIVES]
+# bdi(1,1) has an empty zk-perp: its field runs on zero-length scratch
+BYTE_CASES = (
+    REPRESENTATIVES + [c for c in FLOW_SPACES if c not in REPRESENTATIVES] + [("bdi", 1, 1)]
+)
 
 
 def generic_start(d, seed):
@@ -391,13 +394,16 @@ def test_integration_is_byte_identical_to_flat_reference(case):
 
 
 def test_wall_abort_is_byte_identical_to_flat_reference():
-    # the head-on collision course of test_wall_abort
+    # the head-on collision course of test_wall_abort: q_1 = 0.4 - 0.8 t
+    # meets the wall at t = 0.5, a step end for 200 steps only; with l = 0
+    # the motion is free, so 199 and 201 steps pass between step ends
     d = make_space("ai", 0, 3)
     state = ReducedState(np.array([0.4, 0.0]), np.array([-0.8, 0.0]), np.zeros((3, 3), complex))
-    got = integrate_reduced(d, state, 2.0, 200)
-    assert got.aborted is not None
-    ref = reference_flat_integrate_reduced(d, state, 2.0, 200)
-    assert trajectory_bytes(got) == trajectory_bytes(ref)
+    for steps in (199, 200, 201):
+        got = integrate_reduced(d, state, 2.0, steps)
+        assert (got.aborted is not None) == (steps == 200)
+        ref = reference_flat_integrate_reduced(d, state, 2.0, steps)
+        assert trajectory_bytes(got) == trajectory_bytes(ref)
 
 
 @pytest.mark.parametrize("case", BYTE_CASES)
@@ -467,13 +473,49 @@ def test_integration_reads_no_unwritten_scratch(case):
     d = make_space(*case)
     state = seeded_state(d, 51)
     ref = trajectory_bytes(reference_flat_integrate_reduced(d, state, 0.25, 50))
-    N, dz = d.ambient_dim, len(geometry(d).bracket_coeffs)
+    geo = geometry(d)
+    N, dz, roots = d.ambient_dim, len(geo.bracket_coeffs), len(geo.root_table[0])
     n = 2 * d.real_rank + dz
     for _ in range(3):
-        junk = [np.full(shape, np.nan) for shape in ((4, dz), (dz,), (5, n), (n,), (51, n))]
+        # the field's scratch, the stepper's stages, state, wall values and history
+        shapes = ((4, dz), (dz,), (5, n), (n,), (roots,), (51, n))
+        junk = [np.full(shape, np.nan) for shape in shapes]
         junk += [np.full(shape, np.nan, dtype=complex) for shape in ((3, N, N), (N, N))]
         del junk
         assert trajectory_bytes(integrate_reduced(d, state, 0.25, 50)) == ref
+
+
+# ---------------------------------------------------------------------------
+# steps that overflow: an error, not an infinite log or a wall abort
+
+
+@pytest.mark.parametrize(
+    "case, steps, t_bad",
+    [
+        (("aiii", 2, 1), 1, 1e300),  # q turns infinite and passes the wall test
+        (("cii", 2, 1), 2, 5e299),  # the first of two steps is already infinite
+        (("aiii", 3, 2), 2, 5e299),  # q turns NaN and fails the wall test
+    ],
+)
+def test_overflowing_step_raises_consistency_error(case, steps, t_bad):
+    # the starts of `cartanflow flow --seed 3`; warnings raise under pytest,
+    # so this also checks that the loop emits none
+    d = make_space(*case)
+    with pytest.raises(ConsistencyError) as info:
+        integrate_reduced(d, seeded_state(d, 3), 1e300, steps)
+    h = 1e300 / steps
+    assert str(info.value) == (
+        f"reduced flow left the finite numbers at t={t_bad:.6g} (step h={h:.6g})"
+    )
+
+
+def test_free_motion_at_huge_time_stays_finite():
+    # bdi(1,1) moves freely, q + t p stays below the largest float
+    d = make_space("bdi", 1, 1)
+    state = seeded_state(d, 3)
+    traj = integrate_reduced(d, state, 1e308, 1)
+    assert traj.aborted is None and np.isfinite(traj.states[-1].q).all()
+    assert np.isclose(traj.states[-1].q[0], state.q[0] + 1e308 * state.p[0], rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
