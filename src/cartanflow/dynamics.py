@@ -262,17 +262,24 @@ def integrate_reduced(
     intermediate state -> k2, k3 and k4.  The stages are summed in the
     order of y + h/6 (((k1 + 2 k2) + 2 k3) + k4), so a step rounds exactly
     as that expression evaluated with temporaries does; the new state is
-    then copied into its row of the preallocated history.  The wall check
-    is ``wall_distance``'s arithmetic on a bound view of q, written into a
-    buffer of its own.
+    then copied into its row of the preallocated history.
+
+    The wall check reads the signed root values alpha(q), one product of the
+    root table with a bound view of q into a buffer of its own, and stops
+    unless the least of them is above the abort floor.  Every start lies
+    inside the chamber, where that is the test min |alpha(q)| > floor; a
+    step that ends across a wall, even one jumped between two step ends,
+    fails it.
     """
     h = _step_size(t_max, steps)
     sys = _Reduced(d)
     y = sys.flat(initial)
     coeffs = sys.geo.root_table[0]
     floor = _ABORT_FACTOR * WALL_TOL
-    if not np.abs(coeffs @ y[: sys.rank]).min(initial=np.inf) > floor:
-        raise ContractViolation("initial radial point is too close to a chamber wall")
+    if not (coeffs @ y[: sys.rank]).min(initial=np.inf) > floor:
+        raise ContractViolation(
+            "initial radial point is too close to a chamber wall or outside the chamber"
+        )
     history = np.empty((steps + 1, y.size))
     history[0] = y
     tmp, k1, k2, k3, k4 = np.empty((5, y.size))
@@ -281,7 +288,7 @@ def integrate_reduced(
     )
     qv, vals = y[: sys.rank], np.empty(len(coeffs))
     half, sixth = 0.5 * h, h / 6.0
-    add, multiply, matmul, absolute = np.add, np.multiply, np.matmul, np.absolute
+    add, multiply, matmul = np.add, np.multiply, np.matmul
     least, inf = np.minimum.reduce, np.inf
     done, aborted = 0, None
     # the loop only steps and checks the wall; the log is built after it.
@@ -300,7 +307,7 @@ def integrate_reduced(
             add(k1, k4, out=k1)
             add(y, multiply(sixth, k1, out=k1), out=y)
             history[step + 1] = y
-            absolute(matmul(coeffs, qv, out=vals), out=vals)
+            matmul(coeffs, qv, out=vals)
             if not least(vals, initial=inf) > floor:
                 if not np.isfinite(y).all():
                     raise _non_finite(step + 1, h)

@@ -18,7 +18,13 @@ e_i ± e_j, e_i, 2 e_i.  The table of positive roots is generated from it.
 The heavy lifting (orthonormal bases of k, p, a, the centralizer algebra
 of a inside k, and root-adapted bases of its orthocomplement and of a-perp,
 in which the bracket map r -> [r, H(q)] is the diagonal of root values) is
-computed numerically once per descriptor and cached.
+computed numerically once per descriptor and cached.  The matrices this
+touches are almost all zeros: Γ, J, S and every radial generator have at
+most one nonzero entry per row and column.  So the p and k bases start
+from the Hermitian units as (index, value) entry lists, each conjugation
+moves the entries by an index map read once from its matrix, and only the
+few candidates with a trace go dense; brackets with a radial generator are
+taken by index as well.
 
 Supported kinds::
 
@@ -490,7 +496,39 @@ def _vec_rows(stack: np.ndarray) -> np.ndarray:
 
 def _ad_rows(stack: np.ndarray, H: np.ndarray) -> np.ndarray:
     """``_vec_rows`` of the commutators [B, H] over a stack of matrices B."""
-    return _vec_rows(stack @ H - H @ stack)
+    X = stack @ H
+    X -= H @ stack
+    return _vec_rows(X)
+
+
+def _bracket(stack: np.ndarray, H: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The commutators [B, H] = BH - HB over a stack of matrices B, for an H
+    with at most one nonzero entry per row and column (every radial
+    generator), by index: an entry h at (a, b) makes column b of BH from
+    column a of B and row a of HB from row b, both times h.  Every nonzero
+    value is that of the two products, and [B, H] vanishes off the rows and
+    columns H touches.  Written into ``out`` when given."""
+    rows, cols = np.nonzero(H)
+    entries = list(zip(rows.tolist(), cols.tolist(), H[rows, cols].tolist()))
+    if len(set(rows.tolist())) < len(rows) or len(set(cols.tolist())) < len(cols):
+        raise ConsistencyError("bracket by index needs at most one nonzero per row and column")
+    if out is None:
+        out = np.zeros_like(stack)
+    else:
+        out[...] = 0.0
+    for a, b, h in entries:
+        out[..., b] = stack[..., a] * h
+    for a, b, h in entries:
+        out[..., a, :] -= h * stack[..., b, :]
+    return out
+
+
+def _bracket_support(H: np.ndarray) -> np.ndarray:
+    """Columns of ``_vec_rows`` on which [B, H] can be nonzero: the entries
+    in a row or a column that H touches, real parts then imaginary ones."""
+    nz = H != 0
+    cols = np.flatnonzero(nz.any(axis=1)[:, None] | nz.any(axis=0)[None, :])
+    return np.concatenate([cols, H.size + cols])
 
 
 def _generic_point(rank: int, seed: int) -> np.ndarray:
@@ -559,19 +597,60 @@ def _real_flat(X) -> np.ndarray:
     return X.reshape(X.shape[:-2] + (-1,)).view(float)
 
 
-def _hermitian_units(N: int) -> np.ndarray:
-    """Stack of the trace-form-orthonormal Hermitian units: E_ii, then
-    (E_ij + E_ji)/sqrt2 and i(E_ij - E_ji)/sqrt2, over i <= j row by row."""
+@lru_cache(maxsize=None)
+def _unit_entries(N: int, anti: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The trace-form-orthonormal Hermitian units as entry lists, one row
+    per unit: E_ii, then (E_ij + E_ji)/sqrt2 and i(E_ij - E_ji)/sqrt2, over
+    i <= j row by row; with ``anti``, i times each of them.  A row holds the
+    columns of the unit's nonzero real coordinates in the layout of
+    ``_vec_rows`` (real parts, then imaginary parts) and their values; E_ii
+    pads its second slot with the column 2 N^2, which no coordinate has, and
+    the value 0.  Read-only, built once per N."""
     i, j = np.triu_indices(N)
     off = i != j
     width = 1 + off  # an off-diagonal pair gives two units
     first = np.cumsum(width) - width
-    units = np.zeros((N * N, N, N), dtype=complex)
-    units[first[~off], i[~off], i[~off]] = 1.0
+    half = N * N
+    cols = np.full((half, 2), 2 * half)
+    vals = np.zeros((half, 2))
+    cols[first[~off], 0], vals[first[~off], 0] = i[~off] * (N + 1), 1.0
     s, a, b = first[off], i[off], j[off]
-    units[s, a, b] = units[s, b, a] = 1.0 / np.sqrt(2)
-    units[s + 1, a, b], units[s + 1, b, a] = 1j / np.sqrt(2), -1j / np.sqrt(2)
-    return units
+    cols[s] = cols[s + 1] = np.stack([a * N + b, b * N + a], axis=1)
+    cols[s + 1] += half
+    vals[s] = 1.0 / np.sqrt(2)
+    vals[s + 1] = (1j / np.sqrt(2)).imag, (-1j / np.sqrt(2)).imag
+    if anti:  # i x moves a real part x to the imaginary ones, an imaginary part x to -x real
+        real = cols < half
+        cols = np.where(real, cols + half, np.where(cols < 2 * half, cols - half, cols))
+        vals = np.where(real, vals, -vals)
+    cols.flags.writeable = vals.flags.writeable = False
+    return cols, vals
+
+
+def _fill(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, at=None) -> np.ndarray:
+    """Write entry lists (see ``_unit_entries``) into zero rows of the
+    ``_vec_rows`` layout, skipping the padding: list j into row at[j], or
+    row j without ``at``.  Returns the rows."""
+    r, slot = np.nonzero(vals)
+    rows[r if at is None else at[r], cols[r, slot]] = vals[r, slot]
+    return rows
+
+
+def _scatter(cols: np.ndarray, vals: np.ndarray, N: int) -> np.ndarray:
+    """The (len(cols), N, N) complex stack of entry lists."""
+    rows = _fill(np.zeros((len(cols), 2 * N * N)), cols, vals)
+    return (rows[:, : N * N] + 1j * rows[:, N * N :]).reshape(-1, N, N)
+
+
+def _hermitian_units(N: int) -> np.ndarray:
+    """Stack of the Hermitian units of ``_unit_entries``, in its order."""
+    return _scatter(*_unit_entries(N), N)
+
+
+def _traceless(X: np.ndarray) -> np.ndarray:
+    """X - tr(X)/N over a stack of N x N matrices."""
+    N = X.shape[-1]
+    return X - (np.trace(X, axis1=1, axis2=2) / N)[:, None, None] * np.eye(N)
 
 
 def _project(d: SpaceDescriptor, X: np.ndarray, onto_p: bool) -> np.ndarray:
@@ -579,10 +658,109 @@ def _project(d: SpaceDescriptor, X: np.ndarray, onto_p: bool) -> np.ndarray:
     (resp. k) of the class by averaging over each defining conjugation."""
     for _, _, M, s in _conjugations(d):
         X = (X + (s if onto_p else 1) * M(X)) / 2.0
+    return _traceless(X) if d.kind in _TRACELESS else X
+
+
+@lru_cache(maxsize=None)
+def _conjugation_maps(d: SpaceDescriptor) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
+    """Each conjugation of ``_conjugations`` as (dest, sign, s): M moves the
+    real coordinate c of ``_vec_rows`` to dest[c] with the factor sign[c].
+    Read once per descriptor by applying M to one matrix whose entry a,b is
+    (1 + i)(aN + b + 1): G, J and S are signed permutations, so M(X) has
+    entry f X_cd or f conj(X_cd) at each position, with f = +-1.  The
+    padding column 2 N^2 maps to itself with factor 0.  dest is None for a
+    conjugation that keeps every entry in place (Γ, complex conjugation)."""
+    N = d.ambient_dim
+    half = N * N
+    here = np.arange(half)
+    probe = (1.0 + 1.0j) * (here + 1.0)
+    maps = []
+    for _, _, M, s in _conjugations(d):
+        out = M(probe.reshape(N, N)).reshape(-1)
+        flip = out.imag[0] != out.real[0]  # M conjugates
+        if not (np.array_equal(np.sort(np.abs(out.real)), probe.real)
+                and np.array_equal(out.imag, -out.real if flip else out.real)):
+            raise ConsistencyError(
+                f"{d.label()}: a defining conjugation is not a signed permutation"
+            )
+        src = np.abs(out.real).astype(np.intp) - 1
+        sign = np.sign(out.real)
+        dest = np.empty(2 * half + 1, dtype=np.intp)
+        factor = np.zeros(2 * half + 1)
+        dest[src], dest[half + src], dest[-1] = here, half + here, 2 * half
+        factor[src], factor[half + src] = sign, -sign if flip else sign
+        dest.flags.writeable = factor.flags.writeable = False
+        maps.append((None if np.array_equal(src, here) else dest, factor, s))
+    return tuple(maps)
+
+
+def _project_entries(d: SpaceDescriptor, cols: np.ndarray, vals: np.ndarray, onto_p: bool):
+    """``_project`` on a stack given as entry lists (see ``_unit_entries``):
+    each conjugation moves the entries by its index map, and each position
+    takes (x + s m)/2 with the values x and m the dense stacks hold there (0
+    where they hold none), so every nonzero value is the one ``_project``
+    computes.  In the traceless classes the candidates with a nonzero trace
+    (from the E_ii) are made dense and lose tr/N by ``_traceless``.
+    Returns the entry lists, sorted by column with the padding last and cut
+    to the widest row, and the mask of the trace-corrected rows."""
+    N = d.ambient_dim
+    half, pad = N * N, 2 * N * N
+    at = np.arange(len(cols))[:, None]
+    corrected = np.zeros(len(cols), dtype=bool)
+    for dest, factor, s in _conjugation_maps(d):
+        c = s if onto_p else 1
+        if dest is None:
+            vals = (vals + c * (factor[cols] * vals)) / 2.0
+            continue
+        mcols, mvals = dest[cols], factor[cols] * vals
+        hit = mcols[:, None, :] == cols[:, :, None]  # hit[r, x, y]: M moves slot y onto slot x
+        x = (vals + c * np.where(hit.any(axis=2), mvals[at, hit.argmax(axis=2)], 0.0)) / 2.0
+        alone = ~hit.any(axis=1) & (mvals != 0)
+        cols = np.concatenate([cols, np.where(alone, mcols, pad)], axis=1)
+        vals = np.concatenate([x, np.where(alone, c * mvals, 0.0) / 2.0], axis=1)
     if d.kind in _TRACELESS:
-        N = d.ambient_dim
-        X = X - (np.trace(X, axis1=1, axis2=2) / N)[:, None, None] * np.eye(N)
-    return X
+        diag = np.where((cols % half) % (N + 1) == 0, vals, 0.0)
+        real = cols < half
+        dense = np.flatnonzero((diag.sum(axis=1, where=real) != 0)
+                               | (diag.sum(axis=1, where=~real) != 0))
+        if dense.size:
+            rows = _vec_rows(_traceless(_scatter(cols[dense], vals[dense], N)))
+            row, col = np.nonzero(rows)
+            count = np.bincount(row, minlength=len(dense))
+            slot = np.arange(len(row)) - (np.cumsum(count) - count)[row]
+            grow = max(int(count.max()) - cols.shape[1], 0)
+            cols = np.concatenate([cols, np.full((len(cols), grow), pad)], axis=1)
+            vals = np.concatenate([vals, np.zeros((len(vals), grow))], axis=1)
+            cols[dense], vals[dense] = pad, 0.0
+            cols[dense[row], slot], vals[dense[row], slot] = col, rows[row, col]
+            corrected[dense] = True
+    cols = np.where(vals != 0, cols, pad)
+    order = np.argsort(cols, axis=1, kind="stable")
+    width = max(int(np.count_nonzero(vals, axis=1).max(initial=0)), 1)
+    return cols[at, order[:, :width]], vals[at, order[:, :width]], corrected
+
+
+def _gram_schmidt_rows(kept: np.ndarray, at: np.ndarray, alone: np.ndarray,
+                       rows: np.ndarray) -> int:
+    """``_orthonormalize``'s loop body for the candidate ``rows`` that the
+    vectorized path leaves, in order: row j is meant for ``kept[at[j]]``,
+    after the kept rows written above it.  Unless ``alone[j]`` it is
+    projected off all kept rows above it in two passes; it is kept if its
+    norm is above ``_GS_TOL``.  A dropped row moves the rows below it up by
+    one.  Returns the number of kept rows."""
+    k = len(kept)
+    for target, lone, v in zip(at.tolist(), alone.tolist(), rows):
+        i = target - (len(kept) - k)
+        if not lone:
+            for _ in range(2):
+                v = v - kept[:i].T @ (kept[:i] @ v)
+        nrm = math.sqrt(v @ v)  # np.linalg.norm's arithmetic for a real vector
+        if nrm > _GS_TOL:
+            kept[i] = v / nrm
+        else:  # dependent: the rows below it move up by one
+            kept[i : k - 1] = kept[i + 1 : k]
+            k -= 1
+    return k
 
 
 class SpaceGeometry:
@@ -600,10 +778,48 @@ class SpaceGeometry:
 
     def _unit_basis(self, onto_p: bool) -> np.ndarray:
         """Read-only orthonormal stack of p, from the Hermitian units, or of
-        k, from the anti-Hermitian ones."""
+        k, from the anti-Hermitian ones: the stack ``_orthonormalize`` makes
+        of the ``_project``ed units, built from their entry lists
+        (``_project_entries``) in candidate order.
+
+        A candidate that is the first to touch each of its columns is
+        ``_orthonormalize``'s "alone" case; all of these are normalized in
+        one step.  A candidate that is an exact multiple of the fresh
+        candidate that first touched its columns, on the same support, lies
+        in the kept span: its two-pass residual is rounding noise far below
+        ``_GS_TOL``, so it is dropped.  The rest, the trace-corrected
+        candidates in practice, run ``_orthonormalize``'s loop body against
+        all rows kept before them (``_gram_schmidt_rows``)."""
         d = self.descriptor
-        units = _hermitian_units(d.ambient_dim)
-        stack = _orthonormalize(_project(d, units if onto_p else 1j * units, onto_p))
+        N = d.ambient_dim
+        half = N * N
+        cols, vals, dense = _project_entries(d, *_unit_entries(N, anti=not onto_p), onto_p)
+        live = vals[:, 0] != 0
+        # exact zeros stay zero: drop them up front
+        cols, vals, dense = cols[live], vals[live], dense[live]
+        n = len(cols)
+        row, slot = np.nonzero(vals)
+        col = cols[row, slot]
+        first = np.full(2 * half, n)  # first[c]: the first candidate touching column c
+        np.minimum.at(first, col, row)
+        fresh = np.ones(n, dtype=bool)
+        fresh[row[first[col] < row]] = False
+        slow = dense.copy()
+        if not fresh.all():
+            src = first[cols[:, 0]]
+            multiple = fresh[src] & (cols == cols[src]).all(axis=1)
+            multiple &= (vals == (vals[:, 0] / vals[src, 0])[:, None] * vals[src]).all(axis=1)
+            slow |= ~(fresh | multiple)
+        norms = np.sqrt(np.sum(vals * vals, axis=1))
+        alone = fresh & ~slow & (norms > _GS_TOL)
+        at = np.cumsum(alone | slow) - 1  # stack row of each candidate if no slow one drops
+        kept = np.zeros((np.count_nonzero(alone | slow), 2 * half))
+        _fill(kept, cols[alone], vals[alone] / norms[alone, None], at[alone])
+        k = len(kept)
+        if slow.any():
+            k = _gram_schmidt_rows(kept, at[slow], fresh[slow],
+                                   _fill(np.zeros((slow.sum(), 2 * half)), cols[slow], vals[slow]))
+        stack = (kept[:k, :half] + 1j * kept[:k, half:]).reshape(k, N, N)
         name, want = ("p", d.dim_p) if onto_p else ("k", d.dim_k)
         if len(stack) != want:
             raise ConsistencyError(
@@ -710,13 +926,17 @@ class SpaceGeometry:
             )
         Hg = self.embed_radial(_generic_point(rank, _ROOT_SEED))
         Z = np.tensordot(_root_step(k_rest, He, Hg).T, k_rest, axes=1)
-        R = Z @ He - He @ Z
+        R = Z @ He
+        R -= He @ Z
         R /= np.linalg.norm(R, axis=(1, 2))[:, None, None]
         C = np.empty((want, rank))
+        Zc, B, CZ = Z.conj(), np.empty_like(Z), np.empty_like(Z)
+        flat = _real_rows(B)  # a view: row norms of B as it is written
         for i, Hi in enumerate(self.a_embed):
-            B = R @ Hi - Hi @ R  # [R_k, H_i] lies in zk-perp and should be C_ki Z_k
-            C[:, i] = np.rint(np.einsum("kab,kab->k", Z.conj(), B).real)
-            resid = np.linalg.norm(B - C[:, i, None, None] * Z, axis=(1, 2))
+            _bracket(R, Hi, out=B)  # [R_k, H_i] lies in zk-perp and should be C_ki Z_k
+            C[:, i] = np.rint(np.einsum("kab,kab->k", Zc, B).real)
+            B -= np.multiply(C[:, i, None, None], Z, out=CZ)
+            resid = np.sqrt(np.einsum("kj,kj->k", flat, flat))
             if np.max(resid, initial=0.0) > _BRACKET_TOL:
                 raise ConsistencyError(
                     f"{d.label()}: bracket map with generator {i} is not diag(C q) with "
@@ -882,8 +1102,10 @@ def _fit_roots(d: SpaceDescriptor, Z: np.ndarray, vecs: np.ndarray) -> list[Rest
     Ve = _ad_rows(Z, geo.embed_radial(e))
     w = np.empty((vecs.shape[1], d.real_rank))
     resid = np.zeros(vecs.shape[1])
+    B = np.empty_like(Z)
     for i, Hi in enumerate(geo.a_embed):
-        AV = (Ve @ _ad_rows(Z, Hi).T) @ vecs
+        on = _bracket_support(Hi)  # ad(H_i) Z_k vanishes elsewhere
+        AV = (Ve[:, on] @ _vec_rows(_bracket(Z, Hi, out=B))[:, on].T) @ vecs
         w[:, i] = np.einsum("jk,jk->k", vecs, AV)
         resid = np.maximum(resid, np.linalg.norm(AV - vecs * w[:, i], axis=0))
     s2 = w @ e
@@ -919,8 +1141,4 @@ def random_k_element(d: SpaceDescriptor, rng: np.random.Generator, scale: float 
     """A group element of K, as exp of a random k-algebra element."""
     from scipy.linalg import expm
 
-    geo = geometry(d)
-    if not geo.k_basis:
-        return np.eye(d.ambient_dim, dtype=complex)
-    xi = sum(c * b for c, b in zip(scale * rng.standard_normal(d.dim_k), geo.k_basis))
-    return expm(xi)
+    return expm(np.tensordot(scale * rng.standard_normal(d.dim_k), geometry(d)._k_stack, axes=1))

@@ -16,6 +16,8 @@ from cartanflow.spaces import (
     RestrictedRoot,
     SpaceDescriptor,
     _ad_rows,
+    _orthonormalize,
+    _project,
     _quaternionic_j,
     _radial_vector,
     _spectral_block,
@@ -280,11 +282,13 @@ def reference_flat_integrate_reduced(
     coeffs = sys.geo.root_table[0]
 
     def wall_ok(yv) -> bool:
-        # wall_distance with the root table bound once, not looked up per step
-        return np.abs(coeffs @ yv[: sys.rank]).min(initial=np.inf) > _ABORT_FACTOR * WALL_TOL
+        # the signed root values: a step that ends across a wall fails as well
+        return (coeffs @ yv[: sys.rank]).min(initial=np.inf) > _ABORT_FACTOR * WALL_TOL
 
     if not wall_ok(y):
-        raise ContractViolation("initial radial point is too close to a chamber wall")
+        raise ContractViolation(
+            "initial radial point is too close to a chamber wall or outside the chamber"
+        )
     history = np.empty((steps + 1, y.size))
     history[0] = y
     done, aborted = 0, None
@@ -701,6 +705,35 @@ def reference_orthonormalize(stack: np.ndarray, tol: float = _GS_TOL) -> np.ndar
             k += 1
     half, side = rows.shape[1] // 2, stack.shape[-1]
     return (kept[:k, :half] + 1j * kept[:k, half:]).reshape(k, side, side)
+
+
+# ---------------------------------------------------------------------------
+# the dense basis build before ``SpaceGeometry._unit_basis`` took the units
+# as entry lists: all N^2 Hermitian units as N x N matrices (the stacking
+# function kept verbatim, only renamed), projected by ``spaces._project`` and
+# orthonormalized by ``spaces._orthonormalize``, as its reference
+
+
+def reference_hermitian_units(N: int) -> np.ndarray:
+    """Stack of the trace-form-orthonormal Hermitian units: E_ii, then
+    (E_ij + E_ji)/sqrt2 and i(E_ij - E_ji)/sqrt2, over i <= j row by row."""
+    i, j = np.triu_indices(N)
+    off = i != j
+    width = 1 + off  # an off-diagonal pair gives two units
+    first = np.cumsum(width) - width
+    units = np.zeros((N * N, N, N), dtype=complex)
+    units[first[~off], i[~off], i[~off]] = 1.0
+    s, a, b = first[off], i[off], j[off]
+    units[s, a, b] = units[s, b, a] = 1.0 / np.sqrt(2)
+    units[s + 1, a, b], units[s + 1, b, a] = 1j / np.sqrt(2), -1j / np.sqrt(2)
+    return units
+
+
+def reference_unit_basis(d: SpaceDescriptor, onto_p: bool) -> np.ndarray:
+    """Orthonormal stack of p, from the Hermitian units, or of k, from the
+    anti-Hermitian ones, built from the dense unit stack."""
+    units = reference_hermitian_units(d.ambient_dim)
+    return _orthonormalize(_project(d, units if onto_p else 1j * units, onto_p))
 
 
 def reference_numeric_roots(

@@ -1,0 +1,88 @@
+"""The p and k bases built from entry lists, and the brackets taken by index,
+against the dense products they replace."""
+
+import numpy as np
+import pytest
+
+from cartanflow import ConsistencyError, make_space
+from cartanflow import spaces
+from cartanflow.spaces import _bracket, _bracket_support, _vec_rows, geometry
+
+from conftest import reference_unit_basis, root_system_grid
+from test_spaces import BASIS_CASES
+
+
+def _assert_matches_dense_reference(d):
+    # by value, count and order; signed zeros may differ on the p side only,
+    # where the dense averages leave -0.0 that the entry lists never write
+    geo = spaces.SpaceGeometry(d)
+    for stack, onto_p in ((geo._p_stack, True), (geo._k_stack, False)):
+        want = reference_unit_basis(d, onto_p)
+        assert stack.shape == want.shape
+        assert np.array_equal(stack, want)
+        if not onto_p:
+            assert stack.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", BASIS_CASES)
+def test_bases_match_dense_unit_stack(case):
+    _assert_matches_dense_reference(make_space(*case))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", root_system_grid())
+def test_bases_match_dense_unit_stack_on_the_grid(case):
+    _assert_matches_dense_reference(make_space(*case))
+
+
+@pytest.mark.slow
+def test_large_bases_match_dense_unit_stack():
+    _assert_matches_dense_reference(make_space("bdi", 24, 24))
+
+
+@pytest.mark.parametrize("case", BASIS_CASES)
+def test_bracket_by_index_matches_the_products(case):
+    d = make_space(*case)
+    geo = geometry(d)
+    rng = np.random.default_rng(17)
+    N = d.ambient_dim
+    stacks = [geo._k_stack, rng.standard_normal((5, N, N)) + 1j * rng.standard_normal((5, N, N))]
+    gens = [*geo.a_embed, geo.embed_radial(geo.e_coords),
+            geo.embed_radial(spaces._generic_point(d.real_rank, spaces._ROOT_SEED))]
+    for H in gens:
+        off = np.setdiff1d(np.arange(2 * N * N), _bracket_support(H))
+        for X in stacks:
+            got = _bracket(X, H)
+            assert np.array_equal(got, X @ H - H @ X)
+            assert not _vec_rows(got)[:, off].any()
+
+
+def test_bracket_by_index_rejects_two_entries_in_a_row():
+    H = np.zeros((3, 3), dtype=complex)
+    H[0, 1] = H[0, 2] = 1.0
+    with pytest.raises(ConsistencyError, match="one nonzero per row and column"):
+        _bracket(np.zeros((1, 3, 3), dtype=complex), H)
+
+
+@pytest.mark.parametrize("case", [("aiii", 3, 2), ("bdi", 3, 2), ("cii", 2, 1), ("ai", 0, 3),
+                                  ("aii", 0, 3), ("diii", 0, 4), ("ci", 0, 2)])
+def test_dropping_a_conjugation_from_the_index_table_raises(case, monkeypatch):
+    d = make_space(*case)
+    maps = spaces._conjugation_maps(d)
+    assert len(maps) == len(spaces._conjugations(d)) >= 1
+    for i in range(len(maps)):
+        monkeypatch.setattr(spaces, "_conjugation_maps", lambda _, i=i: maps[:i] + maps[i + 1 :])
+        for name in ("_p_stack", "_k_stack"):
+            with pytest.raises(ConsistencyError, match="theory says"):
+                getattr(spaces.SpaceGeometry(d), name)
+    monkeypatch.undo()
+    _assert_matches_dense_reference(d)
+
+
+def test_index_table_rejects_a_conjugation_that_is_no_signed_permutation(monkeypatch):
+    d = make_space("aiii", 2, 1)
+    table = spaces._conjugations(d)
+    bad = ((*table[0][:2], lambda X: X + X.T, -1),)
+    monkeypatch.setattr(spaces, "_conjugations", lambda _: bad)
+    with pytest.raises(ConsistencyError, match="not a signed permutation"):
+        spaces._conjugation_maps.__wrapped__(d)

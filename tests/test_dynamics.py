@@ -254,6 +254,21 @@ def test_oracle_times_are_trajectory_steps_after_wall_abort():
     assert all(np.any(t == steps) for t in report.times)
 
 
+@pytest.mark.parametrize("steps", [199, 201])
+def test_oracle_truncates_a_course_that_jumps_a_wall_between_step_ends(steps):
+    # q_1 = 0.4 - 0.8 t crosses the wall at t = 0.5, between two step ends:
+    # the reduced run stops at the first step that ends across it, so it
+    # never reports a point outside the chamber against the direct flow
+    d = make_space("ai", 0, 3)
+    X = embed_radial(d, np.array([0.4, 0.0]))
+    Y = embed_radial(d, np.array([-0.8, 0.0]))
+    report = compare_with_oracle(d, PhasePoint(X, Y), np.linspace(0.0, 2.0, steps + 1))
+    assert report.truncated is not None and "wall" in report.truncated
+    q = np.array([s.q for s in report.trajectory.states])
+    assert (q @ geometry(d).root_table[0].T).min() > 0
+    assert report.max_deviation <= 1e-12
+
+
 def test_oracle_trivial_momentum(rng):
     d = make_space("aiii", 2, 1)
     X = random_p_element(d, rng)
@@ -391,17 +406,20 @@ def test_integration_is_byte_identical_to_flat_reference(case):
         got = integrate_reduced(d, state, t_max, steps)
         ref = reference_flat_integrate_reduced(d, state, t_max, steps)
         assert trajectory_bytes(got) == trajectory_bytes(ref)
+        # the one step of aiii(5,5) from seed 12 ends across a wall: min alpha(q) = -23.5
+        assert (got.aborted is not None) == (case == ("aiii", 5, 5) and seed == 12)
 
 
 def test_wall_abort_is_byte_identical_to_flat_reference():
     # the head-on collision course of test_wall_abort: q_1 = 0.4 - 0.8 t
     # meets the wall at t = 0.5, a step end for 200 steps only; with l = 0
-    # the motion is free, so 199 and 201 steps pass between step ends
+    # the motion is free, so 199 and 201 steps jump the wall between step
+    # ends, and the first step that ends across it aborts
     d = make_space("ai", 0, 3)
     state = ReducedState(np.array([0.4, 0.0]), np.array([-0.8, 0.0]), np.zeros((3, 3), complex))
     for steps in (199, 200, 201):
         got = integrate_reduced(d, state, 2.0, steps)
-        assert (got.aborted is not None) == (steps == 200)
+        assert got.aborted is not None
         ref = reference_flat_integrate_reduced(d, state, 2.0, steps)
         assert trajectory_bytes(got) == trajectory_bytes(ref)
 
@@ -467,22 +485,24 @@ def test_concurrent_integrations_match_serial_bytes():
 
 
 @pytest.mark.parametrize("case", [("cii", 2, 1), ("aiii", 5, 5)])
-def test_integration_reads_no_unwritten_scratch(case):
-    # np.empty tends to hand out the blocks just freed, here NaN-filled ones
-    # of the scratch sizes, so an entry read before it is written shows as NaN
+def test_integration_reads_no_unwritten_scratch(case, monkeypatch):
+    # every array np.empty hands out is NaN-filled, so an entry of the
+    # field's scratch, the stages, the state, the wall values or the history
+    # read before it is written shows as NaN
     d = make_space(*case)
     state = seeded_state(d, 51)
     ref = trajectory_bytes(reference_flat_integrate_reduced(d, state, 0.25, 50))
-    geo = geometry(d)
-    N, dz, roots = d.ambient_dim, len(geo.bracket_coeffs), len(geo.root_table[0])
-    n = 2 * d.real_rank + dz
-    for _ in range(3):
-        # the field's scratch, the stepper's stages, state, wall values and history
-        shapes = ((4, dz), (dz,), (5, n), (n,), (roots,), (51, n))
-        junk = [np.full(shape, np.nan) for shape in shapes]
-        junk += [np.full(shape, np.nan, dtype=complex) for shape in ((3, N, N), (N, N))]
-        del junk
-        assert trajectory_bytes(integrate_reduced(d, state, 0.25, 50)) == ref
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if np.issubdtype(out.dtype, np.inexact):
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    assert np.isnan(np.empty(3)).all() and np.isnan(np.empty((2, 2), dtype=complex).real).all()
+    assert trajectory_bytes(integrate_reduced(d, state, 0.25, 50)) == ref
 
 
 # ---------------------------------------------------------------------------
