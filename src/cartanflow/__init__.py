@@ -6,12 +6,10 @@ from .linalg import (
     ContractViolation,
     commutator,
     dagger,
-    hermitian_eigen,
     load_matrix,
     matrix_from_obj,
     matrix_to_obj,
     save_matrix,
-    svd,
     trace_form,
 )
 from .spaces import (

@@ -169,8 +169,8 @@ def _cmd_spaces(args) -> int:
 
 def _cmd_decompose(args) -> int:
     from .linalg import frobenius
-    from .radial import SliceCoords, embed_radial, exact_slice_reduce, radial_decompose
-    from .dynamics import PhasePoint, reduce_phase_point
+    from .radial import embed_radial, exact_slice_reduce, radial_decompose
+    from .dynamics import PhasePoint, _slice_point
     from .sampling import sample_p_gaussian
 
     d = _space_from_args(args)
@@ -180,7 +180,17 @@ def _cmd_decompose(args) -> int:
         X = sample_p_gaussian(d, args.seed)
     else:
         raise ContractViolation("decompose needs --input or --seed")
-    q, k = radial_decompose(d, X)
+    if args.exact_slice:
+        if args.input_y:
+            Y = load_matrix(args.input_y)
+        elif args.seed is not None:
+            Y = sample_p_gaussian(d, args.seed + 1)
+        else:
+            raise ContractViolation("--exact-slice needs --input-y or --seed for the momentum")
+        s, k = _slice_point(d, PhasePoint(X, Y))  # decomposes X once, for q, k and r
+        q = s.q
+    else:
+        q, k = radial_decompose(d, X)
     residual = frobenius(k @ embed_radial(d, q) @ k.conj().T - X) / max(frobenius(X), 1e-300)
     payload = {
         "meta": _meta(d, seed=args.seed),
@@ -189,15 +199,7 @@ def _cmd_decompose(args) -> int:
         "residual": float(residual),
     }
     if args.exact_slice:
-        if args.input_y:
-            Y = load_matrix(args.input_y)
-        elif args.seed is not None:
-            Y = sample_p_gaussian(d, args.seed + 1)
-        else:
-            raise ContractViolation("--exact-slice needs --input-y or --seed for the momentum")
-        state, k2 = reduce_phase_point(d, PhasePoint(X, Y))
-        r = k2.conj().T @ Y @ k2 - embed_radial(d, state.p)
-        elem, m_elem = exact_slice_reduce(d, SliceCoords(state.q, state.p, r))
+        elem, m_elem = exact_slice_reduce(d, s)
         payload["r_canonical"] = matrix_to_obj(elem.coords.r)
         payload["m_elem"] = matrix_to_obj(m_elem)
         payload["degenerate_flags"] = list(elem.degenerate)

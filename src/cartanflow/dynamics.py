@@ -92,14 +92,20 @@ def reduce_phase_point(d: SpaceDescriptor, point: PhasePoint) -> tuple[ReducedSt
     Returns the reduced state and the compact factor k with
     X = k H(q) k† and Y = k (H(p) + r) k†.
     """
+    s, k = _slice_point(d, point)
+    return ReducedState(q=s.q, p=s.p, l=l_from_slice(d, s)), k
+
+
+def _slice_point(d: SpaceDescriptor, point: PhasePoint) -> tuple[SliceCoords, np.ndarray]:
+    """The slice coordinates (q, p, r) of a phase point and the compact
+    factor k with X = k H(q) k† and Y = k (H(p) + r) k†, from one radial
+    decomposition of X."""
     geo = geometry(d)
     check_p_membership(d, point.Y)
     q, k = radial_decompose(d, point.X)
     Ybody = k.conj().T @ np.asarray(point.Y, dtype=complex) @ k
     p = geo.a_pattern_coords(Ybody)
-    r = Ybody - geo.embed_radial(p)
-    l = l_from_slice(d, SliceCoords(q, p, r))
-    return ReducedState(q=q, p=p, l=l), k
+    return SliceCoords(q, p, Ybody - geo.embed_radial(p)), k
 
 
 class _Reduced:

@@ -27,18 +27,11 @@ __all__ = [
     "trace_form",
     "dagger",
     "frobenius",
-    "hermitian_eigen",
-    "svd",
     "matrix_to_obj",
     "matrix_from_obj",
     "save_matrix",
     "load_matrix",
 ]
-
-# Relative tolerance for "is this Hermitian" style preconditions; the
-# absolute floor keeps the zero matrix inside every membership check.
-HERMITICITY_RTOL = 1e-10
-NORM_FLOOR = 1e-14
 
 
 class ContractViolation(ValueError):
@@ -84,35 +77,6 @@ def trace_form(X, Y) -> float:
 def dagger(X) -> np.ndarray:
     """Conjugate transpose."""
     return as_cmat(X).conj().T.copy()
-
-
-def hermitian_eigen(X) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, U)`` with eigenvalues ``w`` sorted descending and unitary
-    ``U`` such that ``X = U @ diag(w) @ U†``.  Rejects inputs whose
-    anti-Hermitian part exceeds ``HERMITICITY_RTOL`` relative to ||X||.
-    """
-    X = as_cmat(X)
-    if X.shape[0] != X.shape[1]:
-        raise ContractViolation("hermitian_eigen needs a square matrix")
-    scale = max(frobenius(X), NORM_FLOOR)
-    if frobenius(X - X.conj().T) > HERMITICITY_RTOL * scale:
-        raise ContractViolation("hermitian_eigen: input is not Hermitian within tolerance")
-    w, U = np.linalg.eigh(X)
-    return w[::-1].copy(), U[:, ::-1].copy()
-
-
-def svd(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition X = U @ diag_rect(s) @ V†.
-
-    ``s`` is descending and nonnegative; ``U`` and ``V`` are unitary
-    (full matrices, so the rectangular diagonal is implied for non-square
-    input).
-    """
-    X = as_cmat(X)
-    U, s, Vh = np.linalg.svd(X, full_matrices=True)
-    return U, s, Vh.conj().T
 
 
 # ---------------------------------------------------------------------------

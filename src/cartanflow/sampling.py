@@ -35,7 +35,7 @@ import numpy as np
 from .linalg import ConsistencyError, ContractViolation
 from .radial import chamber_contains, radial_coords_batch
 from .reduction import _root_product, density_constant
-from .spaces import SpaceDescriptor, _root_system, geometry
+from .spaces import SpaceDescriptor, _root_system, geometry, random_p_element
 
 __all__ = [
     "CHUNK_SIZE",
@@ -91,10 +91,7 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 def sample_p_gaussian(d: SpaceDescriptor, seed: int) -> np.ndarray:
     """One Gaussian draw on p; bit-reproducible for a fixed integer seed >= 0."""
-    seed = _check_int("seed", seed, 0)
-    geo = geometry(d)
-    rng = _chunk_rng(seed, 0)
-    return geo.p_from_coords(rng.standard_normal(d.dim_p))
+    return random_p_element(d, _chunk_rng(_check_int("seed", seed, 0), 0))
 
 
 def _blocks(table: tuple, g: np.ndarray) -> np.ndarray:

@@ -494,6 +494,11 @@ def _vec_rows(stack: np.ndarray) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag], axis=1)
 
 
+def _from_vec_rows(rows: np.ndarray, N: int) -> np.ndarray:
+    """The (len(rows), N, N) complex stack whose ``_vec_rows`` are ``rows``."""
+    return (rows[:, : N * N] + 1j * rows[:, N * N :]).reshape(-1, N, N)
+
+
 def _ad_rows(stack: np.ndarray, H: np.ndarray) -> np.ndarray:
     """``_vec_rows`` of the commutators [B, H] over a stack of matrices B."""
     X = stack @ H
@@ -543,40 +548,6 @@ def _root_step(stack: np.ndarray, He: np.ndarray, Hg: np.ndarray) -> np.ndarray:
     A = _ad_rows(stack, He) @ _ad_rows(stack, Hg).T
     _, vecs = np.linalg.eigh((A + A.T) / 2.0)
     return vecs
-
-
-def _orthonormalize(stack: np.ndarray, tol: float = _GS_TOL) -> np.ndarray:
-    """Order-preserving Gram-Schmidt on a stack of matrices under the
-    Frobenius real inner product (which equals the trace form on Hermitians
-    and its negative on anti-Hermitians).  Each candidate is projected off
-    the whole kept stack with one matrix-vector product per pass, in two
-    passes ("twice is enough": Giraud, Langou and Rozloznik, 2005); members
-    left with norm at most ``tol`` are dependent and dropped.
-
-    A candidate that shares no nonzero entry with any earlier candidate is
-    only normalized: every kept row lies in the span of earlier candidates,
-    so its projections would be sums of exact zeros.  The support test is
-    made once for the whole stack, from the columns that the rows before
-    each candidate touch.  Every other candidate pays both passes against
-    all kept rows."""
-    rows = _vec_rows(stack)
-    rows = rows[rows.any(axis=1)]  # exact zeros stay zero: drop them up front
-    support = rows != 0
-    seen = np.zeros_like(support)  # seen[r]: the columns some row before r touches
-    np.logical_or.accumulate(support[:-1], axis=0, out=seen[1:])
-    fresh = ~(support & seen).any(axis=1)
-    kept = np.empty_like(rows)
-    k = 0
-    for v, alone in zip(rows, fresh.tolist()):
-        if not alone:
-            for _ in range(2):
-                v = v - kept[:k].T @ (kept[:k] @ v)
-        nrm = np.linalg.norm(v)
-        if nrm > tol:
-            kept[k] = v / nrm
-            k += 1
-    half, side = rows.shape[1] // 2, stack.shape[-1]
-    return (kept[:k, :half] + 1j * kept[:k, half:]).reshape(k, side, side)
 
 
 def _real_rows(stack: np.ndarray) -> np.ndarray:
@@ -638,27 +609,13 @@ def _fill(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, at=None) -> np.n
 
 def _scatter(cols: np.ndarray, vals: np.ndarray, N: int) -> np.ndarray:
     """The (len(cols), N, N) complex stack of entry lists."""
-    rows = _fill(np.zeros((len(cols), 2 * N * N)), cols, vals)
-    return (rows[:, : N * N] + 1j * rows[:, N * N :]).reshape(-1, N, N)
-
-
-def _hermitian_units(N: int) -> np.ndarray:
-    """Stack of the Hermitian units of ``_unit_entries``, in its order."""
-    return _scatter(*_unit_entries(N), N)
+    return _from_vec_rows(_fill(np.zeros((len(cols), 2 * N * N)), cols, vals), N)
 
 
 def _traceless(X: np.ndarray) -> np.ndarray:
     """X - tr(X)/N over a stack of N x N matrices."""
     N = X.shape[-1]
     return X - (np.trace(X, axis1=1, axis2=2) / N)[:, None, None] * np.eye(N)
-
-
-def _project(d: SpaceDescriptor, X: np.ndarray, onto_p: bool) -> np.ndarray:
-    """Project a stack of Hermitian (resp. anti-Hermitian) matrices onto p
-    (resp. k) of the class by averaging over each defining conjugation."""
-    for _, _, M, s in _conjugations(d):
-        X = (X + (s if onto_p else 1) * M(X)) / 2.0
-    return _traceless(X) if d.kind in _TRACELESS else X
 
 
 @lru_cache(maxsize=None)
@@ -695,12 +652,15 @@ def _conjugation_maps(d: SpaceDescriptor) -> tuple[tuple[np.ndarray, np.ndarray,
 
 
 def _project_entries(d: SpaceDescriptor, cols: np.ndarray, vals: np.ndarray, onto_p: bool):
-    """``_project`` on a stack given as entry lists (see ``_unit_entries``):
-    each conjugation moves the entries by its index map, and each position
-    takes (x + s m)/2 with the values x and m the dense stacks hold there (0
-    where they hold none), so every nonzero value is the one ``_project``
-    computes.  In the traceless classes the candidates with a nonzero trace
-    (from the E_ii) are made dense and lose tr/N by ``_traceless``.
+    """Project a stack of Hermitian (with ``onto_p``) or anti-Hermitian
+    matrices, given as entry lists (see ``_unit_entries``), onto p or k of
+    the class by averaging over each defining conjugation, X -> (X + s M(X))/2
+    onto p and (X + M(X))/2 onto k: each conjugation moves the entries by its
+    index map, and each position takes (x + s m)/2 with the values x and m
+    the dense stacks hold there (0 where they hold none), so every nonzero
+    value is the one the dense average computes.  In the traceless classes
+    the candidates with a nonzero trace (from the E_ii) are made dense and
+    lose tr/N by ``_traceless``.
     Returns the entry lists, sorted by column with the padding last and cut
     to the widest row, and the mask of the trace-corrected rows."""
     N = d.ambient_dim
@@ -742,12 +702,16 @@ def _project_entries(d: SpaceDescriptor, cols: np.ndarray, vals: np.ndarray, ont
 
 def _gram_schmidt_rows(kept: np.ndarray, at: np.ndarray, alone: np.ndarray,
                        rows: np.ndarray) -> int:
-    """``_orthonormalize``'s loop body for the candidate ``rows`` that the
-    vectorized path leaves, in order: row j is meant for ``kept[at[j]]``,
-    after the kept rows written above it.  Unless ``alone[j]`` it is
-    projected off all kept rows above it in two passes; it is kept if its
-    norm is above ``_GS_TOL``.  A dropped row moves the rows below it up by
-    one.  Returns the number of kept rows."""
+    """Order-preserving Gram-Schmidt of the candidate ``rows`` (``_vec_rows``
+    layout, so dot products are the Frobenius real inner products: the trace
+    form on Hermitians, its negative on anti-Hermitians), in order: row j is
+    meant for ``kept[at[j]]``, after the kept rows written above it.  Unless
+    ``alone[j]`` (no row before it shares a nonzero column, so its
+    projections would be sums of exact zeros) it is projected off all kept
+    rows above it with one matrix-vector product per pass, in two passes
+    ("twice is enough": Giraud, Langou and Rozloznik, 2005); it is kept if
+    its norm is above ``_GS_TOL``.  A dropped row moves the rows below it up
+    by one.  Returns the number of kept rows."""
     k = len(kept)
     for target, lone, v in zip(at.tolist(), alone.tolist(), rows):
         i = target - (len(kept) - k)
@@ -778,18 +742,18 @@ class SpaceGeometry:
 
     def _unit_basis(self, onto_p: bool) -> np.ndarray:
         """Read-only orthonormal stack of p, from the Hermitian units, or of
-        k, from the anti-Hermitian ones: the stack ``_orthonormalize`` makes
-        of the ``_project``ed units, built from their entry lists
-        (``_project_entries``) in candidate order.
+        k, from the anti-Hermitian ones: the stack ``_gram_schmidt_rows``
+        makes of the projected units (``_project_entries``), built from their
+        entry lists in candidate order.
 
         A candidate that is the first to touch each of its columns is
-        ``_orthonormalize``'s "alone" case; all of these are normalized in
-        one step.  A candidate that is an exact multiple of the fresh
+        ``_gram_schmidt_rows``'s "alone" case; all of these are normalized
+        in one step.  A candidate that is an exact multiple of the fresh
         candidate that first touched its columns, on the same support, lies
         in the kept span: its two-pass residual is rounding noise far below
         ``_GS_TOL``, so it is dropped.  The rest, the trace-corrected
-        candidates in practice, run ``_orthonormalize``'s loop body against
-        all rows kept before them (``_gram_schmidt_rows``)."""
+        candidates in practice, run ``_gram_schmidt_rows`` against all rows
+        kept before them."""
         d = self.descriptor
         N = d.ambient_dim
         half = N * N
@@ -819,7 +783,7 @@ class SpaceGeometry:
         if slow.any():
             k = _gram_schmidt_rows(kept, at[slow], fresh[slow],
                                    _fill(np.zeros((slow.sum(), 2 * half)), cols[slow], vals[slow]))
-        stack = (kept[:k, :half] + 1j * kept[:k, half:]).reshape(k, N, N)
+        stack = _from_vec_rows(kept[:k], N)
         name, want = ("p", d.dim_p) if onto_p else ("k", d.dim_k)
         if len(stack) != want:
             raise ConsistencyError(
@@ -868,21 +832,19 @@ class SpaceGeometry:
 
     @cached_property
     def _a_stack(self) -> np.ndarray:
-        stack = _orthonormalize(np.stack(self.a_embed))
+        """Read-only orthonormal stack of a: ``_gram_schmidt_rows`` on the
+        radial generators in order, a generator that shares no nonzero entry
+        with an earlier one being "alone"."""
+        rows = _vec_rows(np.stack(self.a_embed))
+        rows = rows[rows.any(axis=1)]  # exact zeros stay zero: drop them up front
+        support = rows != 0
+        seen = np.zeros_like(support)  # seen[r]: the columns some row before r touches
+        np.logical_or.accumulate(support[:-1], axis=0, out=seen[1:])
+        kept = np.empty_like(rows)
+        k = _gram_schmidt_rows(kept, np.arange(len(rows)), ~(support & seen).any(axis=1), rows)
+        stack = _from_vec_rows(kept[:k], self.descriptor.ambient_dim)
         stack.flags.writeable = False
         return stack
-
-    @property
-    def p_basis(self) -> list[np.ndarray]:
-        return list(self._p_stack)
-
-    @property
-    def k_basis(self) -> list[np.ndarray]:
-        return list(self._k_stack)
-
-    @property
-    def a_basis(self) -> list[np.ndarray]:
-        return list(self._a_stack)
 
     @cached_property
     def a_embed(self) -> list[np.ndarray]:
@@ -943,18 +905,6 @@ class SpaceGeometry:
                     f"integer C in the root-adapted bases (deviation {np.max(resid):.3e})"
                 )
         return m, Z, R, C
-
-    @property
-    def m_basis(self) -> list[np.ndarray]:
-        return list(self._root_split[0])
-
-    @property
-    def zk_perp_basis(self) -> list[np.ndarray]:
-        return list(self._root_split[1])
-
-    @property
-    def a_perp_basis(self) -> list[np.ndarray]:
-        return list(self._root_split[2])
 
     @property
     def bracket_coeffs(self) -> np.ndarray:

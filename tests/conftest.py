@@ -16,13 +16,12 @@ from cartanflow.spaces import (
     RestrictedRoot,
     SpaceDescriptor,
     _ad_rows,
-    _orthonormalize,
-    _project,
     _quaternionic_j,
     _radial_vector,
     _spectral_block,
     _sym_form,
     _vec_rows,
+    basis_of,
     check_p_membership,
     geometry,
 )
@@ -72,11 +71,12 @@ def centralizer_orbit_dimension(d, seed: int = 1010) -> int:
     ``cartanflow.radial``.
     """
     geo = geometry(d)
-    if not geo.m_basis:
+    m_basis = basis_of(d, "m_centralizer")
+    if not m_basis:
         return 0
     rng = np.random.default_rng(seed)
-    r = geo.aperp_from_coords(rng.standard_normal(len(geo.a_perp_basis)))
-    cols = [commutator(xi, r).ravel() for xi in geo.m_basis]
+    r = geo.aperp_from_coords(rng.standard_normal(len(basis_of(d, "a_perp"))))
+    cols = [commutator(xi, r).ravel() for xi in m_basis]
     A = np.stack([np.concatenate([c.real, c.imag]) for c in cols], axis=1)
     sv = np.linalg.svd(A, compute_uv=False)
     # singular values are O(1) or at round-off (~1e-16), so a relative
@@ -108,11 +108,11 @@ def _gram_schmidt(mats: list[np.ndarray], tol: float = _GS_TOL) -> list[np.ndarr
 def dense_aperp_basis(d) -> list:
     """a-perp without root adaptation: the p basis projected off a, then
     Gram-Schmidt orthonormalized.  Reference for the diagonal bracket map."""
-    geo = geometry(d)
+    a_basis = basis_of(d, "a")
     reduced = []
-    for P in geo.p_basis:
+    for P in basis_of(d, "p"):
         Q = P.copy()
-        for A in geo.a_basis:
+        for A in a_basis:
             Q = Q - np.vdot(A, Q).real * A
         reduced.append(Q)
     basis = _gram_schmidt(reduced)
@@ -326,14 +326,13 @@ def reference_check_slice_coords(d: SpaceDescriptor, s: SliceCoords) -> np.ndarr
     """r of the slice coordinates, or ContractViolation; tests r against
     the a basis one matrix at a time.  Reference for
     ``radial._check_slice_coords``."""
-    geo = geometry(d)
     q = np.asarray(s.q, dtype=float)
     if q.shape != (d.real_rank,) or np.asarray(s.p).shape != (d.real_rank,):
         raise ContractViolation("q and p must have length equal to the real rank")
     r = np.asarray(s.r, dtype=complex)
     check_p_membership(d, r)
     scale = max(frobenius(r), 1.0)
-    for A in geo.a_basis:
+    for A in basis_of(d, "a"):
         if abs(np.vdot(A, r).real) > 1e-10 * scale:
             raise ContractViolation("r has a component along a; it must lie in a-perp")
     return r
@@ -710,8 +709,8 @@ def reference_orthonormalize(stack: np.ndarray, tol: float = _GS_TOL) -> np.ndar
 # ---------------------------------------------------------------------------
 # the dense basis build before ``SpaceGeometry._unit_basis`` took the units
 # as entry lists: all N^2 Hermitian units as N x N matrices (the stacking
-# function kept verbatim, only renamed), projected by ``spaces._project`` and
-# orthonormalized by ``spaces._orthonormalize``, as its reference
+# function kept verbatim, only renamed), projected by ``reference_project``
+# and orthonormalized by ``reference_orthonormalize``, as its reference
 
 
 def reference_hermitian_units(N: int) -> np.ndarray:
@@ -733,7 +732,7 @@ def reference_unit_basis(d: SpaceDescriptor, onto_p: bool) -> np.ndarray:
     """Orthonormal stack of p, from the Hermitian units, or of k, from the
     anti-Hermitian ones, built from the dense unit stack."""
     units = reference_hermitian_units(d.ambient_dim)
-    return _orthonormalize(_project(d, units if onto_p else 1j * units, onto_p))
+    return reference_orthonormalize(reference_project(d, units if onto_p else 1j * units, onto_p))
 
 
 def reference_numeric_roots(

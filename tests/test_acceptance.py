@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from cartanflow import (
+    basis_of,
     commutator,
     compare_with_oracle,
     density_constant,
@@ -56,10 +57,10 @@ GRID = parameter_grid(4)
 
 
 def _random_g0(d, rng):
-    geo = geometry(d)
-    X = sum(c * b for c, b in zip(rng.standard_normal(d.dim_p), geo.p_basis))
-    if geo.k_basis:
-        X = X + sum(c * b for c, b in zip(rng.standard_normal(d.dim_k), geo.k_basis))
+    k_basis = basis_of(d, "k")
+    X = sum(c * b for c, b in zip(rng.standard_normal(d.dim_p), basis_of(d, "p")))
+    if k_basis:
+        X = X + sum(c * b for c, b in zip(rng.standard_normal(d.dim_k), k_basis))
     return X
 
 
@@ -68,12 +69,12 @@ def test_criterion_1_cartan_consistency():
     eps = np.finfo(float).eps
     for case in GRID:
         d = make_space(*case)
-        geo = geometry(d)
-        for A in geo.a_basis:
-            for B in geo.a_basis:
+        a_basis = basis_of(d, "a")
+        for A in a_basis:
+            for B in a_basis:
                 assert np.linalg.norm(commutator(A, B)) <= 1e-12
-        for M in geo.m_basis:
-            for A in geo.a_basis:
+        for M in basis_of(d, "m_centralizer"):
+            for A in a_basis:
                 assert np.linalg.norm(commutator(M, A)) <= 1e-12
         for _ in range(100):
             X = _random_g0(d, rng)
@@ -168,7 +169,7 @@ def test_criterion_6_change_of_variables():
     for case in [("aiii", 3, 2), ("bdi", 3, 2)]:
         d = make_space(*case)
         geo = geometry(d)
-        dim = len(geo.a_perp_basis)
+        dim = len(basis_of(d, "a_perp"))
         for _ in range(20):
             q = random_chamber_point(d, rng)
             H = embed_radial(d, q)
@@ -252,7 +253,7 @@ def _random_slice(d, rng):
     rank = d.real_rank
     q = np.sort(np.abs(rng.standard_normal(rank)))[::-1] + 0.3 * np.arange(rank, 0, -1)
     p = rng.standard_normal(rank)
-    r = geo.aperp_from_coords(rng.standard_normal(len(geo.a_perp_basis)))
+    r = geo.aperp_from_coords(rng.standard_normal(len(basis_of(d, "a_perp"))))
     return SliceCoords(q, p, r)
 
 
@@ -296,7 +297,7 @@ def test_criterion_10b_constraint_count_group_dimension():
     for case in SLICE_CASES:
         d = make_space(*case)
         m, n = d.m, d.n
-        dim_m = len(geometry(d).m_basis)
+        dim_m = len(basis_of(d, "m_centralizer"))
         assert dim_m == (m - n) ** 2 + n - 1, (
             f"{d.label()}: centralizer basis has {dim_m} elements, "
             f"expected (m-n)^2 + n - 1 = {(m - n) ** 2 + n - 1}"

@@ -79,6 +79,51 @@ def test_decompose_exact_slice(capsys):
     assert "r_canonical" in payload and "m_elem" in payload
 
 
+def _two_pass_exact_slice_json(d, seed):
+    # the --exact-slice payload as decompose built it before it took q and k
+    # from the slice reduction: X decomposed once for q and k, then again
+    # inside reduce_phase_point, and k†Yk formed a second time for r
+    from cartanflow import (
+        PhasePoint, SliceCoords, embed_radial, exact_slice_reduce, matrix_to_obj,
+        radial_decompose, reduce_phase_point,
+    )
+    from cartanflow.cli import _json_text, _meta
+    from cartanflow.linalg import frobenius
+
+    X, Y = sample_p_gaussian(d, seed), sample_p_gaussian(d, seed + 1)
+    q, k = radial_decompose(d, X)
+    residual = frobenius(k @ embed_radial(d, q) @ k.conj().T - X) / max(frobenius(X), 1e-300)
+    payload = {"meta": _meta(d, seed=seed), "q": [float(v) for v in q],
+               "k": matrix_to_obj(k), "residual": float(residual)}
+    state, k2 = reduce_phase_point(d, PhasePoint(X, Y))
+    r = k2.conj().T @ Y @ k2 - embed_radial(d, state.p)
+    elem, m_elem = exact_slice_reduce(d, SliceCoords(state.q, state.p, r))
+    payload["r_canonical"] = matrix_to_obj(elem.coords.r)
+    payload["m_elem"] = matrix_to_obj(m_elem)
+    payload["degenerate_flags"] = list(elem.degenerate)
+    return _json_text(payload) + "\n"
+
+
+@pytest.mark.parametrize("case", [("aiii", 3, 2), ("bdi", 3, 2)])
+def test_decompose_exact_slice_decomposes_once_with_unchanged_bytes(case, capsys, monkeypatch):
+    from cartanflow import dynamics, radial
+
+    d = make_space(*case)
+    want = _two_pass_exact_slice_json(d, 3)
+    real, calls = radial.radial_decompose, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(radial, "radial_decompose", counted)
+    monkeypatch.setattr(dynamics, "radial_decompose", counted)
+    code, out, _ = run_cli(capsys, "decompose", "--class", d.kind, "--m", str(d.m),
+                           "--n", str(d.n), "--seed", "3", "--exact-slice")
+    assert code == 0 and out == want
+    assert len(calls) == 1
+
+
 def test_decompose_validation_exit_2(capsys):
     code, _, err = run_cli(
         capsys, "decompose", "--class", "aiii", "--m", "1", "--n", "2", "--seed", "1"

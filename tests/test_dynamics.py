@@ -6,6 +6,7 @@ import pytest
 
 from cartanflow import (
     PhasePoint,
+    basis_of,
     compare_with_oracle,
     direct_flow,
     integrate_reduced,
@@ -98,7 +99,7 @@ def test_reduced_hamiltonian_m_invariance(rng):
     geo = geometry(d)
     q = np.array([2.0, 0.9])
     p = rng.standard_normal(2)
-    r = geo.aperp_from_coords(rng.standard_normal(len(geo.a_perp_basis)))
+    r = geo.aperp_from_coords(rng.standard_normal(len(basis_of(d, "a_perp"))))
     l = l_from_slice(d, SliceCoords(q, p, r))
     _, m_elem = exact_slice_reduce(d, SliceCoords(q, p, r))
     H1 = reduced_hamiltonian(d, ReducedState(q, p, l))
@@ -148,7 +149,7 @@ def test_diagonal_field_matches_dense_solves(case, rng):
     aperp = dense_aperp_basis(d)
     T = np.array([[geo.zk_coords(commutator(R, Hi)) for R in aperp] for Hi in geo.a_embed])
     T = T.transpose(0, 2, 1)
-    zb = geo.zk_perp_basis
+    zb = basis_of(d, "zk_perp")
     L = np.array([[geo.zk_coords(commutator(a, b)) for b in zb] for a in zb])
     sys = _Reduced(d)
     for _ in range(3):

@@ -8,10 +8,8 @@ from cartanflow.linalg import (
     ContractViolation,
     commutator,
     dagger,
-    hermitian_eigen,
     matrix_from_obj,
     matrix_to_obj,
-    svd,
     trace_form,
 )
 
@@ -73,35 +71,6 @@ def test_dagger_involution(rng):
     H = X + dagger(X)
     assert np.allclose(dagger(H), H)
     assert np.allclose(dagger(1j * np.eye(3)), -1j * np.eye(3))
-
-
-def test_hermitian_eigen_trivial_and_reconstruction(rng):
-    w, U = hermitian_eigen(np.diag([3.0, 1.0]))
-    assert np.allclose(w, [3.0, 1.0]) and np.allclose(U, np.eye(2))
-    w0, _ = hermitian_eigen(np.zeros((4, 4)))
-    assert np.allclose(w0, 0.0)
-    X = random_cmat(rng, 40)
-    X = X + dagger(X)
-    w, U = hermitian_eigen(X)
-    assert np.all(np.diff(w) <= 0)
-    assert np.linalg.norm(U @ np.diag(w) @ dagger(U) - X) <= 1e-10 * np.linalg.norm(X)
-
-
-def test_hermitian_eigen_rejects_nonhermitian(rng):
-    X = random_cmat(rng, 4)
-    with pytest.raises(ContractViolation):
-        hermitian_eigen(X + 0.1j * np.eye(4))
-
-
-def test_svd_reconstruction(rng):
-    assert np.allclose(svd(np.zeros((3, 2)))[1], 0.0)
-    assert np.allclose(svd(np.diag([2.0, 1.0]))[1], [2.0, 1.0])
-    X = random_cmat(rng, 40, 25)
-    U, s, V = svd(X)
-    S = np.zeros(X.shape)
-    S[: len(s), : len(s)] = np.diag(s)
-    assert np.linalg.norm(U @ S @ dagger(V) - X) <= 1e-10 * np.linalg.norm(X)
-    assert np.all(np.diff(s) <= 0)
 
 
 def test_matrix_json_roundtrip_bit_exact(rng):

@@ -275,7 +275,7 @@ def test_k_invariance_of_radial_samples():
     coeff = np.random.default_rng(
         np.random.SeedSequence(23, spawn_key=(0,))
     ).standard_normal((8192, d.dim_p))
-    Xs = np.tensordot(coeff, np.stack(geo.p_basis), axes=([1], [0]))
+    Xs = np.tensordot(coeff, geo._p_stack, axes=([1], [0]))
     Xk = np.einsum("ij,bjk,lk->bil", k, Xs, k.conj())
     qa = radial_coords_batch(d, Xs)
     qb = radial_coords_batch(d, Xk)

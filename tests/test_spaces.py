@@ -25,8 +25,6 @@ from cartanflow import (
 from cartanflow import spaces
 from cartanflow.spaces import (
     _conjugations,
-    _hermitian_units,
-    _project,
     check_k_group_membership,
     check_membership,
     geometry,
@@ -46,15 +44,16 @@ from conftest import (
     reference_restricted_roots,
     reference_root_table,
     reference_trace_constrained,
+    reference_unit_basis,
     root_system_grid,
 )
 
 
 def random_g0(d, rng):
-    geo = geometry(d)
-    X = sum(c * b for c, b in zip(rng.standard_normal(d.dim_p), geo.p_basis))
-    if geo.k_basis:
-        X = X + sum(c * b for c, b in zip(rng.standard_normal(d.dim_k), geo.k_basis))
+    k_basis = basis_of(d, "k")
+    X = sum(c * b for c, b in zip(rng.standard_normal(d.dim_p), basis_of(d, "p")))
+    if k_basis:
+        X = X + sum(c * b for c, b in zip(rng.standard_normal(d.dim_k), k_basis))
     return X
 
 
@@ -90,11 +89,10 @@ def test_projections_split_and_orthogonality(case, rng):
 
 def test_projection_fixes_sides(rng):
     d = make_space("aiii", 2, 1)
-    geo = geometry(d)
     Xp = random_p_element(d, rng)
     assert np.allclose(project_p(d, Xp), Xp)
     assert np.allclose(project_k(d, Xp), 0.0)
-    Xk = sum(c * b for c, b in zip(rng.standard_normal(d.dim_k), geo.k_basis))
+    Xk = sum(c * b for c, b in zip(rng.standard_normal(d.dim_k), basis_of(d, "k")))
     assert np.allclose(project_k(d, Xk), Xk)
     assert np.allclose(project_p(d, Xk), 0.0)
 
@@ -186,21 +184,20 @@ def test_aiii_radial_generator_pattern():
 @pytest.mark.parametrize("case", REPRESENTATIVES)
 def test_a_is_abelian_and_m_commutes(case):
     d = make_space(*case)
-    geo = geometry(d)
-    for A in geo.a_basis:
-        for B in geo.a_basis:
+    a_basis = basis_of(d, "a")
+    for A in a_basis:
+        for B in a_basis:
             assert np.linalg.norm(commutator(A, B)) <= 1e-12
-    for M in geo.m_basis:
-        for A in geo.a_basis:
+    for M in basis_of(d, "m_centralizer"):
+        for A in a_basis:
             assert np.linalg.norm(commutator(M, A)) <= 1e-12
 
 
 @pytest.mark.parametrize("case", REPRESENTATIVES)
 def test_zk_perp_orthogonal_to_centralizer(case):
     d = make_space(*case)
-    geo = geometry(d)
-    for Z in geo.zk_perp_basis:
-        for M in geo.m_basis:
+    for Z in basis_of(d, "zk_perp"):
+        for M in basis_of(d, "m_centralizer"):
             assert abs(trace_form(Z, M)) <= 1e-12
 
 
@@ -303,19 +300,8 @@ def test_stacked_bases_match_unit_by_unit_gram_schmidt(case):
         want = np.array(ref[which]).reshape(stack.shape)
         assert np.max(np.abs(stack - want), initial=0.0) <= 1e-15
         assert not stack.flags.writeable
-        assert all(not M.flags.writeable for M in getattr(geo, f"{which}_basis"))
     if d.kind in ("aiii", "bdi", "cii", "diii", "ci"):
         assert np.array_equal(geo._p_stack, np.array(ref["p"]))
-
-
-@pytest.mark.parametrize("case", BASIS_CASES)
-def test_project_matches_kind_by_kind_reference_bitwise(case):
-    # tobytes, not array_equal: the signs of zeros count as well
-    d = make_space(*case)
-    units = _hermitian_units(d.ambient_dim)
-    for X, onto_p in ((units, True), (1j * units, False)):
-        got = _project(d, X.copy(), onto_p)
-        assert got.tobytes() == reference_project(d, X.copy(), onto_p).tobytes()
 
 
 def _built(geo) -> dict[str, np.ndarray]:
@@ -324,17 +310,31 @@ def _built(geo) -> dict[str, np.ndarray]:
             "a_perp": ap, "C": C, "block_rows": geo._block_rows}
 
 
+def _assert_matches_reference_build(d, got, monkeypatch):
+    # reference: p and k from the dense unit build, a from the Gram-Schmidt
+    # that projects every candidate, and the split and block rows read from
+    # them.  p and the block rows by value: the dense averages leave -0.0 on
+    # p where the entry lists never write one.  Every other output byte for
+    # byte: a candidate whose support no earlier candidate touches skips
+    # only sums of exact zeros
+    monkeypatch.setattr(spaces.SpaceGeometry, "_unit_basis",
+                        lambda geo, onto_p: reference_unit_basis(geo.descriptor, onto_p))
+    ref = spaces.SpaceGeometry(d)
+    want = _built(ref)
+    want["a"] = reference_orthonormalize(np.stack(ref.a_embed))
+    monkeypatch.undo()
+    for name, stack in got.items():
+        assert stack.shape == want[name].shape, name
+        if name in ("p", "block_rows"):
+            assert np.array_equal(stack, want[name]), name
+        else:
+            assert stack.tobytes() == want[name].tobytes(), name
+
+
 @pytest.mark.parametrize("case", BASIS_CASES)
 def test_bases_and_root_split_match_reference_gram_schmidt_bytewise(case, monkeypatch):
-    # a candidate whose support no earlier candidate touches skips only
-    # sums of exact zeros: not one byte of any output may move
     d = make_space(*case)
-    monkeypatch.setattr(spaces, "_orthonormalize", reference_orthonormalize)
-    want = _built(spaces.SpaceGeometry(d))
-    monkeypatch.undo()
-    got = _built(spaces.SpaceGeometry(d))
-    for name, stack in got.items():
-        assert stack.shape == want[name].shape and stack.tobytes() == want[name].tobytes(), name
+    _assert_matches_reference_build(d, _built(spaces.SpaceGeometry(d)), monkeypatch)
 
 
 def _root_vectors(d, seed):
@@ -387,13 +387,7 @@ def test_root_fit_raises_like_the_reference(case):
 @pytest.mark.parametrize("case", [("aiii", 16, 16), ("aii", 0, 16)])
 def test_large_bases_and_numeric_roots_match_references(case, monkeypatch):
     d = make_space(*case)
-    monkeypatch.setattr(spaces, "_orthonormalize", reference_orthonormalize)
-    ref = spaces.SpaceGeometry(d)
-    want = ref._p_stack, ref._k_stack
-    monkeypatch.undo()
-    geo = geometry(d)
-    assert geo._p_stack.tobytes() == want[0].tobytes()
-    assert geo._k_stack.tobytes() == want[1].tobytes()
+    _assert_matches_reference_build(d, _built(geometry(d)), monkeypatch)
     assert numeric_roots(d) == reference_numeric_roots(d, *_root_vectors(d, spaces._ROOT_SEED))
 
 
@@ -495,12 +489,12 @@ def test_bases_and_k_elements_are_fixed_by_each_conjugation(case):
     geo = geometry(d)
     k = random_k_element(d, np.random.default_rng(31))
     for name, _, M, s in _conjugations(d):
-        for X in geo.p_basis:
+        for X in geo._p_stack:
             assert np.linalg.norm(M(X) - s * X) <= 1e-12, name
-        for X in geo.k_basis:
+        for X in geo._k_stack:
             assert np.linalg.norm(M(X) - X) <= 1e-12, name
         assert np.linalg.norm(M(k) - k) <= 1e-12, name
     # and against the kind-by-kind relations, which do not read the table
-    for X in (*geo.p_basis, *geo.k_basis):
+    for X in (*geo._p_stack, *geo._k_stack):
         assert all(resid <= 1e-12 for _, resid in reference_relations(d, X))
     reference_check_k_group_membership(d, k, rtol=1e-12)
