@@ -22,7 +22,8 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .linalg import ConsistencyError, ContractViolation, load_matrix, matrix_to_obj
+from .linalg import ConsistencyError, ContractViolation, _check_int, _check_real, _finite_array
+from .linalg import load_matrix, matrix_to_obj
 from .spaces import KINDS, basis_of, make_space, restricted_roots
 
 _LIST_DEFAULTS = {
@@ -86,12 +87,6 @@ def _json_text(payload: dict) -> str:
         return json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as exc:
         raise ConsistencyError(f"non-finite value in the output: {exc}") from exc
-
-
-def _threads(args) -> int:
-    if args.threads < 1:
-        raise ContractViolation(f"--threads must be >= 1, got {args.threads}")
-    return args.threads
 
 
 def _meta(d=None, **extra) -> dict:
@@ -211,14 +206,7 @@ def _cmd_density(args) -> int:
     from .reduction import closed_form_density, density_constant, jacobian_density
 
     d = _space_from_args(args)
-    try:
-        q = np.array([float(t) for t in args.q.split(",")], dtype=float)
-    except ValueError as exc:
-        raise ContractViolation(f"--q: {exc}") from exc
-    if q.shape != (d.real_rank,):
-        raise ContractViolation(f"--q needs {d.real_rank} comma-separated values")
-    if not np.all(np.isfinite(q)):
-        raise ContractViolation(f"--q must be finite, got {args.q}")
+    q = _finite_array("--q", args.q.split(","), (d.real_rank,), float)
     payload = {"meta": _meta(d, q=[float(v) for v in q])}
     # a density that overflows is reported once, by the JSON's refusal of inf
     with np.errstate(over="ignore"):
@@ -239,7 +227,8 @@ def _cmd_sample(args) -> int:
     from .sampling import radial_histogram, theoretical_radial_density
 
     d = _space_from_args(args)
-    hist = radial_histogram(d, args.count, args.bins, args.seed, threads=_threads(args))
+    threads = _check_int("--threads", args.threads, 1)
+    hist = radial_histogram(d, args.count, args.bins, args.seed, threads=threads)
     multi = d.real_rank > 1
     rows = []
     for coord in range(d.real_rank):
@@ -265,15 +254,13 @@ def _cmd_flow(args) -> int:
     from .sampling import sample_p_gaussian
 
     d = _space_from_args(args)
-    if not np.isfinite(args.t_max):
-        raise ContractViolation(f"--t-max must be finite, got {args.t_max}")
-    if args.steps < 1:
-        raise ContractViolation(f"--steps must be >= 1, got {args.steps}")
+    _check_real("--t-max", args.t_max)
+    _check_int("--steps", args.steps, 1)
     start = PhasePoint(sample_p_gaussian(d, args.seed), sample_p_gaussian(d, args.seed + 1))
     deviations = None
     if args.compare:
         grid = np.linspace(0.0, args.t_max, args.steps + 1)
-        report = compare_with_oracle(d, start, grid, steps=args.steps)
+        report = compare_with_oracle(d, start, grid)
         traj, deviations = report.trajectory, report.deviations
     else:
         state, _ = reduce_phase_point(d, start)
@@ -313,9 +300,8 @@ def _cmd_verify_density(args) -> int:
     from .sampling import verify_density
 
     d = _space_from_args(args)
-    res = verify_density(
-        d, count=args.count, bins=args.bins, seed=args.seed, threads=_threads(args)
-    )
+    threads = _check_int("--threads", args.threads, 1)
+    res = verify_density(d, count=args.count, bins=args.bins, seed=args.seed, threads=threads)
     payload = {"meta": _meta(d, seed=args.seed, count=args.count, bins=args.bins)}
     payload.update(res)
     _emit(_json_text(payload), args.out)
@@ -393,8 +379,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ContractViolation(f"--seed must be >= 0, got {args.seed}")
+        if getattr(args, "seed", None) is not None:
+            _check_int("--seed", args.seed, 0)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, inside the try
         return code

@@ -18,13 +18,11 @@ exactly solvable and serves as the oracle for the reduced integration.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ConsistencyError, ContractViolation
+from .linalg import ConsistencyError, ContractViolation, _check_int, _check_real, _finite_array
 from .radial import WALL_TOL, SliceCoords, radial_coords_batch, radial_decompose
 from .reduction import ReducedState, l_from_slice
 from .spaces import SpaceDescriptor, check_p_membership, geometry, wall_distance
@@ -82,8 +80,8 @@ class OracleReport:
 
 
 def direct_flow(start: PhasePoint, t: float) -> PhasePoint:
-    """The exactly solvable flow (X, Y) -> (X + tY, Y)."""
-    return PhasePoint(start.X + t * start.Y, start.Y)
+    """The exactly solvable flow (X, Y) -> (X + tY, Y), for a finite real t."""
+    return PhasePoint(start.X + _check_real("t", t) * start.Y, start.Y)
 
 
 def reduce_phase_point(d: SpaceDescriptor, point: PhasePoint) -> tuple[ReducedState, np.ndarray]:
@@ -146,23 +144,17 @@ class _Reduced:
 
     def flat(self, state: ReducedState) -> np.ndarray:
         """The flat vector of a reduced state.  ContractViolation unless q
-        and p have the length of the real rank, l is N x N, and all entries
-        are finite numbers."""
+        and p are finite vectors of the length of the real rank and l is a
+        finite N x N matrix within 1e-10 max(|l|_F, 1) of zk-perp (the
+        tolerance ``_check_slice_coords`` holds r to against a)."""
         rk, N = self.rank, self.d.ambient_dim
-        try:
-            q = np.asarray(state.q, dtype=float)
-            p = np.asarray(state.p, dtype=float)
-            l = np.asarray(state.l, dtype=complex)
-        except (TypeError, ValueError):
-            raise ContractViolation("reduced state entries must be numeric arrays") from None
-        if q.shape != (rk,) or p.shape != (rk,) or l.shape != (N, N):
-            raise ContractViolation(
-                f"reduced state of {self.d.label()} needs q and p of length {rk} and l of "
-                f"shape ({N}, {N}); got {q.shape}, {p.shape} and {l.shape}"
-            )
-        if not (np.isfinite(q).all() and np.isfinite(p).all() and np.isfinite(l).all()):
-            raise ContractViolation("reduced state has non-finite entries")
-        return np.concatenate((q, p, self.geo.zk_coords(l)))
+        q = _finite_array("q", state.q, (rk,), float)
+        p = _finite_array("p", state.p, (rk,), float)
+        l = _finite_array("l", state.l, (N, N), complex)
+        lc = self.geo.zk_coords(l)
+        if np.linalg.norm(l - self.geo.zk_from_coords(lc)) > 1e-10 * max(np.linalg.norm(l), 1.0):
+            raise ContractViolation("l has a component outside zk-perp; it must lie in zk-perp")
+        return np.concatenate((q, p, lc))
 
     def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         r = self.rank
@@ -224,11 +216,8 @@ def _step_size(t_max, steps) -> float:
     """h = t_max / steps.  ContractViolation unless t_max is a finite real
     number (a negative one integrates backwards) and steps a positive
     integer."""
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
-        raise ContractViolation(f"steps must be a positive integer, got {steps!r}")
-    if isinstance(t_max, bool) or not isinstance(t_max, numbers.Real) or not math.isfinite(t_max):
-        raise ContractViolation(f"t_max must be a finite real number, got {t_max!r}")
-    return float(t_max) / steps
+    steps = _check_int("steps", steps, 1)
+    return _check_real("t_max", t_max) / steps
 
 
 def reduced_hamiltonian(d: SpaceDescriptor, state: ReducedState) -> float:

@@ -11,11 +11,16 @@ Matrices cross process boundaries in a small JSON format::
     {"rows": R, "cols": C, "data": [[re, im], ...]}   # row-major
 
 which round-trips finite doubles bit-exactly.
+
+Every entry point and the CLI check their input with ``_check_int``,
+``_check_real`` and ``_finite_array``, which name the argument or flag.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 
 import numpy as np
 
@@ -40,6 +45,40 @@ class ContractViolation(ValueError):
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed (wrong table, non-constant ratio...)."""
+
+
+def _check_int(name: str, value, least: int) -> int:
+    """``value`` as an int; ContractViolation unless it is an integer (a
+    Python or NumPy one, not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ContractViolation(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _check_real(name: str, value) -> float:
+    """``value`` as a float; ContractViolation unless it is a finite real
+    number (a Python or NumPy one, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ContractViolation(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def _finite_array(
+    name: str, value, shape: tuple | None, dtype, wrong_shape: str | None = None
+) -> np.ndarray:
+    """``value`` as an array of ``dtype``; ContractViolation unless the
+    conversion succeeds, the shape is ``shape`` (any shape for None) and
+    every entry is finite.  ``wrong_shape`` replaces the message of a wrong
+    shape."""
+    try:
+        a = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ContractViolation(f"{name} must be a numeric array ({exc})") from None
+    if shape is not None and a.shape != shape:
+        raise ContractViolation(wrong_shape or f"{name} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ContractViolation(f"{name} has non-finite entries")
+    return a
 
 
 def as_cmat(x) -> np.ndarray:
@@ -91,18 +130,15 @@ def matrix_to_obj(X) -> dict:
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
+    """The matrix of a wire-format object; ContractViolation unless ``data``
+    holds ``rows`` x ``cols`` pairs of finite numbers."""
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
-        raise ContractViolation(f"malformed matrix object: {exc}") from exc
-    if len(data) != rows * cols:
-        raise ContractViolation(
-            f"matrix object claims {rows}x{cols} but carries {len(data)} entries"
-        )
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    if not np.all(np.isfinite(flat)):
-        raise ContractViolation("matrix object carries non-finite entries")
-    return flat.reshape(rows, cols)
+        rows, cols = obj["rows"], obj["cols"]
+        entries = [complex(re, im) for re, im in obj["data"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContractViolation(f"malformed matrix object: {exc}") from None
+    size = _check_int("rows", rows, 0) * _check_int("cols", cols, 0)
+    return _finite_array("matrix object", entries, (size,), complex).reshape(rows, cols)
 
 
 def save_matrix(path, X) -> None:
@@ -111,5 +147,10 @@ def save_matrix(path, X) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        return matrix_from_obj(json.load(fh))
+    """``matrix_from_obj`` of a JSON file; ContractViolation if it cannot be read."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ContractViolation(f"cannot read a matrix from {path}: {exc}") from None
+    return matrix_from_obj(obj)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factorizations as fac
-from .linalg import ContractViolation, frobenius
+from .linalg import ContractViolation, _finite_array, frobenius
 from .spaces import (
     SpaceDescriptor,
     _quaternionic_j,
@@ -293,9 +293,9 @@ _PATTERN_TOL = 1e-10
 
 def _check_slice_coords(d: SpaceDescriptor, s: SliceCoords) -> np.ndarray:
     geo = geometry(d)
-    q = np.asarray(s.q, dtype=float)
-    if q.shape != (d.real_rank,) or np.asarray(s.p).shape != (d.real_rank,):
-        raise ContractViolation("q and p must have length equal to the real rank")
+    wrong = "q and p must have length equal to the real rank"
+    for name, v in (("q", s.q), ("p", s.p)):
+        _finite_array(name, v, (d.real_rank,), float, wrong)
     r = np.asarray(s.r, dtype=complex)
     check_p_membership(d, r)
     # Re<A, r> for every member A of the a basis, in one product

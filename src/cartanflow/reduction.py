@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import ConsistencyError, ContractViolation, commutator
+from .linalg import ConsistencyError, ContractViolation, _finite_array, commutator
 from .radial import WALL_TOL, SliceCoords
 from .spaces import (
     SpaceDescriptor,
@@ -74,8 +74,8 @@ def moment_map(d: SpaceDescriptor, X1, X2) -> np.ndarray:
 
 def l_from_slice(d: SpaceDescriptor, s: SliceCoords) -> np.ndarray:
     """Angular momentum l = [r, H(q)] of slice coordinates."""
-    geo = geometry(d)
-    return commutator(np.asarray(s.r, dtype=complex), geo.embed_radial(s.q))
+    N = d.ambient_dim
+    return commutator(_finite_array("r", s.r, (N, N), complex), geometry(d).embed_radial(s.q))
 
 
 def r_from_l(d: SpaceDescriptor, q, l) -> np.ndarray:
@@ -84,12 +84,13 @@ def r_from_l(d: SpaceDescriptor, q, l) -> np.ndarray:
     Raises for q on or near a wall, where the map is singular.
     """
     geo = geometry(d)
-    q = np.asarray(q, dtype=float)
+    q = _radial_vector(d, q)
     if wall_distance(d, q) <= WALL_TOL:
         raise ContractViolation(
             "q lies on or near a chamber wall: the bracket map is singular there"
         )
-    lc = geo.zk_coords(np.asarray(l, dtype=complex))
+    N = d.ambient_dim
+    lc = geo.zk_coords(_finite_array("l", l, (N, N), complex))
     return geo.aperp_from_coords(lc / (geo.bracket_coeffs @ q))
 
 

@@ -26,16 +26,15 @@ first n draws of a larger count are the n draws.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .linalg import ConsistencyError, ContractViolation
+from .linalg import ConsistencyError, ContractViolation, _check_int, _finite_array
 from .radial import chamber_contains, radial_coords_batch
 from .reduction import _root_product, density_constant
-from .spaces import SpaceDescriptor, _root_system, geometry, random_p_element
+from .spaces import SpaceDescriptor, _radial_vector, _root_system, geometry, random_p_element
 
 __all__ = [
     "CHUNK_SIZE",
@@ -75,14 +74,6 @@ class RadialHistogram:
     counts: list[np.ndarray]
     density: list[np.ndarray]
     seed: int
-
-
-def _check_int(name: str, value, least: int) -> int:
-    """``value`` as an int; ContractViolation unless it is an integer (a
-    Python or NumPy one, not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ContractViolation(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
@@ -240,8 +231,9 @@ def _normalizer(d: SpaceDescriptor) -> float:
 
 def theoretical_radial_density(d: SpaceDescriptor, q) -> float:
     """Probability density of the radial spectrum of the Gaussian ensemble,
-    normalized to unit mass over the chamber."""
-    q = np.asarray(q, dtype=float)
+    normalized to unit mass over the chamber; 0.0 outside it.
+    ContractViolation unless q is a finite vector of the real rank's length."""
+    q = _radial_vector(d, q)
     if not chamber_contains(d, q, tol=1e-12):
         return 0.0
     return _unnormalized(d, q) / _normalizer(d)
@@ -282,7 +274,7 @@ def theoretical_radial_cdf(d: SpaceDescriptor, x: np.ndarray) -> np.ndarray:
         raise ContractViolation("theoretical CDF implemented for real rank 1")
     geo = geometry(d)
     g, a = geo.gram[0, 0], float(np.sum(geo.root_table[1]))
-    x = np.asarray(x, dtype=float)
+    x = _finite_array("x", x, None, float)
     if not (d.has_sign_flip_weyl or d.trace_constrained):
         return 0.5 * np.vectorize(math.erfc, otypes=[float])(-math.sqrt(g / 2) * x)
     return _lower_gamma((a + 1) / 2, g * np.maximum(x, 0.0) ** 2 / 2)

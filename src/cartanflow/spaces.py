@@ -51,6 +51,7 @@ from itertools import combinations
 import numpy as np
 
 from .linalg import ConsistencyError, ContractViolation, as_cmat, frobenius
+from .linalg import _check_int, _finite_array
 
 __all__ = [
     "KINDS",
@@ -182,7 +183,7 @@ def make_space(kind: str, m: int = 0, n: int = 1) -> SpaceDescriptor:
     """Validate parameters and build a descriptor."""
     if kind not in KINDS:
         raise ContractViolation(f"unknown symmetric-space kind {kind!r}; choose from {KINDS}")
-    m, n = int(m), int(n)
+    m, n = _check_int("m", m, 0), _check_int("n", n, 1)
     if kind in TWO_PARAM_KINDS:
         if not (m >= n >= 1):
             raise ContractViolation(f"{kind} requires m >= n >= 1, got (m,n)=({m},{n})")
@@ -300,12 +301,8 @@ def check_membership(d: SpaceDescriptor, X, rtol: float = MEMBERSHIP_RTOL) -> No
 
     The error names the first violated defining relation.
     """
-    X = as_cmat(X)
     N = d.ambient_dim
-    if X.shape != (N, N):
-        raise ContractViolation(f"{d.label()} lives in {N}x{N} matrices, got {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ContractViolation("matrix has non-finite entries")
+    X = _finite_array("matrix", X, (N, N), complex)
     scale = max(frobenius(X), 1.0)
     for name, residual in _relations(d, X):
         if residual > rtol * scale:
@@ -338,10 +335,8 @@ def check_k_group_membership(d: SpaceDescriptor, k, rtol: float = 1e-9) -> None:
     of the bilinear form), and unit determinant: of each of bdi's two
     diagonal factors, of the whole matrix for every other class.
     """
-    k = as_cmat(k)
     N = d.ambient_dim
-    if k.shape != (N, N):
-        raise ContractViolation(f"K of {d.label()} lives in {N}x{N} matrices")
+    k = _finite_array("k", k, (N, N), complex)
     scale = max(frobenius(k), 1.0)
 
     def _req(name: str, resid: float) -> None:
@@ -463,14 +458,7 @@ def restricted_roots(d: SpaceDescriptor) -> list[RestrictedRoot]:
 def _radial_vector(d: SpaceDescriptor, q) -> np.ndarray:
     """q as a float vector; ContractViolation unless it has the length of
     the real rank and finite entries."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (d.real_rank,):
-        raise ContractViolation(
-            f"radial vector must have length {d.real_rank}, got shape {q.shape}"
-        )
-    if not all(map(math.isfinite, q.tolist())):  # faster than np.isfinite at this size
-        raise ContractViolation("radial vector has non-finite entries")
-    return q
+    return _finite_array("radial vector", q, (d.real_rank,), float)
 
 
 def root_values(d: SpaceDescriptor, q: np.ndarray) -> np.ndarray:
@@ -1027,6 +1015,7 @@ def numeric_roots(d: SpaceDescriptor, seed: int = _ROOT_SEED) -> list[Restricted
     integer roots to the eigenvectors it finds (``_fit_roots``).  Serves as
     an independent oracle for the tabulated roots.
     """
+    seed = _check_int("seed", seed, 0)
     geo = geometry(d)
     Z = geo._zk_stack
     He = geo.embed_radial(geo.e_coords)

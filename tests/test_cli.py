@@ -393,6 +393,25 @@ def test_decompose_rejects_nan_input(tmp_path, capsys):
     assert code == 2 and out == "" and "non-finite" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    ["not json", '{"rows": 1, "cols": 1, "data": [["a", 0]]}',
+     '{"rows": 1, "cols": 1, "data": [[1, 0, 0]]}', None],
+    ids=["not-json", "text-entry", "three-numbers", "directory"],
+)
+def test_malformed_matrix_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "x.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    code, out, err = run_cli(
+        capsys, "decompose", "--class", "aiii", "--m", "2", "--n", "1", "--input", str(path)
+    )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+
+
 def test_linalg_error_exit_3(capsys, monkeypatch):
     import cartanflow.radial as radial
 

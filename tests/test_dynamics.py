@@ -584,13 +584,14 @@ def _malformed_states(d, state):
         "small l": ReducedState(state.q, state.p, state.l[:-1, :-1]),
         "flat l": ReducedState(state.q, state.p, state.l.ravel()),
         "text p": ReducedState(state.q, ["a"] * rank, state.l),
+        "l + I": ReducedState(state.q, state.p, state.l + np.eye(N)),
     }
 
 
 @pytest.mark.parametrize(
     "which",
     ["nan q", "nan p", "inf p", "nan l", "inf l", "short q", "long p", "p matrix", "small l",
-     "flat l", "text p"],
+     "flat l", "text p", "l + I"],
 )
 @pytest.mark.parametrize("entry", ["integrate", "field", "hamiltonian"])
 def test_flow_entry_points_reject_malformed_states(which, entry):

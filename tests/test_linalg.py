@@ -92,6 +92,33 @@ def test_matrix_json_rejects_non_finite(bad):
         matrix_from_obj({"rows": 1, "cols": 2, "data": [[1.0, 0.0], [0.0, bad]]})
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"rows": 1, "cols": 1, "data": [["a", 0.0]]},
+        {"rows": 1, "cols": 1, "data": [[1.0, 0.0, 0.0]]},
+        {"rows": 1, "cols": 1, "data": [1.0]},
+        {"rows": 1, "cols": 1, "data": 1.0},
+        {"rows": 1.5, "cols": 1, "data": [[1.0, 0.0]]},
+        {"rows": "x", "cols": 1, "data": [[1.0, 0.0]]},
+    ],
+)
+def test_matrix_json_rejects_malformed_entries(obj):
+    with pytest.raises(ContractViolation):
+        matrix_from_obj(obj)
+
+
+@pytest.mark.parametrize("content", ["not json", None])
+def test_load_matrix_rejects_unreadable_files(tmp_path, content):
+    path = tmp_path / "x.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    with pytest.raises(ContractViolation, match="cannot read a matrix"):
+        linalg.load_matrix(path)
+
+
 def test_save_load_matrix(tmp_path, rng):
     X = random_cmat(rng, 4)
     path = tmp_path / "x.json"

@@ -17,10 +17,18 @@ from cartanflow import (
     restricted_roots,
     trace_form,
 )
+from cartanflow.dynamics import PhasePoint, _slice_point, direct_flow
 from cartanflow.linalg import ConsistencyError, frobenius
-from cartanflow.radial import SliceCoords, embed_radial
+from cartanflow.radial import SliceCoords, embed_radial, exact_slice_reduce, slice_contains
+from cartanflow.sampling import theoretical_radial_cdf, theoretical_radial_density
 from cartanflow.reduction import _check_root_multiset, random_chamber_point
-from cartanflow.spaces import geometry, root_values, wall_distance
+from cartanflow.spaces import (
+    check_k_group_membership,
+    geometry,
+    numeric_roots,
+    root_values,
+    wall_distance,
+)
 
 from conftest import (
     GEOMETRY_COLD,
@@ -247,3 +255,43 @@ def test_jacobian_density_matches_dense_gram_oracle(case):
 def test_q_taking_entry_points_reject_malformed_q(entry, bad):
     with pytest.raises(ContractViolation, match="radial vector"):
         entry(make_space("aiii", 3, 2), bad)
+
+
+def _verdict(check):
+    """slice_contains reports malformed coordinates as a failed check."""
+    if not check:
+        raise ContractViolation(check.violation)
+
+
+def _aiii_slice_coords():
+    d = make_space("aiii", 3, 2)
+    rng = np.random.default_rng(12)
+    s, _ = _slice_point(d, PhasePoint(random_p_element(d, rng), random_p_element(d, rng)))
+    return d, exact_slice_reduce(d, s)[0].coords  # on the slice: slice_contains says ok
+
+
+_NAN2 = np.array([np.nan, 0.5])
+_MALFORMED_CALLS = {
+    "slice_contains nan q": lambda d, s: _verdict(slice_contains(d, SliceCoords(_NAN2, s.p, s.r))),
+    "slice_contains nan p": lambda d, s: _verdict(slice_contains(d, SliceCoords(s.q, _NAN2, s.r))),
+    "exact_slice_reduce nan p": lambda d, s: exact_slice_reduce(d, SliceCoords(s.q, _NAN2, s.r)),
+    "l_from_slice nan r": lambda d, s: l_from_slice(d, SliceCoords(s.q, s.p, np.nan * s.r)),
+    "r_from_l nan l": lambda d, s: r_from_l(d, s.q, np.nan * l_from_slice(d, s)),
+    "r_from_l 3x3 l": lambda d, s: r_from_l(d, s.q, np.zeros((3, 3), dtype=complex)),
+    "density nan q": lambda d, s: theoretical_radial_density(d, _NAN2),
+    "density short q": lambda d, s: theoretical_radial_density(d, [1.0]),
+    "cdf nan": lambda d, s: theoretical_radial_cdf(make_space("aiii", 2, 1), np.array([np.nan])),
+    "direct_flow nan t": lambda d, s: direct_flow(PhasePoint(s.r, s.r), np.nan),
+    "numeric_roots seed -1": lambda d, s: numeric_roots(d, seed=-1),
+    "numeric_roots seed 1.5": lambda d, s: numeric_roots(d, seed=1.5),
+    "make_space m 2.7": lambda d, s: make_space("aiii", 2.7, 1),
+    "check_k nan k": lambda d, s: check_k_group_membership(d, np.full((5, 5), np.nan)),
+}
+
+
+@pytest.mark.parametrize("which", list(_MALFORMED_CALLS))
+def test_entry_points_reject_non_finite_and_malformed_input(which):
+    d, s = _aiii_slice_coords()
+    assert slice_contains(d, s)
+    with pytest.raises(ContractViolation):
+        _MALFORMED_CALLS[which](d, s)
