@@ -57,22 +57,27 @@ def _check_int(name: str, value, least: int) -> int:
 
 def _check_real(name: str, value) -> float:
     """``value`` as a float; ContractViolation unless it is a finite real
-    number (a Python or NumPy one, not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ContractViolation(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
+    number (a Python or NumPy one, not a bool) that a double can hold."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the doubles
+        pass
+    raise ContractViolation(f"{name} must be a finite real number, got {value!r}")
 
 
 def _finite_array(
     name: str, value, shape: tuple | None, dtype, wrong_shape: str | None = None
 ) -> np.ndarray:
     """``value`` as an array of ``dtype``; ContractViolation unless the
-    conversion succeeds, the shape is ``shape`` (any shape for None) and
-    every entry is finite.  ``wrong_shape`` replaces the message of a wrong
-    shape."""
+    conversion succeeds and drops no imaginary part, the shape is ``shape``
+    (any shape for None) and every entry is finite.  ``wrong_shape``
+    replaces the message of a wrong shape."""
+    if getattr(value, "dtype", np.dtype(float)).kind == "c" and np.dtype(dtype).kind != "c":
+        raise ContractViolation(f"{name} must be real, got complex entries")
     try:
         a = np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ContractViolation(f"{name} must be a numeric array ({exc})") from None
     if shape is not None and a.shape != shape:
         raise ContractViolation(wrong_shape or f"{name} must have shape {shape}, got {a.shape}")

@@ -34,7 +34,8 @@ import numpy as np
 from .linalg import ConsistencyError, ContractViolation, _check_int, _finite_array
 from .radial import chamber_contains, radial_coords_batch
 from .reduction import _root_product, density_constant
-from .spaces import SpaceDescriptor, _radial_vector, _root_system, geometry, random_p_element
+from .spaces import SpaceDescriptor, _assemble, _radial_vector, _root_system, geometry
+from .spaces import random_p_element
 
 __all__ = [
     "CHUNK_SIZE",
@@ -85,20 +86,6 @@ def sample_p_gaussian(d: SpaceDescriptor, seed: int) -> np.ndarray:
     return random_p_element(d, _chunk_rng(_check_int("seed", seed, 0), 0))
 
 
-def _blocks(table: tuple, g: np.ndarray) -> np.ndarray:
-    """The spectral blocks of sum_a g[i, a] B_a over the p basis B, one per
-    row of ``g``, built by index from ``SpaceGeometry._block_gather``: each
-    entry is its first contributor's term, and each further contributor is
-    added in basis order, so no entry depends on how many rows ``g`` has."""
-    src, val, cols, more_src, more_val, shape = table
-    B = np.take(g, src, axis=1)
-    B *= val
-    B += 0.0  # an empty entry reads +0.0, as in a product, not g * 0 = -0.0
-    for s, v in zip(more_src, more_val):
-        B[:, cols] += g[:, s] * v
-    return B.view(complex).reshape(len(g), *shape)
-
-
 def sample_radial_batch(
     d: SpaceDescriptor, count: int, seed: int, threads: int = 1
 ) -> np.ndarray:
@@ -111,7 +98,7 @@ def sample_radial_batch(
     count = _check_int("count", count, 1)
     seed = _check_int("seed", seed, 0)
     threads = _check_int("threads", threads, 1)
-    table = geometry(d)._block_gather
+    table = geometry(d)._block_table
     out = np.empty((count, d.real_rank))
     n_chunks = (count + CHUNK_SIZE - 1) // CHUNK_SIZE
 
@@ -121,7 +108,7 @@ def sample_radial_batch(
         for lo, hi in zip(cuts, cuts[1:]):
             # one expression: no sub-block's normals or blocks outlive it
             out[lo:hi] = radial_coords_batch(
-                d, _blocks(table, rng.standard_normal((hi - lo, d.dim_p)))
+                d, _assemble(table, rng.standard_normal((hi - lo, d.dim_p)))
             )
 
     if threads > 1 and n_chunks > 1:

@@ -539,13 +539,13 @@ def _root_step(stack: np.ndarray, He: np.ndarray, Hg: np.ndarray) -> np.ndarray:
 
 
 def _real_rows(stack: np.ndarray) -> np.ndarray:
-    """Read-only real view (dim, 2 size) of a contiguous stack of matrices,
-    one row per member with its real and imaginary parts interleaved.  Row
-    dot products are Frobenius real inner products, so for an orthonormal
-    stack the coordinates Re<B_a, X> are one product with the transposed
-    rows and sum_a c_a B_a is one product with the rows."""
+    """Read-only real view (dim, 2 size) of a stack of matrices, copied to be
+    contiguous if need be: one row per member with its real and imaginary
+    parts interleaved.  Row dot products are Frobenius real inner products,
+    so for an orthonormal stack the coordinates Re<B_a, X> are one product
+    with the transposed rows and sum_a c_a B_a is one product with the rows."""
     # the explicit width keeps an empty stack (bdi(1,1) has no zk-perp) reshapable
-    rows = stack.reshape(len(stack), math.prod(stack.shape[1:])).view(float)
+    rows = np.ascontiguousarray(stack).reshape(len(stack), math.prod(stack.shape[1:])).view(float)
     rows.flags.writeable = False
     return rows
 
@@ -554,6 +554,42 @@ def _real_flat(X) -> np.ndarray:
     """Real view of a matrix (or a stack) matching ``_real_rows``."""
     X = np.ascontiguousarray(X, dtype=complex)
     return X.reshape(X.shape[:-2] + (-1,)).view(float)
+
+
+def _index_table(stack: np.ndarray) -> tuple:
+    """A stack of matrices (or of blocks) as a read-only index table for
+    ``_assemble``: per column of its ``_real_rows``, the first contributing
+    member ``src`` and its entry ``val`` (0 where none contributes); for the
+    columns ``cols`` with more (the trace-corrected diagonals), one level per
+    further one in stack order, members ``more_src`` and entries ``more_val``
+    padded with 0; last, the shape of one member."""
+    rows = _real_rows(stack) if len(stack) else np.zeros((1, 2 * math.prod(stack.shape[1:])))
+    nz = rows != 0
+    src = np.argmax(nz, axis=0)  # row 0 for an empty column, whose entry is 0
+    val = rows[src, np.arange(rows.shape[1])]
+    count = nz.sum(axis=0)
+    cols = np.flatnonzero(count > 1)
+    # per column, its contributors come first, in stack order
+    more_src = np.argsort(~nz[:, cols], axis=0, kind="stable")[1 : count.max()].copy()
+    more_val = rows[more_src, cols]
+    for a in (src, val, cols, more_src, more_val):
+        a.flags.writeable = False
+    return src, val, cols, more_src, more_val, stack.shape[1:]
+
+
+def _assemble(table: tuple, g: np.ndarray) -> np.ndarray:
+    """sum_a g[i, a] B_a over the basis B of an ``_index_table``, one matrix per
+    row of ``g``, by index with no BLAS call: each entry is its first contributor's
+    term plus the further ones in basis order, whatever the number of rows."""
+    src, val, cols, more_src, more_val, shape = table
+    B = np.take(g, src, axis=1) if g.shape[1] else np.zeros((len(g), len(src)))
+    B *= val
+    B += 0.0  # an empty entry reads +0.0, as in a sum from zero, not g * 0 = -0.0
+    sub = B[:, cols]
+    for s, v in zip(more_src, more_val):
+        sub += g[:, s] * v
+    B[:, cols] = sub
+    return B.view(complex).reshape(len(g), *shape)
 
 
 @lru_cache(maxsize=None)
@@ -729,7 +765,7 @@ class SpaceGeometry:
     # -- bases ------------------------------------------------------------
 
     def _unit_basis(self, onto_p: bool) -> np.ndarray:
-        """Read-only orthonormal stack of p, from the Hermitian units, or of
+        """Orthonormal stack of p, from the Hermitian units, or of
         k, from the anti-Hermitian ones: the stack ``_gram_schmidt_rows``
         makes of the projected units (``_project_entries``), built from their
         entry lists in candidate order.
@@ -777,46 +813,25 @@ class SpaceGeometry:
             raise ConsistencyError(
                 f"{d.label()}: built {len(stack)} {name}-basis elements, theory says {want}"
             )
-        stack.flags.writeable = False
         return stack
 
     @cached_property
-    def _p_stack(self) -> np.ndarray:
-        return self._unit_basis(onto_p=True)
+    def _p_table(self) -> tuple:
+        return _index_table(self._unit_basis(onto_p=True))  # the dense stack is not kept
 
     @cached_property
-    def _k_stack(self) -> np.ndarray:
-        return self._unit_basis(onto_p=False)
+    def _k_table(self) -> tuple:
+        return _index_table(self._unit_basis(onto_p=False))
 
     @cached_property
-    def _block_rows(self) -> np.ndarray:
-        """``_real_rows`` of the p stack cut to its spectral block: the blocks
-        of sum_a c_a B_a are one real product with these rows."""
-        return _real_rows(np.ascontiguousarray(_spectral_block(self.descriptor, self._p_stack)))
+    def _block_table(self) -> tuple:
+        """The p table cut to the spectral block, for the sampler."""
+        return _index_table(_spectral_block(self.descriptor, self._stack(onto_p=True)))
 
-    @cached_property
-    def _block_gather(self) -> tuple:
-        """``_block_rows`` as an index table, for building blocks without a
-        product: per column, its first contributing basis row ``src`` and that
-        row's entry ``val`` (entry 0 where no row contributes); for the
-        columns ``cols`` with further contributors (the A-type diagonals),
-        one level per further contributor in basis order, rows ``more_src``
-        and entries ``more_val``, padded with entry 0; last, the block shape."""
-        rows = self._block_rows
-        nz = rows != 0
-        src = np.argmax(nz, axis=0)  # row 0 for an empty column, whose entry is 0
-        val = rows[src, np.arange(rows.shape[1])]
-        cols = np.flatnonzero(nz.sum(axis=0) > 1)
-        further = [np.flatnonzero(nz[:, c])[1:] for c in cols]
-        levels = max(map(len, further), default=0)
-        more_src = np.zeros((levels, len(cols)), dtype=np.intp)
-        more_val = np.zeros((levels, len(cols)))
-        for k, (c, r) in enumerate(zip(cols, further)):
-            more_src[: len(r), k], more_val[: len(r), k] = r, rows[r, c]
-        for a in (src, val, cols, more_src, more_val):
-            a.flags.writeable = False
-        shape = _spectral_block(self.descriptor, self._p_stack).shape[1:]
-        return src, val, cols, more_src, more_val, shape
+    def _stack(self, onto_p: bool) -> np.ndarray:
+        """The dense p or k basis from its table, made on request, never cached."""
+        table = self._p_table if onto_p else self._k_table
+        return _assemble(table, np.eye(self.descriptor.dim_p if onto_p else self.descriptor.dim_k))
 
     @cached_property
     def _a_stack(self) -> np.ndarray:
@@ -863,7 +878,7 @@ class SpaceGeometry:
         d = self.descriptor
         rank = d.real_rank
         want = d.dim_p - rank
-        kb = self._k_stack
+        kb = self._stack(onto_p=False)
         He = self.embed_radial(self.e_coords)
         Ve = _ad_rows(kb, He)
         lam, U = np.linalg.eigh(Ve @ Ve.T)
@@ -932,8 +947,7 @@ class SpaceGeometry:
         return self._from_rows(self._zk_rows, c)
 
     def p_from_coords(self, c) -> np.ndarray:
-        # einsum, not a matmul: the seeded draws of sample_p_gaussian keep its summation order
-        return np.einsum("a,aij->ij", c, self._p_stack)
+        return _assemble(self._p_table, np.asarray(c, dtype=float)[None])[0]
 
     def embed_radial(self, q: np.ndarray) -> np.ndarray:
         d = self.descriptor
@@ -991,17 +1005,13 @@ def basis_of(d: SpaceDescriptor, which: str) -> list[np.ndarray]:
     centralizer group is discrete (that is not an error).
     """
     geo = geometry(d)
-    table = {
-        "k": lambda: geo._k_stack,
-        "p": lambda: geo._p_stack,
-        "a": lambda: geo._a_stack,
-        "a_perp": lambda: geo._root_split[2],
-        "m_centralizer": lambda: geo._root_split[0],
-        "zk_perp": lambda: geo._root_split[1],
-    }
-    if which not in table:
+    split = ("m_centralizer", "zk_perp", "a_perp")  # in the order of ``_root_split``
+    if which in ("p", "k"):
+        return list(geo._stack(onto_p=which == "p"))  # assembled afresh, so detached
+    if which != "a" and which not in split:
         raise ContractViolation(f"unknown subspace selector {which!r}")
-    return list(table[which]().copy())  # one copy of the cached stack, detached from it
+    stack = geo._a_stack if which == "a" else geo._root_split[split.index(which)]
+    return list(stack.copy())  # one copy of the cached stack, detached from it
 
 
 # ---------------------------------------------------------------------------
@@ -1071,13 +1081,11 @@ def _fit_roots(d: SpaceDescriptor, Z: np.ndarray, vecs: np.ndarray) -> list[Rest
 
 
 def random_p_element(d: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:
-    geo = geometry(d)
-    coeff = rng.standard_normal(d.dim_p)
-    return geo.p_from_coords(coeff)
+    return geometry(d).p_from_coords(rng.standard_normal(d.dim_p))
 
 
 def random_k_element(d: SpaceDescriptor, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """A group element of K, as exp of a random k-algebra element."""
     from scipy.linalg import expm
 
-    return expm(np.tensordot(scale * rng.standard_normal(d.dim_k), geometry(d)._k_stack, axes=1))
+    return expm(_assemble(geometry(d)._k_table, scale * rng.standard_normal((1, d.dim_k)))[0])

@@ -18,6 +18,7 @@ from cartanflow.spaces import (
     _ad_rows,
     _quaternionic_j,
     _radial_vector,
+    _real_rows,
     _spectral_block,
     _sym_form,
     _vec_rows,
@@ -855,15 +856,25 @@ def reference_radial_coords_batch(d: SpaceDescriptor, Xs: np.ndarray) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# a BLAS-free reference assembly of the sampler's blocks: from +0.0 zeros,
-# add g[:, a] times the a-th row of ``_block_rows`` for every p basis row in
-# basis order.  Adding a zero row is exact, so each entry is the sum of its
-# contributors' terms in basis order, whatever the number of draws
+# a BLAS-free reference assembly of seeded draws and of the sampler's
+# blocks: from +0.0 zeros, add g[:, a] times the real row of the a-th member
+# of ``basis_of(d, "p")`` (cut to the spectral block with ``block``) for
+# every member in basis order.  Adding a zero entry is exact, so each entry
+# is the sum of its contributors' terms in basis order, whatever the number
+# of draws; the rows come from the public basis, not from the index table
+# the library assembles with
 
 
-def exact_block_assembly(d: SpaceDescriptor, g: np.ndarray) -> np.ndarray:
-    geo = geometry(d)
-    rows, shape = geo._block_rows, _spectral_block(d, geo._p_stack).shape[1:]
+def reference_p_rows(d: SpaceDescriptor, block: bool = True) -> tuple[np.ndarray, tuple]:
+    """``_real_rows`` of ``basis_of(d, "p")``, cut to the spectral block with
+    ``block``, and the shape of one member."""
+    stack = np.array(basis_of(d, "p"))
+    stack = np.ascontiguousarray(_spectral_block(d, stack) if block else stack)
+    return _real_rows(stack), stack.shape[1:]
+
+
+def exact_p_assembly(d: SpaceDescriptor, g: np.ndarray, block: bool = True) -> np.ndarray:
+    rows, shape = reference_p_rows(d, block)
     B = np.zeros((len(g), rows.shape[1]))
     for a in range(len(rows)):
         B += g[:, a, None] * rows[a]
@@ -876,14 +887,13 @@ def exact_block_assembly(d: SpaceDescriptor, g: np.ndarray) -> np.ndarray:
 # generator inlined): every chunk's normals and blocks at once, and the
 # complex product for every class.  ``real`` makes the product take the real
 # columns, as the sampler did for bdi and ai; ``exact`` replaces the product
-# by ``exact_block_assembly``
+# by ``exact_p_assembly``
 
 
 def reference_sample_radial_batch(
     d: SpaceDescriptor, count: int, seed: int, real: bool = False, exact: bool = False
 ) -> np.ndarray:
-    geo = geometry(d)
-    rows, shape = geo._block_rows, _spectral_block(d, geo._p_stack).shape[1:]
+    rows, shape = reference_p_rows(d)
     if real:
         rows = np.ascontiguousarray(rows[:, 0::2])
     n_chunks = (count + CHUNK_SIZE - 1) // CHUNK_SIZE
@@ -893,7 +903,7 @@ def reference_sample_radial_batch(
         rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(c,)))
         g = rng.standard_normal((size, d.dim_p))
         if exact:
-            return radial_coords_batch(d, exact_block_assembly(d, g))
+            return radial_coords_batch(d, exact_p_assembly(d, g))
         B = g @ rows
         return radial_coords_batch(d, (B if real else B.view(complex)).reshape(size, *shape))
 

@@ -4,7 +4,7 @@ against the dense products they replace."""
 import numpy as np
 import pytest
 
-from cartanflow import ConsistencyError, make_space
+from cartanflow import ConsistencyError, basis_of, make_space, sample_radial_batch
 from cartanflow import spaces
 from cartanflow.spaces import _bracket, _bracket_support, _vec_rows, geometry
 
@@ -16,8 +16,8 @@ def _assert_matches_dense_reference(d):
     # by value, count and order; signed zeros may differ on the p side only,
     # where the dense averages leave -0.0 that the entry lists never write
     geo = spaces.SpaceGeometry(d)
-    for stack, onto_p in ((geo._p_stack, True), (geo._k_stack, False)):
-        want = reference_unit_basis(d, onto_p)
+    for onto_p in (True, False):
+        stack, want = geo._stack(onto_p), reference_unit_basis(d, onto_p)
         assert stack.shape == want.shape
         assert np.array_equal(stack, want)
         if not onto_p:
@@ -40,13 +40,34 @@ def test_large_bases_match_dense_unit_stack():
     _assert_matches_dense_reference(make_space("bdi", 24, 24))
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("case", [("bdi", 24, 24), ("aiii", 24, 24)])
+def test_no_dense_p_or_k_stack_is_cached(case):
+    # after the p basis, the split and one sampler batch, p and k live only
+    # as index tables.  The split's own bases are left out: zk-perp of
+    # bdi(n,n) has dim k members
+    d = make_space(*case)
+    basis_of(d, "p")
+    basis_of(d, "a_perp")  # the split, which reads the dense k once
+    sample_radial_batch(d, 1024, 1)
+    geo, N = geometry(d), d.ambient_dim
+    cached = [a for name, value in vars(geo).items() if name != "_root_split"
+              for a in (value if isinstance(value, (tuple, list)) else [value])
+              if isinstance(a, np.ndarray)]
+    assert not [a.shape for a in cached if a.shape in ((d.dim_p, N, N), (d.dim_k, N, N))]
+    tables = (geo._p_table, geo._k_table, geo._block_table)
+    table_bytes = sum(a.nbytes for t in tables for a in t[:5])
+    assert table_bytes < 0.01 * 16 * (d.dim_p + d.dim_k) * N * N
+
+
 @pytest.mark.parametrize("case", BASIS_CASES)
 def test_bracket_by_index_matches_the_products(case):
     d = make_space(*case)
     geo = geometry(d)
     rng = np.random.default_rng(17)
     N = d.ambient_dim
-    stacks = [geo._k_stack, rng.standard_normal((5, N, N)) + 1j * rng.standard_normal((5, N, N))]
+    stacks = [geo._stack(onto_p=False),
+              rng.standard_normal((5, N, N)) + 1j * rng.standard_normal((5, N, N))]
     gens = [*geo.a_embed, geo.embed_radial(geo.e_coords),
             geo.embed_radial(spaces._generic_point(d.real_rank, spaces._ROOT_SEED))]
     for H in gens:
@@ -72,7 +93,7 @@ def test_dropping_a_conjugation_from_the_index_table_raises(case, monkeypatch):
     assert len(maps) == len(spaces._conjugations(d)) >= 1
     for i in range(len(maps)):
         monkeypatch.setattr(spaces, "_conjugation_maps", lambda _, i=i: maps[:i] + maps[i + 1 :])
-        for name in ("_p_stack", "_k_stack"):
+        for name in ("_p_table", "_k_table"):
             with pytest.raises(ConsistencyError, match="theory says"):
                 getattr(spaces.SpaceGeometry(d), name)
     monkeypatch.undo()

@@ -18,7 +18,7 @@ from cartanflow import (
     reduced_vector_field,
     trace_form,
 )
-from cartanflow.dynamics import _nearest_steps, _Reduced
+from cartanflow.dynamics import _nearest_steps, _Reduced, _step_size
 from cartanflow.linalg import ConsistencyError, ContractViolation, frobenius
 from cartanflow.radial import embed_radial
 from cartanflow.reduction import ReducedState, random_chamber_point
@@ -604,6 +604,20 @@ def test_flow_entry_points_reject_malformed_states(which, entry):
     }[entry]
     with pytest.raises(ContractViolation):
         call(bad)
+
+
+@pytest.mark.parametrize("call", ["direct_flow", "integrate_reduced", "_step_size"])
+def test_times_beyond_the_doubles_are_contract_violations(call):
+    # an int too large for a double is no finite real number, not an OverflowError
+    d = make_space("aiii", 3, 2)
+    state = seeded_state(d, 71)
+    run = {
+        "direct_flow": lambda: direct_flow(PhasePoint(state.l, state.l), 10**400),
+        "integrate_reduced": lambda: integrate_reduced(d, state, 10**400, 1),
+        "_step_size": lambda: _step_size(10**400, 1),
+    }[call]
+    with pytest.raises(ContractViolation, match="must be a finite real number"):
+        run()
 
 
 @pytest.mark.parametrize(

@@ -32,10 +32,11 @@ from cartanflow.spaces import (
 from conftest import (
     REPRESENTATIVES,
     centralizer_orbit_dimension,
-    exact_block_assembly,
+    exact_p_assembly,
     parameter_grid,
     reference_chamber_contains,
     reference_check_slice_coords,
+    reference_p_rows,
     reference_radial_coords_batch,
     reference_root_table,
 )
@@ -268,7 +269,7 @@ EPS = np.finfo(float).eps
 def _draws(d, count: int, seed: int) -> np.ndarray:
     """Gaussian p elements built as the sampler's dense oracle builds them."""
     rng = np.random.default_rng(seed)
-    return np.tensordot(rng.standard_normal((count, d.dim_p)), geometry(d)._p_stack, axes=1)
+    return np.tensordot(rng.standard_normal((count, d.dim_p)), np.array(basis_of(d, "p")), axes=1)
 
 
 def _assert_matches_reference(d, q, ref):
@@ -288,13 +289,12 @@ def _sampler_blocks(d, count: int, seed: int) -> np.ndarray:
     """The blocks ``sample_radial_batch`` hands the spectral step: the exact
     assembly for the A-type classes, whose diagonals sum several
     contributors, and the product for the others."""
-    geo = geometry(d)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    shape = _spectral_block(d, geo._p_stack).shape[1:]
     g = rng.standard_normal((count, d.dim_p))
     if d.trace_constrained:
-        return exact_block_assembly(d, g)
-    return (g @ geo._block_rows).view(complex).reshape(count, *shape)
+        return exact_p_assembly(d, g)
+    rows, shape = reference_p_rows(d)
+    return (g @ rows).view(complex).reshape(count, *shape)
 
 
 @pytest.mark.parametrize("case", SPECTRAL_CASES)

@@ -17,11 +17,12 @@ from cartanflow import (
     restricted_roots,
     trace_form,
 )
-from cartanflow.dynamics import PhasePoint, _slice_point, direct_flow
+from cartanflow.dynamics import PhasePoint, _slice_point, direct_flow, integrate_reduced
+from cartanflow.dynamics import reduce_phase_point
 from cartanflow.linalg import ConsistencyError, frobenius
 from cartanflow.radial import SliceCoords, embed_radial, exact_slice_reduce, slice_contains
 from cartanflow.sampling import theoretical_radial_cdf, theoretical_radial_density
-from cartanflow.reduction import _check_root_multiset, random_chamber_point
+from cartanflow.reduction import ReducedState, _check_root_multiset, random_chamber_point
 from cartanflow.spaces import (
     check_k_group_membership,
     geometry,
@@ -255,6 +256,42 @@ def test_jacobian_density_matches_dense_gram_oracle(case):
 def test_q_taking_entry_points_reject_malformed_q(entry, bad):
     with pytest.raises(ContractViolation, match="radial vector"):
         entry(make_space("aiii", 3, 2), bad)
+
+
+def _complex_q_calls(d, s):
+    """Each q- or p-taking entry point, called with a complex array where it
+    takes a real one."""
+    z = np.array([2 + 1j, 0.5])
+    state = reduce_phase_point(d, PhasePoint(random_p_element(d, np.random.default_rng(3)),
+                                             random_p_element(d, np.random.default_rng(4))))[0]
+    return {
+        "jacobian_density": lambda: jacobian_density(d, z),
+        "closed_form_density": lambda: closed_form_density(d, z),
+        "root_values": lambda: root_values(d, z),
+        "r_from_l": lambda: r_from_l(d, z, l_from_slice(d, s)),
+        "theoretical_radial_density": lambda: theoretical_radial_density(d, z),
+        "integrate_reduced q": lambda: integrate_reduced(
+            d, ReducedState(state.q + 0j, state.p, state.l), 0.1, 2),
+        "integrate_reduced p": lambda: integrate_reduced(
+            d, ReducedState(state.q, state.p + 1j, state.l), 0.1, 2),
+    }
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["jacobian_density", "closed_form_density", "root_values", "r_from_l",
+     "theoretical_radial_density", "integrate_reduced q", "integrate_reduced p"],
+)
+def test_real_entry_points_reject_complex_arrays(entry):
+    # a complex array is not cut to its real part, even with zero imaginary parts
+    d, s = _aiii_slice_coords()
+    with pytest.raises(ContractViolation, match="must be real"):
+        _complex_q_calls(d, s)[entry]()
+
+
+def test_q_beyond_the_doubles_is_a_contract_violation():
+    with pytest.raises(ContractViolation, match="radial vector"):
+        jacobian_density(make_space("aiii", 3, 2), [10**400, 0.5])
 
 
 def _verdict(check):

@@ -8,6 +8,7 @@ from scipy import integrate
 
 from cartanflow import (
     ContractViolation,
+    basis_of,
     make_space,
     radial_histogram,
     sample_p_gaussian,
@@ -22,12 +23,12 @@ from cartanflow.linalg import ConsistencyError
 from cartanflow.sampling import (
     CHUNK_SIZE,
     _SUB_BLOCK,
-    _blocks,
     _chamber_integral,
     _unnormalized,
     theoretical_radial_cdf,
 )
 from cartanflow.spaces import (
+    _assemble,
     _root_system,
     _spectral_block,
     check_p_membership,
@@ -37,13 +38,16 @@ from cartanflow.spaces import (
 
 from conftest import (
     REPRESENTATIVES,
+    exact_p_assembly,
     parameter_grid,
     reference_chamber_integral,
+    reference_p_rows,
     reference_root_families,
     reference_root_table,
     reference_sample_radial_batch,
     root_system_grid,
 )
+from test_spaces import BASIS_CASES
 
 KS_CASES = [("aiii", 2, 1), ("bdi", 2, 1), ("ai", 0, 2), ("a2", 0, 2)]
 
@@ -142,7 +146,8 @@ def test_block_sampler_matches_dense_path(case, seed):
     d = make_space(*case)
     count = 2000
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    Xs = np.tensordot(rng.standard_normal((count, d.dim_p)), geometry(d)._p_stack, axes=([1], [0]))
+    Xs = np.tensordot(rng.standard_normal((count, d.dim_p)), np.array(basis_of(d, "p")),
+                      axes=([1], [0]))
     dense = radial_coords_batch(d, Xs)
     q = sample_radial_batch(d, count, seed)
     if d.kind in ("ai", "a2", "aii"):
@@ -153,6 +158,17 @@ def test_block_sampler_matches_dense_path(case, seed):
         assert np.array_equal(q, dense)
     blocks = np.ascontiguousarray(_spectral_block(d, Xs))
     assert np.array_equal(radial_coords_batch(d, blocks), dense)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("case", BASIS_CASES)
+def test_seeded_draw_is_the_basis_order_sum(case, seed):
+    # sum_a g_a B_a from +0.0 zeros over basis_of(d, "p"), one member at a
+    # time in basis order, with the normals of the draw's generator
+    d = make_space(*case)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    want = exact_p_assembly(d, rng.standard_normal((1, d.dim_p)), block=False)[0]
+    assert sample_p_gaussian(d, seed).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("count", [1, 1023, 1025, 8191, 8193, 3 * CHUNK_SIZE + 5])
@@ -204,10 +220,9 @@ def test_large_gathered_blocks_equal_the_product(case):
     # every block entry of these classes has one contributor, so the gather
     # is the product's bytes, signed zeros included
     d = make_space(*case)
-    geo = geometry(d)
     g = np.random.default_rng(17).standard_normal((_SUB_BLOCK, d.dim_p))
-    got = _blocks(geo._block_gather, g)
-    want = (g @ geo._block_rows).view(complex).reshape(got.shape)
+    got = _assemble(geometry(d)._block_table, g)
+    want = (g @ reference_p_rows(d)[0]).view(complex).reshape(got.shape)
     assert got.tobytes() == want.tobytes()
 
 
@@ -271,11 +286,10 @@ def test_k_invariance_of_radial_samples():
     rng = np.random.default_rng(17)
     k = random_k_element(d, rng)
     qs = sample_radial_batch(d, 20_000, seed=23)
-    geo = geometry(d)
     coeff = np.random.default_rng(
         np.random.SeedSequence(23, spawn_key=(0,))
     ).standard_normal((8192, d.dim_p))
-    Xs = np.tensordot(coeff, geo._p_stack, axes=([1], [0]))
+    Xs = np.tensordot(coeff, np.array(basis_of(d, "p")), axes=([1], [0]))
     Xk = np.einsum("ij,bjk,lk->bil", k, Xs, k.conj())
     qa = radial_coords_batch(d, Xs)
     qb = radial_coords_batch(d, Xk)

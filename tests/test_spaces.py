@@ -246,12 +246,14 @@ def test_specific_root_tables():
     assert t == {(2,): 2}
 
 
-@pytest.mark.parametrize("case", REPRESENTATIVES)
+@pytest.mark.parametrize("case", REPRESENTATIVES + [("bdi", 1, 1)])
 def test_random_k_element_is_in_k(case, rng):
     d = make_space(*case)
     k = random_k_element(d, rng)
     N = d.ambient_dim
     assert np.linalg.norm(k.conj().T @ k - np.eye(N)) <= 1e-9
+    if d.dim_k == 0:  # bdi(1,1): K is the identity alone
+        assert np.array_equal(k, np.eye(N))
     # Ad(k) must preserve p: check on a random p element via membership
     from cartanflow.spaces import check_p_membership
 
@@ -295,25 +297,28 @@ def test_stacked_bases_match_unit_by_unit_gram_schmidt(case):
         "k": _gram_schmidt([reference_project(d, 1j * U[None], False)[0] for U in units]),
         "a": _gram_schmidt(geo.a_embed),
     }
-    for which, stack in (("p", geo._p_stack), ("k", geo._k_stack), ("a", geo._a_stack)):
+    p, k = np.array(basis_of(d, "p")), geo._stack(onto_p=False)
+    for which, stack in (("p", p), ("k", k), ("a", geo._a_stack)):
         assert len(stack) == len(ref[which])
         want = np.array(ref[which]).reshape(stack.shape)
         assert np.max(np.abs(stack - want), initial=0.0) <= 1e-15
-        assert not stack.flags.writeable
+    assert not geo._a_stack.flags.writeable
+    assert not any(a.flags.writeable for t in (geo._p_table, geo._k_table) for a in t[:5])
     if d.kind in ("aiii", "bdi", "cii", "diii", "ci"):
-        assert np.array_equal(geo._p_stack, np.array(ref["p"]))
+        assert np.array_equal(p, np.array(ref["p"]))
 
 
 def _built(geo) -> dict[str, np.ndarray]:
     m, zk, ap, C = geo._root_split
-    return {"p": geo._p_stack, "k": geo._k_stack, "a": geo._a_stack, "m": m, "zk_perp": zk,
-            "a_perp": ap, "C": C, "block_rows": geo._block_rows}
+    block = spaces._assemble(geo._block_table, np.eye(geo.descriptor.dim_p))
+    return {"p": geo._stack(onto_p=True), "k": geo._stack(onto_p=False), "a": geo._a_stack,
+            "m": m, "zk_perp": zk, "a_perp": ap, "C": C, "block": block}
 
 
 def _assert_matches_reference_build(d, got, monkeypatch):
     # reference: p and k from the dense unit build, a from the Gram-Schmidt
-    # that projects every candidate, and the split and block rows read from
-    # them.  p and the block rows by value: the dense averages leave -0.0 on
+    # that projects every candidate, and the split and spectral blocks read
+    # from them.  p and the blocks by value: the dense averages leave -0.0 on
     # p where the entry lists never write one.  Every other output byte for
     # byte: a candidate whose support no earlier candidate touches skips
     # only sums of exact zeros
@@ -321,11 +326,12 @@ def _assert_matches_reference_build(d, got, monkeypatch):
                         lambda geo, onto_p: reference_unit_basis(geo.descriptor, onto_p))
     ref = spaces.SpaceGeometry(d)
     want = _built(ref)
+    want["p"], want["k"] = reference_unit_basis(d, True), reference_unit_basis(d, False)
     want["a"] = reference_orthonormalize(np.stack(ref.a_embed))
     monkeypatch.undo()
     for name, stack in got.items():
         assert stack.shape == want[name].shape, name
-        if name in ("p", "block_rows"):
+        if name in ("p", "block"):
             assert np.array_equal(stack, want[name]), name
         else:
             assert stack.tobytes() == want[name].tobytes(), name
@@ -392,18 +398,25 @@ def test_large_bases_and_numeric_roots_match_references(case, monkeypatch):
 
 
 def test_basis_of_returns_writeable_copies_detached_from_the_cache():
-    d = make_space("aiii", 3, 2)
-    geo = geometry(d)
-    stacks = {"k": geo._k_stack, "p": geo._p_stack, "a": geo._a_stack,
-              "a_perp": geo._root_split[2], "m_centralizer": geo._root_split[0],
-              "zk_perp": geo._root_split[1]}
-    for which, stack in stacks.items():
-        got = basis_of(d, which)
-        assert len(got) == len(stack) > 0, which
-        assert all(M.flags.writeable for M in got)
-        assert np.array(got).tobytes() == stack.tobytes()
-        got[0][...] = 7.0
-        assert np.array(basis_of(d, which)).tobytes() == stack.tobytes()
+    # p and k are the stacks their build step makes, assembled afresh from
+    # the cached index tables; bdi(1,1) has no k, zk-perp, a-perp or m
+    for case in (("aiii", 3, 2), ("bdi", 1, 1)):
+        d = make_space(*case)
+        geo = geometry(d)
+        stacks = {"k": geo._unit_basis(onto_p=False), "p": geo._unit_basis(onto_p=True),
+                  "a": geo._a_stack, "a_perp": geo._root_split[2],
+                  "m_centralizer": geo._root_split[0], "zk_perp": geo._root_split[1]}
+        rest = d.dim_p - d.real_rank
+        dims = {"k": d.dim_k, "p": d.dim_p, "a": d.real_rank, "a_perp": rest,
+                "m_centralizer": d.dim_k - rest, "zk_perp": rest}
+        for which, stack in stacks.items():
+            got = basis_of(d, which)
+            assert len(got) == len(stack) == dims[which], (case, which)
+            assert all(M.flags.writeable for M in got)
+            assert np.array(got).tobytes() == stack.tobytes()
+            if got:
+                got[0][...] = 7.0
+                assert np.array(basis_of(d, which)).tobytes() == stack.tobytes()
 
 
 def test_cold_geometry_path_imports_no_scipy():
@@ -486,15 +499,15 @@ def test_membership_messages_match_kind_by_kind_reference(case, monkeypatch):
 @pytest.mark.parametrize("case", parameter_grid(3))
 def test_bases_and_k_elements_are_fixed_by_each_conjugation(case):
     d = make_space(*case)
-    geo = geometry(d)
+    p, kb = basis_of(d, "p"), basis_of(d, "k")
     k = random_k_element(d, np.random.default_rng(31))
     for name, _, M, s in _conjugations(d):
-        for X in geo._p_stack:
+        for X in p:
             assert np.linalg.norm(M(X) - s * X) <= 1e-12, name
-        for X in geo._k_stack:
+        for X in kb:
             assert np.linalg.norm(M(X) - X) <= 1e-12, name
         assert np.linalg.norm(M(k) - k) <= 1e-12, name
     # and against the kind-by-kind relations, which do not read the table
-    for X in (*geo._p_stack, *geo._k_stack):
+    for X in (*p, *kb):
         assert all(resid <= 1e-12 for _, resid in reference_relations(d, X))
     reference_check_k_group_membership(d, k, rtol=1e-12)
