@@ -274,8 +274,7 @@ def _cmd_flow(args) -> int:
     )
     if deviations is not None:
         header.append("deviation")
-    q = np.array([s.q for s in traj.states])
-    table = np.column_stack([traj.times, q, traj.energies, traj.l_spectra])
+    table = np.column_stack([traj.times, traj.q, traj.energies, traj.l_spectra])
     body = _flow_rows(table, deviations)
     meta = _meta(d, seed=args.seed, t_max=args.t_max, steps=args.steps)
     if traj.aborted:

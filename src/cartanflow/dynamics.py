@@ -53,15 +53,19 @@ class PhasePoint:
 
 @dataclass
 class Trajectory:
-    """Fixed-step reduced trajectory with per-step invariants.
+    """Fixed-step reduced trajectory with per-step invariants, as arrays
+    with one row per retained step.
 
-    ``energies`` and ``l_spectra`` log the Hamiltonian and the (sorted,
-    imaginary-part) spectrum of l at every retained step; ``aborted``
-    carries the reason when a wall approach truncated the integration.
+    ``q`` and ``p`` are (T, rank) and ``l`` is (T, N, N); ``energies`` and
+    ``l_spectra`` log the Hamiltonian and the (sorted, imaginary-part)
+    spectrum of l; ``aborted`` carries the reason when a wall approach
+    truncated the integration.
     """
 
     times: np.ndarray
-    states: list[ReducedState]
+    q: np.ndarray
+    p: np.ndarray
+    l: np.ndarray
     energies: np.ndarray
     l_spectra: np.ndarray
     aborted: str | None = None
@@ -177,7 +181,8 @@ class _Reduced:
         the constant operands are bound once, so a call makes eight NumPy
         calls and one slice copy and allocates nothing.  ``np.dot`` makes
         the same BLAS calls as ``@`` on these operands, with less set-up per
-        call."""
+        call.  A call leaves the root values C q of the state in ``_a``,
+        where ``integrate_reduced``'s wall check reads them."""
         rk = self.rank
         q, p, lc = src[:rk], src[rk : 2 * rk], src[2 * rk :]
         dq, dp, dl = out[:rk], out[rk : 2 * rk], out[2 * rk :]
@@ -250,66 +255,73 @@ def integrate_reduced(
     follows one) raises ``ConsistencyError`` naming t and h: it is not a
     wall approach, and no infinite value reaches the log.
 
-    The RK4 stages allocate nothing and run one kernel body, the one
-    ``reduced_vector_field`` runs.  The state and the intermediate stage
-    state live in two fixed vectors, and ``_Reduced.bind`` binds the four
-    stage closures to them once per call: state -> k1, and the
-    intermediate state -> k2, k3 and k4.  The stages are summed in the
-    order of y + h/6 (((k1 + 2 k2) + 2 k3) + k4), so a step rounds exactly
-    as that expression evaluated with temporaries does; the new state is
-    then copied into its row of the preallocated history.
+    A step applies the Butcher tableau of classical RK4 to one (5, n)
+    buffer K whose rows are the state y and the stage derivatives k1..k4.
+    Each stage input is one product of a tableau row with the leading rows
+    of K, [1, h/2] K[:2], [1, 0, h/2] K[:3] and [1, 0, 0, h] K[:4], and
+    the new state is [1, h/6, h/3, h/3, h/6] K, written into its row of
+    the preallocated history and copied into K[0].  The four stages run
+    the one kernel body ``reduced_vector_field`` runs, bound once per call
+    by ``_Reduced.bind``: K[0] -> k1 and the stage input -> k2, k3, k4.
+    Nothing is allocated per step.
 
-    The wall check reads the signed root values alpha(q), one product of the
-    root table with a bound view of q into a buffer of its own, and stops
-    unless the least of them is above the abort floor.  Every start lies
-    inside the chamber, where that is the test min |alpha(q)| > floor; a
-    step that ends across a wall, even one jumped between two step ends,
-    fails it.
+    The wall check reads the signed root values C q that stage 1 writes
+    for the state it starts from; the rows of C are the positive roots,
+    each repeated by its multiplicity, so their least value is the least
+    alpha(q).  The final state gets one product with C after the loop.
+    The run stops at the first state whose least root value is not above
+    the abort floor.  Every start lies inside the chamber, where that is
+    the test min |alpha(q)| > floor; a step that ends across a wall, even
+    one jumped between two step ends, fails it.
     """
     h = _step_size(t_max, steps)
     sys = _Reduced(d)
     y = sys.flat(initial)
-    coeffs = sys.geo.root_table[0]
     floor = _ABORT_FACTOR * WALL_TOL
-    if not (coeffs @ y[: sys.rank]).min(initial=np.inf) > floor:
+    if not (sys.geo.root_table[0] @ y[: sys.rank]).min(initial=np.inf) > floor:
         raise ContractViolation(
             "initial radial point is too close to a chamber wall or outside the chamber"
         )
     history = np.empty((steps + 1, y.size))
     history[0] = y
-    tmp, k1, k2, k3, k4 = np.empty((5, y.size))
+    K, stage_in = np.empty((5, y.size)), np.empty(y.size)
+    K[0] = y
+    # the rows of the RK4 tableau, each led by the 1 that y enters with:
+    # the three stage inputs' coefficients, then the weights
+    a2, a3 = np.array([1.0, 0.5 * h]), np.array([1.0, 0.0, 0.5 * h])
+    a4, b = np.array([1.0, 0.0, 0.0, h]), np.array([1.0, h / 6.0, h / 3.0, h / 3.0, h / 6.0])
+    rows2, rows3, rows4 = K[:2], K[:3], K[:4]
     stage1, stage2, stage3, stage4 = (
-        sys.bind(src, k) for src, k in ((y, k1), (tmp, k2), (tmp, k3), (tmp, k4))
+        sys.bind(src, K[j]) for j, src in enumerate((K[0], stage_in, stage_in, stage_in), 1)
     )
-    qv, vals = y[: sys.rank], np.empty(len(coeffs))
-    half, sixth = 0.5 * h, h / 6.0
-    add, multiply, matmul = np.add, np.multiply, np.matmul
-    least, inf = np.minimum.reduce, np.inf
-    done, aborted = 0, None
-    # the loop only steps and checks the wall; the log is built after it.
+    vals, qv, Ct = sys._a, K[0, : sys.rank], sys.C.T
+    dot, least, inf = np.dot, np.minimum.reduce, np.inf
     # Overflow is caught by the finiteness checks, not reported as warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for step in range(steps):
-            stage1()
-            add(y, multiply(half, k1, out=tmp), out=tmp)
-            stage2()
-            add(y, multiply(half, k2, out=tmp), out=tmp)
-            stage3()
-            add(y, multiply(h, k3, out=tmp), out=tmp)
-            stage4()
-            add(k1, multiply(2.0, k2, out=k2), out=k1)
-            add(k1, multiply(2.0, k3, out=k3), out=k1)
-            add(k1, k4, out=k1)
-            add(y, multiply(sixth, k1, out=k1), out=y)
-            history[step + 1] = y
-            matmul(coeffs, qv, out=vals)
-            if not least(vals, initial=inf) > floor:
-                if not np.isfinite(y).all():
-                    raise _non_finite(step + 1, h)
-                aborted = f"radial point reached a chamber wall at t={step * h + h:.6g}"
+        # the loop only steps and checks the wall; the log is built after it
+        for last in range(steps):
+            stage1()  # also writes the root values of state `last` into vals
+            if last and not least(vals, initial=inf) > floor:
                 break
-            done = step + 1
-    kept = history[: done + 1]
+            dot(a2, rows2, out=stage_in)
+            stage2()
+            dot(a3, rows3, out=stage_in)
+            stage3()
+            dot(a4, rows4, out=stage_in)
+            stage4()
+            dot(b, K, out=history[last + 1])
+            K[0] = history[last + 1]
+        else:
+            last = steps
+            dot(qv, Ct, out=vals)
+        # K[0] holds state `last`, and vals its root values
+        aborted = None
+        if not least(vals, initial=inf) > floor:
+            if not np.isfinite(K[0]).all():
+                raise _non_finite(last, h)
+            aborted = f"radial point reached a chamber wall at t={last * h:.6g}"
+            last -= 1
+    kept = history[: last + 1]
     if not np.isfinite(kept).all():
         # an infinite q can pass the wall test; find the first such row
         raise _non_finite(int(np.argmin(np.isfinite(kept).all(axis=1))), h)
@@ -318,8 +330,10 @@ def integrate_reduced(
     # eigvalsh returns ascending values; the log keeps them descending
     spectra = np.linalg.eigvalsh(1j * lmats)[:, ::-1]
     return Trajectory(
-        times=np.arange(done + 1) * h,
-        states=[ReducedState(*s) for s in zip(q, p, lmats)],
+        times=np.arange(last + 1) * h,
+        q=q,
+        p=p,
+        l=lmats,
         energies=sys.hamiltonian(q, p, lc),
         l_spectra=spectra,
         aborted=aborted,
@@ -336,8 +350,10 @@ def _nearest_steps(times: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """Index of the nearest step time for each grid point up to the last
     step (exact when the grid matches the step count, the default); a tie
     goes to the earlier step.  ``times`` is increasing, so the nearest step
-    is one of the two that bracket the point."""
-    t = t_grid[t_grid <= times[-1] + 1e-12]
+    is one of the two that bracket the point.  "Up to" allows 1e-12 or a
+    few ulps of the last step time, whichever is more: steps * (t / steps)
+    can round below t, by more than 1e-12 once t is large."""
+    t = t_grid[t_grid <= times[-1] + max(1e-12, 4 * np.spacing(times[-1]))]
     hi = np.minimum(np.searchsorted(times, t), len(times) - 1)
     lo = np.maximum(hi - 1, 0)
     return np.where(np.abs(times[lo] - t) <= np.abs(times[hi] - t), lo, hi)
@@ -366,8 +382,7 @@ def compare_with_oracle(
     # X + tY lies in p by linearity: reduce_phase_point checked X and Y
     X, Y = np.asarray(start.X, dtype=complex), np.asarray(start.Y, dtype=complex)
     q_dir = radial_coords_batch(d, X[None] + kept[:, None, None] * Y[None])
-    q_red = np.array([traj.states[i].q for i in idx])
-    devs = np.max(np.abs(q_dir - q_red), axis=1)
+    devs = np.max(np.abs(q_dir - traj.q[idx]), axis=1)
     return OracleReport(
         times=kept,
         deviations=devs,

@@ -105,11 +105,12 @@ def sample_radial_batch(
     def run_chunk(c: int) -> None:
         rng, stop = _chunk_rng(seed, c), min(count, (c + 1) * CHUNK_SIZE)
         cuts = [*range(c * CHUNK_SIZE, stop, _SUB_BLOCK), stop]
+        # one set of normals and blocks per chunk, refilled by each sub-block
+        size = min(_SUB_BLOCK, stop - cuts[0])
+        normals, blocks = np.empty((size, d.dim_p)), np.empty((size, len(table[0])))
         for lo, hi in zip(cuts, cuts[1:]):
-            # one expression: no sub-block's normals or blocks outlive it
-            out[lo:hi] = radial_coords_batch(
-                d, _assemble(table, rng.standard_normal((hi - lo, d.dim_p)))
-            )
+            g = rng.standard_normal(out=normals[: hi - lo])
+            out[lo:hi] = radial_coords_batch(d, _assemble(table, g, out=blocks[: hi - lo]))
 
     if threads > 1 and n_chunks > 1:
         # imported here: it costs every `import cartanflow` several ms

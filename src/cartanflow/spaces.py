@@ -577,12 +577,19 @@ def _index_table(stack: np.ndarray) -> tuple:
     return src, val, cols, more_src, more_val, stack.shape[1:]
 
 
-def _assemble(table: tuple, g: np.ndarray) -> np.ndarray:
+def _assemble(table: tuple, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum_a g[i, a] B_a over the basis B of an ``_index_table``, one matrix per
     row of ``g``, by index with no BLAS call: each entry is its first contributor's
-    term plus the further ones in basis order, whatever the number of rows."""
+    term plus the further ones in basis order, whatever the number of rows.
+    ``out``, a C-contiguous float array of shape (len(g), number of real
+    entries), receives the entries if given; the result is a view of it."""
     src, val, cols, more_src, more_val, shape = table
-    B = np.take(g, src, axis=1) if g.shape[1] else np.zeros((len(g), len(src)))
+    B = np.empty((len(g), len(src))) if out is None else out
+    if g.shape[1]:
+        # every index is in range; mode="raise" would gather into a buffer first
+        np.take(g, src, axis=1, mode="clip", out=B)
+    else:
+        B.fill(0.0)
     B *= val
     B += 0.0  # an empty entry reads +0.0, as in a sum from zero, not g * 0 = -0.0
     sub = B[:, cols]

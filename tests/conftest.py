@@ -127,7 +127,6 @@ def reference_integrate_reduced(d, initial, t_max, steps):
     invariants logged step by step.  Reference for ``integrate_reduced``."""
     from cartanflow.dynamics import _ABORT_FACTOR, Trajectory
     from cartanflow.radial import WALL_TOL
-    from cartanflow.reduction import ReducedState
     from cartanflow.spaces import wall_distance
 
     geo = geometry(d)
@@ -163,7 +162,7 @@ def reference_integrate_reduced(d, initial, t_max, steps):
     lc = zk_coords(np.asarray(initial.l, dtype=complex))
     h = float(t_max) / steps
     times = [0.0]
-    states = [ReducedState(q.copy(), p.copy(), zk_from_coords(lc))]
+    qs, ps, ls = [q.copy()], [p.copy()], [zk_from_coords(lc)]
     energies = [hamiltonian(q, p, lc)]
     spectra = [l_matrix_spectrum(lc)]
     aborted = None
@@ -184,12 +183,16 @@ def reference_integrate_reduced(d, initial, t_max, steps):
             aborted = f"radial point reached a chamber wall at t={times[-1] + h:.6g}"
             break
         times.append((step + 1) * h)
-        states.append(ReducedState(q.copy(), p.copy(), zk_from_coords(lc)))
+        qs.append(q.copy())
+        ps.append(p.copy())
+        ls.append(zk_from_coords(lc))
         energies.append(hamiltonian(q, p, lc))
         spectra.append(l_matrix_spectrum(lc))
     return Trajectory(
         times=np.array(times),
-        states=states,
+        q=np.array(qs),
+        p=np.array(ps),
+        l=np.array(ls),
         energies=np.array(energies),
         l_spectra=np.array(spectra),
         aborted=aborted,
@@ -201,7 +204,9 @@ def reference_integrate_reduced(d, initial, t_max, steps):
 # the flat-state reduced flow as it was before the field wrote into
 # preallocated arrays, kept verbatim (only renamed; the vector field skips
 # the wall check) as the byte-identity reference for ``_Reduced.field``,
-# ``reduced_vector_field`` and ``integrate_reduced``
+# ``reduced_vector_field`` and ``integrate_reduced``; since the stepper
+# applies the RK4 tableau to a stack of stages, its step forms the stage
+# inputs and the new state as the same products, allocating each operand
 
 
 class _ReferenceFlatReduced:
@@ -293,13 +298,17 @@ def reference_flat_integrate_reduced(
     history = np.empty((steps + 1, y.size))
     history[0] = y
     done, aborted = 0, None
+    # the stage inputs and the new state as products of the RK4 tableau rows
+    # with the stacked state and stages
+    a2, a3, a4 = np.array([1.0, half]), np.array([1.0, 0.0, half]), np.array([1.0, 0.0, 0.0, h])
+    b = np.array([1.0, sixth, h / 3.0, h / 3.0, sixth])
     # the loop only steps and checks the wall; the log is built after it
     for step in range(steps):
         k1 = sys.field(y)
-        k2 = sys.field(y + half * k1)
-        k3 = sys.field(y + half * k2)
-        k4 = sys.field(y + h * k3)
-        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = sys.field(np.dot(a2, np.stack((y, k1))))
+        k3 = sys.field(np.dot(a3, np.stack((y, k1, k2))))
+        k4 = sys.field(np.dot(a4, np.stack((y, k1, k2, k3))))
+        y = np.dot(b, np.stack((y, k1, k2, k3, k4)))
         if not wall_ok(y):
             aborted = f"radial point reached a chamber wall at t={step * h + h:.6g}"
             break
@@ -311,7 +320,9 @@ def reference_flat_integrate_reduced(
     spectra = np.linalg.eigvalsh(1j * lmats)[:, ::-1]
     return Trajectory(
         times=np.arange(done + 1) * h,
-        states=[ReducedState(*s) for s in zip(q, p, lmats)],
+        q=q,
+        p=p,
+        l=lmats,
         energies=sys.hamiltonian(q, p, lc),
         l_spectra=spectra,
         aborted=aborted,
@@ -808,7 +819,7 @@ def reference_flow_csv(d: SpaceDescriptor, args, traj, deviations) -> str:
     rows = []
     for idx, t in enumerate(traj.times):
         row = [f"{t:.12g}"]
-        row += [f"{v:.12g}" for v in traj.states[idx].q]
+        row += [f"{v:.12g}" for v in traj.q[idx]]
         row.append(f"{traj.energies[idx]:.12g}")
         row += [f"{v:.12g}" for v in traj.l_spectra[idx]]
         if deviations is not None:

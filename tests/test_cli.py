@@ -213,6 +213,19 @@ def test_flow_csv_with_compare(tmp_path, capsys):
     assert devs.max() <= 1e-6
 
 
+def test_flow_compares_the_last_row_at_large_t_max(capsys):
+    # 10 * (t / 10) rounds one ulp (3.6e-12) below this t: the last row still
+    # carries its deviation
+    code, out, _ = run_cli(
+        capsys, "flow", "--class", "bdi", "--m", "1", "--n", "1", "--seed", "3",
+        "--t-max", "28102.436848064328", "--steps", "10", "--compare",
+    )
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header[-1] == "deviation" and len(rows) == 11
+    assert all(r[-1] != "" for r in rows)
+
+
 # the seven spaces of the flow-oracle benchmark, one per radial route
 FLOW_SPACES = [("bdi", 3, 2), ("cii", 2, 1), ("ai", 0, 4), ("aii", 0, 3), ("diii", 0, 5),
                ("ci", 0, 3), ("aiii", 5, 5)]

@@ -20,7 +20,7 @@ from cartanflow import (
 )
 from cartanflow.dynamics import _nearest_steps, _Reduced, _step_size
 from cartanflow.linalg import ConsistencyError, ContractViolation, frobenius
-from cartanflow.radial import embed_radial
+from cartanflow.radial import embed_radial, radial_decompose
 from cartanflow.reduction import ReducedState, random_chamber_point
 from cartanflow.sampling import sample_p_gaussian
 from cartanflow.spaces import geometry
@@ -204,7 +204,7 @@ def test_free_motion_integrates_exactly(rng):
     state = ReducedState(q=q0, p=p0, l=np.zeros((3, 3), dtype=complex))
     traj = integrate_reduced(d, state, 1.0, 100)
     assert traj.aborted is None
-    assert np.allclose(traj.states[-1].q, q0 + 1.0 * p0, atol=1e-12)
+    assert np.allclose(traj.q[-1], q0 + 1.0 * p0, atol=1e-12)
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
@@ -237,9 +237,8 @@ def test_oracle_report_carries_its_trajectory():
     assert np.array_equal(report.trajectory.times, traj.times)
     assert np.array_equal(report.trajectory.energies, traj.energies)
     assert np.array_equal(report.trajectory.l_spectra, traj.l_spectra)
-    for a, b in zip(report.trajectory.states, traj.states):
-        assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
-        assert np.array_equal(a.l, b.l)
+    for f in ("q", "p", "l"):
+        assert np.array_equal(getattr(report.trajectory, f), getattr(traj, f))
 
 
 def test_oracle_times_are_trajectory_steps_after_wall_abort():
@@ -265,7 +264,7 @@ def test_oracle_truncates_a_course_that_jumps_a_wall_between_step_ends(steps):
     Y = embed_radial(d, np.array([-0.8, 0.0]))
     report = compare_with_oracle(d, PhasePoint(X, Y), np.linspace(0.0, 2.0, steps + 1))
     assert report.truncated is not None and "wall" in report.truncated
-    q = np.array([s.q for s in report.trajectory.states])
+    q = report.trajectory.q
     assert (q @ geometry(d).root_table[0].T).min() > 0
     assert report.max_deviation <= 1e-12
 
@@ -294,15 +293,26 @@ def test_reversibility(case):
     state, _ = reduce_phase_point(d, start)
     fwd = integrate_reduced(d, state, 1.0, 800)
     assert fwd.aborted is None
-    end = fwd.states[-1]
     back = integrate_reduced(
-        d, ReducedState(end.q, -end.p, -end.l), 1.0, 800
+        d, ReducedState(fwd.q[-1], -fwd.p[-1], -fwd.l[-1]), 1.0, 800
     )
     assert back.aborted is None
-    final = back.states[-1]
-    assert np.max(np.abs(final.q - state.q)) <= 1e-6
-    assert np.max(np.abs(final.p + state.p)) <= 1e-6
-    assert frobenius(final.l + state.l) <= 1e-6
+    assert np.max(np.abs(back.q[-1] - state.q)) <= 1e-6
+    assert np.max(np.abs(back.p[-1] + state.p)) <= 1e-6
+    assert frobenius(back.l[-1] + state.l) <= 1e-6
+
+
+@pytest.mark.parametrize("case", [("bdi", 3, 2), ("aiii", 3, 2)])
+def test_rk4_error_falls_with_the_fourth_power_of_the_step(case):
+    # against the exact flow X + tY at t = 0.25, halving h divides the error
+    # of a fourth-order method by about 16 (15.7 and 16.4 here)
+    d = make_space(*case)
+    start = generic_start(d, seed=7)
+    state, _ = reduce_phase_point(d, start)
+    q_exact = radial_decompose(d, direct_flow(start, 0.25).X)[0]
+    err = [np.max(np.abs(integrate_reduced(d, state, 0.25, n).q[-1] - q_exact)) for n in (20, 40)]
+    assert err[1] > 1e-10  # far above rounding, so the ratio measures the method
+    assert err[0] >= 12.0 * err[1]
 
 
 def test_trajectory_log_alignment():
@@ -311,7 +321,7 @@ def test_trajectory_log_alignment():
     state, _ = reduce_phase_point(d, start)
     traj = integrate_reduced(d, state, 0.5, 40)
     assert np.all(np.diff(traj.times) > 0)
-    assert len(traj.states) == len(traj.times) == len(traj.energies)
+    assert len(traj.q) == len(traj.p) == len(traj.l) == len(traj.times) == len(traj.energies)
     assert traj.l_spectra.shape == (len(traj.times), d.ambient_dim)
 
 
@@ -337,9 +347,9 @@ def test_flat_state_integration_matches_reference_loop(case):
     ref = reference_integrate_reduced(d, state, 1.0, 500)
     assert got.aborted is None and ref.aborted is None
     assert np.array_equal(got.times, ref.times)
-    for a, b in zip(got.states, ref.states, strict=True):
-        assert np.max(np.abs(a.q - b.q)) <= 1e-13
-        assert np.max(np.abs(a.p - b.p)) <= 1e-13
+    assert got.q.shape == ref.q.shape and got.p.shape == ref.p.shape
+    assert np.max(np.abs(got.q - ref.q)) <= 1e-13
+    assert np.max(np.abs(got.p - ref.p)) <= 1e-13
     scale = 1e-12 * max(1.0, abs(ref.energies[0]))
     assert np.max(np.abs(got.energies - ref.energies)) <= scale
     assert np.max(np.abs(got.l_spectra - ref.l_spectra)) <= scale
@@ -383,6 +393,21 @@ def test_nearest_steps_on_truncated_trajectory():
         assert np.array_equal(report.times, times[_argmin_steps(times, grid)])
 
 
+def test_oracle_compares_the_last_grid_point_at_large_t():
+    # the start of `cartanflow flow --class bdi --m 1 --n 1 --seed 3`: ten
+    # steps of t/10 end one ulp (3.6e-12) below t, more than 1e-12
+    d = make_space("bdi", 1, 1)
+    t_max = 28102.436848064328
+    start = PhasePoint(sample_p_gaussian(d, 3), sample_p_gaussian(d, 4))
+    report = compare_with_oracle(d, start, np.linspace(0.0, t_max, 11))
+    steps = report.trajectory.times
+    assert report.truncated is None and t_max - steps[-1] > 1e-12
+    assert len(report.deviations) == 11 and np.array_equal(report.times, steps)
+    assert _nearest_steps(steps, np.array([0.0, t_max])).tolist() == [0, 10]
+    # a point past the last step by more than its few ulps is not compared
+    assert _nearest_steps(steps, np.array([0.0, t_max + 1e-6])).tolist() == [0]
+
+
 # ---------------------------------------------------------------------------
 # the buffered kernel against the flat-state loop it replaced: same bytes
 
@@ -394,8 +419,7 @@ def seeded_state(d, seed):
 
 
 def trajectory_bytes(traj):
-    stacks = [np.stack([getattr(s, f) for s in traj.states]) for f in ("q", "p", "l")]
-    arrays = [traj.times, *stacks, traj.energies, traj.l_spectra]
+    arrays = [traj.times, traj.q, traj.p, traj.l, traj.energies, traj.l_spectra]
     return traj.aborted, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
@@ -441,7 +465,7 @@ def test_space_without_zk_perp_flows_freely():
     state = seeded_state(d, 3)
     traj = integrate_reduced(d, state, 1.0, 10)
     assert traj.aborted is None and state.l.shape == (2, 2)
-    q = np.array([s.q for s in traj.states])
+    q = traj.q
     assert np.allclose(q[:, 0], state.q[0] + traj.times * state.p[0], rtol=0, atol=1e-14)
     assert np.all(traj.energies == traj.energies[0]) and not traj.l_spectra.any()
     dq, dp, dl = reduced_vector_field(d, state)
@@ -535,8 +559,8 @@ def test_free_motion_at_huge_time_stays_finite():
     d = make_space("bdi", 1, 1)
     state = seeded_state(d, 3)
     traj = integrate_reduced(d, state, 1e308, 1)
-    assert traj.aborted is None and np.isfinite(traj.states[-1].q).all()
-    assert np.isclose(traj.states[-1].q[0], state.q[0] + 1e308 * state.p[0], rtol=1e-14)
+    assert traj.aborted is None and np.isfinite(traj.q[-1]).all()
+    assert np.isclose(traj.q[-1, 0], state.q[0] + 1e308 * state.p[0], rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +583,11 @@ def test_integrate_accepts_numpy_scalars_and_negative_t_max():
     d = make_space("aiii", 2, 1)
     state = seeded_state(d, 61)
     fwd = integrate_reduced(d, state, np.float64(0.5), np.int64(200))
-    end = fwd.states[-1]
+    end = ReducedState(fwd.q[-1], fwd.p[-1], fwd.l[-1])
     back = integrate_reduced(d, end, -0.5, 200)
     assert back.times[-1] == -0.5 and back.aborted is None
-    assert np.max(np.abs(back.states[-1].q - state.q)) <= 1e-9
-    assert np.max(np.abs(back.states[-1].p - state.p)) <= 1e-9
+    assert np.max(np.abs(back.q[-1] - state.q)) <= 1e-9
+    assert np.max(np.abs(back.p[-1] - state.p)) <= 1e-9
 
 
 def _malformed_states(d, state):

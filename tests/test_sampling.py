@@ -226,6 +226,23 @@ def test_large_gathered_blocks_equal_the_product(case):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("case", REPRESENTATIVES + [("a2", 0, 4), ("bdi", 1, 1)])
+def test_assembly_into_a_buffer_is_the_allocating_assembly(case):
+    # the sampler refills one buffer per chunk: a NaN-filled one must come
+    # out with the bytes of a fresh assembly, for a full and a short run of
+    # rows, and for bdi(1,1)'s empty k basis
+    d = make_space(*case)
+    geo = geometry(d)
+    for table, dim in ((geo._block_table, d.dim_p), (geo._p_table, d.dim_p),
+                       (geo._k_table, d.dim_k)):
+        g = np.random.default_rng(5).standard_normal((7, dim))
+        buf = np.full((7, len(table[0])), np.nan)
+        for rows in (7, 3):
+            got = _assemble(table, g[:rows], out=buf[:rows])
+            assert np.shares_memory(got, buf)
+            assert got.tobytes() == _assemble(table, g[:rows]).tobytes()
+
+
 def test_sampler_peak_memory_is_one_sub_block_per_worker():
     # a worker holds one sub-block's normals and blocks, about
     # 1024 x (143 + 288) doubles for a2(12), beside the 1.4 MB result; the
