@@ -119,9 +119,14 @@ class _Reduced:
     form p^T G p / 2 + sum_k l_k^2 / (C q)_k^2 / 2.  ``split``, ``r_and_w``
     and ``hamiltonian`` broadcast over leading axes (a stack of states).
     The field has one body, the closure ``bind`` returns: ``field`` and the
-    four RK4 stages of ``integrate_reduced`` all run it.  It works through
-    scratch arrays that the instance allocates once, so an instance serves
-    one caller at a time; the cached geometry it reads is never written.
+    four RK4 stages of ``integrate_reduced`` all run it.  The matrices L and
+    W of lc and w come from one product of the pair (lc; w) with the zk-perp
+    rows.  For bdi and ai, whose zk-perp lies in so(N), the rows have no
+    imaginary part: the instance then binds their real columns (N^2 wide,
+    not 2 N^2) and real L, W and LW, so the same body runs in real
+    arithmetic.  It works through scratch arrays that the instance
+    allocates once, so an instance serves one caller at a time; the cached
+    geometry it reads is never written.
     """
 
     def __init__(self, d: SpaceDescriptor):
@@ -133,18 +138,28 @@ class _Reduced:
         # dH/dq = -C^T (w r); Hamilton's equations flip the sign back and
         # G^{-1} turns the force into dp
         self._force = self.geo.gram_inv @ self.C.T
-        self._zk = self.geo._zk_rows
+        zk = self.geo._zk_rows
+        # bdi and ai are the real-symmetric case: zk-perp lies in so(N), so
+        # every imaginary column of the rows is zero, and the field runs on
+        # the real columns in real arithmetic.  The dtype is chosen here,
+        # once; the field body is the same for both.
+        real = not zk[:, 1::2].any()
+        if real:
+            zk = np.ascontiguousarray(zk[:, ::2])
+        self._zk = zk
         # L and W are anti-Hermitian, so [L, W] = LW - (LW)^dagger and its
         # coordinates against the anti-Hermitian zk-perp basis are twice those
-        # of LW.  Doubling the rows is exact, and the transposed view keeps
-        # the operand layout of the product.
-        self._zk2_t = (2.0 * self._zk).T
+        # of (the real part of) LW.  Doubling the rows is exact, and the
+        # transposed view keeps the operand layout of the product.
+        self._zk2_t = (2.0 * zk).T
         N, dz = d.ambient_dim, len(self.C)
-        self._a, self._r, self._w, self._wr = np.empty((4, dz))
-        self._L, self._W, self._LW = np.empty((3, N, N), dtype=complex)
-        self._Lf, self._Wf, self._LWf = (
-            M.reshape(-1).view(float) for M in (self._L, self._W, self._LW)
-        )
+        dtype = float if real else complex
+        self._a, self._r, self._wr = np.empty((3, dz))
+        # L and W as one (2, N, N) pair, so that one product with the zk rows
+        # forms both
+        self._pair, self._LW = np.empty((2, N, N), dtype), np.empty((N, N), dtype)
+        self._pairf = self._pair.reshape(2, -1).view(float)
+        self._LWf = self._LW.reshape(-1).view(float)
 
     def flat(self, state: ReducedState) -> np.ndarray:
         """The flat vector of a reduced state.  ContractViolation unless q
@@ -177,17 +192,24 @@ class _Reduced:
         """A closure of no arguments that writes dy/dt at the flat state held
         in ``src`` into ``out``, reading ``src`` afresh on every call.
 
-        The slice views of ``src`` and ``out``, the instance's scratch and
-        the constant operands are bound once, so a call makes eight NumPy
-        calls and one slice copy and allocates nothing.  ``np.dot`` makes
-        the same BLAS calls as ``@`` on these operands, with less set-up per
-        call.  A call leaves the root values C q of the state in ``_a``,
-        where ``integrate_reduced``'s wall check reads them."""
-        rk = self.rank
-        q, p, lc = src[:rk], src[rk : 2 * rk], src[2 * rk :]
-        dq, dp, dl = out[:rk], out[rk : 2 * rk], out[2 * rk :]
-        a, r, w, wr = self._a, self._r, self._w, self._wr
-        L, W, LW, Lf, Wf, LWf = self._L, self._W, self._LW, self._Lf, self._Wf, self._LWf
+        ``src`` holds the flat state y (length n) followed by a tail of dz
+        entries that the call writes w into, so that lc and w are the rows
+        of one (2, dz) view and L and W come from one product with the zk
+        rows, into one (2, N, N) buffer.  ``out`` takes dy/dt in its leading
+        n entries; a longer ``out`` keeps the rest as it was.  The slice
+        views of ``src`` and ``out``, the instance's scratch and the constant
+        operands are bound once, so a call makes eight NumPy calls and one
+        slice copy and allocates nothing.  ``np.dot`` makes the same BLAS
+        calls as ``@`` on these operands, with less set-up per call.  A call
+        leaves the root values C q of the state in ``_a``, where
+        ``integrate_reduced``'s wall check reads them."""
+        rk, dz = self.rank, len(self.C)
+        q, p = src[:rk], src[rk : 2 * rk]
+        lw = src[2 * rk : 2 * rk + 2 * dz].reshape(2, dz)
+        lc, w = lw
+        dq, dp, dl = out[:rk], out[rk : 2 * rk], out[2 * rk : 2 * rk + dz]
+        a, r, wr = self._a, self._r, self._wr
+        (L, W), LW, pairf, LWf = self._pair, self._LW, self._pairf, self._LWf
         Ct, zk, zk2_t, force = self.C.T, self._zk, self._zk2_t, self._force
         dot, divide, multiply = np.dot, np.divide, np.multiply
 
@@ -195,8 +217,7 @@ class _Reduced:
             dot(q, Ct, out=a)
             divide(lc, a, out=r)
             divide(r, a, out=w)
-            dot(lc, zk, out=Lf)
-            dot(w, zk, out=Wf)
+            dot(lw, zk, out=pairf)
             dot(L, W, out=LW)
             dot(LWf, zk2_t, out=dl)
             dq[...] = p
@@ -206,7 +227,9 @@ class _Reduced:
 
     def field(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write dy/dt at the flat state ``y`` into ``out`` and return it."""
-        self.bind(y, out)()
+        src = np.empty(y.size + len(self.C))
+        src[: y.size] = y
+        self.bind(src, out)()
         return out
 
 
@@ -255,15 +278,21 @@ def integrate_reduced(
     follows one) raises ``ConsistencyError`` naming t and h: it is not a
     wall approach, and no infinite value reaches the log.
 
-    A step applies the Butcher tableau of classical RK4 to one (5, n)
-    buffer K whose rows are the state y and the stage derivatives k1..k4.
-    Each stage input is one product of a tableau row with the leading rows
-    of K, [1, h/2] K[:2], [1, 0, h/2] K[:3] and [1, 0, 0, h] K[:4], and
-    the new state is [1, h/6, h/3, h/3, h/6] K, written into its row of
-    the preallocated history and copied into K[0].  The four stages run
-    the one kernel body ``reduced_vector_field`` runs, bound once per call
-    by ``_Reduced.bind``: K[0] -> k1 and the stage input -> k2, k3, k4.
-    Nothing is allocated per step.
+    A step applies the Butcher tableau of classical RK4 to one buffer K
+    whose rows are the state y and the stage derivatives k1..k4.  K is
+    (5, n + dz): a source row (K[0], and the stage input) carries the
+    dz-long tail into which the field writes w, right after lc, and the
+    tableau products read the leading n columns, a row-strided view that
+    BLAS takes without a copy.  Each stage input is one product of a
+    tableau row with the leading rows of K, [1, h/2] K[:2],
+    [1, 0, h/2] K[:3] and [1, 0, 0, h] K[:4], and the new state is
+    [1, h/6, h/3, h/3, h/6] K, written into its row of the preallocated
+    history and copied into K[0].  The four stages run the one kernel body
+    ``reduced_vector_field`` runs, bound once per call by
+    ``_Reduced.bind``: K[0] -> k1 and the stage input -> k2, k3, k4.  A
+    step is 42 NumPy calls (36 in the four field calls, 4 tableau
+    products, 1 copy and 1 wall reduction), and nothing is allocated per
+    step.
 
     The wall check reads the signed root values C q that stage 1 writes
     for the state it starts from; the rows of C are the positive roots,
@@ -282,15 +311,19 @@ def integrate_reduced(
         raise ContractViolation(
             "initial radial point is too close to a chamber wall or outside the chamber"
         )
-    history = np.empty((steps + 1, y.size))
+    n, dz = y.size, len(sys.C)
+    history = np.empty((steps + 1, n))
     history[0] = y
-    K, stage_in = np.empty((5, y.size)), np.empty(y.size)
-    K[0] = y
+    # each source row (K[0] and the stage input) carries the dz-long w tail
+    # the field writes; the tableau products read the leading n columns
+    K, stage_in = np.empty((5, n + dz)), np.empty(n + dz)
+    Kn, stage_y = K[:, :n], stage_in[:n]
+    Kn[0] = y
     # the rows of the RK4 tableau, each led by the 1 that y enters with:
     # the three stage inputs' coefficients, then the weights
     a2, a3 = np.array([1.0, 0.5 * h]), np.array([1.0, 0.0, 0.5 * h])
     a4, b = np.array([1.0, 0.0, 0.0, h]), np.array([1.0, h / 6.0, h / 3.0, h / 3.0, h / 6.0])
-    rows2, rows3, rows4 = K[:2], K[:3], K[:4]
+    rows2, rows3, rows4 = Kn[:2], Kn[:3], Kn[:4]
     stage1, stage2, stage3, stage4 = (
         sys.bind(src, K[j]) for j, src in enumerate((K[0], stage_in, stage_in, stage_in), 1)
     )
@@ -303,21 +336,21 @@ def integrate_reduced(
             stage1()  # also writes the root values of state `last` into vals
             if last and not least(vals, initial=inf) > floor:
                 break
-            dot(a2, rows2, out=stage_in)
+            dot(a2, rows2, out=stage_y)
             stage2()
-            dot(a3, rows3, out=stage_in)
+            dot(a3, rows3, out=stage_y)
             stage3()
-            dot(a4, rows4, out=stage_in)
+            dot(a4, rows4, out=stage_y)
             stage4()
-            dot(b, K, out=history[last + 1])
-            K[0] = history[last + 1]
+            dot(b, Kn, out=history[last + 1])
+            Kn[0] = history[last + 1]
         else:
             last = steps
             dot(qv, Ct, out=vals)
         # K[0] holds state `last`, and vals its root values
         aborted = None
         if not least(vals, initial=inf) > floor:
-            if not np.isfinite(K[0]).all():
+            if not np.isfinite(Kn[0]).all():
                 raise _non_finite(last, h)
             aborted = f"radial point reached a chamber wall at t={last * h:.6g}"
             last -= 1

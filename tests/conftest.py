@@ -206,7 +206,10 @@ def reference_integrate_reduced(d, initial, t_max, steps):
 # the wall check) as the byte-identity reference for ``_Reduced.field``,
 # ``reduced_vector_field`` and ``integrate_reduced``; since the stepper
 # applies the RK4 tableau to a stack of stages, its step forms the stage
-# inputs and the new state as the same products, allocating each operand
+# inputs and the new state as the same products, allocating each operand;
+# since the field forms L and W in one product, and in real arithmetic when
+# the zk rows have no imaginary part, its field does the same.  The field
+# before that change is kept beside it as ``_ReferenceTwoProductReduced``
 
 
 class _ReferenceFlatReduced:
@@ -229,6 +232,10 @@ class _ReferenceFlatReduced:
         # G^{-1} turns the force into dp
         self._force = self.geo.gram_inv @ self.C.T
         self._zk = self.geo._zk_rows
+        # bdi and ai: zk-perp lies in so(N), the imaginary columns are zero
+        self._dtype = complex if self._zk[:, 1::2].any() else float
+        if self._dtype is float:
+            self._zk = np.ascontiguousarray(self._zk[:, ::2])
         self._shape = (d.ambient_dim, d.ambient_dim)
 
     def flat(self, state: ReducedState) -> np.ndarray:
@@ -252,6 +259,25 @@ class _ReferenceFlatReduced:
         q, p, lc = self.split(y)
         r, w = self.r_and_w(q, lc)
         zk, shape = self._zk, self._shape
+        L, W = (np.stack((lc, w)) @ zk).view(self._dtype).reshape((2,) + shape)
+        # L and W are anti-Hermitian, so [L, W] = LW - (LW)^dagger and its
+        # coordinates against the anti-Hermitian zk-perp basis are twice those of LW
+        dl = 2.0 * ((L @ W).reshape(-1).view(float) @ zk.T)
+        return np.concatenate((p, self._force @ (w * r), dl))
+
+
+class _ReferenceTwoProductReduced(_ReferenceFlatReduced):
+    """The field before L and W came from one product: complex zk rows for
+    every class and one product each for L and W (the body kept verbatim)."""
+
+    def __init__(self, d: SpaceDescriptor):
+        super().__init__(d)
+        self._zk = self.geo._zk_rows
+
+    def field(self, y: np.ndarray) -> np.ndarray:
+        q, p, lc = self.split(y)
+        r, w = self.r_and_w(q, lc)
+        zk, shape = self._zk, self._shape
         L = (lc @ zk).view(complex).reshape(shape)
         W = (w @ zk).view(complex).reshape(shape)
         # L and W are anti-Hermitian, so [L, W] = LW - (LW)^dagger and its
@@ -261,11 +287,12 @@ class _ReferenceFlatReduced:
 
 
 def reference_flat_vector_field(
-    d: SpaceDescriptor, state: ReducedState
+    d: SpaceDescriptor, state: ReducedState, two_products: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time derivatives (dq, dp, dl) of the reduced flow; dl is returned as
-    a matrix in the centralizer orthocomplement."""
-    sys = _ReferenceFlatReduced(d)
+    a matrix in the centralizer orthocomplement.  ``two_products`` runs the
+    field of ``_ReferenceTwoProductReduced``."""
+    sys = (_ReferenceTwoProductReduced if two_products else _ReferenceFlatReduced)(d)
     dq, dp, dl = sys.split(sys.field(sys.flat(state)))
     return dq, dp, sys.geo.zk_from_coords(dl)
 

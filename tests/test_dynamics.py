@@ -459,6 +459,38 @@ def test_vector_field_is_byte_identical_to_flat_reference(case):
         assert [a.tobytes() for a in got] == [b.tobytes() for b in ref]
 
 
+def _assert_matches_two_product_field(case):
+    d = make_space(*case)
+    for seed in (21, 23):
+        state = seeded_state(d, seed)
+        got = reduced_vector_field(d, state)
+        ref = reference_flat_vector_field(d, state, two_products=True)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b), initial=0.0) <= 1e-13 * np.max(np.abs(b), initial=0.0)
+
+
+@pytest.mark.parametrize("case", BYTE_CASES + [("bdi", 8, 8), ("ai", 0, 8)])
+def test_vector_field_matches_two_product_field(case):
+    # the pair product and the real arithmetic of bdi and ai against the
+    # complex field with one product each for L and W: rounding only
+    _assert_matches_two_product_field(case)
+
+
+@pytest.mark.slow
+def test_large_vector_field_matches_two_product_field():
+    _assert_matches_two_product_field(("bdi", 16, 16))
+
+
+@pytest.mark.parametrize("case", BYTE_CASES)
+def test_field_runs_in_real_arithmetic_for_bdi_and_ai(case):
+    # their zk-perp lies in so(N): the zk rows have no imaginary part
+    sys = _Reduced(make_space(*case))
+    real = case[0] in ("bdi", "ai")
+    assert sys._pair.dtype == (float if real else complex) and sys._LW.dtype == sys._pair.dtype
+    assert sys._zk.shape[1] == (1 if real else 2) * sys.d.ambient_dim ** 2
+
+
 def test_space_without_zk_perp_flows_freely():
     # so(1,1): a is all of p, so l = 0 and the flow is free motion
     d = make_space("bdi", 1, 1)
@@ -509,11 +541,12 @@ def test_concurrent_integrations_match_serial_bytes():
     assert results == serial
 
 
-@pytest.mark.parametrize("case", [("cii", 2, 1), ("aiii", 5, 5)])
+@pytest.mark.parametrize("case", [("cii", 2, 1), ("aiii", 5, 5), ("bdi", 3, 2)])
 def test_integration_reads_no_unwritten_scratch(case, monkeypatch):
     # every array np.empty hands out is NaN-filled, so an entry of the
-    # field's scratch, the stages, the state, the wall values or the history
-    # read before it is written shows as NaN
+    # field's scratch, the stages, the state and its w tail, the wall values
+    # or the history read before it is written shows as NaN; bdi(3,2) runs
+    # the real scratch
     d = make_space(*case)
     state = seeded_state(d, 51)
     ref = trajectory_bytes(reference_flat_integrate_reduced(d, state, 0.25, 50))
