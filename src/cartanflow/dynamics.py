@@ -400,17 +400,26 @@ def compare_with_oracle(
     The direct flow is exact: q_direct(t) comes from the radial
     decomposition of X + tY.  The reduced flow is integrated with fixed
     steps through the grid and compared pointwise in the sup norm; the
-    report carries that trajectory.
+    report carries that trajectory.  The grid starts at 0 and is strictly
+    increasing, strictly decreasing (the backward flow, at negative
+    times) or all zeros (every step stays at t = 0 and is compared with X).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if not np.isfinite(t_grid).all():
         raise ContractViolation("t_grid must be finite")
-    if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0) or t_grid[0] != 0.0:
-        raise ContractViolation("t_grid must be an increasing 1-d grid starting at 0")
+    if t_grid.ndim != 1 or t_grid.size < 2 or t_grid[0] != 0.0:
+        raise ContractViolation("t_grid must be a 1-d grid of at least two times starting at 0")
+    sign = np.sign(t_grid[-1])  # backwards for a negative end, all at 0 for a zero one
+    if np.any(np.diff(t_grid) * sign <= 0) if sign else np.any(t_grid != 0.0):
+        raise ContractViolation(
+            "t_grid must be strictly monotone from 0 (increasing, or decreasing to "
+            "integrate backwards) or all zeros"
+        )
     state0, _ = reduce_phase_point(d, start)
     n_steps = steps if steps is not None else (t_grid.size - 1)
     traj = integrate_reduced(d, state0, float(t_grid[-1]), n_steps)
-    idx = _nearest_steps(traj.times, t_grid)
+    # the step times run the way the grid does: match them on |t|
+    idx = _nearest_steps(traj.times * (sign or 1.0), t_grid * (sign or 1.0))
     kept = traj.times[idx]
     # X + tY lies in p by linearity: reduce_phase_point checked X and Y
     X, Y = np.asarray(start.X, dtype=complex), np.asarray(start.Y, dtype=complex)

@@ -487,55 +487,9 @@ def _from_vec_rows(rows: np.ndarray, N: int) -> np.ndarray:
     return (rows[:, : N * N] + 1j * rows[:, N * N :]).reshape(-1, N, N)
 
 
-def _ad_rows(stack: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """``_vec_rows`` of the commutators [B, H] over a stack of matrices B."""
-    X = stack @ H
-    X -= H @ stack
-    return _vec_rows(X)
-
-
-def _bracket(stack: np.ndarray, H: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The commutators [B, H] = BH - HB over a stack of matrices B, for an H
-    with at most one nonzero entry per row and column (every radial
-    generator), by index: an entry h at (a, b) makes column b of BH from
-    column a of B and row a of HB from row b, both times h.  Every nonzero
-    value is that of the two products, and [B, H] vanishes off the rows and
-    columns H touches.  Written into ``out`` when given."""
-    rows, cols = np.nonzero(H)
-    entries = list(zip(rows.tolist(), cols.tolist(), H[rows, cols].tolist()))
-    if len(set(rows.tolist())) < len(rows) or len(set(cols.tolist())) < len(cols):
-        raise ConsistencyError("bracket by index needs at most one nonzero per row and column")
-    if out is None:
-        out = np.zeros_like(stack)
-    else:
-        out[...] = 0.0
-    for a, b, h in entries:
-        out[..., b] = stack[..., a] * h
-    for a, b, h in entries:
-        out[..., a, :] -= h * stack[..., b, :]
-    return out
-
-
-def _bracket_support(H: np.ndarray) -> np.ndarray:
-    """Columns of ``_vec_rows`` on which [B, H] can be nonzero: the entries
-    in a row or a column that H touches, real parts then imaginary ones."""
-    nz = H != 0
-    cols = np.flatnonzero(nz.any(axis=1)[:, None] | nz.any(axis=0)[None, :])
-    return np.concatenate([cols, H.size + cols])
-
-
 def _generic_point(rank: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.standard_normal(rank) + np.linspace(0.5, 1.5, rank)
-
-
-def _root_step(stack: np.ndarray, He: np.ndarray, Hg: np.ndarray) -> np.ndarray:
-    """Eigenvectors (columns) of ad(He) ad(Hg) on the span of an orthonormal
-    stack of k elements.  The maps are self-adjoint and commute, so the
-    product is symmetric; at a generic g its eigenspaces are root spaces."""
-    A = _ad_rows(stack, He) @ _ad_rows(stack, Hg).T
-    _, vecs = np.linalg.eigh((A + A.T) / 2.0)
-    return vecs
 
 
 def _real_rows(stack: np.ndarray) -> np.ndarray:
@@ -597,6 +551,161 @@ def _assemble(table: tuple, g: np.ndarray, out: np.ndarray | None = None) -> np.
         sub += g[:, s] * v
     B[:, cols] = sub
     return B.view(complex).reshape(len(g), *shape)
+
+
+def _entries(table: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The basis of an ``_index_table`` as entry triplets (member, column,
+    value), one per nonzero entry, columns in the layout of ``_real_rows``."""
+    src, val, cols, more_src, more_val, _ = table
+    first = np.flatnonzero(val)
+    more = more_val != 0
+    return (np.concatenate([src[first], more_src[more]]),
+            np.concatenate([first, np.broadcast_to(cols, more.shape)[more]]),
+            np.concatenate([val[first], more_val[more]]))
+
+
+def _ad_entries(entries: tuple, Hs) -> tuple[np.ndarray, ...]:
+    """The commutators [B, H] = BH - HB over a basis given by entry triplets
+    (member, column, value), for each real H of ``Hs`` with at most one
+    nonzero per row and column (every radial generator), by index: an entry
+    h at (a, b) makes column b of BH from column a of B and row a of HB from
+    row b, both times h.  Two terms at one position are summed and exact
+    zeros dropped, so every value is that of the two products and the
+    entries are the nonzero pattern of the bracket rows.  Returns (op,
+    member, column, value), op the place of H in ``Hs``, sorted by op,
+    member and column."""
+    member, col, val = entries
+    Hs = np.asarray(Hs)
+    nH, N = len(Hs), Hs.shape[-1]
+    if ((np.count_nonzero(Hs, axis=1) > 1).any() or (np.count_nonzero(Hs, axis=2) > 1).any()
+            or np.iscomplexobj(Hs) and Hs.imag.any()):
+        raise ConsistencyError(
+            "bracket by index needs a real H with at most one nonzero per row and column"
+        )
+    i, a, b = np.nonzero(Hs)
+    to_col, to_row = np.full((nH, N), -1), np.full((nH, N), -1)
+    to_col[i, a], to_row[i, b] = b, a  # column a of B goes to column b, row b to row a
+    by_col, by_row = np.zeros((nH, N)), np.zeros((nH, N))
+    by_col[i, a], by_row[i, b] = Hs[i, a, b].real, -Hs[i, a, b].real
+    x, y = (col // 2) // N, (col // 2) % N  # real and imaginary parts interleave
+    ri, re = np.nonzero(to_col[:, y] >= 0)
+    li, le = np.nonzero(to_row[:, x] >= 0)
+    op = np.concatenate([ri, li])
+    member = np.concatenate([member[re], member[le]])
+    col = np.concatenate([col[re] + 2 * (to_col[ri, y[re]] - y[re]),
+                          col[le] + 2 * N * (to_row[li, x[le]] - x[le])])
+    val = np.concatenate([val[re] * by_col[ri, y[re]], val[le] * by_row[li, x[le]]])
+    key = (op * (int(member.max(initial=0)) + 1) + member) * (2 * N * N) + col
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    val = np.add.reduceat(val[order], start) if len(start) else val
+    start = order[start[val != 0]]
+    return op[start], member[start], col[start], val[val != 0]
+
+
+def _components(n: int, member: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Per member of n, the least member of its connected component, two
+    members being joined when they share a column: each pass gives every
+    member the least label over the columns it touches, then follows the
+    labels one link further."""
+    label = np.arange(n)
+    low = np.empty(int(col.max(initial=-1)) + 1, dtype=label.dtype)
+    while True:
+        low.fill(n)
+        np.minimum.at(low, col, label[member])
+        new = label.copy()
+        np.minimum.at(new, member, low[col])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _blocks(n: int, entries: tuple, nops: int, joined: int) -> tuple[np.ndarray, list]:
+    """The members of a basis of n, split into the connected components of
+    the nonzero pattern of their rows under the operators op < ``joined``,
+    and grouped by size.  ``entries`` are (op, member, column, value) over
+    ``nops`` operators.  Members of two components share no column under
+    the joining operators, so the Gram matrices of those rows are block
+    diagonal, with exact zeros off the blocks.  Returns the members that no
+    joining operator touches and, per component size s from the least, the
+    members (G, s) of its G components in basis order and the rows
+    (nops, G, s, w) of every operator, dense over the w columns that any of
+    them touches in the component, zero-padded."""
+    op, member, col, val = entries
+    link = op < joined
+    label = _components(n, member[link], col[link])
+    touched = np.zeros(n, dtype=bool)
+    touched[member[link]] = True
+    live = np.flatnonzero(touched)
+    size = np.bincount(label[live], minlength=n)
+    order = live[np.lexsort((live, label[live], size[label[live]]))]
+    new = np.diff(label[order], prepend=-1) != 0
+    first = np.flatnonzero(new)
+    comp = np.zeros(n, dtype=np.intp)  # component of each member, numbered in order
+    comp[order] = np.cumsum(new) - 1
+    pos = np.zeros(n, dtype=np.intp)  # place of each member in its component
+    pos[order] = np.arange(len(order)) - first[comp[order]]
+    keep = touched[member]
+    op, member, col, val = op[keep], member[keep], col[keep], val[keep]
+    # local columns: per component, the distinct columns it touches, in order
+    c = comp[member]
+    key = c * (int(col.max(initial=0)) + 1) + col
+    by = np.argsort(key, kind="stable")
+    fresh = np.diff(key[by], prepend=-1) != 0
+    local = np.empty(len(col), dtype=np.intp)
+    local[by] = np.cumsum(fresh) - 1
+    width = np.bincount(c[by[fresh]], minlength=len(first))
+    local -= (np.cumsum(width) - width)[c]
+    csize = size[label[order[first]]]
+    edges = np.flatnonzero(np.diff(csize, prepend=0, append=0))
+    groups = []
+    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        s, G = int(csize[lo]), hi - lo
+        at = (c >= lo) & (c < hi)
+        rows = np.zeros((nops, G, s, int(width[lo:hi].max())))
+        rows[op[at], c[at] - lo, pos[member[at]], local[at]] = val[at]
+        groups.append((order[first[lo] : first[lo] + G * s].reshape(G, s), rows))
+    return np.flatnonzero(~touched), groups
+
+
+def _root_step(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvector columns of a stack of blocks of the
+    symmetric ad(He) ad(Hg) on the part of k that is not m.  The two maps
+    are self-adjoint and commute, so at a generic g the eigenspaces are root
+    spaces."""
+    return np.linalg.eigh(A)
+
+
+def _combine(entries: tuple, parts: list, n: int, N: int) -> np.ndarray:
+    """The stack sum_a v_a B_a over the basis B given by entry triplets, one
+    member per eigenvector v of ``parts``, ordered by eigenvalue (stably).
+    A part is (members (G, s), eigenvectors (G, s, c), eigenvalues (G, c)),
+    the eigenvectors being coordinates on the members of their component;
+    every member of the basis lies in at most one part.  Entries no member
+    of a component writes are exact zeros."""
+    mu = np.concatenate([ev.ravel() for _, _, ev in parts] + [np.zeros(0)])
+    row = np.empty(len(mu), dtype=np.intp)
+    row[np.argsort(mu, kind="stable")] = np.arange(len(mu))
+    c = max([v.shape[2] for _, v, _ in parts] + [1])
+    out_of = np.zeros((n, c), dtype=np.intp)  # per member, its output rows
+    coeff_of = np.zeros((n, c))  # and its coefficient in each of them
+    inside = np.zeros(n, dtype=bool)
+    start = 0
+    for members, vecs, _ in parts:
+        G, s, k = vecs.shape
+        out_of[members, :k] = row[start : start + G * k].reshape(G, 1, k)
+        coeff_of[members, :k] = vecs
+        inside[members] = k > 0
+        start += G * k
+    member, col, val = entries
+    inside = inside[member]
+    member, col, val = member[inside], col[inside], val[inside]
+    width = 2 * N * N
+    flat = np.bincount((out_of[member] * width + col[:, None]).ravel(),
+                       (coeff_of[member] * val[:, None]).ravel(), minlength=len(mu) * width)
+    return flat.astype(float, copy=False).view(complex).reshape(len(mu), N, N)
 
 
 @lru_cache(maxsize=None)
@@ -880,46 +989,97 @@ class SpaceGeometry:
         a-perp holds the partners R_k = [Z_k, H(e)] / |alpha_k(e)|.  There
         r -> [r, H(q)] is diag(C q), C[k, i] = <Z_k, [R_k, H_i]> being the
         integer coefficients of the root of Z_k.  The measured map is checked
-        to be such a diagonal; C keeps the integers, dropping rounding noise.
+        to be such a diagonal; C keeps the integers, dropping rounding noise,
+        with its zeros as +0.0.  The largest deviation is kept for
+        ``bracket_residual``.
+
+        Both eigenvector steps run one support component of k at a time
+        (``_blocks``): the ad(H(e)) and ad(H(g)) rows of members of two
+        components share no column, so both maps are block diagonal with
+        exact zeros off the blocks.  The blocks of one size go through one
+        batched ``eigh`` per step, and the eigenpairs of all blocks are
+        sorted by eigenvalue, so m, Z and the rows of C come in the order
+        of one eigendecomposition over all of k, and every Z_k is exactly
+        zero off its component.  The check runs on the same blocks: Z_k,
+        [Z_k, H(e)] and [[Z_k, H(e)], H_i] are the eigenvector's combination
+        of the members' entries, brackets and double brackets (all by index)
+        over the columns the component touches, off which all three vanish.
+        The k basis is read once, as the entry triplets of its index table.
         """
         d = self.descriptor
-        rank = d.real_rank
+        rank, N = d.real_rank, d.ambient_dim
         want = d.dim_p - rank
-        kb = self._stack(onto_p=False)
+        kb = _entries(self._k_table)
         He = self.embed_radial(self.e_coords)
-        Ve = _ad_rows(kb, He)
-        lam, U = np.linalg.eigh(Ve @ Ve.T)
-        rest = lam >= 0.5
-        m = np.tensordot(U[:, ~rest].T, kb, axes=1)
-        k_rest = np.tensordot(U[:, rest].T, kb, axes=1)
-        if len(k_rest) != want:
-            raise ConsistencyError(
-                f"{d.label()}: dim zk-perp {len(k_rest)} does not match dim a-perp {want}"
-            )
         Hg = self.embed_radial(_generic_point(rank, _ROOT_SEED))
-        Z = np.tensordot(_root_step(k_rest, He, Hg).T, k_rest, axes=1)
-        R = Z @ He
-        R -= He @ Z
-        R /= np.linalg.norm(R, axis=(1, 2))[:, None, None]
-        C = np.empty((want, rank))
-        Zc, B, CZ = Z.conj(), np.empty_like(Z), np.empty_like(Z)
-        flat = _real_rows(B)  # a view: row norms of B as it is written
-        for i, Hi in enumerate(self.a_embed):
-            _bracket(R, Hi, out=B)  # [R_k, H_i] lies in zk-perp and should be C_ki Z_k
-            C[:, i] = np.rint(np.einsum("kab,kab->k", Zc, B).real)
-            B -= np.multiply(C[:, i, None, None], Z, out=CZ)
-            resid = np.sqrt(np.einsum("kj,kj->k", flat, flat))
-            if np.max(resid, initial=0.0) > _BRACKET_TOL:
-                raise ConsistencyError(
-                    f"{d.label()}: bracket map with generator {i} is not diag(C q) with "
-                    f"integer C in the root-adapted bases (deviation {np.max(resid):.3e})"
-                )
+        ad = _ad_entries(kb, [He, Hg])
+        ve = tuple(x[ad[0] == 0] for x in ad[1:])  # [B, H(e)]
+        dd = _ad_entries(ve, self.a_embed)  # [[B, H(e)], H_i]
+        # operators: ad(H(e)) and ad(H(g)), which join the components, the
+        # basis itself, and the double brackets, one per generator
+        ops = [np.concatenate(x) for x in zip(ad, (np.full(len(kb[0]), 2), *kb),
+                                                (dd[0] + 3, *dd[1:]))]
+        lone, groups = _blocks(d.dim_k, ops, 3 + rank, 2)
+        # members that commute with H(e) and H(g) are in m as they are
+        m_parts = [(lone[:, None], np.ones((len(lone), 1, 1)), np.zeros((len(lone), 1)))]
+        z_parts, r_parts, c_parts = [], [], []
+        worst = np.zeros(rank)
+        for members, rows in groups:
+            Ve, Vg, K, D = rows[0], rows[1], rows[2], rows[3:]
+            s = members.shape[1]
+            lam, U = np.linalg.eigh(Ve @ Ve.transpose(0, 2, 1))
+            P = Ve @ Vg.transpose(0, 2, 1)
+            rest = np.count_nonzero(lam >= 0.5, axis=1)  # the last ones: eigh sorts ascending
+            for r in sorted(set(rest.tolist())):
+                on = rest == r
+                m_parts.append((members[on], U[on, :, : s - r], lam[on, : s - r]))
+                if not r:
+                    continue
+                Ur = U[on, :, s - r :]
+                A = Ur.transpose(0, 2, 1) @ P[on] @ Ur
+                mu, V = _root_step((A + A.transpose(0, 2, 1)) / 2.0)
+                W = Ur @ V  # Z_k = sum_j W[j, k] B_j over the members B_j
+                Wt = W.transpose(0, 2, 1)
+                Rl = Wt @ Ve[on]  # [Z_k, H(e)] on the component's columns
+                norm = np.sqrt(np.einsum("gkw,gkw->gk", Rl, Rl))
+                Zl = Wt @ K[on]
+                # [R_k, H_i] lies in zk-perp and should be C_ki Z_k
+                Bl = (Wt @ D[:, on]) / norm[:, :, None]
+                Ci = np.rint(np.einsum("gkw,igkw->igk", Zl, Bl)) + 0.0
+                Bl -= Ci[..., None] * Zl
+                resid = np.sqrt(np.einsum("igkw,igkw->igk", Bl, Bl))
+                worst = np.maximum(worst, resid.max(axis=(1, 2)))
+                z_parts.append((members[on], W, mu))
+                r_parts.append((members[on], W / norm[:, None, :], mu))
+                c_parts.append(Ci.transpose(1, 2, 0).reshape(-1, rank))
+        bad = np.flatnonzero(worst > _BRACKET_TOL)
+        if bad.size:
+            raise ConsistencyError(
+                f"{d.label()}: bracket map with generator {bad[0]} is not diag(C q) with "
+                f"integer C in the root-adapted bases (deviation {worst[bad[0]]:.3e})"
+            )
+        m = _combine(kb, m_parts, d.dim_k, N)
+        Z = _combine(kb, z_parts, d.dim_k, N)
+        if len(Z) != want:
+            raise ConsistencyError(
+                f"{d.label()}: dim zk-perp {len(Z)} does not match dim a-perp {want}"
+            )
+        R = _combine(ve, r_parts, d.dim_k, N)
+        mu = np.concatenate([ev.ravel() for _, _, ev in z_parts] + [np.zeros(0)])
+        C = np.concatenate(c_parts + [np.zeros((0, rank))])[np.argsort(mu, kind="stable")]
+        self._bracket_residual = float(worst.max(initial=0.0))
         return m, Z, R, C
 
     @property
     def bracket_coeffs(self) -> np.ndarray:
         """C with r -> [r, H(q)] equal to diag(C q) from a-perp to zk-perp."""
         return self._root_split[3]
+
+    @property
+    def bracket_residual(self) -> float:
+        """The largest |[R_k, H_i] - C_ki Z_k| the split measured."""
+        self._root_split
+        return self._bracket_residual
 
     # -- coordinates -------------------------------------------------------
 
@@ -1028,46 +1188,62 @@ def basis_of(d: SpaceDescriptor, which: str) -> list[np.ndarray]:
 def numeric_roots(d: SpaceDescriptor, seed: int = _ROOT_SEED) -> list[RestrictedRoot]:
     """Recover the restricted roots from the bracket geometry alone.
 
-    Reruns the root step on zk-perp at its own seeded generic g and fits
-    integer roots to the eigenvectors it finds (``_fit_roots``).  Serves as
-    an independent oracle for the tabulated roots.
+    Reruns the root step on zk-perp at its own seeded generic g, with its
+    own component pass, and fits integer roots to the eigenvectors it finds
+    (``_measure_roots``, ``_fit_roots``).  It reads the zk-perp stack only,
+    never C or a-perp, so it serves as an independent oracle for the
+    tabulated roots and for the split's C.
     """
     seed = _check_int("seed", seed, 0)
+    return _fit_roots(d, *_measure_roots(d, geometry(d)._zk_stack, seed))
+
+
+def _measure_roots(d: SpaceDescriptor, Z: np.ndarray, seed: int | None) -> tuple:
+    """Per vector v in the span of the stack Z: w with w_i = alpha(E) alpha_i
+    and the largest residual |A_i v - w_i v|, A_i = <ad(H(E)) Z_j, ad(H_i) Z_k>.
+
+    The vectors are the eigenvectors of A(g) = sum_i g_i A_i at the generic
+    g of ``seed``, in increasing order of eigenvalue, or, with ``seed``
+    None, the members of Z in order.  Brackets are taken by index on the
+    entries of Z, which split into the support components of the ad(H(E))
+    and ad(H_i) rows (``_blocks``); each A_i is formed once per block, and
+    the blocks of one size are measured together."""
     geo = geometry(d)
-    Z = geo._zk_stack
-    He = geo.embed_radial(geo.e_coords)
-    Hg = geo.embed_radial(_generic_point(d.real_rank, seed))
-    return _fit_roots(d, Z, _root_step(Z, He, Hg))
+    rank = d.real_rank
+    rows = _real_rows(Z)
+    member, col = np.nonzero(rows)
+    ops = [geo.embed_radial(geo.e_coords), *geo.a_embed]
+    entries = _ad_entries((member, col, rows[member, col]), ops)
+    _, groups = _blocks(len(Z), entries, len(ops), len(ops))
+    g = None if seed is None else _generic_point(rank, seed)
+    # a vector no bracket touches keeps w = 0 and eigenvalue 0
+    w, resid, mu = np.zeros((len(Z), rank)), np.zeros(len(Z)), np.zeros(len(Z))
+    # the slots of a block's members hold its eigenvectors, in eigh's order
+    for members, V in groups:
+        A = V[0] @ V[1:].transpose(0, 1, 3, 2)  # (rank, G, s, s)
+        if g is None:
+            vecs = np.broadcast_to(np.eye(members.shape[1]), A.shape[1:])
+        else:
+            Ag = np.tensordot(g, A, axes=1)
+            mu[members], vecs = np.linalg.eigh((Ag + Ag.transpose(0, 2, 1)) / 2.0)
+        AV = A @ vecs
+        wi = np.einsum("gsk,igsk->igk", vecs, AV)
+        w[members] = wi.transpose(1, 2, 0)
+        resid[members] = np.linalg.norm(AV - vecs * wi[:, :, None, :], axis=2).max(axis=0)
+    order = np.arange(len(Z)) if g is None else np.argsort(mu, kind="stable")
+    return w[order], resid[order]
 
 
-def _fit_roots(d: SpaceDescriptor, Z: np.ndarray, vecs: np.ndarray) -> list[RestrictedRoot]:
-    """Positive roots with multiplicities of the vectors sum_j v_j Z_j, one
-    per column v of ``vecs``; ConsistencyError at the first column that is
-    no root vector.
-
-    A_i = <ad(H(E)) Z_j, ad(H_i) Z_k> should have each v as an eigenvector
-    with eigenvalue w_i = alpha(E) alpha_i, so that w / alpha(E), with
-    alpha(E)^2 = w.E, is an integer vector.  All columns are measured
-    together, one generator at a time: one product A_i V, its diagonal
-    V^T A_i V and its residual columns A_i v - w_i v, whose norms keep a
-    running maximum.  Holding every A_i V at once would raise the peak
-    memory.
-    """
-    geo = geometry(d)
-    e = geo.e_coords
-    Ve = _ad_rows(Z, geo.embed_radial(e))
-    w = np.empty((vecs.shape[1], d.real_rank))
-    resid = np.zeros(vecs.shape[1])
-    B = np.empty_like(Z)
-    for i, Hi in enumerate(geo.a_embed):
-        on = _bracket_support(Hi)  # ad(H_i) Z_k vanishes elsewhere
-        AV = (Ve[:, on] @ _vec_rows(_bracket(Z, Hi, out=B))[:, on].T) @ vecs
-        w[:, i] = np.einsum("jk,jk->k", vecs, AV)
-        resid = np.maximum(resid, np.linalg.norm(AV - vecs * w[:, i], axis=0))
+def _fit_roots(d: SpaceDescriptor, w: np.ndarray, resid: np.ndarray) -> list[RestrictedRoot]:
+    """Positive roots with multiplicities of the measured vectors of
+    ``_measure_roots``; ConsistencyError at the first that is no root
+    vector.  w / alpha(E), with alpha(E)^2 = w.E, should be an integer
+    vector, up to the residual."""
+    e = geometry(d).e_coords
     s2 = w @ e
     c = w / np.sqrt(np.where(s2 > 0, s2, 1.0))[:, None]
     c_int = np.rint(c)
-    fit = np.maximum(resid, np.max(np.abs(c - c_int), axis=1))
+    fit = np.maximum(resid, np.max(np.abs(c - c_int), axis=1, initial=0.0))
     bad = np.flatnonzero((s2 <= 0) | (fit > 1e-6))
     if bad.size:
         idx = bad[0]

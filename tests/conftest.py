@@ -15,7 +15,9 @@ from cartanflow.spaces import (
     _GS_TOL,
     RestrictedRoot,
     SpaceDescriptor,
-    _ad_rows,
+    _ROOT_SEED,
+    _BRACKET_TOL,
+    _generic_point,
     _quaternionic_j,
     _radial_vector,
     _real_rows,
@@ -809,6 +811,90 @@ def reference_numeric_roots(
     roots.sort(key=lambda r: r.coeffs)
     return roots
 
+
+
+# ---------------------------------------------------------------------------
+# the centralizer split over all of k at once, before
+# ``SpaceGeometry._root_split`` took k one support component at a time, with
+# the bracket by index it used, kept verbatim (only renamed, a function of
+# the descriptor that reads its cached geometry) as its reference
+
+
+def _bracket(stack: np.ndarray, H: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The commutators [B, H] = BH - HB over a stack of matrices B, for an H
+    with at most one nonzero entry per row and column (every radial
+    generator), by index: an entry h at (a, b) makes column b of BH from
+    column a of B and row a of HB from row b, both times h.  Every nonzero
+    value is that of the two products, and [B, H] vanishes off the rows and
+    columns H touches.  Written into ``out`` when given."""
+    rows, cols = np.nonzero(H)
+    entries = list(zip(rows.tolist(), cols.tolist(), H[rows, cols].tolist()))
+    if len(set(rows.tolist())) < len(rows) or len(set(cols.tolist())) < len(cols):
+        raise ConsistencyError("bracket by index needs at most one nonzero per row and column")
+    if out is None:
+        out = np.zeros_like(stack)
+    else:
+        out[...] = 0.0
+    for a, b, h in entries:
+        out[..., b] = stack[..., a] * h
+    for a, b, h in entries:
+        out[..., a, :] -= h * stack[..., b, :]
+    return out
+
+
+def _ad_rows(stack: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """``_vec_rows`` of the commutators [B, H] over a stack of matrices B."""
+    X = stack @ H
+    X -= H @ stack
+    return _vec_rows(X)
+
+
+def reference_root_step(stack: np.ndarray, He: np.ndarray, Hg: np.ndarray) -> np.ndarray:
+    """Eigenvectors (columns) of ad(He) ad(Hg) on the span of an orthonormal
+    stack of k elements.  The maps are self-adjoint and commute, so the
+    product is symmetric; at a generic g its eigenspaces are root spaces."""
+    A = _ad_rows(stack, He) @ _ad_rows(stack, Hg).T
+    _, vecs = np.linalg.eigh((A + A.T) / 2.0)
+    return vecs
+
+
+def reference_root_split(d: SpaceDescriptor) -> tuple:
+    """Stacks of m, zk-perp and a-perp, and C, from two dense ``eigh`` calls
+    over all of k: m is the kernel of ad(H(e))^2, zk-perp the eigenvectors of
+    ad(H(e)) ad(H(g)) on the rest at the seeded generic g."""
+    self = geometry(d)
+    rank = d.real_rank
+    want = d.dim_p - rank
+    kb = self._stack(onto_p=False)
+    He = self.embed_radial(self.e_coords)
+    Ve = _ad_rows(kb, He)
+    lam, U = np.linalg.eigh(Ve @ Ve.T)
+    rest = lam >= 0.5
+    m = np.tensordot(U[:, ~rest].T, kb, axes=1)
+    k_rest = np.tensordot(U[:, rest].T, kb, axes=1)
+    if len(k_rest) != want:
+        raise ConsistencyError(
+            f"{d.label()}: dim zk-perp {len(k_rest)} does not match dim a-perp {want}"
+        )
+    Hg = self.embed_radial(_generic_point(rank, _ROOT_SEED))
+    Z = np.tensordot(reference_root_step(k_rest, He, Hg).T, k_rest, axes=1)
+    R = Z @ He
+    R -= He @ Z
+    R /= np.linalg.norm(R, axis=(1, 2))[:, None, None]
+    C = np.empty((want, rank))
+    Zc, B, CZ = Z.conj(), np.empty_like(Z), np.empty_like(Z)
+    flat = _real_rows(B)  # a view: row norms of B as it is written
+    for i, Hi in enumerate(self.a_embed):
+        _bracket(R, Hi, out=B)  # [R_k, H_i] lies in zk-perp and should be C_ki Z_k
+        C[:, i] = np.rint(np.einsum("kab,kab->k", Zc, B).real)
+        B -= np.multiply(C[:, i, None, None], Z, out=CZ)
+        resid = np.sqrt(np.einsum("kj,kj->k", flat, flat))
+        if np.max(resid, initial=0.0) > _BRACKET_TOL:
+            raise ConsistencyError(
+                f"{d.label()}: bracket map with generator {i} is not diag(C q) with "
+                f"integer C in the root-adapted bases (deviation {np.max(resid):.3e})"
+            )
+    return m, Z, R, C
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from cartanflow import ConsistencyError, basis_of, make_space, sample_radial_batch
 from cartanflow import spaces
-from cartanflow.spaces import _bracket, _bracket_support, _vec_rows, geometry
+from cartanflow.spaces import _ad_entries, _entries, _real_rows, geometry
 
 from conftest import reference_unit_basis, root_system_grid
 from test_spaces import BASIS_CASES
@@ -60,29 +60,48 @@ def test_no_dense_p_or_k_stack_is_cached(case):
     assert table_bytes < 0.01 * 16 * (d.dim_p + d.dim_k) * N * N
 
 
+def _dense(entries, n, N):
+    """The stack of n N x N matrices that (op, member, column, value)
+    entries of one op describe."""
+    _, member, col, val = entries
+    rows = np.zeros((n, 2 * N * N))
+    rows[member, col] = val
+    return rows.view(complex).reshape(n, N, N)
+
+
 @pytest.mark.parametrize("case", BASIS_CASES)
 def test_bracket_by_index_matches_the_products(case):
+    # every value, zeros included, against BH - HB, on the k basis (from its
+    # table) and on dense random matrices, for each generator alone and for
+    # a stack of them
     d = make_space(*case)
     geo = geometry(d)
     rng = np.random.default_rng(17)
     N = d.ambient_dim
-    stacks = [geo._stack(onto_p=False),
-              rng.standard_normal((5, N, N)) + 1j * rng.standard_normal((5, N, N))]
+    X = rng.standard_normal((5, N, N)) + 1j * rng.standard_normal((5, N, N))
+    member, col = np.nonzero(_real_rows(X))
+    stacks = [(geo._stack(onto_p=False), _entries(geo._k_table)),
+              (X, (member, col, _real_rows(X)[member, col]))]
     gens = [*geo.a_embed, geo.embed_radial(geo.e_coords),
             geo.embed_radial(spaces._generic_point(d.real_rank, spaces._ROOT_SEED))]
-    for H in gens:
-        off = np.setdiff1d(np.arange(2 * N * N), _bracket_support(H))
-        for X in stacks:
-            got = _bracket(X, H)
-            assert np.array_equal(got, X @ H - H @ X)
-            assert not _vec_rows(got)[:, off].any()
+    for B, entries in stacks:
+        together = _ad_entries(entries, gens)
+        assert np.all(together[3] != 0)
+        for i, H in enumerate(gens):
+            want = B @ H - H @ B
+            alone = _ad_entries(entries, [H])
+            assert np.array_equal(_dense(alone, len(B), N), want)
+            assert all(np.array_equal(x[together[0] == i], y)
+                       for x, y in zip(together[1:], alone[1:]))
 
 
 def test_bracket_by_index_rejects_two_entries_in_a_row():
+    entries = (np.zeros(0, int), np.zeros(0, int), np.zeros(0))
     H = np.zeros((3, 3), dtype=complex)
     H[0, 1] = H[0, 2] = 1.0
-    with pytest.raises(ConsistencyError, match="one nonzero per row and column"):
-        _bracket(np.zeros((1, 3, 3), dtype=complex), H)
+    for bad in (H, H.T, 1j * np.eye(3)):
+        with pytest.raises(ConsistencyError, match="one nonzero per row and column"):
+            _ad_entries(entries, [np.eye(3), bad])
 
 
 @pytest.mark.parametrize("case", [("aiii", 3, 2), ("bdi", 3, 2), ("cii", 2, 1), ("ai", 0, 3),

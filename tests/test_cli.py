@@ -271,6 +271,34 @@ def test_flow_stdout_of_wall_aborted_run_matches_value_by_value_formatter(capsys
     assert "# aborted=" in out and out.endswith(",\r\n") and out.count(",\r\n") == 3
 
 
+@pytest.mark.parametrize("t_max", ["-0.25", "0", "-0.0"])
+def test_flow_compare_accepts_every_t_max_flow_accepts(capsys, t_max):
+    # backwards, the rows are compared with X + tY at their own negative
+    # times; at t_max = 0, every row with X.  The rows are those of the run
+    # without --compare, plus the deviation column
+    from cartanflow.dynamics import PhasePoint, integrate_reduced, reduce_phase_point
+    from cartanflow.radial import radial_coords_batch
+
+    argv = ["flow", "--class", "aiii", "--m", "2", "--n", "1", "--seed", "3",
+            "--t-max", t_max, "--steps", "3"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, err = run_cli(capsys, *argv, "--compare")
+    assert code == 0 and not err
+    lines = out.splitlines(keepends=True)
+    assert lines[:-5] == plain.splitlines(keepends=True)[:-5]  # the comment header
+    assert lines[-5] == plain.splitlines(keepends=True)[-5][:-2] + ",deviation\r\n"
+    body = [line.rsplit(",", 1) for line in lines[-4:]]
+    assert [row + "\r\n" for row, _ in body] == plain.splitlines(keepends=True)[-4:]
+    d = make_space("aiii", 2, 1)
+    X, Y = sample_p_gaussian(d, 3), sample_p_gaussian(d, 4)
+    traj = integrate_reduced(d, reduce_phase_point(d, PhasePoint(X, Y))[0], float(t_max), 3)
+    q = radial_coords_batch(d, X[None] + traj.times[:, None, None] * Y[None])
+    want = np.max(np.abs(q - traj.q), axis=1)
+    assert [dev for _, dev in body] == ["%.6e\r\n" % w for w in want.tolist()]
+    assert want.max() < 1e-6
+
+
 def test_verify_density_cli(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -20,7 +20,7 @@ from cartanflow import (
 )
 from cartanflow.dynamics import _nearest_steps, _Reduced, _step_size
 from cartanflow.linalg import ConsistencyError, ContractViolation, frobenius
-from cartanflow.radial import embed_radial, radial_decompose
+from cartanflow.radial import embed_radial, radial_coords_batch, radial_decompose
 from cartanflow.reduction import ReducedState, random_chamber_point
 from cartanflow.sampling import sample_p_gaussian
 from cartanflow.spaces import geometry
@@ -686,3 +686,62 @@ def test_compare_with_oracle_rejects_non_finite_grids(grid):
     d = make_space("aiii", 2, 1)
     with pytest.raises(ContractViolation):
         compare_with_oracle(d, generic_start(d, seed=5), np.array(grid))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[0.0, 0.5, 0.25], [0.0, -0.1, 0.1], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5, 1.0],
+     [0.0, -0.5, -0.5], [0.0, 0.0, -1e-300], [0.1, 0.2], [0.0], [[0.0, 1.0]]],
+)
+def test_compare_with_oracle_rejects_non_monotone_grids(grid):
+    d = make_space("aiii", 2, 1)
+    with pytest.raises(ContractViolation, match="t_grid must"):
+        compare_with_oracle(d, generic_start(d, seed=5), np.array(grid))
+
+
+@pytest.mark.parametrize("end", [-0.5, 0.0])
+def test_compare_with_oracle_runs_backwards_and_at_zero(end):
+    # a decreasing grid compares the backward flow at its negative times;
+    # an all-zero grid compares every step with X
+    d = make_space("aiii", 3, 2)
+    start = generic_start(d, seed=5)
+    report = compare_with_oracle(d, start, np.linspace(0.0, end, 51))
+    assert np.array_equal(report.times, report.trajectory.times)
+    assert np.array_equal(report.times, np.arange(51) * (end / 50))
+    q = radial_coords_batch(d, start.X[None] + report.times[:, None, None] * start.Y[None])
+    assert np.array_equal(report.deviations,
+                          np.max(np.abs(q - report.trajectory.q), axis=1))
+    assert report.max_deviation < 1e-6
+
+
+@pytest.mark.parametrize("case", [("aiii", 3, 2), ("cii", 2, 1), ("aii", 0, 3)])
+def test_flow_is_blind_to_rotations_inside_root_spaces(case, monkeypatch):
+    # the split fixes zk-perp and a-perp only up to a rotation inside each
+    # root space of dimension above one; the field and the flow must not see it
+    from cartanflow import spaces
+
+    d = make_space(*case)
+    m, Z, R, C = geometry(d)._root_split
+    Zr, Rr = Z.copy(), R.copy()
+    rng = np.random.default_rng(29)
+    rows_of: dict[tuple, list[int]] = {}
+    for k, row in enumerate(map(tuple, C.tolist())):
+        rows_of.setdefault(row, []).append(k)
+    assert any(len(rows) > 1 for rows in rows_of.values())
+    for rows in rows_of.values():
+        Q, _ = np.linalg.qr(rng.standard_normal((len(rows), len(rows))))
+        Zr[rows] = np.tensordot(Q, Z[rows], axes=1)
+        Rr[rows] = np.tensordot(Q, R[rows], axes=1)
+    state, _ = reduce_phase_point(d, generic_start(d, seed=8))
+    runs = []
+    for split in ((m, Z, R, C), (m, Zr, Rr, C)):
+        geo = spaces.SpaceGeometry(d)
+        geo.__dict__["_root_split"] = split
+        monkeypatch.setitem(spaces._GEOMETRY_CACHE, d, geo)
+        runs.append((reduced_vector_field(d, state), integrate_reduced(d, state, 0.25, 250)))
+    (field, traj), (field_r, traj_r) = runs
+    assert not traj.aborted and not traj_r.aborted
+    for a, b in [*zip(field, field_r), (traj.q, traj_r.q), (traj.p, traj_r.p),
+                 (traj.energies, traj_r.energies)]:
+        assert np.max(np.abs(a - b)) <= 1e-12
+    assert np.max(np.abs(Zr - Z)) > 0.1  # the rotation is not a no-op

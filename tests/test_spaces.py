@@ -42,6 +42,7 @@ from conftest import (
     reference_project,
     reference_relations,
     reference_restricted_roots,
+    reference_root_step,
     reference_root_table,
     reference_trace_constrained,
     reference_unit_basis,
@@ -134,14 +135,15 @@ def test_membership_rejects_non_finite(bad):
 
 def test_root_split_rejects_bases_that_are_not_root_adapted(monkeypatch):
     # negative control: a random rotation of the root step's eigenvectors
-    # mixes root spaces, and the build must refuse the non-diagonal map
+    # in every block mixes root spaces, and the build must refuse the
+    # non-diagonal map
     import cartanflow.spaces as spaces
     from cartanflow.linalg import ConsistencyError
 
-    def rotated(stack, He, Hg):
+    def rotated(A):
         rng = np.random.default_rng(5)
-        Q, _ = np.linalg.qr(rng.standard_normal((len(stack), len(stack))))
-        return Q
+        Q, _ = np.linalg.qr(rng.standard_normal(A.shape))
+        return np.linalg.eigvalsh(A), Q
 
     monkeypatch.setattr(spaces, "_root_step", rotated)
     with pytest.raises(ConsistencyError, match="not diag"):
@@ -347,7 +349,7 @@ def _root_vectors(d, seed):
     geo = geometry(d)
     Z, He = geo._zk_stack, geo.embed_radial(geo.e_coords)
     Hg = geo.embed_radial(spaces._generic_point(d.real_rank, seed))
-    return Z, spaces._root_step(Z, He, Hg)
+    return Z, reference_root_step(Z, He, Hg)
 
 
 @pytest.mark.parametrize("case", BASIS_CASES)
@@ -359,11 +361,16 @@ def test_numeric_roots_match_eigenvector_by_eigenvector_reference(case):
         assert all(type(x) is int for r in got for x in r.coeffs)
 
 
-def _fit_errors(d, Z, vecs) -> list[str]:
+def _fit(d, Z):
+    # the members of Z as they are, measured by the component pass
+    return spaces._fit_roots(d, *spaces._measure_roots(d, Z, None))
+
+
+def _fit_errors(d, Z) -> list[str]:
     messages = []
-    for fit in (spaces._fit_roots, reference_numeric_roots):
+    for fit in (lambda: _fit(d, Z), lambda: reference_numeric_roots(d, Z, np.eye(len(Z)))):
         with pytest.raises(ConsistencyError) as exc:
-            fit(d, Z, vecs)
+            fit()
         messages.append(str(exc.value))
     return messages
 
@@ -376,16 +383,17 @@ def test_root_fit_raises_like_the_reference(case):
     Z, C = geo._zk_stack.copy(), geo.bracket_coeffs
     eye = np.eye(len(Z))
     # the members of zk-perp are root vectors already
-    assert spaces._fit_roots(d, Z, eye) == reference_numeric_roots(d, Z, eye) == restricted_roots(d)
+    assert _fit(d, Z) == reference_numeric_roots(d, Z, eye) == restricted_roots(d)
     # rotating Z_0 by 45 degrees with a member of another root leaves two
     # vectors that are not: both fits fail at eigenvector 0, in the same words
     j = next(j for j in range(len(C)) if not any(np.array_equal(s * C[j], C[0]) for s in (1, -1)))
     Z[0], Z[j] = (Z[0] + Z[j]) / np.sqrt(2), (Z[0] - Z[j]) / np.sqrt(2)
-    got, want = _fit_errors(d, Z, eye)
+    got, want = _fit_errors(d, Z)
     assert got == want and "root fit residual" in got and got.endswith("eigenvector 0")
-    # a zero column has alpha(E)^2 = 0
-    eye[:, 1] = 0.0
-    got, want = _fit_errors(d, geo._zk_stack, eye)
+    # a zero member has alpha(E)^2 = 0
+    Z = geo._zk_stack.copy()
+    Z[1] = 0.0
+    got, want = _fit_errors(d, Z)
     assert got == want and "eigenvector 1 has nonpositive alpha(E)^2 = 0.000e+00" in got
 
 
@@ -421,7 +429,8 @@ def test_basis_of_returns_writeable_copies_detached_from_the_cache():
 
 def test_cold_geometry_path_imports_no_scipy():
     # the geometry-cold benchmark calls for aiii(3,2) in a fresh interpreter:
-    # importing SciPy would cost more than the whole cold build
+    # importing SciPy would cost more than the whole cold build, and numpy.ma
+    # (which the first np.unique imports) about a quarter of it
     code = """if True:
         import sys
         import cartanflow as cf
@@ -435,7 +444,8 @@ def test_cold_geometry_path_imports_no_scipy():
         state, _ = cf.reduce_phase_point(d, start)
         cf.reduced_vector_field(d, state)
         cf.theoretical_radial_density(d, state.q)
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        print(sorted(m for m in sys.modules
+                     if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]))
     """
     src = str(Path(cartanflow.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
