@@ -20,11 +20,12 @@ of a inside k, and root-adapted bases of its orthocomplement and of a-perp,
 in which the bracket map r -> [r, H(q)] is the diagonal of root values) is
 computed numerically once per descriptor and cached.  The matrices this
 touches are almost all zeros: Γ, J, S and every radial generator have at
-most one nonzero entry per row and column.  So the p and k bases start
-from the Hermitian units as (index, value) entry lists, each conjugation
-moves the entries by an index map read once from its matrix, and only the
-few candidates with a trace go dense; brackets with a radial generator are
-taken by index as well.
+most one nonzero entry per row and column.  So the p and k bases are entry
+triplets (member, column, value) from build to use: they start from the
+Hermitian units as entry lists, each conjugation moves the entries by an
+index map read once from its matrix, the few candidates with a trace lose
+it on the diagonal, and Gram-Schmidt runs among those alone, over the
+diagonal; brackets with a radial generator are taken by index as well.
 
 Supported kinds::
 
@@ -482,11 +483,6 @@ def _vec_rows(stack: np.ndarray) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag], axis=1)
 
 
-def _from_vec_rows(rows: np.ndarray, N: int) -> np.ndarray:
-    """The (len(rows), N, N) complex stack whose ``_vec_rows`` are ``rows``."""
-    return (rows[:, : N * N] + 1j * rows[:, N * N :]).reshape(-1, N, N)
-
-
 def _generic_point(rank: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.standard_normal(rank) + np.linspace(0.5, 1.5, rank)
@@ -510,25 +506,31 @@ def _real_flat(X) -> np.ndarray:
     return X.reshape(X.shape[:-2] + (-1,)).view(float)
 
 
-def _index_table(stack: np.ndarray) -> tuple:
-    """A stack of matrices (or of blocks) as a read-only index table for
-    ``_assemble``: per column of its ``_real_rows``, the first contributing
-    member ``src`` and its entry ``val`` (0 where none contributes); for the
-    columns ``cols`` with more (the trace-corrected diagonals), one level per
-    further one in stack order, members ``more_src`` and entries ``more_val``
-    padded with 0; last, the shape of one member."""
-    rows = _real_rows(stack) if len(stack) else np.zeros((1, 2 * math.prod(stack.shape[1:])))
-    nz = rows != 0
-    src = np.argmax(nz, axis=0)  # row 0 for an empty column, whose entry is 0
-    val = rows[src, np.arange(rows.shape[1])]
-    count = nz.sum(axis=0)
+def _index_table(entries: tuple, shape: tuple) -> tuple:
+    """A basis given by entry triplets (member, column, value), the columns
+    in the layout of ``_real_rows`` of members of ``shape``, as a read-only
+    index table for ``_assemble``: per column, the first contributing member
+    ``src`` and its entry ``val`` (0 where none contributes); for the columns
+    ``cols`` with more (the trace-corrected diagonals), one level per further
+    one in member order, members ``more_src`` and entries ``more_val`` padded
+    with member 0 and the entry 0; last, ``shape``."""
+    member, col, value = entries
+    width = 2 * math.prod(shape)
+    order = np.lexsort((member, col))  # by column, then by member
+    member, col, value = member[order], col[order], value[order]
+    count = np.bincount(col, minlength=width)
+    level = np.arange(len(col)) - (np.cumsum(count) - count)[col]
+    top = level == 0
+    src, val = np.zeros(width, dtype=np.intp), np.zeros(width)
+    src[col[top]], val[col[top]] = member[top], value[top]
     cols = np.flatnonzero(count > 1)
-    # per column, its contributors come first, in stack order
-    more_src = np.argsort(~nz[:, cols], axis=0, kind="stable")[1 : count.max()].copy()
-    more_val = rows[more_src, cols]
+    more_src = np.zeros((max(int(count.max(initial=0)) - 1, 0), len(cols)), dtype=np.intp)
+    more_val = np.zeros(more_src.shape)
+    at = (level[~top] - 1, (np.cumsum(count > 1) - 1)[col[~top]])  # level, place in cols
+    more_src[at], more_val[at] = member[~top], value[~top]
     for a in (src, val, cols, more_src, more_val):
         a.flags.writeable = False
-    return src, val, cols, more_src, more_val, stack.shape[1:]
+    return src, val, cols, more_src, more_val, shape
 
 
 def _assemble(table: tuple, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -551,17 +553,6 @@ def _assemble(table: tuple, g: np.ndarray, out: np.ndarray | None = None) -> np.
         sub += g[:, s] * v
     B[:, cols] = sub
     return B.view(complex).reshape(len(g), *shape)
-
-
-def _entries(table: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The basis of an ``_index_table`` as entry triplets (member, column,
-    value), one per nonzero entry, columns in the layout of ``_real_rows``."""
-    src, val, cols, more_src, more_val, _ = table
-    first = np.flatnonzero(val)
-    more = more_val != 0
-    return (np.concatenate([src[first], more_src[more]]),
-            np.concatenate([first, np.broadcast_to(cols, more.shape)[more]]),
-            np.concatenate([val[first], more_val[more]]))
 
 
 def _ad_entries(entries: tuple, Hs) -> tuple[np.ndarray, ...]:
@@ -714,54 +705,34 @@ def _unit_entries(N: int, anti: bool = False) -> tuple[np.ndarray, np.ndarray]:
     per unit: E_ii, then (E_ij + E_ji)/sqrt2 and i(E_ij - E_ji)/sqrt2, over
     i <= j row by row; with ``anti``, i times each of them.  A row holds the
     columns of the unit's nonzero real coordinates in the layout of
-    ``_vec_rows`` (real parts, then imaginary parts) and their values; E_ii
-    pads its second slot with the column 2 N^2, which no coordinate has, and
-    the value 0.  Read-only, built once per N."""
+    ``_real_rows`` (real and imaginary parts interleaved) and their values;
+    E_ii pads its second slot with the column 2 N^2, which no coordinate
+    has, and the value 0.  Read-only, built once per N."""
     i, j = np.triu_indices(N)
     off = i != j
     width = 1 + off  # an off-diagonal pair gives two units
     first = np.cumsum(width) - width
-    half = N * N
-    cols = np.full((half, 2), 2 * half)
-    vals = np.zeros((half, 2))
-    cols[first[~off], 0], vals[first[~off], 0] = i[~off] * (N + 1), 1.0
+    pad = 2 * N * N
+    cols = np.full((N * N, 2), pad)
+    vals = np.zeros((N * N, 2))
+    cols[first[~off], 0], vals[first[~off], 0] = 2 * i[~off] * (N + 1), 1.0
     s, a, b = first[off], i[off], j[off]
-    cols[s] = cols[s + 1] = np.stack([a * N + b, b * N + a], axis=1)
-    cols[s + 1] += half
+    cols[s] = 2 * np.stack([a * N + b, b * N + a], axis=1)
+    cols[s + 1] = cols[s] + 1
     vals[s] = 1.0 / np.sqrt(2)
     vals[s + 1] = (1j / np.sqrt(2)).imag, (-1j / np.sqrt(2)).imag
-    if anti:  # i x moves a real part x to the imaginary ones, an imaginary part x to -x real
-        real = cols < half
-        cols = np.where(real, cols + half, np.where(cols < 2 * half, cols - half, cols))
+    if anti:  # i x moves a real part x to the imaginary one, an imaginary part x to -x real
+        real = cols % 2 == 0
+        cols = np.where(cols < pad, cols ^ 1, cols)
         vals = np.where(real, vals, -vals)
     cols.flags.writeable = vals.flags.writeable = False
     return cols, vals
 
 
-def _fill(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, at=None) -> np.ndarray:
-    """Write entry lists (see ``_unit_entries``) into zero rows of the
-    ``_vec_rows`` layout, skipping the padding: list j into row at[j], or
-    row j without ``at``.  Returns the rows."""
-    r, slot = np.nonzero(vals)
-    rows[r if at is None else at[r], cols[r, slot]] = vals[r, slot]
-    return rows
-
-
-def _scatter(cols: np.ndarray, vals: np.ndarray, N: int) -> np.ndarray:
-    """The (len(cols), N, N) complex stack of entry lists."""
-    return _from_vec_rows(_fill(np.zeros((len(cols), 2 * N * N)), cols, vals), N)
-
-
-def _traceless(X: np.ndarray) -> np.ndarray:
-    """X - tr(X)/N over a stack of N x N matrices."""
-    N = X.shape[-1]
-    return X - (np.trace(X, axis1=1, axis2=2) / N)[:, None, None] * np.eye(N)
-
-
 @lru_cache(maxsize=None)
 def _conjugation_maps(d: SpaceDescriptor) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
     """Each conjugation of ``_conjugations`` as (dest, sign, s): M moves the
-    real coordinate c of ``_vec_rows`` to dest[c] with the factor sign[c].
+    real coordinate c of ``_real_rows`` to dest[c] with the factor sign[c].
     Read once per descriptor by applying M to one matrix whose entry a,b is
     (1 + i)(aN + b + 1): G, J and S are signed permutations, so M(X) has
     entry f X_cd or f conj(X_cd) at each position, with f = +-1.  The
@@ -784,8 +755,8 @@ def _conjugation_maps(d: SpaceDescriptor) -> tuple[tuple[np.ndarray, np.ndarray,
         sign = np.sign(out.real)
         dest = np.empty(2 * half + 1, dtype=np.intp)
         factor = np.zeros(2 * half + 1)
-        dest[src], dest[half + src], dest[-1] = here, half + here, 2 * half
-        factor[src], factor[half + src] = sign, -sign if flip else sign
+        dest[2 * src], dest[2 * src + 1], dest[-1] = 2 * here, 2 * here + 1, 2 * half
+        factor[2 * src], factor[2 * src + 1] = sign, -sign if flip else sign
         dest.flags.writeable = factor.flags.writeable = False
         maps.append((None if np.array_equal(src, here) else dest, factor, s))
     return tuple(maps)
@@ -798,15 +769,15 @@ def _project_entries(d: SpaceDescriptor, cols: np.ndarray, vals: np.ndarray, ont
     onto p and (X + M(X))/2 onto k: each conjugation moves the entries by its
     index map, and each position takes (x + s m)/2 with the values x and m
     the dense stacks hold there (0 where they hold none), so every nonzero
-    value is the one the dense average computes.  In the traceless classes
-    the candidates with a nonzero trace (from the E_ii) are made dense and
-    lose tr/N by ``_traceless``.
-    Returns the entry lists, sorted by column with the padding last and cut
-    to the widest row, and the mask of the trace-corrected rows."""
+    value is the one the dense average computes.  In the traceless classes a
+    candidate with a nonzero trace t (the E_ii) loses t/N on every diagonal
+    entry, the real and imaginary parts of t apart.
+    Returns the entry triplets (candidate, column, value), sorted by
+    candidate, with exact zeros dropped, and the mask of the trace-corrected
+    candidates."""
     N = d.ambient_dim
-    half, pad = N * N, 2 * N * N
+    pad = 2 * N * N
     at = np.arange(len(cols))[:, None]
-    corrected = np.zeros(len(cols), dtype=bool)
     for dest, factor, s in _conjugation_maps(d):
         c = s if onto_p else 1
         if dest is None:
@@ -818,53 +789,55 @@ def _project_entries(d: SpaceDescriptor, cols: np.ndarray, vals: np.ndarray, ont
         alone = ~hit.any(axis=1) & (mvals != 0)
         cols = np.concatenate([cols, np.where(alone, mcols, pad)], axis=1)
         vals = np.concatenate([x, np.where(alone, c * mvals, 0.0) / 2.0], axis=1)
+    live = vals != 0
+    cand, col, val = np.broadcast_to(at, cols.shape)[live], cols[live], vals[live]
+    corrected = np.zeros(len(cols), dtype=bool)
     if d.kind in _TRACELESS:
-        diag = np.where((cols % half) % (N + 1) == 0, vals, 0.0)
-        real = cols < half
-        dense = np.flatnonzero((diag.sum(axis=1, where=real) != 0)
-                               | (diag.sum(axis=1, where=~real) != 0))
-        if dense.size:
-            rows = _vec_rows(_traceless(_scatter(cols[dense], vals[dense], N)))
-            row, col = np.nonzero(rows)
-            count = np.bincount(row, minlength=len(dense))
-            slot = np.arange(len(row)) - (np.cumsum(count) - count)[row]
-            grow = max(int(count.max()) - cols.shape[1], 0)
-            cols = np.concatenate([cols, np.full((len(cols), grow), pad)], axis=1)
-            vals = np.concatenate([vals, np.zeros((len(vals), grow))], axis=1)
-            cols[dense], vals[dense] = pad, 0.0
-            cols[dense[row], slot], vals[dense[row], slot] = col, rows[row, col]
-            corrected[dense] = True
-    cols = np.where(vals != 0, cols, pad)
-    order = np.argsort(cols, axis=1, kind="stable")
-    width = max(int(np.count_nonzero(vals, axis=1).max(initial=0)), 1)
-    return cols[at, order[:, :width]], vals[at, order[:, :width]], corrected
+        on = (col // 2) % (N + 1) == 0  # the diagonal entries
+        trace = np.zeros((len(cols), 2))  # real and imaginary parts
+        np.add.at(trace, (cand[on], col[on] % 2), val[on])
+        corrected = trace.any(axis=1)
+        rows = np.flatnonzero(corrected)
+        fix = on & corrected[cand]
+        diag = np.zeros((len(rows), N, 2))  # per corrected candidate, its diagonal
+        slot = (np.cumsum(corrected) - 1)[cand[fix]]
+        diag[slot, col[fix] // (2 * N + 2), col[fix] % 2] = val[fix]
+        diag -= trace[rows, None, :] / N
+        r, i, part = np.nonzero(diag)
+        cand = np.concatenate([cand[~fix], rows[r]])
+        col = np.concatenate([col[~fix], 2 * i * (N + 1) + part])
+        val = np.concatenate([val[~fix], diag[r, i, part]])
+        order = np.argsort(cand, kind="stable")
+        cand, col, val = cand[order], col[order], val[order]
+    return cand, col, val, corrected
 
 
-def _gram_schmidt_rows(kept: np.ndarray, at: np.ndarray, alone: np.ndarray,
-                       rows: np.ndarray) -> int:
-    """Order-preserving Gram-Schmidt of the candidate ``rows`` (``_vec_rows``
-    layout, so dot products are the Frobenius real inner products: the trace
-    form on Hermitians, its negative on anti-Hermitians), in order: row j is
-    meant for ``kept[at[j]]``, after the kept rows written above it.  Unless
-    ``alone[j]`` (no row before it shares a nonzero column, so its
-    projections would be sums of exact zeros) it is projected off all kept
-    rows above it with one matrix-vector product per pass, in two passes
-    ("twice is enough": Giraud, Langou and Rozloznik, 2005); it is kept if
-    its norm is above ``_GS_TOL``.  A dropped row moves the rows below it up
-    by one.  Returns the number of kept rows."""
-    k = len(kept)
-    for target, lone, v in zip(at.tolist(), alone.tolist(), rows):
-        i = target - (len(kept) - k)
+def _gram_schmidt_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order-preserving Gram-Schmidt of the candidate ``rows`` (real
+    coordinates whose dot products are the Frobenius real inner products, as
+    in ``_vec_rows`` and ``_real_rows``: the trace form on Hermitians, its
+    negative on anti-Hermitians).  A row that shares no nonzero column with an earlier one is
+    normalized as it is: its projections would be sums of exact zeros.  Any
+    other is projected off the rows kept before it with one matrix-vector
+    product per pass, in two passes ("twice is enough": Giraud, Langou and
+    Rozloznik, 2005).  A row is kept if its norm is above ``_GS_TOL``.
+    Returns the kept rows and the mask of the candidates kept."""
+    support = rows != 0
+    seen = np.zeros_like(support)  # seen[r]: the columns some row before r touches
+    np.logical_or.accumulate(support[:-1], axis=0, out=seen[1:])
+    kept = np.empty_like(rows)
+    keep = np.zeros(len(rows), dtype=bool)
+    k = 0
+    for j, (lone, v) in enumerate(zip((~(support & seen).any(axis=1)).tolist(), rows)):
         if not lone:
             for _ in range(2):
-                v = v - kept[:i].T @ (kept[:i] @ v)
+                v = v - kept[:k].T @ (kept[:k] @ v)
         nrm = math.sqrt(v @ v)  # np.linalg.norm's arithmetic for a real vector
         if nrm > _GS_TOL:
-            kept[i] = v / nrm
-        else:  # dependent: the rows below it move up by one
-            kept[i : k - 1] = kept[i + 1 : k]
-            k -= 1
-    return k
+            kept[k] = v / nrm
+            keep[j] = True
+            k += 1
+    return kept[:k], keep
 
 
 class SpaceGeometry:
@@ -880,69 +853,95 @@ class SpaceGeometry:
 
     # -- bases ------------------------------------------------------------
 
-    def _unit_basis(self, onto_p: bool) -> np.ndarray:
-        """Orthonormal stack of p, from the Hermitian units, or of
-        k, from the anti-Hermitian ones: the stack ``_gram_schmidt_rows``
-        makes of the projected units (``_project_entries``), built from their
-        entry lists in candidate order.
+    def _unit_basis(self, onto_p: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Orthonormal basis of p, from the Hermitian units, or of k, from
+        the anti-Hermitian ones, as read-only entry triplets (member, column,
+        value) in the layout of ``_real_rows``, sorted by member: the
+        projected units (``_project_entries``) in candidate order, the
+        dependent ones dropped.
 
-        A candidate that is the first to touch each of its columns is
-        ``_gram_schmidt_rows``'s "alone" case; all of these are normalized
-        in one step.  A candidate that is an exact multiple of the fresh
-        candidate that first touched its columns, on the same support, lies
-        in the kept span: its two-pass residual is rounding noise far below
-        ``_GS_TOL``, so it is dropped.  The rest, the trace-corrected
-        candidates in practice, run ``_gram_schmidt_rows`` against all rows
-        kept before them."""
+        A candidate that is not trace-corrected is either the first to touch
+        each of its columns, and is normalized as it is, or an exact multiple
+        of the candidate first on them, and so lies in the span kept so far
+        and is dropped.  The trace-corrected candidates touch only columns
+        (the diagonal) that no other candidate touches first, so
+        ``_gram_schmidt_rows`` runs among them alone, dense over those
+        columns.  A candidate that breaks this structure raises
+        ConsistencyError."""
         d = self.descriptor
         N = d.ambient_dim
-        half = N * N
-        cols, vals, dense = _project_entries(d, *_unit_entries(N, anti=not onto_p), onto_p)
-        live = vals[:, 0] != 0
-        # exact zeros stay zero: drop them up front
-        cols, vals, dense = cols[live], vals[live], dense[live]
-        n = len(cols)
-        row, slot = np.nonzero(vals)
-        col = cols[row, slot]
-        first = np.full(2 * half, n)  # first[c]: the first candidate touching column c
-        np.minimum.at(first, col, row)
-        fresh = np.ones(n, dtype=bool)
-        fresh[row[first[col] < row]] = False
-        slow = dense.copy()
-        if not fresh.all():
-            src = first[cols[:, 0]]
-            multiple = fresh[src] & (cols == cols[src]).all(axis=1)
-            multiple &= (vals == (vals[:, 0] / vals[src, 0])[:, None] * vals[src]).all(axis=1)
-            slow |= ~(fresh | multiple)
-        norms = np.sqrt(np.sum(vals * vals, axis=1))
-        alone = fresh & ~slow & (norms > _GS_TOL)
-        at = np.cumsum(alone | slow) - 1  # stack row of each candidate if no slow one drops
-        kept = np.zeros((np.count_nonzero(alone | slow), 2 * half))
-        _fill(kept, cols[alone], vals[alone] / norms[alone, None], at[alone])
-        k = len(kept)
-        if slow.any():
-            k = _gram_schmidt_rows(kept, at[slow], fresh[slow],
-                                   _fill(np.zeros((slow.sum(), 2 * half)), cols[slow], vals[slow]))
-        stack = _from_vec_rows(kept[:k], N)
+        cand, col, val, corrected = _project_entries(d, *_unit_entries(N, anti=not onto_p), onto_p)
+        n, width = len(corrected), 2 * N * N
+        first = np.full(width, n)  # first[c]: the first candidate touching column c
+        np.minimum.at(first, col, cand)
+        src = first[col]
+        own = np.zeros(width)  # own[c]: the entry of that candidate
+        own[col[src == cand]] = val[src == cand]
+        count = np.bincount(cand, minlength=n)
+        head = (np.cumsum(count) - count)[cand]  # each entry's candidate's first entry
+        stray = ((src != src[head]) | (count[src] != count[cand])
+                 | (val != val[head] / own[col[head]] * own[col]))
+        bad = cand[np.where(corrected[cand], ~corrected[src], stray)]
         name, want = ("p", d.dim_p) if onto_p else ("k", d.dim_k)
-        if len(stack) != want:
+        if bad.size:
             raise ConsistencyError(
-                f"{d.label()}: built {len(stack)} {name}-basis elements, theory says {want}"
+                f"{d.label()}: {name}-basis candidate {bad[0]} shares a column with an earlier "
+                "candidate but is neither its exact multiple nor trace-corrected like it"
             )
-        return stack
+        norm = np.sqrt(np.bincount(cand, val * val, minlength=n))
+        plain = ~corrected & (norm > _GS_TOL)
+        plain[cand[src < cand]] = False
+        # the trace-corrected candidates, dense over the columns they touch
+        rows, on = np.flatnonzero(corrected), corrected[cand]
+        touched = np.zeros(width, dtype=bool)
+        touched[col[on]] = True
+        dense = np.zeros((len(rows), np.count_nonzero(touched)))
+        dense[(np.cumsum(corrected) - 1)[cand[on]], (np.cumsum(touched) - 1)[col[on]]] = val[on]
+        kept, keep = _gram_schmidt_rows(dense)
+        plain[rows[keep]] = True
+        if np.count_nonzero(plain) != want:
+            raise ConsistencyError(
+                f"{d.label()}: built {np.count_nonzero(plain)} {name}-basis elements, "
+                f"theory says {want}"
+            )
+        member = np.cumsum(plain) - 1
+        r, c = np.nonzero(kept)
+        e = plain[cand] & ~on
+        member = np.concatenate([member[cand[e]], member[rows[keep][r]]])
+        order = np.argsort(member, kind="stable")
+        entries = (member[order], np.concatenate([col[e], np.flatnonzero(touched)[c]])[order],
+                   np.concatenate([val[e] / norm[cand[e]], kept[r, c]])[order])
+        for a in entries:
+            a.flags.writeable = False
+        return entries
+
+    @cached_property
+    def _p_entries(self) -> tuple:
+        return self._unit_basis(onto_p=True)
+
+    @cached_property
+    def _k_entries(self) -> tuple:
+        return self._unit_basis(onto_p=False)
 
     @cached_property
     def _p_table(self) -> tuple:
-        return _index_table(self._unit_basis(onto_p=True))  # the dense stack is not kept
+        return _index_table(self._p_entries, (self.descriptor.ambient_dim,) * 2)
 
     @cached_property
     def _k_table(self) -> tuple:
-        return _index_table(self._unit_basis(onto_p=False))
+        return _index_table(self._k_entries, (self.descriptor.ambient_dim,) * 2)
 
     @cached_property
     def _block_table(self) -> tuple:
         """The p table cut to the spectral block, for the sampler."""
-        return _index_table(_spectral_block(self.descriptor, self._stack(onto_p=True)))
+        N = self.descriptor.ambient_dim
+        at = _spectral_block(self.descriptor, np.arange(N * N).reshape(N, N))
+        place = np.full(N * N, -1)  # each position's place in the block, -1 off it
+        place[at.ravel()] = np.arange(at.size)
+        member, col, val = self._p_entries
+        pos = place[col // 2]
+        on = pos >= 0
+        return _index_table((member[on], 2 * pos[on] + col[on] % 2, val[on]), at.shape)
 
     def _stack(self, onto_p: bool) -> np.ndarray:
         """The dense p or k basis from its table, made on request, never cached."""
@@ -952,16 +951,11 @@ class SpaceGeometry:
     @cached_property
     def _a_stack(self) -> np.ndarray:
         """Read-only orthonormal stack of a: ``_gram_schmidt_rows`` on the
-        radial generators in order, a generator that shares no nonzero entry
-        with an earlier one being "alone"."""
+        radial generators in order."""
+        N = self.descriptor.ambient_dim
         rows = _vec_rows(np.stack(self.a_embed))
-        rows = rows[rows.any(axis=1)]  # exact zeros stay zero: drop them up front
-        support = rows != 0
-        seen = np.zeros_like(support)  # seen[r]: the columns some row before r touches
-        np.logical_or.accumulate(support[:-1], axis=0, out=seen[1:])
-        kept = np.empty_like(rows)
-        k = _gram_schmidt_rows(kept, np.arange(len(rows)), ~(support & seen).any(axis=1), rows)
-        stack = _from_vec_rows(kept[:k], self.descriptor.ambient_dim)
+        kept = _gram_schmidt_rows(rows[rows.any(axis=1)])[0]  # exact zeros stay zero
+        stack = (kept[:, : N * N] + 1j * kept[:, N * N :]).reshape(len(kept), N, N)
         stack.flags.writeable = False
         return stack
 
@@ -1004,12 +998,12 @@ class SpaceGeometry:
         [Z_k, H(e)] and [[Z_k, H(e)], H_i] are the eigenvector's combination
         of the members' entries, brackets and double brackets (all by index)
         over the columns the component touches, off which all three vanish.
-        The k basis is read once, as the entry triplets of its index table.
+        The k basis is read once, as the entry triplets it is built as.
         """
         d = self.descriptor
         rank, N = d.real_rank, d.ambient_dim
         want = d.dim_p - rank
-        kb = _entries(self._k_table)
+        kb = self._k_entries
         He = self.embed_radial(self.e_coords)
         Hg = self.embed_radial(_generic_point(rank, _ROOT_SEED))
         ad = _ad_entries(kb, [He, Hg])

@@ -776,6 +776,47 @@ def reference_unit_basis(d: SpaceDescriptor, onto_p: bool) -> np.ndarray:
     return reference_orthonormalize(reference_project(d, units if onto_p else 1j * units, onto_p))
 
 
+def reference_unit_entries(d: SpaceDescriptor, onto_p: bool) -> tuple:
+    """``reference_unit_basis`` as the entry triplets (member, column, value)
+    in the layout of ``_real_rows`` that ``SpaceGeometry._unit_basis``
+    returns."""
+    rows = _real_rows(reference_unit_basis(d, onto_p))
+    member, col = np.nonzero(rows)
+    return member, col, rows[member, col]
+
+
+# the sides whose build orthonormalizes trace-corrected candidates: p of ai,
+# a2 and aii and k of aiii and a2, whose E_ii lose tr/N.  The entry-list build
+# runs that Gram-Schmidt over the diagonal columns alone, so the bits of
+# those members follow a different grouping of the same sums
+TRACE_CORRECTED = {True: ("ai", "a2", "aii"), False: ("aiii", "a2")}
+
+
+def assert_matches_unit_basis(d: SpaceDescriptor, onto_p: bool, got, want, exact: bool) -> None:
+    """A p (``onto_p``) or k stack, or its spectral blocks, against the
+    reference's: the trace-corrected members (the diagonal ones of a side in
+    ``TRACE_CORRECTED``) within 4 eps, every other member byte for byte with
+    ``exact``, by value otherwise (signed zeros may differ)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    corrected = np.zeros(len(want), dtype=bool)
+    if d.kind in TRACE_CORRECTED[onto_p]:
+        off = want.copy()
+        off[:, np.arange(d.ambient_dim), np.arange(d.ambient_dim)] = 0.0
+        corrected = ~off.any(axis=(1, 2))
+    if exact:
+        assert got[~corrected].tobytes() == want[~corrected].tobytes()
+    else:
+        assert np.array_equal(got[~corrected], want[~corrected])
+    assert np.max(np.abs(got[corrected] - want[corrected]), initial=0.0) <= 4 * np.finfo(float).eps
+
+
+def assert_orthonormal(stack, tol: float = 1e-15) -> None:
+    """The real rows of a stack are orthonormal within ``tol``, entry by entry."""
+    rows = _real_rows(np.asarray(stack))
+    assert np.max(np.abs(rows @ rows.T - np.eye(len(rows))), initial=0.0) <= tol
+
+
 def reference_numeric_roots(
     d: SpaceDescriptor, Z: np.ndarray, vecs: np.ndarray
 ) -> list[RestrictedRoot]:

@@ -6,22 +6,23 @@ import pytest
 
 from cartanflow import ConsistencyError, basis_of, make_space, sample_radial_batch
 from cartanflow import spaces
-from cartanflow.spaces import _ad_entries, _entries, _real_rows, geometry
+from cartanflow.spaces import _ad_entries, _real_rows, geometry
 
-from conftest import reference_unit_basis, root_system_grid
+from conftest import assert_matches_unit_basis, assert_orthonormal, reference_unit_basis
+from conftest import root_system_grid
 from test_spaces import BASIS_CASES
 
 
 def _assert_matches_dense_reference(d):
-    # by value, count and order; signed zeros may differ on the p side only,
-    # where the dense averages leave -0.0 that the entry lists never write
+    # by count and order; the trace-corrected members within 4 eps, every
+    # other one by value on the p side, where the dense averages leave -0.0
+    # that the entry lists never write, and byte for byte on the k side
     geo = spaces.SpaceGeometry(d)
     for onto_p in (True, False):
-        stack, want = geo._stack(onto_p), reference_unit_basis(d, onto_p)
-        assert stack.shape == want.shape
-        assert np.array_equal(stack, want)
-        if not onto_p:
-            assert stack.tobytes() == want.tobytes()
+        stack = geo._stack(onto_p)
+        assert_matches_unit_basis(d, onto_p, stack, reference_unit_basis(d, onto_p),
+                                  exact=not onto_p)
+        assert_orthonormal(stack)
 
 
 @pytest.mark.parametrize("case", BASIS_CASES)
@@ -80,7 +81,7 @@ def test_bracket_by_index_matches_the_products(case):
     N = d.ambient_dim
     X = rng.standard_normal((5, N, N)) + 1j * rng.standard_normal((5, N, N))
     member, col = np.nonzero(_real_rows(X))
-    stacks = [(geo._stack(onto_p=False), _entries(geo._k_table)),
+    stacks = [(geo._stack(onto_p=False), geo._k_entries),
               (X, (member, col, _real_rows(X)[member, col]))]
     gens = [*geo.a_embed, geo.embed_radial(geo.e_coords),
             geo.embed_radial(spaces._generic_point(d.real_rank, spaces._ROOT_SEED))]
@@ -126,3 +127,59 @@ def test_index_table_rejects_a_conjugation_that_is_no_signed_permutation(monkeyp
     monkeypatch.setattr(spaces, "_conjugations", lambda _: bad)
     with pytest.raises(ConsistencyError, match="not a signed permutation"):
         spaces._conjugation_maps.__wrapped__(d)
+
+
+def _plain_after_a_plain(cand, col, val, corrected):
+    # the last candidate with several entries that is not trace-corrected
+    # takes the columns of the first such one, with values that are no multiple
+    several = np.flatnonzero((np.bincount(cand, minlength=len(corrected)) > 1) & ~corrected)
+    a, b = several[0], several[-1]
+    keep = cand != b
+    taken = val[cand == a].copy()
+    taken[1] *= 2.0
+    cand, col, val = (np.concatenate([cand[keep], np.full(len(taken), b)]),
+                      np.concatenate([col[keep], col[cand == a]]),
+                      np.concatenate([val[keep], taken]))
+    order = np.argsort(cand, kind="stable")
+    return cand[order], col[order], val[order], corrected
+
+
+def _corrected_after_a_plain(cand, col, val, corrected):
+    # the first trace-corrected candidate is taken for a plain one, which the
+    # later trace-corrected ones then share their diagonal columns with
+    corrected = corrected.copy()
+    corrected[np.flatnonzero(corrected)[0]] = False
+    return cand, col, val, corrected
+
+
+@pytest.mark.parametrize("inject, case", [
+    (_plain_after_a_plain, ("aiii", 3, 2)), (_plain_after_a_plain, ("cii", 2, 1)),
+    (_corrected_after_a_plain, ("aiii", 3, 2)), (_corrected_after_a_plain, ("a2", 0, 3)),
+])
+def test_unit_basis_rejects_a_candidate_off_its_structure(inject, case, monkeypatch):
+    # the build drops a candidate that meets an earlier one on a column as
+    # that one's exact multiple, and runs Gram-Schmidt among the
+    # trace-corrected ones alone; a candidate that fits neither must raise
+    d = make_space(*case)
+    project = spaces._project_entries
+    monkeypatch.setattr(spaces, "_project_entries", lambda *a: inject(*project(*a)))
+    onto_p = inject is _plain_after_a_plain
+    with pytest.raises(ConsistencyError, match="neither its exact multiple nor trace-corrected"):
+        spaces.SpaceGeometry(d)._unit_basis(onto_p)
+    monkeypatch.undo()
+    _assert_matches_dense_reference(d)
+
+
+def test_p_and_k_tables_build_without_dense_stacks():
+    # dense (dim, 2 N^2) rows of the kept candidates would peak at 82.4 MB
+    # at aiii(24,24); the build from entry lists stays under a tenth of that
+    import tracemalloc
+
+    geo = spaces.SpaceGeometry(make_space("aiii", 24, 24))
+    tracemalloc.start()
+    try:
+        geo._p_table, geo._k_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.1e6

@@ -9,7 +9,7 @@ from cartanflow import spaces
 from cartanflow.reduction import jacobian_density, random_chamber_point
 from cartanflow.spaces import _real_rows, basis_of, geometry
 
-from conftest import reference_root_split, root_system_grid
+from conftest import reference_root_split, reference_unit_entries, root_system_grid
 from test_spaces import BASIS_CASES
 
 
@@ -57,6 +57,33 @@ def test_component_split_matches_dense_split_on_the_grid(case):
     _assert_matches_dense_split(make_space(*case))
 
 
+def _projector(stack: np.ndarray) -> np.ndarray:
+    rows = _real_rows(stack)
+    return rows.T @ rows
+
+
+@pytest.mark.parametrize("case", BASIS_CASES)
+def test_root_space_projectors_do_not_follow_the_bits_of_k(case, monkeypatch):
+    # the trace-corrected members of k (aiii, a2) move by rounding with the
+    # grouping of their Gram-Schmidt sums, and Z and R may then turn inside
+    # a root space by up to 1.414; the projector onto each root space, sum
+    # of z z^T over the rows of one C row, does not, nor does that onto m
+    d = make_space(*case)
+    got = spaces.SpaceGeometry(d)._root_split
+    monkeypatch.setattr(spaces.SpaceGeometry, "_unit_basis",
+                        lambda geo, onto_p: reference_unit_entries(geo.descriptor, onto_p))
+    want = spaces.SpaceGeometry(d)._root_split
+    assert np.array_equal(got[3], want[3])
+    assert np.max(np.abs(_projector(got[0]) - _projector(want[0])), initial=0.0) <= 1e-12
+    rows_of: dict[tuple, list[int]] = {}
+    for k, row in enumerate(map(tuple, got[3].tolist())):
+        rows_of.setdefault(row, []).append(k)
+    for rows in rows_of.values():
+        for i in (1, 2):  # zk-perp, a-perp
+            gap = _projector(got[i][rows]) - _projector(want[i][rows])
+            assert np.max(np.abs(gap), initial=0.0) <= 1e-12
+
+
 def test_component_split_is_exactly_sparse():
     # each Z_k is a combination of the members of one support component:
     # its entries off that component's entries are exact zeros
@@ -71,8 +98,8 @@ def test_component_split_is_exactly_sparse():
 
 
 def test_cold_split_reads_the_k_basis_once(monkeypatch):
-    # the split reads the entries of the cached k table: the dense k stack
-    # is built once, for the table, and never assembled again
+    # the split reads the cached k entry triplets: the k basis is built
+    # once, and never assembled as a dense stack
     d = make_space("aiii", 3, 2)
     calls = []
     unit_basis, assemble = spaces.SpaceGeometry._unit_basis, spaces._assemble

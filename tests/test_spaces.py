@@ -32,7 +32,10 @@ from cartanflow.spaces import (
 
 from conftest import (
     REPRESENTATIVES,
+    TRACE_CORRECTED,
     _gram_schmidt,
+    assert_matches_unit_basis,
+    assert_orthonormal,
     parameter_grid,
     reference_check_k_group_membership,
     reference_gram,
@@ -46,6 +49,7 @@ from conftest import (
     reference_root_table,
     reference_trace_constrained,
     reference_unit_basis,
+    reference_unit_entries,
     root_system_grid,
 )
 
@@ -318,25 +322,34 @@ def _built(geo) -> dict[str, np.ndarray]:
 
 
 def _assert_matches_reference_build(d, got, monkeypatch):
-    # reference: p and k from the dense unit build, a from the Gram-Schmidt
-    # that projects every candidate, and the split and spectral blocks read
-    # from them.  p and the blocks by value: the dense averages leave -0.0 on
-    # p where the entry lists never write one.  Every other output byte for
-    # byte: a candidate whose support no earlier candidate touches skips
-    # only sums of exact zeros
+    # reference: p and k from the dense unit build, fed to the library as
+    # entry triplets, a from the Gram-Schmidt that projects every candidate,
+    # and the split and spectral blocks read from them.  p, k and the blocks
+    # as ``assert_matches_unit_basis`` says: the trace-corrected members
+    # within 4 eps, p and the blocks by value (the dense averages leave -0.0
+    # on p where the entry lists never write one), k byte for byte.  C and a
+    # byte for byte, and m, zk-perp and a-perp too where k is byte for byte
+    # the reference's: a candidate whose support no earlier candidate
+    # touches skips only sums of exact zeros.  Where k is not (the
+    # trace-corrected k of aiii and a2), the root-space projectors are
+    # compared in test_root_split.py
     monkeypatch.setattr(spaces.SpaceGeometry, "_unit_basis",
-                        lambda geo, onto_p: reference_unit_basis(geo.descriptor, onto_p))
+                        lambda geo, onto_p: reference_unit_entries(geo.descriptor, onto_p))
     ref = spaces.SpaceGeometry(d)
     want = _built(ref)
     want["p"], want["k"] = reference_unit_basis(d, True), reference_unit_basis(d, False)
     want["a"] = reference_orthonormalize(np.stack(ref.a_embed))
     monkeypatch.undo()
+    same_k = got["k"].tobytes() == want["k"].tobytes()
+    assert same_k or d.kind in TRACE_CORRECTED[False]
     for name, stack in got.items():
         assert stack.shape == want[name].shape, name
-        if name in ("p", "block"):
-            assert np.array_equal(stack, want[name]), name
-        else:
+        if name in ("p", "k", "block"):
+            assert_matches_unit_basis(d, name != "k", stack, want[name], exact=name == "k")
+        elif name in ("a", "C") or same_k:
             assert stack.tobytes() == want[name].tobytes(), name
+    assert_orthonormal(got["p"])
+    assert_orthonormal(got["k"])
 
 
 @pytest.mark.parametrize("case", BASIS_CASES)
@@ -411,7 +424,7 @@ def test_basis_of_returns_writeable_copies_detached_from_the_cache():
     for case in (("aiii", 3, 2), ("bdi", 1, 1)):
         d = make_space(*case)
         geo = geometry(d)
-        stacks = {"k": geo._unit_basis(onto_p=False), "p": geo._unit_basis(onto_p=True),
+        stacks = {"k": geo._stack(onto_p=False), "p": geo._stack(onto_p=True),
                   "a": geo._a_stack, "a_perp": geo._root_split[2],
                   "m_centralizer": geo._root_split[0], "zk_perp": geo._root_split[1]}
         rest = d.dim_p - d.real_rank
