@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import ConsistencyError, ContractViolation, _check_int, _check_real, _finite_array
 from .radial import WALL_TOL, SliceCoords, radial_coords_batch, radial_decompose
-from .reduction import ReducedState, l_from_slice
+from .reduction import ReducedState, _zk_perp_coords, l_from_slice
 from .spaces import SpaceDescriptor, check_p_membership, geometry, wall_distance
 
 __all__ = [
@@ -120,10 +120,10 @@ class _Reduced:
     and ``hamiltonian`` broadcast over leading axes (a stack of states).
     The field has one body, the closure ``bind`` returns: ``field`` and the
     four RK4 stages of ``integrate_reduced`` all run it.  The matrices L and
-    W of lc and w come from one product of the pair (lc; w) with the zk-perp
-    rows.  For bdi and ai, whose zk-perp lies in so(N), the rows have no
-    imaginary part: the instance then binds their real columns (N^2 wide,
-    not 2 N^2) and real L, W and LW, so the same body runs in real
+    W of lc and w come from one product of the pair (lc; w) with the dense
+    zk-perp rows (``SpaceGeometry._zk_rows``).  For bdi and ai, whose
+    zk-perp lies in so(N), those are the real columns (N^2 wide, not 2 N^2)
+    and the instance binds real L, W and LW, so the same body runs in real
     arithmetic.  It works through scratch arrays that the instance
     allocates once, so an instance serves one caller at a time; the cached
     geometry it reads is never written.
@@ -138,21 +138,17 @@ class _Reduced:
         # dH/dq = -C^T (w r); Hamilton's equations flip the sign back and
         # G^{-1} turns the force into dp
         self._force = self.geo.gram_inv @ self.C.T
-        zk = self.geo._zk_rows
-        # bdi and ai are the real-symmetric case: zk-perp lies in so(N), so
-        # every imaginary column of the rows is zero, and the field runs on
-        # the real columns in real arithmetic.  The dtype is chosen here,
-        # once; the field body is the same for both.
-        real = not zk[:, 1::2].any()
-        if real:
-            zk = np.ascontiguousarray(zk[:, ::2])
-        self._zk = zk
+        N = d.ambient_dim
+        # bdi and ai, the real-symmetric case, get real rows and run in real
+        # arithmetic; the dtype is chosen here, once, for the same field body
+        self._zk = zk = self.geo._zk_rows
+        real = zk.shape[1] == N * N
         # L and W are anti-Hermitian, so [L, W] = LW - (LW)^dagger and its
         # coordinates against the anti-Hermitian zk-perp basis are twice those
         # of (the real part of) LW.  Doubling the rows is exact, and the
         # transposed view keeps the operand layout of the product.
         self._zk2_t = (2.0 * zk).T
-        N, dz = d.ambient_dim, len(self.C)
+        dz = len(self.C)
         dtype = float if real else complex
         self._a, self._r, self._wr = np.empty((3, dz))
         # L and W as one (2, N, N) pair, so that one product with the zk rows
@@ -164,16 +160,18 @@ class _Reduced:
     def flat(self, state: ReducedState) -> np.ndarray:
         """The flat vector of a reduced state.  ContractViolation unless q
         and p are finite vectors of the length of the real rank and l is a
-        finite N x N matrix within 1e-10 max(|l|_F, 1) of zk-perp (the
-        tolerance ``_check_slice_coords`` holds r to against a)."""
-        rk, N = self.rank, self.d.ambient_dim
+        finite N x N matrix within 1e-10 max(|l|_F, 1) of zk-perp
+        (``_zk_perp_coords``)."""
+        rk = self.rank
         q = _finite_array("q", state.q, (rk,), float)
         p = _finite_array("p", state.p, (rk,), float)
-        l = _finite_array("l", state.l, (N, N), complex)
-        lc = self.geo.zk_coords(l)
-        if np.linalg.norm(l - self.geo.zk_from_coords(lc)) > 1e-10 * max(np.linalg.norm(l), 1.0):
-            raise ContractViolation("l has a component outside zk-perp; it must lie in zk-perp")
-        return np.concatenate((q, p, lc))
+        return np.concatenate((q, p, _zk_perp_coords(self.d, state.l)))
+
+    def matrices(self, lc: np.ndarray) -> np.ndarray:
+        """The complex matrices of a stack of zk-perp coordinate rows, from
+        one product with the bound rows, as the field forms L."""
+        N = self.d.ambient_dim
+        return np.asarray((lc @ self._zk).view(self._pair.dtype).reshape(len(lc), N, N), complex)
 
     def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         r = self.rank
@@ -263,7 +261,7 @@ def reduced_vector_field(
     sys = _Reduced(d)
     y = _flat_state(sys, state, "vector field")
     dq, dp, dl = sys.split(sys.field(y, np.empty_like(y)))
-    return dq, dp, sys.geo.zk_from_coords(dl)
+    return dq, dp, sys.matrices(dl[None])[0]
 
 
 def integrate_reduced(
@@ -359,7 +357,7 @@ def integrate_reduced(
         # an infinite q can pass the wall test; find the first such row
         raise _non_finite(int(np.argmin(np.isfinite(kept).all(axis=1))), h)
     q, p, lc = sys.split(kept)
-    lmats = sys.geo.zk_from_coords(lc)
+    lmats = sys.matrices(lc)
     # eigvalsh returns ascending values; the log keeps them descending
     spectra = np.linalg.eigvalsh(1j * lmats)[:, ::-1]
     return Trajectory(

@@ -22,7 +22,6 @@ from .spaces import (
     SpaceDescriptor,
     _quaternionic_j,
     _real_flat,
-    _real_rows,
     _spectral_block,
     check_p_membership,
     geometry,
@@ -299,7 +298,7 @@ def _check_slice_coords(d: SpaceDescriptor, s: SliceCoords) -> np.ndarray:
     r = np.asarray(s.r, dtype=complex)
     check_p_membership(d, r)
     # Re<A, r> for every member A of the a basis, in one product
-    along_a = _real_rows(geo._a_stack) @ _real_flat(r)
+    along_a = _real_flat(geo._a_stack) @ _real_flat(r)
     if np.max(np.abs(along_a)) > 1e-10 * max(frobenius(r), 1.0):
         raise ContractViolation("r has a component along a; it must lie in a-perp")
     return r

@@ -78,10 +78,22 @@ def l_from_slice(d: SpaceDescriptor, s: SliceCoords) -> np.ndarray:
     return commutator(_finite_array("r", s.r, (N, N), complex), geometry(d).embed_radial(s.q))
 
 
+def _zk_perp_coords(d: SpaceDescriptor, l) -> np.ndarray:
+    """The zk-perp coordinates of l; ContractViolation unless l is a finite
+    N x N matrix within 1e-10 max(|l|_F, 1) of zk-perp."""
+    geo, N = geometry(d), d.ambient_dim
+    l = _finite_array("l", l, (N, N), complex)
+    lc = geo.zk_coords(l)
+    if np.linalg.norm(l - geo.zk_from_coords(lc)) > 1e-10 * max(np.linalg.norm(l), 1.0):
+        raise ContractViolation("l has a component outside zk-perp; it must lie in zk-perp")
+    return lc
+
+
 def r_from_l(d: SpaceDescriptor, q, l) -> np.ndarray:
     """Invert r -> [r, H(q)] at a chamber-interior point.
 
-    Raises for q on or near a wall, where the map is singular.
+    Raises for q on or near a wall, where the map is singular, and for an l
+    off zk-perp, which no r maps to.
     """
     geo = geometry(d)
     q = _radial_vector(d, q)
@@ -89,9 +101,7 @@ def r_from_l(d: SpaceDescriptor, q, l) -> np.ndarray:
         raise ContractViolation(
             "q lies on or near a chamber wall: the bracket map is singular there"
         )
-    N = d.ambient_dim
-    lc = geo.zk_coords(_finite_array("l", l, (N, N), complex))
-    return geo.aperp_from_coords(lc / (geo.bracket_coeffs @ q))
+    return geo.aperp_from_coords(_zk_perp_coords(d, l) / (geo.bracket_coeffs @ q))
 
 
 def a_q_matrix(d: SpaceDescriptor, q) -> AqOperator:

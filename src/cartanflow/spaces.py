@@ -20,12 +20,14 @@ of a inside k, and root-adapted bases of its orthocomplement and of a-perp,
 in which the bracket map r -> [r, H(q)] is the diagonal of root values) is
 computed numerically once per descriptor and cached.  The matrices this
 touches are almost all zeros: Γ, J, S and every radial generator have at
-most one nonzero entry per row and column.  So the p and k bases are entry
-triplets (member, column, value) from build to use: they start from the
-Hermitian units as entry lists, each conjugation moves the entries by an
-index map read once from its matrix, the few candidates with a trace lose
-it on the diagonal, and Gram-Schmidt runs among those alone, over the
-diagonal; brackets with a radial generator are taken by index as well.
+most one nonzero entry per row and column.  So every basis but that of a
+is entry triplets (member, column, value) from build to use: p and k
+start from the Hermitian units as entry lists, each conjugation moves the
+entries by an index map read once from its matrix, the few candidates with
+a trace lose it on the diagonal, and Gram-Schmidt runs among those alone,
+over the diagonal; brackets with a radial generator are taken by index as
+well, and m, zk-perp and a-perp keep the nonzero entries of their
+combinations of k, one support component at a time.
 
 Supported kinds::
 
@@ -81,6 +83,7 @@ _GS_TOL = 1e-10
 # seed of the generic radial point that separates the restricted-root spaces
 _ROOT_SEED = 20260809
 _BRACKET_TOL = 1e-9
+_SPLIT = ("m_centralizer", "zk_perp", "a_perp")  # the split's bases, in ``_root_split`` order
 # classes whose g0 lies in sl(N, C)
 _TRACELESS = ("aiii", "ai", "a2", "aii")
 
@@ -488,30 +491,21 @@ def _generic_point(rank: int, seed: int) -> np.ndarray:
     return rng.standard_normal(rank) + np.linspace(0.5, 1.5, rank)
 
 
-def _real_rows(stack: np.ndarray) -> np.ndarray:
-    """Read-only real view (dim, 2 size) of a stack of matrices, copied to be
-    contiguous if need be: one row per member with its real and imaginary
-    parts interleaved.  Row dot products are Frobenius real inner products,
-    so for an orthonormal stack the coordinates Re<B_a, X> are one product
-    with the transposed rows and sum_a c_a B_a is one product with the rows."""
-    # the explicit width keeps an empty stack (bdi(1,1) has no zk-perp) reshapable
-    rows = np.ascontiguousarray(stack).reshape(len(stack), math.prod(stack.shape[1:])).view(float)
-    rows.flags.writeable = False
-    return rows
-
-
 def _real_flat(X) -> np.ndarray:
-    """Real view of a matrix (or a stack) matching ``_real_rows``."""
+    """Real view of a matrix, or one row per matrix of a stack, copied to be
+    contiguous if need be: the entries row by row, real and imaginary parts
+    interleaved, so that dot products are Frobenius real inner products."""
     X = np.ascontiguousarray(X, dtype=complex)
     return X.reshape(X.shape[:-2] + (-1,)).view(float)
 
 
 def _index_table(entries: tuple, shape: tuple) -> tuple:
     """A basis given by entry triplets (member, column, value), the columns
-    in the layout of ``_real_rows`` of members of ``shape``, as a read-only
+    in the layout of ``_real_flat`` of members of ``shape``, as a read-only
     index table for ``_assemble``: per column, the first contributing member
     ``src`` and its entry ``val`` (0 where none contributes); for the columns
-    ``cols`` with more (the trace-corrected diagonals), one level per further
+    ``cols`` with more (the trace-corrected diagonals of p and k, the
+    columns that root vectors of one component share), one level per further
     one in member order, members ``more_src`` and entries ``more_val`` padded
     with member 0 and the entry 0; last, ``shape``."""
     member, col, value = entries
@@ -553,6 +547,25 @@ def _assemble(table: tuple, g: np.ndarray, out: np.ndarray | None = None) -> np.
         sub += g[:, s] * v
     B[:, cols] = sub
     return B.view(complex).reshape(len(g), *shape)
+
+
+def _coords(entries: tuple, X) -> np.ndarray:
+    """Re<B_a, X> over a basis given by entry triplets sorted by member, for
+    a matrix X or a stack: a gather of X at the triplets, summed per member."""
+    member, col, val = entries
+    terms = _real_flat(X)[..., col] * val
+    if not len(member):  # bdi(1,1) has no zk-perp
+        return terms
+    starts = np.flatnonzero(member[1:] != member[:-1]) + 1
+    return np.add.reduceat(terms, np.concatenate(([0], starts)), axis=-1)
+
+
+def _from_coords(table: tuple, c) -> np.ndarray:
+    """sum_a c_a B_a over the basis of an ``_index_table``, for one row of
+    coefficients or a stack of rows."""
+    c = np.asarray(c, dtype=float)
+    B = _assemble(table, np.atleast_2d(c))
+    return B.reshape(c.shape[:-1] + B.shape[1:])
 
 
 def _ad_entries(entries: tuple, Hs) -> tuple[np.ndarray, ...]:
@@ -613,22 +626,24 @@ def _components(n: int, member: np.ndarray, col: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _blocks(n: int, entries: tuple, nops: int, joined: int) -> tuple[np.ndarray, list]:
+def _blocks(n: int, entries: tuple, nops: int, joined: int) -> list:
     """The members of a basis of n, split into the connected components of
     the nonzero pattern of their rows under the operators op < ``joined``,
     and grouped by size.  ``entries`` are (op, member, column, value) over
-    ``nops`` operators.  Members of two components share no column under
-    the joining operators, so the Gram matrices of those rows are block
-    diagonal, with exact zeros off the blocks.  Returns the members that no
-    joining operator touches and, per component size s from the least, the
-    members (G, s) of its G components in basis order and the rows
-    (nops, G, s, w) of every operator, dense over the w columns that any of
-    them touches in the component, zero-padded."""
+    ``nops`` operators; a member with no entry is in no component, one that
+    no joining operator touches is a component alone.  Members of two
+    components share no column under the joining operators, so the Gram
+    matrices of those rows are block diagonal, with exact zeros off the
+    blocks.  Returns, per component size s from the least, the members
+    (G, s) of its G components in basis order, the rows (nops, G, s, w) of
+    every operator, dense over the w columns that any of them touches in
+    the component, in column order and zero-padded, and those columns
+    (G, w), padded with 0."""
     op, member, col, val = entries
     link = op < joined
     label = _components(n, member[link], col[link])
     touched = np.zeros(n, dtype=bool)
-    touched[member[link]] = True
+    touched[member] = True
     live = np.flatnonzero(touched)
     size = np.bincount(label[live], minlength=n)
     order = live[np.lexsort((live, label[live], size[label[live]]))]
@@ -657,8 +672,10 @@ def _blocks(n: int, entries: tuple, nops: int, joined: int) -> tuple[np.ndarray,
         at = (c >= lo) & (c < hi)
         rows = np.zeros((nops, G, s, int(width[lo:hi].max())))
         rows[op[at], c[at] - lo, pos[member[at]], local[at]] = val[at]
-        groups.append((order[first[lo] : first[lo] + G * s].reshape(G, s), rows))
-    return np.flatnonzero(~touched), groups
+        cols = np.zeros(rows.shape[1:4:2], dtype=np.intp)
+        cols[c[at] - lo, local[at]] = col[at]
+        groups.append((order[first[lo] : first[lo] + G * s].reshape(G, s), rows, cols))
+    return groups
 
 
 def _root_step(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -669,34 +686,27 @@ def _root_step(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(A)
 
 
-def _combine(entries: tuple, parts: list, n: int, N: int) -> np.ndarray:
-    """The stack sum_a v_a B_a over the basis B given by entry triplets, one
-    member per eigenvector v of ``parts``, ordered by eigenvalue (stably).
-    A part is (members (G, s), eigenvectors (G, s, c), eigenvalues (G, c)),
-    the eigenvectors being coordinates on the members of their component;
-    every member of the basis lies in at most one part.  Entries no member
-    of a component writes are exact zeros."""
-    mu = np.concatenate([ev.ravel() for _, _, ev in parts] + [np.zeros(0)])
+def _split_entries(parts: list) -> tuple[np.ndarray, ...]:
+    """One basis of the split as read-only entry triplets (member, column,
+    value) sorted by member and column.  A part is rows (G, r, w) over the
+    columns (G, w) of G components (``_blocks``) and their eigenvalues
+    (G, r); the rows of all parts are the members in order of eigenvalue
+    (stably), as in one eigendecomposition, and their nonzero entries the
+    triplets."""
+    mu = np.concatenate([ev.ravel() for *_, ev in parts] + [np.zeros(0)])
     row = np.empty(len(mu), dtype=np.intp)
     row[np.argsort(mu, kind="stable")] = np.arange(len(mu))
-    c = max([v.shape[2] for _, v, _ in parts] + [1])
-    out_of = np.zeros((n, c), dtype=np.intp)  # per member, its output rows
-    coeff_of = np.zeros((n, c))  # and its coefficient in each of them
-    inside = np.zeros(n, dtype=bool)
-    start = 0
-    for members, vecs, _ in parts:
-        G, s, k = vecs.shape
-        out_of[members, :k] = row[start : start + G * k].reshape(G, 1, k)
-        coeff_of[members, :k] = vecs
-        inside[members] = k > 0
-        start += G * k
-    member, col, val = entries
-    inside = inside[member]
-    member, col, val = member[inside], col[inside], val[inside]
-    width = 2 * N * N
-    flat = np.bincount((out_of[member] * width + col[:, None]).ravel(),
-                       (coeff_of[member] * val[:, None]).ravel(), minlength=len(mu) * width)
-    return flat.astype(float, copy=False).view(complex).reshape(len(mu), N, N)
+    found, start = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)], 0
+    for rows, cols, ev in parts:
+        g, k, j = np.nonzero(rows)
+        found.append((row[start + g * rows.shape[1] + k], cols[g, j], rows[g, k, j]))
+        start += ev.size
+    member, col, val = (np.concatenate(x) for x in zip(*found))
+    order = np.lexsort((col, member))
+    entries = member[order], col[order], val[order]
+    for a in entries:
+        a.flags.writeable = False
+    return entries
 
 
 @lru_cache(maxsize=None)
@@ -705,7 +715,7 @@ def _unit_entries(N: int, anti: bool = False) -> tuple[np.ndarray, np.ndarray]:
     per unit: E_ii, then (E_ij + E_ji)/sqrt2 and i(E_ij - E_ji)/sqrt2, over
     i <= j row by row; with ``anti``, i times each of them.  A row holds the
     columns of the unit's nonzero real coordinates in the layout of
-    ``_real_rows`` (real and imaginary parts interleaved) and their values;
+    ``_real_flat`` (real and imaginary parts interleaved) and their values;
     E_ii pads its second slot with the column 2 N^2, which no coordinate
     has, and the value 0.  Read-only, built once per N."""
     i, j = np.triu_indices(N)
@@ -732,7 +742,7 @@ def _unit_entries(N: int, anti: bool = False) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def _conjugation_maps(d: SpaceDescriptor) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
     """Each conjugation of ``_conjugations`` as (dest, sign, s): M moves the
-    real coordinate c of ``_real_rows`` to dest[c] with the factor sign[c].
+    real coordinate c of ``_real_flat`` to dest[c] with the factor sign[c].
     Read once per descriptor by applying M to one matrix whose entry a,b is
     (1 + i)(aN + b + 1): G, J and S are signed permutations, so M(X) has
     entry f X_cd or f conj(X_cd) at each position, with f = +-1.  The
@@ -815,7 +825,7 @@ def _project_entries(d: SpaceDescriptor, cols: np.ndarray, vals: np.ndarray, ont
 def _gram_schmidt_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Order-preserving Gram-Schmidt of the candidate ``rows`` (real
     coordinates whose dot products are the Frobenius real inner products, as
-    in ``_vec_rows`` and ``_real_rows``: the trace form on Hermitians, its
+    in ``_vec_rows`` and ``_real_flat``: the trace form on Hermitians, its
     negative on anti-Hermitians).  A row that shares no nonzero column with an earlier one is
     normalized as it is: its projections would be sums of exact zeros.  Any
     other is projected off the rows kept before it with one matrix-vector
@@ -856,7 +866,7 @@ class SpaceGeometry:
     def _unit_basis(self, onto_p: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Orthonormal basis of p, from the Hermitian units, or of k, from
         the anti-Hermitian ones, as read-only entry triplets (member, column,
-        value) in the layout of ``_real_rows``, sorted by member: the
+        value) in the layout of ``_real_flat``, sorted by member: the
         projected units (``_project_entries``) in candidate order, the
         dependent ones dropped.
 
@@ -943,11 +953,6 @@ class SpaceGeometry:
         on = pos >= 0
         return _index_table((member[on], 2 * pos[on] + col[on] % 2, val[on]), at.shape)
 
-    def _stack(self, onto_p: bool) -> np.ndarray:
-        """The dense p or k basis from its table, made on request, never cached."""
-        table = self._p_table if onto_p else self._k_table
-        return _assemble(table, np.eye(self.descriptor.dim_p if onto_p else self.descriptor.dim_k))
-
     @cached_property
     def _a_stack(self) -> np.ndarray:
         """Read-only orthonormal stack of a: ``_gram_schmidt_rows`` on the
@@ -974,8 +979,10 @@ class SpaceGeometry:
         return np.linalg.inv(self.gram)
 
     @cached_property
-    def _root_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Root-adapted bases: stacks of m, zk-perp and a-perp, and C.
+    def _root_split(self) -> tuple:
+        """Root-adapted bases of m, zk-perp and a-perp, as read-only entry
+        triplets (member, column, value) in the layout of ``_real_flat``
+        sorted by member and column, and C.
 
         m is the kernel of ad(H(e))^2 on k (every root has |alpha(e)| >= 1).
         zk-perp holds the eigenvectors Z_k of ad(H(e)) ad(H(g)) on the rest
@@ -993,15 +1000,17 @@ class SpaceGeometry:
         exact zeros off the blocks.  The blocks of one size go through one
         batched ``eigh`` per step, and the eigenpairs of all blocks are
         sorted by eigenvalue, so m, Z and the rows of C come in the order
-        of one eigendecomposition over all of k, and every Z_k is exactly
-        zero off its component.  The check runs on the same blocks: Z_k,
+        of one eigendecomposition over all of k.  A member of m and Z_k,
         [Z_k, H(e)] and [[Z_k, H(e)], H_i] are the eigenvector's combination
-        of the members' entries, brackets and double brackets (all by index)
-        over the columns the component touches, off which all three vanish.
+        of the members' entries, brackets and double brackets (all by
+        index) over the columns the component touches, off which they
+        vanish: the bases keep the nonzero entries.  So that Z_k does not
+        flip with the last bits of k, its first entry (by column) above half
+        the row's largest modulus is made positive; R_k follows, C does not.
         The k basis is read once, as the entry triplets it is built as.
         """
         d = self.descriptor
-        rank, N = d.real_rank, d.ambient_dim
+        rank = d.real_rank
         want = d.dim_p - rank
         kb = self._k_entries
         He = self.embed_radial(self.e_coords)
@@ -1013,12 +1022,9 @@ class SpaceGeometry:
         # basis itself, and the double brackets, one per generator
         ops = [np.concatenate(x) for x in zip(ad, (np.full(len(kb[0]), 2), *kb),
                                                 (dd[0] + 3, *dd[1:]))]
-        lone, groups = _blocks(d.dim_k, ops, 3 + rank, 2)
-        # members that commute with H(e) and H(g) are in m as they are
-        m_parts = [(lone[:, None], np.ones((len(lone), 1, 1)), np.zeros((len(lone), 1)))]
-        z_parts, r_parts, c_parts = [], [], []
+        m_parts, z_parts, r_parts, c_parts = [], [], [], []
         worst = np.zeros(rank)
-        for members, rows in groups:
+        for members, rows, cols in _blocks(d.dim_k, ops, 3 + rank, 2):
             Ve, Vg, K, D = rows[0], rows[1], rows[2], rows[3:]
             s = members.shape[1]
             lam, U = np.linalg.eigh(Ve @ Ve.transpose(0, 2, 1))
@@ -1026,7 +1032,8 @@ class SpaceGeometry:
             rest = np.count_nonzero(lam >= 0.5, axis=1)  # the last ones: eigh sorts ascending
             for r in sorted(set(rest.tolist())):
                 on = rest == r
-                m_parts.append((members[on], U[on, :, : s - r], lam[on, : s - r]))
+                m_parts.append((U[on, :, : s - r].transpose(0, 2, 1) @ K[on], cols[on],
+                                lam[on, : s - r]))
                 if not r:
                     continue
                 Ur = U[on, :, s - r :]
@@ -1034,17 +1041,22 @@ class SpaceGeometry:
                 mu, V = _root_step((A + A.transpose(0, 2, 1)) / 2.0)
                 W = Ur @ V  # Z_k = sum_j W[j, k] B_j over the members B_j
                 Wt = W.transpose(0, 2, 1)
+                Zl = Wt @ K[on]  # Z_k on the component's columns
+                mag = np.abs(Zl)
+                pivot = np.argmax(mag > mag.max(axis=2, keepdims=True) / 2, axis=2)
+                sign = np.sign(np.take_along_axis(Zl, pivot[..., None], 2))
+                Zl *= sign  # negation is exact: as if W had had the sign
+                W *= sign.transpose(0, 2, 1)
                 Rl = Wt @ Ve[on]  # [Z_k, H(e)] on the component's columns
                 norm = np.sqrt(np.einsum("gkw,gkw->gk", Rl, Rl))
-                Zl = Wt @ K[on]
                 # [R_k, H_i] lies in zk-perp and should be C_ki Z_k
                 Bl = (Wt @ D[:, on]) / norm[:, :, None]
                 Ci = np.rint(np.einsum("gkw,igkw->igk", Zl, Bl)) + 0.0
                 Bl -= Ci[..., None] * Zl
                 resid = np.sqrt(np.einsum("igkw,igkw->igk", Bl, Bl))
                 worst = np.maximum(worst, resid.max(axis=(1, 2)))
-                z_parts.append((members[on], W, mu))
-                r_parts.append((members[on], W / norm[:, None, :], mu))
+                z_parts.append((Zl, cols[on], mu))
+                r_parts.append((Rl / norm[:, :, None], cols[on], mu))
                 c_parts.append(Ci.transpose(1, 2, 0).reshape(-1, rank))
         bad = np.flatnonzero(worst > _BRACKET_TOL)
         if bad.size:
@@ -1052,17 +1064,14 @@ class SpaceGeometry:
                 f"{d.label()}: bracket map with generator {bad[0]} is not diag(C q) with "
                 f"integer C in the root-adapted bases (deviation {worst[bad[0]]:.3e})"
             )
-        m = _combine(kb, m_parts, d.dim_k, N)
-        Z = _combine(kb, z_parts, d.dim_k, N)
-        if len(Z) != want:
+        mu = np.concatenate([ev.ravel() for *_, ev in z_parts] + [np.zeros(0)])
+        if len(mu) != want:
             raise ConsistencyError(
-                f"{d.label()}: dim zk-perp {len(Z)} does not match dim a-perp {want}"
+                f"{d.label()}: dim zk-perp {len(mu)} does not match dim a-perp {want}"
             )
-        R = _combine(ve, r_parts, d.dim_k, N)
-        mu = np.concatenate([ev.ravel() for _, _, ev in z_parts] + [np.zeros(0)])
         C = np.concatenate(c_parts + [np.zeros((0, rank))])[np.argsort(mu, kind="stable")]
         self._bracket_residual = float(worst.max(initial=0.0))
-        return m, Z, R, C
+        return (_split_entries(m_parts), _split_entries(z_parts), _split_entries(r_parts), C)
 
     @property
     def bracket_coeffs(self) -> np.ndarray:
@@ -1075,40 +1084,58 @@ class SpaceGeometry:
         self._root_split
         return self._bracket_residual
 
-    # -- coordinates -------------------------------------------------------
-
-    @property
-    def _zk_stack(self) -> np.ndarray:
-        return self._root_split[1]
+    def _stack(self, which: str) -> np.ndarray:
+        """The dense basis ``which``, a ``basis_of`` selector but "a",
+        scattered from its triplets on request and never cached."""
+        d = self.descriptor
+        if which in ("p", "k"):
+            member, col, val = self._p_entries if which == "p" else self._k_entries
+            n = d.dim_p if which == "p" else d.dim_k
+        else:
+            member, col, val = self._root_split[_SPLIT.index(which)]
+            n = d.dim_p - d.real_rank  # dim zk-perp = dim a-perp, as the split checks
+            n = d.dim_k - n if which == "m_centralizer" else n
+        N = d.ambient_dim
+        rows = np.zeros((n, 2 * N * N))
+        rows[member, col] = val
+        return rows.view(complex).reshape(n, N, N)
 
     @cached_property
-    def _ap_rows(self) -> np.ndarray:
-        return _real_rows(self._root_split[2])
+    def _zk_table(self) -> tuple:
+        return _index_table(self._root_split[1], (self.descriptor.ambient_dim,) * 2)
+
+    @cached_property
+    def _ap_table(self) -> tuple:
+        return _index_table(self._root_split[2], (self.descriptor.ambient_dim,) * 2)
 
     @cached_property
     def _zk_rows(self) -> np.ndarray:
-        return _real_rows(self._zk_stack)
+        """The reduced field's dense zk-perp rows in the layout of
+        ``_real_flat``, scattered from the triplets on first use, read-only;
+        for bdi and ai, whose zk-perp lies in so(N), the N^2 real columns."""
+        member, col, val = self._root_split[1]
+        real = not (col % 2).any()
+        rows = np.zeros((len(self.bracket_coeffs), (2 - real) * self.descriptor.ambient_dim ** 2))
+        rows[member, col // 2 if real else col] = val
+        rows.flags.writeable = False
+        return rows
 
-    def _from_rows(self, rows: np.ndarray, c) -> np.ndarray:
-        """sum_a c_a B_a, batched over the leading axes of ``c``."""
-        c = np.asarray(c, dtype=float)
-        N = self.descriptor.ambient_dim
-        return (c @ rows).view(complex).reshape(c.shape[:-1] + (N, N))
+    # -- coordinates -------------------------------------------------------
 
     def aperp_coords(self, X) -> np.ndarray:
-        return _real_flat(X) @ self._ap_rows.T
+        return _coords(self._root_split[2], X)
 
     def aperp_from_coords(self, c) -> np.ndarray:
-        return self._from_rows(self._ap_rows, c)
+        return _from_coords(self._ap_table, c)
 
     def zk_coords(self, X) -> np.ndarray:
-        return _real_flat(X) @ self._zk_rows.T
+        return _coords(self._root_split[1], X)
 
     def zk_from_coords(self, c) -> np.ndarray:
-        return self._from_rows(self._zk_rows, c)
+        return _from_coords(self._zk_table, c)
 
     def p_from_coords(self, c) -> np.ndarray:
-        return _assemble(self._p_table, np.asarray(c, dtype=float)[None])[0]
+        return _from_coords(self._p_table, c)
 
     def embed_radial(self, q: np.ndarray) -> np.ndarray:
         d = self.descriptor
@@ -1166,13 +1193,11 @@ def basis_of(d: SpaceDescriptor, which: str) -> list[np.ndarray]:
     centralizer group is discrete (that is not an error).
     """
     geo = geometry(d)
-    split = ("m_centralizer", "zk_perp", "a_perp")  # in the order of ``_root_split``
-    if which in ("p", "k"):
-        return list(geo._stack(onto_p=which == "p"))  # assembled afresh, so detached
-    if which != "a" and which not in split:
+    if which == "a":
+        return list(geo._a_stack.copy())  # one copy of the cached stack, detached from it
+    if which not in ("p", "k") + _SPLIT:
         raise ContractViolation(f"unknown subspace selector {which!r}")
-    stack = geo._a_stack if which == "a" else geo._root_split[split.index(which)]
-    return list(stack.copy())  # one copy of the cached stack, detached from it
+    return list(geo._stack(which))  # assembled afresh, so detached
 
 
 # ---------------------------------------------------------------------------
@@ -1184,17 +1209,19 @@ def numeric_roots(d: SpaceDescriptor, seed: int = _ROOT_SEED) -> list[Restricted
 
     Reruns the root step on zk-perp at its own seeded generic g, with its
     own component pass, and fits integer roots to the eigenvectors it finds
-    (``_measure_roots``, ``_fit_roots``).  It reads the zk-perp stack only,
-    never C or a-perp, so it serves as an independent oracle for the
+    (``_measure_roots``, ``_fit_roots``).  It reads the zk-perp triplets
+    only, never C or a-perp, so it serves as an independent oracle for the
     tabulated roots and for the split's C.
     """
     seed = _check_int("seed", seed, 0)
-    return _fit_roots(d, *_measure_roots(d, geometry(d)._zk_stack, seed))
+    Z = geometry(d)._root_split[1]
+    return _fit_roots(d, *_measure_roots(d, Z, d.dim_p - d.real_rank, seed))
 
 
-def _measure_roots(d: SpaceDescriptor, Z: np.ndarray, seed: int | None) -> tuple:
-    """Per vector v in the span of the stack Z: w with w_i = alpha(E) alpha_i
-    and the largest residual |A_i v - w_i v|, A_i = <ad(H(E)) Z_j, ad(H_i) Z_k>.
+def _measure_roots(d: SpaceDescriptor, Z: tuple, n: int, seed: int | None) -> tuple:
+    """Per vector v in the span of the n members of Z, given as entry
+    triplets (member, column, value): w with w_i = alpha(E) alpha_i and the
+    largest residual |A_i v - w_i v|, A_i = <ad(H(E)) Z_j, ad(H_i) Z_k>.
 
     The vectors are the eigenvectors of A(g) = sum_i g_i A_i at the generic
     g of ``seed``, in increasing order of eigenvalue, or, with ``seed``
@@ -1204,16 +1231,13 @@ def _measure_roots(d: SpaceDescriptor, Z: np.ndarray, seed: int | None) -> tuple
     the blocks of one size are measured together."""
     geo = geometry(d)
     rank = d.real_rank
-    rows = _real_rows(Z)
-    member, col = np.nonzero(rows)
     ops = [geo.embed_radial(geo.e_coords), *geo.a_embed]
-    entries = _ad_entries((member, col, rows[member, col]), ops)
-    _, groups = _blocks(len(Z), entries, len(ops), len(ops))
+    groups = _blocks(n, _ad_entries(Z, ops), len(ops), len(ops))
     g = None if seed is None else _generic_point(rank, seed)
     # a vector no bracket touches keeps w = 0 and eigenvalue 0
-    w, resid, mu = np.zeros((len(Z), rank)), np.zeros(len(Z)), np.zeros(len(Z))
+    w, resid, mu = np.zeros((n, rank)), np.zeros(n), np.zeros(n)
     # the slots of a block's members hold its eigenvectors, in eigh's order
-    for members, V in groups:
+    for members, V, _ in groups:
         A = V[0] @ V[1:].transpose(0, 1, 3, 2)  # (rank, G, s, s)
         if g is None:
             vecs = np.broadcast_to(np.eye(members.shape[1]), A.shape[1:])
@@ -1224,7 +1248,7 @@ def _measure_roots(d: SpaceDescriptor, Z: np.ndarray, seed: int | None) -> tuple
         wi = np.einsum("gsk,igsk->igk", vecs, AV)
         w[members] = wi.transpose(1, 2, 0)
         resid[members] = np.linalg.norm(AV - vecs * wi[:, :, None, :], axis=2).max(axis=0)
-    order = np.arange(len(Z)) if g is None else np.argsort(mu, kind="stable")
+    order = np.arange(n) if g is None else np.argsort(mu, kind="stable")
     return w[order], resid[order]
 
 
@@ -1265,4 +1289,4 @@ def random_k_element(d: SpaceDescriptor, rng: np.random.Generator, scale: float 
     """A group element of K, as exp of a random k-algebra element."""
     from scipy.linalg import expm
 
-    return expm(_assemble(geometry(d)._k_table, scale * rng.standard_normal((1, d.dim_k)))[0])
+    return expm(_from_coords(geometry(d)._k_table, scale * rng.standard_normal(d.dim_k)))

@@ -20,7 +20,6 @@ from cartanflow.spaces import (
     _generic_point,
     _quaternionic_j,
     _radial_vector,
-    _real_rows,
     _spectral_block,
     _sym_form,
     _vec_rows,
@@ -132,7 +131,7 @@ def reference_integrate_reduced(d, initial, t_max, steps):
     from cartanflow.spaces import wall_distance
 
     geo = geometry(d)
-    Z, G, C = geo._zk_stack, geo.gram, geo.bracket_coeffs
+    Z, G, C = np.array(basis_of(d, "zk_perp")), geo.gram, geo.bracket_coeffs
 
     def zk_coords(X):
         return np.einsum("aij,ij->a", Z.conj(), X).real
@@ -211,7 +210,9 @@ def reference_integrate_reduced(d, initial, t_max, steps):
 # inputs and the new state as the same products, allocating each operand;
 # since the field forms L and W in one product, and in real arithmetic when
 # the zk rows have no imaginary part, its field does the same.  The field
-# before that change is kept beside it as ``_ReferenceTwoProductReduced``
+# before that change is kept beside it as ``_ReferenceTwoProductReduced``.
+# Since the geometry keeps zk-perp as entry triplets, both read their rows
+# from ``basis_of`` (``zk_rows``)
 
 
 class _ReferenceFlatReduced:
@@ -233,7 +234,7 @@ class _ReferenceFlatReduced:
         # dH/dq = -C^T (w r); Hamilton's equations flip the sign back and
         # G^{-1} turns the force into dp
         self._force = self.geo.gram_inv @ self.C.T
-        self._zk = self.geo._zk_rows
+        self._zk = zk_rows(d)
         # bdi and ai: zk-perp lies in so(N), the imaginary columns are zero
         self._dtype = complex if self._zk[:, 1::2].any() else float
         if self._dtype is float:
@@ -247,6 +248,12 @@ class _ReferenceFlatReduced:
     def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         r = self.rank
         return y[..., :r], y[..., r : 2 * r], y[..., 2 * r :]
+
+    def matrices(self, lc: np.ndarray) -> np.ndarray:
+        # the complex matrices of coordinate rows, from one product with the
+        # zk rows, as the parent's zk_from_coords formed them
+        M = (lc @ self._zk).view(self._dtype).reshape((len(lc),) + self._shape)
+        return np.asarray(M, complex)
 
     def r_and_w(self, q: np.ndarray, lc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = q @ self.C.T
@@ -274,7 +281,7 @@ class _ReferenceTwoProductReduced(_ReferenceFlatReduced):
 
     def __init__(self, d: SpaceDescriptor):
         super().__init__(d)
-        self._zk = self.geo._zk_rows
+        self._zk, self._dtype = zk_rows(d), complex
 
     def field(self, y: np.ndarray) -> np.ndarray:
         q, p, lc = self.split(y)
@@ -296,7 +303,7 @@ def reference_flat_vector_field(
     field of ``_ReferenceTwoProductReduced``."""
     sys = (_ReferenceTwoProductReduced if two_products else _ReferenceFlatReduced)(d)
     dq, dp, dl = sys.split(sys.field(sys.flat(state)))
-    return dq, dp, sys.geo.zk_from_coords(dl)
+    return dq, dp, sys.matrices(dl[None])[0]
 
 
 def reference_flat_integrate_reduced(
@@ -344,7 +351,7 @@ def reference_flat_integrate_reduced(
         done = step + 1
         history[done] = y
     q, p, lc = sys.split(history[: done + 1])
-    lmats = sys.geo.zk_from_coords(lc)
+    lmats = sys.matrices(lc)
     # eigvalsh returns ascending values; the log keeps them descending
     spectra = np.linalg.eigvalsh(1j * lmats)[:, ::-1]
     return Trajectory(
@@ -776,13 +783,37 @@ def reference_unit_basis(d: SpaceDescriptor, onto_p: bool) -> np.ndarray:
     return reference_orthonormalize(reference_project(d, units if onto_p else 1j * units, onto_p))
 
 
+def _real_rows(stack: np.ndarray) -> np.ndarray:
+    """Read-only real view (dim, 2 size) of a stack of matrices, copied to be
+    contiguous if need be: one row per member with its real and imaginary
+    parts interleaved, as ``spaces._real_flat`` lays out a matrix.  Row dot
+    products are Frobenius real inner products."""
+    # the explicit width keeps an empty stack (bdi(1,1) has no zk-perp) reshapable
+    rows = np.ascontiguousarray(stack).reshape(len(stack), math.prod(stack.shape[1:])).view(float)
+    rows.flags.writeable = False
+    return rows
+
+
+def stack_entries(stack: np.ndarray) -> tuple:
+    """The nonzero entries of a stack of matrices as the triplets (member,
+    column, value) in the layout of ``_real_rows`` that the library keeps its
+    bases as, sorted by member and column."""
+    rows = _real_rows(stack)
+    member, col = np.nonzero(rows)
+    return member, col, rows[member, col]
+
+
 def reference_unit_entries(d: SpaceDescriptor, onto_p: bool) -> tuple:
     """``reference_unit_basis`` as the entry triplets (member, column, value)
     in the layout of ``_real_rows`` that ``SpaceGeometry._unit_basis``
     returns."""
-    rows = _real_rows(reference_unit_basis(d, onto_p))
-    member, col = np.nonzero(rows)
-    return member, col, rows[member, col]
+    return stack_entries(reference_unit_basis(d, onto_p))
+
+
+def zk_rows(d: SpaceDescriptor) -> np.ndarray:
+    """``_real_rows`` of ``basis_of(d, "zk_perp")``, (0, 2 N^2) when it is empty."""
+    N = d.ambient_dim
+    return _real_rows(np.array(basis_of(d, "zk_perp"), dtype=complex).reshape(-1, N, N))
 
 
 # the sides whose build orthonormalizes trace-corrected candidates: p of ai,
@@ -906,7 +937,7 @@ def reference_root_split(d: SpaceDescriptor) -> tuple:
     self = geometry(d)
     rank = d.real_rank
     want = d.dim_p - rank
-    kb = self._stack(onto_p=False)
+    kb = self._stack("k")
     He = self.embed_radial(self.e_coords)
     Ve = _ad_rows(kb, He)
     lam, U = np.linalg.eigh(Ve @ Ve.T)

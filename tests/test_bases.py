@@ -6,10 +6,10 @@ import pytest
 
 from cartanflow import ConsistencyError, basis_of, make_space, sample_radial_batch
 from cartanflow import spaces
-from cartanflow.spaces import _ad_entries, _real_rows, geometry
+from cartanflow.spaces import _ad_entries, geometry
 
 from conftest import assert_matches_unit_basis, assert_orthonormal, reference_unit_basis
-from conftest import root_system_grid
+from conftest import _real_rows, root_system_grid
 from test_spaces import BASIS_CASES
 
 
@@ -19,7 +19,7 @@ def _assert_matches_dense_reference(d):
     # that the entry lists never write, and byte for byte on the k side
     geo = spaces.SpaceGeometry(d)
     for onto_p in (True, False):
-        stack = geo._stack(onto_p)
+        stack = geo._stack("p" if onto_p else "k")
         assert_matches_unit_basis(d, onto_p, stack, reference_unit_basis(d, onto_p),
                                   exact=not onto_p)
         assert_orthonormal(stack)
@@ -44,18 +44,22 @@ def test_large_bases_match_dense_unit_stack():
 @pytest.mark.slow
 @pytest.mark.parametrize("case", [("bdi", 24, 24), ("aiii", 24, 24)])
 def test_no_dense_p_or_k_stack_is_cached(case):
-    # after the p basis, the split and one sampler batch, p and k live only
-    # as index tables.  The split's own bases are left out: zk-perp of
-    # bdi(n,n) has dim k members
+    # after the p basis, a cold split and one sampler batch, and no flow, p
+    # and k live only as index tables, and m, zk-perp and a-perp as entry
+    # triplets and index tables: no dense stack or row block of any of them
     d = make_space(*case)
     basis_of(d, "p")
-    basis_of(d, "a_perp")  # the split, which reads the dense k once
+    basis_of(d, "a_perp")  # the split, which reads the k triplets
     sample_radial_batch(d, 1024, 1)
     geo, N = geometry(d), d.ambient_dim
-    cached = [a for name, value in vars(geo).items() if name != "_root_split"
-              for a in (value if isinstance(value, (tuple, list)) else [value])
+    dz = d.dim_p - d.real_rank
+    cached = [a for value in vars(geo).values()
+              for b in (value if isinstance(value, (tuple, list)) else [value])
+              for a in (b if isinstance(b, tuple) else [b])
               if isinstance(a, np.ndarray)]
-    assert not [a.shape for a in cached if a.shape in ((d.dim_p, N, N), (d.dim_k, N, N))]
+    dense = ((d.dim_p, N, N), (d.dim_k, N, N), (dz, N, N), (d.dim_k - dz, N, N),
+             (dz, 2 * N * N))
+    assert cached and not [a.shape for a in cached if a.shape in dense]
     tables = (geo._p_table, geo._k_table, geo._block_table)
     table_bytes = sum(a.nbytes for t in tables for a in t[:5])
     assert table_bytes < 0.01 * 16 * (d.dim_p + d.dim_k) * N * N
@@ -81,7 +85,7 @@ def test_bracket_by_index_matches_the_products(case):
     N = d.ambient_dim
     X = rng.standard_normal((5, N, N)) + 1j * rng.standard_normal((5, N, N))
     member, col = np.nonzero(_real_rows(X))
-    stacks = [(geo._stack(onto_p=False), geo._k_entries),
+    stacks = [(geo._stack("k"), geo._k_entries),
               (X, (member, col, _real_rows(X)[member, col]))]
     gens = [*geo.a_embed, geo.embed_radial(geo.e_coords),
             geo.embed_radial(spaces._generic_point(d.real_rank, spaces._ROOT_SEED))]

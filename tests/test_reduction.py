@@ -308,6 +308,8 @@ def _aiii_slice_coords():
 
 
 _NAN2 = np.array([np.nan, 0.5])
+_RNG = np.random.default_rng(5)
+_RANDOM_L = _RNG.standard_normal((5, 5)) + 1j * _RNG.standard_normal((5, 5))
 _MALFORMED_CALLS = {
     "slice_contains nan q": lambda d, s: _verdict(slice_contains(d, SliceCoords(_NAN2, s.p, s.r))),
     "slice_contains nan p": lambda d, s: _verdict(slice_contains(d, SliceCoords(s.q, _NAN2, s.r))),
@@ -315,6 +317,11 @@ _MALFORMED_CALLS = {
     "l_from_slice nan r": lambda d, s: l_from_slice(d, SliceCoords(s.q, s.p, np.nan * s.r)),
     "r_from_l nan l": lambda d, s: r_from_l(d, s.q, np.nan * l_from_slice(d, s)),
     "r_from_l 3x3 l": lambda d, s: r_from_l(d, s.q, np.zeros((3, 3), dtype=complex)),
+    # an l off zk-perp: no r maps to it
+    "r_from_l l plus m": lambda d, s: r_from_l(
+        d, s.q, l_from_slice(d, s) + basis_of(d, "m_centralizer")[0]),
+    "r_from_l Hermitian l": lambda d, s: r_from_l(d, s.q, 1j * l_from_slice(d, s)),
+    "r_from_l random l": lambda d, s: r_from_l(d, s.q, _RANDOM_L),
     "density nan q": lambda d, s: theoretical_radial_density(d, _NAN2),
     "density short q": lambda d, s: theoretical_radial_density(d, [1.0]),
     "cdf nan": lambda d, s: theoretical_radial_cdf(make_space("aiii", 2, 1), np.array([np.nan])),

@@ -51,6 +51,7 @@ from conftest import (
     reference_unit_basis,
     reference_unit_entries,
     root_system_grid,
+    stack_entries,
 )
 
 
@@ -303,7 +304,7 @@ def test_stacked_bases_match_unit_by_unit_gram_schmidt(case):
         "k": _gram_schmidt([reference_project(d, 1j * U[None], False)[0] for U in units]),
         "a": _gram_schmidt(geo.a_embed),
     }
-    p, k = np.array(basis_of(d, "p")), geo._stack(onto_p=False)
+    p, k = np.array(basis_of(d, "p")), geo._stack("k")
     for which, stack in (("p", p), ("k", k), ("a", geo._a_stack)):
         assert len(stack) == len(ref[which])
         want = np.array(ref[which]).reshape(stack.shape)
@@ -315,10 +316,10 @@ def test_stacked_bases_match_unit_by_unit_gram_schmidt(case):
 
 
 def _built(geo) -> dict[str, np.ndarray]:
-    m, zk, ap, C = geo._root_split
     block = spaces._assemble(geo._block_table, np.eye(geo.descriptor.dim_p))
-    return {"p": geo._stack(onto_p=True), "k": geo._stack(onto_p=False), "a": geo._a_stack,
-            "m": m, "zk_perp": zk, "a_perp": ap, "C": C, "block": block}
+    return {"p": geo._stack("p"), "k": geo._stack("k"), "a": geo._a_stack,
+            "m": geo._stack("m_centralizer"), "zk_perp": geo._stack("zk_perp"),
+            "a_perp": geo._stack("a_perp"), "C": geo.bracket_coeffs, "block": block}
 
 
 def _assert_matches_reference_build(d, got, monkeypatch):
@@ -360,7 +361,7 @@ def test_bases_and_root_split_match_reference_gram_schmidt_bytewise(case, monkey
 
 def _root_vectors(d, seed):
     geo = geometry(d)
-    Z, He = geo._zk_stack, geo.embed_radial(geo.e_coords)
+    Z, He = geo._stack("zk_perp"), geo.embed_radial(geo.e_coords)
     Hg = geo.embed_radial(spaces._generic_point(d.real_rank, seed))
     return Z, reference_root_step(Z, He, Hg)
 
@@ -376,7 +377,7 @@ def test_numeric_roots_match_eigenvector_by_eigenvector_reference(case):
 
 def _fit(d, Z):
     # the members of Z as they are, measured by the component pass
-    return spaces._fit_roots(d, *spaces._measure_roots(d, Z, None))
+    return spaces._fit_roots(d, *spaces._measure_roots(d, stack_entries(Z), len(Z), None))
 
 
 def _fit_errors(d, Z) -> list[str]:
@@ -393,7 +394,7 @@ def _fit_errors(d, Z) -> list[str]:
 def test_root_fit_raises_like_the_reference(case):
     d = make_space(*case)
     geo = geometry(d)
-    Z, C = geo._zk_stack.copy(), geo.bracket_coeffs
+    Z, C = geo._stack("zk_perp"), geo.bracket_coeffs
     eye = np.eye(len(Z))
     # the members of zk-perp are root vectors already
     assert _fit(d, Z) == reference_numeric_roots(d, Z, eye) == restricted_roots(d)
@@ -404,7 +405,7 @@ def test_root_fit_raises_like_the_reference(case):
     got, want = _fit_errors(d, Z)
     assert got == want and "root fit residual" in got and got.endswith("eigenvector 0")
     # a zero member has alpha(E)^2 = 0
-    Z = geo._zk_stack.copy()
+    Z = geo._stack("zk_perp")
     Z[1] = 0.0
     got, want = _fit_errors(d, Z)
     assert got == want and "eigenvector 1 has nonpositive alpha(E)^2 = 0.000e+00" in got
@@ -419,14 +420,14 @@ def test_large_bases_and_numeric_roots_match_references(case, monkeypatch):
 
 
 def test_basis_of_returns_writeable_copies_detached_from_the_cache():
-    # p and k are the stacks their build step makes, assembled afresh from
+    # all but a are the stacks their build step makes, assembled afresh from
     # the cached index tables; bdi(1,1) has no k, zk-perp, a-perp or m
     for case in (("aiii", 3, 2), ("bdi", 1, 1)):
         d = make_space(*case)
         geo = geometry(d)
-        stacks = {"k": geo._stack(onto_p=False), "p": geo._stack(onto_p=True),
-                  "a": geo._a_stack, "a_perp": geo._root_split[2],
-                  "m_centralizer": geo._root_split[0], "zk_perp": geo._root_split[1]}
+        stacks = {which: geo._stack(which)
+                  for which in ("k", "p", "a_perp", "m_centralizer", "zk_perp")}
+        stacks["a"] = geo._a_stack
         rest = d.dim_p - d.real_rank
         dims = {"k": d.dim_k, "p": d.dim_p, "a": d.real_rank, "a_perp": rest,
                 "m_centralizer": d.dim_k - rest, "zk_perp": rest}
