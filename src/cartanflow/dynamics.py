@@ -167,12 +167,6 @@ class _Reduced:
         p = _finite_array("p", state.p, (rk,), float)
         return np.concatenate((q, p, _zk_perp_coords(self.d, state.l)))
 
-    def matrices(self, lc: np.ndarray) -> np.ndarray:
-        """The complex matrices of a stack of zk-perp coordinate rows, from
-        one product with the bound rows, as the field forms L."""
-        N = self.d.ambient_dim
-        return np.asarray((lc @ self._zk).view(self._pair.dtype).reshape(len(lc), N, N), complex)
-
     def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         r = self.rank
         return y[..., :r], y[..., r : 2 * r], y[..., 2 * r :]
@@ -261,7 +255,7 @@ def reduced_vector_field(
     sys = _Reduced(d)
     y = _flat_state(sys, state, "vector field")
     dq, dp, dl = sys.split(sys.field(y, np.empty_like(y)))
-    return dq, dp, sys.matrices(dl[None])[0]
+    return dq, dp, sys.geo.zk_from_coords(dl)
 
 
 def integrate_reduced(
@@ -357,7 +351,7 @@ def integrate_reduced(
         # an infinite q can pass the wall test; find the first such row
         raise _non_finite(int(np.argmin(np.isfinite(kept).all(axis=1))), h)
     q, p, lc = sys.split(kept)
-    lmats = sys.matrices(lc)
+    lmats = sys.geo.zk_from_coords(lc)
     # eigvalsh returns ascending values; the log keeps them descending
     spectra = np.linalg.eigvalsh(1j * lmats)[:, ::-1]
     return Trajectory(

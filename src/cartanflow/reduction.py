@@ -23,6 +23,7 @@ from .radial import WALL_TOL, SliceCoords
 from .spaces import (
     SpaceDescriptor,
     _radial_vector,
+    _real_flat,
     check_p_membership,
     geometry,
     wall_distance,
@@ -84,7 +85,10 @@ def _zk_perp_coords(d: SpaceDescriptor, l) -> np.ndarray:
     geo, N = geometry(d), d.ambient_dim
     l = _finite_array("l", l, (N, N), complex)
     lc = geo.zk_coords(l)
-    if np.linalg.norm(l - geo.zk_from_coords(lc)) > 1e-10 * max(np.linalg.norm(l), 1.0):
+    # l minus its projection, summed straight from the zk-perp triplets
+    member, col, val = geo._root_split[1]
+    off = _real_flat(l) - np.bincount(col, lc[member] * val, minlength=2 * N * N)
+    if np.linalg.norm(off) > 1e-10 * max(np.linalg.norm(l), 1.0):
         raise ContractViolation("l has a component outside zk-perp; it must lie in zk-perp")
     return lc
 

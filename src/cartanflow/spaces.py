@@ -1086,19 +1086,16 @@ class SpaceGeometry:
 
     def _stack(self, which: str) -> np.ndarray:
         """The dense basis ``which``, a ``basis_of`` selector but "a",
-        scattered from its triplets on request and never cached."""
-        d = self.descriptor
+        scattered from its triplets on request and never cached.  Every
+        member has an entry, so the last member's index counts them."""
         if which in ("p", "k"):
             member, col, val = self._p_entries if which == "p" else self._k_entries
-            n = d.dim_p if which == "p" else d.dim_k
         else:
             member, col, val = self._root_split[_SPLIT.index(which)]
-            n = d.dim_p - d.real_rank  # dim zk-perp = dim a-perp, as the split checks
-            n = d.dim_k - n if which == "m_centralizer" else n
-        N = d.ambient_dim
-        rows = np.zeros((n, 2 * N * N))
+        N = self.descriptor.ambient_dim
+        rows = np.zeros((member[-1] + 1 if len(member) else 0, 2 * N * N))
         rows[member, col] = val
-        return rows.view(complex).reshape(n, N, N)
+        return rows.view(complex).reshape(len(rows), N, N)
 
     @cached_property
     def _zk_table(self) -> tuple:
@@ -1111,12 +1108,13 @@ class SpaceGeometry:
     @cached_property
     def _zk_rows(self) -> np.ndarray:
         """The reduced field's dense zk-perp rows in the layout of
-        ``_real_flat``, scattered from the triplets on first use, read-only;
-        for bdi and ai, whose zk-perp lies in so(N), the N^2 real columns."""
-        member, col, val = self._root_split[1]
-        real = not (col % 2).any()
-        rows = np.zeros((len(self.bracket_coeffs), (2 - real) * self.descriptor.ambient_dim ** 2))
-        rows[member, col // 2 if real else col] = val
+        ``_real_flat``, made on first use, read-only; for bdi and ai, whose
+        zk-perp lies in so(N) (no entry in an imaginary column), the N^2
+        real columns."""
+        N = self.descriptor.ambient_dim
+        rows = self._stack("zk_perp").view(float).reshape(-1, 2 * N * N)
+        if not (self._root_split[1][1] % 2).any():
+            rows = np.ascontiguousarray(rows[:, ::2])
         rows.flags.writeable = False
         return rows
 

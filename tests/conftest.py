@@ -249,12 +249,6 @@ class _ReferenceFlatReduced:
         r = self.rank
         return y[..., :r], y[..., r : 2 * r], y[..., 2 * r :]
 
-    def matrices(self, lc: np.ndarray) -> np.ndarray:
-        # the complex matrices of coordinate rows, from one product with the
-        # zk rows, as the parent's zk_from_coords formed them
-        M = (lc @ self._zk).view(self._dtype).reshape((len(lc),) + self._shape)
-        return np.asarray(M, complex)
-
     def r_and_w(self, q: np.ndarray, lc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = q @ self.C.T
         r = lc / a
@@ -281,7 +275,7 @@ class _ReferenceTwoProductReduced(_ReferenceFlatReduced):
 
     def __init__(self, d: SpaceDescriptor):
         super().__init__(d)
-        self._zk, self._dtype = zk_rows(d), complex
+        self._zk = zk_rows(d)
 
     def field(self, y: np.ndarray) -> np.ndarray:
         q, p, lc = self.split(y)
@@ -303,7 +297,7 @@ def reference_flat_vector_field(
     field of ``_ReferenceTwoProductReduced``."""
     sys = (_ReferenceTwoProductReduced if two_products else _ReferenceFlatReduced)(d)
     dq, dp, dl = sys.split(sys.field(sys.flat(state)))
-    return dq, dp, sys.matrices(dl[None])[0]
+    return dq, dp, sys.geo.zk_from_coords(dl)
 
 
 def reference_flat_integrate_reduced(
@@ -351,7 +345,7 @@ def reference_flat_integrate_reduced(
         done = step + 1
         history[done] = y
     q, p, lc = sys.split(history[: done + 1])
-    lmats = sys.matrices(lc)
+    lmats = sys.geo.zk_from_coords(lc)
     # eigvalsh returns ascending values; the log keeps them descending
     spectra = np.linalg.eigvalsh(1j * lmats)[:, ::-1]
     return Trajectory(

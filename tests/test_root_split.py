@@ -69,6 +69,16 @@ def _projector(stack: np.ndarray) -> np.ndarray:
     return rows.T @ rows
 
 
+def _pivot_margin(entries: tuple) -> float:
+    """The least distance of an entry's modulus from half its row's largest,
+    relative to that largest, over the nonzero entries of a basis given by
+    entry triplets: how far the entries stay from the sign rule's threshold."""
+    member, _, val = entries
+    top = np.zeros(member[-1] + 1 if len(member) else 0)
+    np.maximum.at(top, member, np.abs(val))
+    return np.min(np.abs(np.abs(val) / top[member] - 0.5), initial=0.5)
+
+
 def _assert_split_ignores_the_bits_of_k(d, monkeypatch):
     # the trace-corrected members of k (aiii, a2) move by rounding with the
     # grouping of their Gram-Schmidt sums; with the fixed sign of each Z_k,
@@ -81,6 +91,11 @@ def _assert_split_ignores_the_bits_of_k(d, monkeypatch):
     ref = spaces.SpaceGeometry(d)
     want = [ref._stack(which) for which in _SPLIT] + [ref.bracket_coeffs]
     assert np.array_equal(got[3], want[3])
+    # every entry of a Z_k has the row's largest modulus or is rounding
+    # noise, so the pivot of the sign rule (first entry above half the
+    # largest) is no tie: on the grid the margin is 0.5 to within 7e-14
+    for split in (geo, ref):
+        assert _pivot_margin(split._root_split[1]) >= 0.4
     assert np.max(np.abs(_projector(got[0]) - _projector(want[0])), initial=0.0) <= 1e-12
     for i in (1, 2):  # zk-perp, a-perp
         assert got[i].shape == want[i].shape
