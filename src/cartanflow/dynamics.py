@@ -19,6 +19,7 @@ exactly solvable and serves as the oracle for the reduced integration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,24 +139,24 @@ class _Reduced:
         # dH/dq = -C^T (w r); Hamilton's equations flip the sign back and
         # G^{-1} turns the force into dp
         self._force = self.geo.gram_inv @ self.C.T
-        N = d.ambient_dim
+        self._a, self._r, self._wr = np.empty((3, len(self.C)))
+
+    @cached_property
+    def _field_operands(self) -> tuple:
+        """The zk rows, their doubled transpose, and the (2, N, N) buffer of
+        the pair L, W and the N x N one of LW, made on the first ``bind``:
+        the energy needs only C and G, and on a fresh geometry the rows are
+        a dense scatter of the zk-perp triplets."""
+        N = self.d.ambient_dim
+        zk = self.geo._zk_rows
         # bdi and ai, the real-symmetric case, get real rows and run in real
         # arithmetic; the dtype is chosen here, once, for the same field body
-        self._zk = zk = self.geo._zk_rows
-        real = zk.shape[1] == N * N
+        dtype = float if zk.shape[1] == N * N else complex
         # L and W are anti-Hermitian, so [L, W] = LW - (LW)^dagger and its
         # coordinates against the anti-Hermitian zk-perp basis are twice those
         # of (the real part of) LW.  Doubling the rows is exact, and the
         # transposed view keeps the operand layout of the product.
-        self._zk2_t = (2.0 * zk).T
-        dz = len(self.C)
-        dtype = float if real else complex
-        self._a, self._r, self._wr = np.empty((3, dz))
-        # L and W as one (2, N, N) pair, so that one product with the zk rows
-        # forms both
-        self._pair, self._LW = np.empty((2, N, N), dtype), np.empty((N, N), dtype)
-        self._pairf = self._pair.reshape(2, -1).view(float)
-        self._LWf = self._LW.reshape(-1).view(float)
+        return zk, (2.0 * zk).T, np.empty((2, N, N), dtype), np.empty((N, N), dtype)
 
     def flat(self, state: ReducedState) -> np.ndarray:
         """The flat vector of a reduced state.  ContractViolation unless q
@@ -201,8 +202,9 @@ class _Reduced:
         lc, w = lw
         dq, dp, dl = out[:rk], out[rk : 2 * rk], out[2 * rk : 2 * rk + dz]
         a, r, wr = self._a, self._r, self._wr
-        (L, W), LW, pairf, LWf = self._pair, self._LW, self._pairf, self._LWf
-        Ct, zk, zk2_t, force = self.C.T, self._zk, self._zk2_t, self._force
+        zk, zk2_t, pair, LW = self._field_operands
+        (L, W), pairf, LWf = pair, pair.reshape(2, -1).view(float), LW.reshape(-1).view(float)
+        Ct, force = self.C.T, self._force
         dot, divide, multiply = np.dot, np.divide, np.multiply
 
         def field() -> None:

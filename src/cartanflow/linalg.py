@@ -66,19 +66,24 @@ def _check_real(name: str, value) -> float:
     raise ContractViolation(f"{name} must be a finite real number, got {value!r}")
 
 
-def _finite_array(
-    name: str, value, shape: tuple | None, dtype, wrong_shape: str | None = None
-) -> np.ndarray:
+def _numeric_array(name: str, value, dtype) -> np.ndarray:
     """``value`` as an array of ``dtype``; ContractViolation unless the
-    conversion succeeds and drops no imaginary part, the shape is ``shape``
-    (any shape for None) and every entry is finite.  ``wrong_shape``
-    replaces the message of a wrong shape."""
+    conversion succeeds and drops no imaginary part."""
     if getattr(value, "dtype", np.dtype(float)).kind == "c" and np.dtype(dtype).kind != "c":
         raise ContractViolation(f"{name} must be real, got complex entries")
     try:
-        a = np.asarray(value, dtype=dtype)
+        return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ContractViolation(f"{name} must be a numeric array ({exc})") from None
+
+
+def _finite_array(
+    name: str, value, shape: tuple | None, dtype, wrong_shape: str | None = None
+) -> np.ndarray:
+    """``_numeric_array``, and ContractViolation unless the shape is
+    ``shape`` (any shape for None) and every entry is finite.
+    ``wrong_shape`` replaces the message of a wrong shape."""
+    a = _numeric_array(name, value, dtype)
     if shape is not None and a.shape != shape:
         raise ContractViolation(wrong_shape or f"{name} must have shape {shape}, got {a.shape}")
     if not np.isfinite(a).all():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factorizations as fac
-from .linalg import ContractViolation, _finite_array, frobenius
+from .linalg import ContractViolation, _finite_array, _numeric_array, frobenius
 from .spaces import (
     SpaceDescriptor,
     _quaternionic_j,
@@ -84,8 +84,9 @@ class SliceCheck:
 def chamber_contains(d: SpaceDescriptor, q, tol: float = 1e-12) -> bool:
     """Whether q lies in the closed positive Weyl chamber of the class:
     alpha(q) >= -tol for every positive root.  False for a q of the wrong
-    length or with non-finite entries."""
-    q = np.asarray(q, dtype=float)
+    length or with non-finite entries; ContractViolation for one that is
+    not a real numeric array."""
+    q = _numeric_array("radial vector", q, float)
     if q.shape != (d.real_rank,) or not all(map(math.isfinite, q.tolist())):
         return False
     return bool((geometry(d).root_table[0] @ q >= -tol).all())

@@ -160,11 +160,14 @@ def radial_histogram(
 
 def _weight(d: SpaceDescriptor, q: np.ndarray) -> float:
     G = geometry(d).gram
-    return float(np.exp(-0.5 * q @ G @ q))
+    with np.errstate(over="ignore"):  # q G q overflows to inf where the weight is 0.0
+        return float(np.exp(-0.5 * q @ G @ q))
 
 
 def _unnormalized(d: SpaceDescriptor, q: np.ndarray) -> float:
-    return _root_product(*geometry(d).root_table, q) * _weight(d, q)
+    # far out the root product overflows where the weight is 0.0: 0 * inf
+    w = _weight(d, q)
+    return _root_product(*geometry(d).root_table, q) * w if w else 0.0
 
 
 def _chamber_integral(d: SpaceDescriptor) -> float:
@@ -265,7 +268,9 @@ def theoretical_radial_cdf(d: SpaceDescriptor, x: np.ndarray) -> np.ndarray:
     x = _finite_array("x", x, None, float)
     if not (d.has_sign_flip_weyl or d.trace_constrained):
         return 0.5 * np.vectorize(math.erfc, otypes=[float])(-math.sqrt(g / 2) * x)
-    return _lower_gamma((a + 1) / 2, g * np.maximum(x, 0.0) ** 2 / 2)
+    # P is 1.0 wherever e^{-g x^2 / 2} is 0.0 (g x^2 / 2 above 745.2); capping
+    # g x^2 / 2 at 750 keeps that value and the recurrence's powers finite
+    return _lower_gamma((a + 1) / 2, g * np.clip(x, 0.0, math.sqrt(1500.0 / g)) ** 2 / 2)
 
 
 def ks_distance(d: SpaceDescriptor, hist: RadialHistogram) -> float:

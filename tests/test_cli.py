@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -509,3 +511,25 @@ def test_closed_stdout_pipe_exits_1_silently(capsys, monkeypatch, tmp_path):
     assert code == 1
     assert capsys.readouterr().err == ""
     assert (tmp_path / "stdout").read_bytes() == b""
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+# the checks that need the installed console script; every other CLI case
+# is a row of tests/test_cli_contract.py
+INSTALLED_SCRIPT_CHECKS = [
+    "cartanflow --version",
+    "cartanflow spaces list --format json",
+    "cartanflow flow --class bdi --m 3 --n 2 --steps 20000 --t-max 0.2 --seed 1",
+]
+
+
+def test_console_script_step_holds_only_the_installed_script_checks():
+    lines = WORKFLOW.read_text().splitlines()
+    start = lines.index("      - name: Installed console script") + 1
+    end = next(i for i in range(start, len(lines)) if lines[i].lstrip().startswith("- "))
+    body = "\n".join(ln for ln in lines[start:end] if not ln.lstrip().startswith("#"))
+    # a command runs up to a shell operator or a redirection such as 2>err.txt
+    commands = re.findall(r"cartanflow(?:[ \t]+(?!\d*>)[^\s|&;<>]+)*", body)
+    assert commands == INSTALLED_SCRIPT_CHECKS
+    assert any(ln.strip() == "run: PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest "
+               "-q -m cli_contract" for ln in lines)

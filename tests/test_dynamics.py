@@ -81,6 +81,19 @@ def test_reduced_hamiltonian_matches_direct(case, rng):
     assert H == pytest.approx(0.5 * trace_form(Y, Y), rel=1e-10)
 
 
+def test_reduced_hamiltonian_takes_no_zk_rows(monkeypatch, rng):
+    # the energy needs only C and G; the dense zk rows are the field's
+    from cartanflow import spaces
+
+    d = make_space("aiii", 3, 2)
+    monkeypatch.setitem(spaces._GEOMETRY_CACHE, d, spaces.SpaceGeometry(d))
+    state, _ = reduce_phase_point(d, PhasePoint(random_p_element(d, rng), random_p_element(d, rng)))
+    reduced_hamiltonian(d, state)
+    assert "_zk_rows" not in vars(geometry(d))
+    reduced_vector_field(d, state)
+    assert "_zk_rows" in vars(geometry(d))
+
+
 def test_reduced_hamiltonian_free_case(rng):
     d = make_space("aiii", 3, 2)
     geo = geometry(d)
@@ -488,8 +501,9 @@ def test_field_runs_in_real_arithmetic_for_bdi_and_ai(case):
     # their zk-perp lies in so(N): the zk rows have no imaginary part
     sys = _Reduced(make_space(*case))
     real = case[0] in ("bdi", "ai")
-    assert sys._pair.dtype == (float if real else complex) and sys._LW.dtype == sys._pair.dtype
-    assert sys._zk.shape[1] == (1 if real else 2) * sys.d.ambient_dim ** 2
+    zk, _, pair, LW = sys._field_operands
+    assert pair.dtype == (float if real else complex) and LW.dtype == pair.dtype
+    assert zk.shape[1] == (1 if real else 2) * sys.d.ambient_dim ** 2
 
 
 def test_space_without_zk_perp_flows_freely():

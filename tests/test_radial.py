@@ -135,6 +135,9 @@ def test_chamber_contains_tolerance_band_and_malformed_q():
     assert chamber_contains(d, q, tol=2e-12)
     for bad in ([1.0], [1.0, 0.5, 0.2], [[1.0, 0.5]], [np.nan, 0.5], [np.inf, 0.5]):
         assert chamber_contains(d, bad) is False
+    for bad in ([1 + 2j, 0.0], "ab"):
+        with pytest.raises(ContractViolation, match="radial vector"):
+            chamber_contains(d, bad)
 
 
 @pytest.mark.parametrize("case", DECOMPOSE_CASES)

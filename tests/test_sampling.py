@@ -412,6 +412,16 @@ def test_density_vanishes_on_walls_and_outside():
     assert theoretical_radial_density(d, np.array([1.0, 2.0])) == 0.0  # outside chamber
 
 
+@pytest.mark.parametrize(
+    "case, q",
+    [(("aiii", 3, 2), [1e100, 1.0]), (("aiii", 2, 1), [1e160]), (("a2", 0, 3), [1e160, 0.0]),
+     (("bdi", 3, 3), [1e120, 1.0, 0.5])],
+)
+def test_density_far_in_the_tail_is_zero(case, q):
+    # the root product overflows where the Gaussian weight underflows
+    assert theoretical_radial_density(make_space(*case), q) == 0.0
+
+
 def test_mode_of_rank_one_density():
     # q^3 exp(-q^2) peaks at sqrt(3/2)
     d = make_space("aiii", 2, 1)
@@ -436,6 +446,13 @@ def test_closed_form_cdf_matches_quadrature(case):
     d = make_space(*case)
     x = np.concatenate([np.linspace(-3.0, 5.0, 65), [1e-3, 7.5]])
     assert np.max(np.abs(theoretical_radial_cdf(d, x) - quad_radial_cdf(d, x))) <= 1e-12
+
+
+@pytest.mark.parametrize("case", RANK_ONE_CASES)
+def test_cdf_far_in_the_tail_is_one(case):
+    # g x^2 / 2 overflows from x ~ 1e154 on
+    x = np.array([1e155, 1e200, 1e300, np.finfo(float).max])
+    assert (theoretical_radial_cdf(make_space(*case), x) == 1.0).all()
 
 
 @pytest.mark.parametrize("case", RANK_ONE_CASES)
