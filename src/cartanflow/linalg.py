@@ -55,15 +55,18 @@ def _check_int(name: str, value, least: int) -> int:
     return int(value)
 
 
-def _check_real(name: str, value) -> float:
+def _check_real(name: str, value, least: float | None = None) -> float:
     """``value`` as a float; ContractViolation unless it is a finite real
-    number (a Python or NumPy one, not a bool) that a double can hold."""
+    number (a Python or NumPy one, not a bool) that a double can hold, and
+    of at least ``least`` if given."""
     try:
-        if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
+        if (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and math.isfinite(value) and (least is None or value >= least)):
             return float(value)
     except OverflowError:  # an int beyond the doubles
         pass
-    raise ContractViolation(f"{name} must be a finite real number, got {value!r}")
+    bound = "" if least is None else f" >= {least}"
+    raise ContractViolation(f"{name} must be a finite real number{bound}, got {value!r}")
 
 
 def _numeric_array(name: str, value, dtype) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factorizations as fac
-from .linalg import ContractViolation, _finite_array, _numeric_array, frobenius
+from .linalg import ContractViolation, _check_real, _finite_array, _numeric_array, frobenius
 from .spaces import (
     SpaceDescriptor,
     _quaternionic_j,
@@ -85,7 +85,8 @@ def chamber_contains(d: SpaceDescriptor, q, tol: float = 1e-12) -> bool:
     """Whether q lies in the closed positive Weyl chamber of the class:
     alpha(q) >= -tol for every positive root.  False for a q of the wrong
     length or with non-finite entries; ContractViolation for one that is
-    not a real numeric array."""
+    not a real numeric array, or unless ``tol`` is a finite real number >= 0."""
+    tol = _check_real("tol", tol, 0.0)
     q = _numeric_array("radial vector", q, float)
     if q.shape != (d.real_rank,) or not all(map(math.isfinite, q.tolist())):
         return False
@@ -444,7 +445,9 @@ def slice_contains(d: SpaceDescriptor, s: SliceCoords, tol: float = _PATTERN_TOL
     ``exact_slice_reduce``; for every other class the centralizer pattern
     is not part of the canonicalization scope and membership of r in
     a-perp is the whole condition.  The first violated position is named.
+    ContractViolation unless ``tol`` is a finite real number >= 0.
     """
+    tol = _check_real("tol", tol, 0.0)
     try:
         r = _check_slice_coords(d, s)
     except ContractViolation as exc:

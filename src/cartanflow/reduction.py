@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import ConsistencyError, ContractViolation, _finite_array, commutator
+from .linalg import ConsistencyError, ContractViolation, _check_real, _finite_array, commutator
 from .radial import WALL_TOL, SliceCoords
 from .spaces import (
     SpaceDescriptor,
@@ -85,9 +85,7 @@ def _zk_perp_coords(d: SpaceDescriptor, l) -> np.ndarray:
     geo, N = geometry(d), d.ambient_dim
     l = _finite_array("l", l, (N, N), complex)
     lc = geo.zk_coords(l)
-    # l minus its projection, summed straight from the zk-perp triplets
-    member, col, val = geo._root_split[1]
-    off = _real_flat(l) - np.bincount(col, lc[member] * val, minlength=2 * N * N)
+    off = _real_flat(l - geo.zk_from_coords(lc))  # l minus its projection
     if np.linalg.norm(off) > 1e-10 * max(np.linalg.norm(l), 1.0):
         raise ContractViolation("l has a component outside zk-perp; it must lie in zk-perp")
     return lc
@@ -153,7 +151,9 @@ def closed_form_density(d: SpaceDescriptor, q) -> float:
 def random_chamber_point(
     d: SpaceDescriptor, rng: np.random.Generator, min_wall: float = 1e-3
 ) -> np.ndarray:
-    """A generic chamber-interior point, resampled away from the walls."""
+    """A generic chamber-interior point, resampled away from the walls.
+    ContractViolation unless ``min_wall`` is a finite real number >= 0."""
+    min_wall = _check_real("min_wall", min_wall, 0.0)
     rank, trace, flips = d.real_rank, d.trace_constrained, d.has_sign_flip_weyl
     for _ in range(200):
         if trace:

@@ -26,6 +26,7 @@ first n draws of a larger count are the n draws.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -170,8 +171,8 @@ def _unnormalized(d: SpaceDescriptor, q: np.ndarray) -> float:
     return _root_product(*geometry(d).root_table, q) * w if w else 0.0
 
 
-def _chamber_integral(d: SpaceDescriptor) -> float:
-    """Closed-form chamber integral of prod |alpha(q)|^m_alpha * exp(-q^T G q / 2).
+def _log_chamber_integral(d: SpaceDescriptor) -> float:
+    """Closed-form log of the chamber integral of prod |alpha(q)|^m_alpha * exp(-q^T G q / 2).
 
     The multiplicities are read from ``_root_system``.  The A-type classes
     (ai, a2, aii), with G = c (I + 1 1^T) and one root multiplicity beta,
@@ -207,27 +208,47 @@ def _chamber_integral(d: SpaceDescriptor) -> float:
         )
         if not d.has_sign_flip_weyl:
             log_z += math.log(2)  # so(n,n): the last coordinate takes either sign
+    return log_z
+
+
+def _chamber_integral(d: SpaceDescriptor) -> float:
+    """The chamber integral Z, exp of ``_log_chamber_integral``; inf beyond
+    the doubles."""
     try:
-        return math.exp(log_z)
+        return math.exp(_log_chamber_integral(d))
     except OverflowError:
-        msg = f"{d.label()}: chamber integral overflows (log Z = {log_z:.1f})"
-        raise ConsistencyError(msg) from None
+        return math.inf
 
 
 @lru_cache(maxsize=None)
-def _normalizer(d: SpaceDescriptor) -> float:
-    """``_chamber_integral`` once per descriptor (a failure is not cached)."""
-    return _chamber_integral(d)
+def _normalizer(d: SpaceDescriptor) -> tuple[float, float]:
+    """``_log_chamber_integral`` and ``_chamber_integral`` once per
+    descriptor (a failure is not cached)."""
+    return _log_chamber_integral(d), _chamber_integral(d)
 
 
 def theoretical_radial_density(d: SpaceDescriptor, q) -> float:
     """Probability density of the radial spectrum of the Gaussian ensemble,
     normalized to unit mass over the chamber; 0.0 outside it.
-    ContractViolation unless q is a finite vector of the real rank's length."""
+    ContractViolation unless q is a finite vector of the real rank's length.
+    Where the direct quotient leaves the doubles, or its weight is below the
+    least normal double, it is exp(sum m_alpha log|alpha(q)| - q^T G q / 2 - log Z)."""
     q = _radial_vector(d, q)
     if not chamber_contains(d, q, tol=1e-12):
         return 0.0
-    return _unnormalized(d, q) / _normalizer(d)
+    log_z, z = _normalizer(d)
+    if _weight(d, q) >= sys.float_info.min and z < math.inf:
+        with np.errstate(over="ignore"):  # a root product beyond the doubles
+            rho = _unnormalized(d, q) / z
+        if math.isfinite(rho):
+            return rho
+    geo = geometry(d)
+    coeffs, mults = geo.root_table
+    with np.errstate(over="ignore", divide="ignore"):  # q G q beyond the doubles; log 0 on a wall
+        half = 0.5 * q @ geo.gram @ q
+        if half == math.inf:
+            return 0.0  # the weight outruns every power of |q|
+        return float(np.exp(mults @ np.log(np.abs(coeffs @ q)) - half - log_z))
 
 
 def _lower_gamma(k: float, x: np.ndarray) -> np.ndarray:

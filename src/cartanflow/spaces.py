@@ -27,7 +27,8 @@ entries by an index map read once from its matrix, the few candidates with
 a trace lose it on the diagonal, and Gram-Schmidt runs among those alone,
 over the diagonal; brackets with a radial generator are taken by index as
 well, and m, zk-perp and a-perp keep the nonzero entries of their
-combinations of k, one support component at a time.
+combinations of k, one support component at a time.  A sum over a basis is
+one scatter of its triplets; only the sampler's p blocks keep an index table.
 
 Supported kinds::
 
@@ -54,7 +55,7 @@ from itertools import combinations
 import numpy as np
 
 from .linalg import ConsistencyError, ContractViolation, as_cmat, frobenius
-from .linalg import _check_int, _finite_array
+from .linalg import _check_int, _check_real, _finite_array
 
 __all__ = [
     "KINDS",
@@ -303,8 +304,10 @@ def _fixed_residual(M: Callable, X: np.ndarray, target: np.ndarray) -> float:
 def check_membership(d: SpaceDescriptor, X, rtol: float = MEMBERSHIP_RTOL) -> None:
     """Raise unless X lies in the ambient real Lie algebra g0 of the class.
 
-    The error names the first violated defining relation.
+    The error names the first violated defining relation.  ContractViolation
+    also unless ``rtol`` is a finite real number >= 0.
     """
+    rtol = _check_real("rtol", rtol, 0.0)
     N = d.ambient_dim
     X = _finite_array("matrix", X, (N, N), complex)
     scale = max(frobenius(X), 1.0)
@@ -338,7 +341,9 @@ def check_k_group_membership(d: SpaceDescriptor, k, rtol: float = 1e-9) -> None:
     (block-diagonality, reality, the quaternionic structure, preservation
     of the bilinear form), and unit determinant: of each of bdi's two
     diagonal factors, of the whole matrix for every other class.
+    ContractViolation also unless ``rtol`` is a finite real number >= 0.
     """
+    rtol = _check_real("rtol", rtol, 0.0)
     N = d.ambient_dim
     k = _finite_array("k", k, (N, N), complex)
     scale = max(frobenius(k), 1.0)
@@ -504,10 +509,10 @@ def _index_table(entries: tuple, shape: tuple) -> tuple:
     in the layout of ``_real_flat`` of members of ``shape``, as a read-only
     index table for ``_assemble``: per column, the first contributing member
     ``src`` and its entry ``val`` (0 where none contributes); for the columns
-    ``cols`` with more (the trace-corrected diagonals of p and k, the
-    columns that root vectors of one component share), one level per further
-    one in member order, members ``more_src`` and entries ``more_val`` padded
-    with member 0 and the entry 0; last, ``shape``."""
+    ``cols`` with more (the diagonals of p for ai, a2 and aii, which sum
+    several trace-corrected members), one level per further one in member
+    order, members ``more_src`` and entries ``more_val`` padded with member 0
+    and the entry 0; last, ``shape``."""
     member, col, value = entries
     width = 2 * math.prod(shape)
     order = np.lexsort((member, col))  # by column, then by member
@@ -535,11 +540,8 @@ def _assemble(table: tuple, g: np.ndarray, out: np.ndarray | None = None) -> np.
     entries), receives the entries if given; the result is a view of it."""
     src, val, cols, more_src, more_val, shape = table
     B = np.empty((len(g), len(src))) if out is None else out
-    if g.shape[1]:
-        # every index is in range; mode="raise" would gather into a buffer first
-        np.take(g, src, axis=1, mode="clip", out=B)
-    else:
-        B.fill(0.0)
+    # every index is in range; mode="raise" would gather into a buffer first
+    np.take(g, src, axis=1, mode="clip", out=B)
     B *= val
     B += 0.0  # an empty entry reads +0.0, as in a sum from zero, not g * 0 = -0.0
     sub = B[:, cols]
@@ -547,6 +549,20 @@ def _assemble(table: tuple, g: np.ndarray, out: np.ndarray | None = None) -> np.
         sub += g[:, s] * v
     B[:, cols] = sub
     return B.view(complex).reshape(len(g), *shape)
+
+
+def _scatter(entries: tuple, c, shape: tuple) -> np.ndarray:
+    """sum_a c_a B_a over a basis given by entry triplets (member, column,
+    value) sorted by member, for one coefficient row or a stack of rows: one
+    ``np.bincount``, row i's columns offset by i times the 2 prod(shape) real
+    entries of a member.  Each column's terms add in member order from +0.0."""
+    member, col, val = entries
+    c = np.asarray(c, dtype=float)
+    rows = c.reshape(math.prod(c.shape[:-1]), c.shape[-1])
+    width = 2 * math.prod(shape)
+    at = (col + width * np.arange(len(rows))[:, None]).ravel()
+    B = np.bincount(at, (rows[:, member] * val).ravel(), minlength=len(rows) * width)
+    return B.view(complex).reshape(c.shape[:-1] + shape)
 
 
 def _coords(entries: tuple, X) -> np.ndarray:
@@ -558,14 +574,6 @@ def _coords(entries: tuple, X) -> np.ndarray:
         return terms
     starts = np.flatnonzero(member[1:] != member[:-1]) + 1
     return np.add.reduceat(terms, np.concatenate(([0], starts)), axis=-1)
-
-
-def _from_coords(table: tuple, c) -> np.ndarray:
-    """sum_a c_a B_a over the basis of an ``_index_table``, for one row of
-    coefficients or a stack of rows."""
-    c = np.asarray(c, dtype=float)
-    B = _assemble(table, np.atleast_2d(c))
-    return B.reshape(c.shape[:-1] + B.shape[1:])
 
 
 def _ad_entries(entries: tuple, Hs) -> tuple[np.ndarray, ...]:
@@ -934,16 +942,9 @@ class SpaceGeometry:
         return self._unit_basis(onto_p=False)
 
     @cached_property
-    def _p_table(self) -> tuple:
-        return _index_table(self._p_entries, (self.descriptor.ambient_dim,) * 2)
-
-    @cached_property
-    def _k_table(self) -> tuple:
-        return _index_table(self._k_entries, (self.descriptor.ambient_dim,) * 2)
-
-    @cached_property
     def _block_table(self) -> tuple:
-        """The p table cut to the spectral block, for the sampler."""
+        """The p basis cut to the spectral block, as the sampler's ``_index_table``:
+        ``_assemble`` builds 1024-draw blocks 2 to 6.6 times faster than ``_scatter``."""
         N = self.descriptor.ambient_dim
         at = _spectral_block(self.descriptor, np.arange(N * N).reshape(N, N))
         place = np.full(N * N, -1)  # each position's place in the block, -1 off it
@@ -1098,14 +1099,6 @@ class SpaceGeometry:
         return rows.view(complex).reshape(len(rows), N, N)
 
     @cached_property
-    def _zk_table(self) -> tuple:
-        return _index_table(self._root_split[1], (self.descriptor.ambient_dim,) * 2)
-
-    @cached_property
-    def _ap_table(self) -> tuple:
-        return _index_table(self._root_split[2], (self.descriptor.ambient_dim,) * 2)
-
-    @cached_property
     def _zk_rows(self) -> np.ndarray:
         """The reduced field's dense zk-perp rows in the layout of
         ``_real_flat``, made on first use, read-only; for bdi and ai, whose
@@ -1124,16 +1117,16 @@ class SpaceGeometry:
         return _coords(self._root_split[2], X)
 
     def aperp_from_coords(self, c) -> np.ndarray:
-        return _from_coords(self._ap_table, c)
+        return _scatter(self._root_split[2], c, (self.descriptor.ambient_dim,) * 2)
 
     def zk_coords(self, X) -> np.ndarray:
         return _coords(self._root_split[1], X)
 
     def zk_from_coords(self, c) -> np.ndarray:
-        return _from_coords(self._zk_table, c)
+        return _scatter(self._root_split[1], c, (self.descriptor.ambient_dim,) * 2)
 
     def p_from_coords(self, c) -> np.ndarray:
-        return _from_coords(self._p_table, c)
+        return _scatter(self._p_entries, c, (self.descriptor.ambient_dim,) * 2)
 
     def embed_radial(self, q: np.ndarray) -> np.ndarray:
         d = self.descriptor
@@ -1284,7 +1277,9 @@ def random_p_element(d: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray
 
 
 def random_k_element(d: SpaceDescriptor, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """A group element of K, as exp of a random k-algebra element."""
+    """A group element of K, as exp of a random k-algebra element.
+    ContractViolation unless ``scale`` is a finite real number."""
     from scipy.linalg import expm
 
-    return expm(_from_coords(geometry(d)._k_table, scale * rng.standard_normal(d.dim_k)))
+    c = _check_real("scale", scale) * rng.standard_normal(d.dim_k)
+    return expm(_scatter(geometry(d)._k_entries, c, (d.ambient_dim,) * 2))

@@ -804,6 +804,19 @@ def reference_unit_entries(d: SpaceDescriptor, onto_p: bool) -> tuple:
     return stack_entries(reference_unit_basis(d, onto_p))
 
 
+def reference_member_sum(entries: tuple, c, shape: tuple) -> np.ndarray:
+    """sum_a c_a B_a over a basis given by entry triplets (member, column,
+    value), for a stack of coefficient rows: zeros, then one member's terms
+    at a time, in member order."""
+    member, col, val = entries
+    c = np.asarray(c, dtype=float)
+    B = np.zeros((len(c), 2 * math.prod(shape)))
+    for a in range(c.shape[1]):
+        on = member == a
+        B[:, col[on]] += c[:, a, None] * val[on]
+    return B.view(complex).reshape(len(c), *shape)
+
+
 def zk_rows(d: SpaceDescriptor) -> np.ndarray:
     """``_real_rows`` of ``basis_of(d, "zk_perp")``, (0, 2 N^2) when it is empty."""
     N = d.ambient_dim

@@ -4,12 +4,14 @@ against the dense products they replace."""
 import numpy as np
 import pytest
 
-from cartanflow import ConsistencyError, basis_of, make_space, sample_radial_batch
-from cartanflow import spaces
+from cartanflow import ConsistencyError, PhasePoint, basis_of, make_space, sample_radial_batch
+from cartanflow import random_p_element, reduce_phase_point, spaces
+from cartanflow.cli import main
+from cartanflow.reduction import r_from_l
 from cartanflow.spaces import _ad_entries, geometry
 
 from conftest import assert_matches_unit_basis, assert_orthonormal, reference_unit_basis
-from conftest import _real_rows, root_system_grid
+from conftest import _real_rows, reference_member_sum, root_system_grid
 from test_spaces import BASIS_CASES
 
 
@@ -44,9 +46,9 @@ def test_large_bases_match_dense_unit_stack():
 @pytest.mark.slow
 @pytest.mark.parametrize("case", [("bdi", 24, 24), ("aiii", 24, 24)])
 def test_no_dense_p_or_k_stack_is_cached(case):
-    # after the p basis, a cold split and one sampler batch, and no flow, p
-    # and k live only as index tables, and m, zk-perp and a-perp as entry
-    # triplets and index tables: no dense stack or row block of any of them
+    # after the p basis, a cold split and one sampler batch, and no flow, p,
+    # k, m, zk-perp and a-perp live only as entry triplets, and the p block
+    # as the sampler's index table: no dense stack or row block of any of them
     d = make_space(*case)
     basis_of(d, "p")
     basis_of(d, "a_perp")  # the split, which reads the k triplets
@@ -60,9 +62,62 @@ def test_no_dense_p_or_k_stack_is_cached(case):
     dense = ((d.dim_p, N, N), (d.dim_k, N, N), (dz, N, N), (d.dim_k - dz, N, N),
              (dz, 2 * N * N))
     assert cached and not [a.shape for a in cached if a.shape in dense]
-    tables = (geo._p_table, geo._k_table, geo._block_table)
-    table_bytes = sum(a.nbytes for t in tables for a in t[:5])
+    tables = (geo._p_entries, geo._k_entries, geo._block_table[:5])
+    table_bytes = sum(a.nbytes for t in tables for a in t)
     assert table_bytes < 0.01 * 16 * (d.dim_p + d.dim_k) * N * N
+
+
+def _assert_sums_are_member_order_sums(d):
+    # p, zk-perp and a-perp through their public sums, k as random_k_element
+    # scatters it, at one row and three, with -0.0 and 0.0 among the
+    # coefficients: the bytes of zeros plus one member's terms at a time
+    geo = geometry(d)
+    square = (d.ambient_dim,) * 2
+    bases = [(geo._p_entries, d.dim_p, geo.p_from_coords),
+             (geo._k_entries, d.dim_k, lambda c: spaces._scatter(geo._k_entries, c, square)),
+             (geo._root_split[1], d.dim_p - d.real_rank, geo.zk_from_coords),
+             (geo._root_split[2], d.dim_p - d.real_rank, geo.aperp_from_coords)]
+    rng = np.random.default_rng(29)
+    for entries, dim, total in bases:
+        c = rng.standard_normal((3, dim))
+        c.ravel()[::5], c.ravel()[2::7] = -0.0, 0.0
+        want = reference_member_sum(entries, c, square)
+        assert total(c).tobytes() == want.tobytes()
+        assert total(c[0]).tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("case", BASIS_CASES[::6] + [("bdi", 1, 1), ("a2", 0, 4)])
+def test_sums_over_a_basis_are_member_order_sums(case):
+    _assert_sums_are_member_order_sums(make_space(*case))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", root_system_grid())
+def test_sums_over_a_basis_are_member_order_sums_on_the_grid(case):
+    _assert_sums_are_member_order_sums(make_space(*case))
+
+
+@pytest.mark.parametrize("case", [("aiii", 3, 2), ("ai", 0, 4)])
+def test_only_the_sampler_block_is_cached_as_an_index_table(case, monkeypatch):
+    # a seeded decompose, a checked flow, r_from_l and a sampler batch on a
+    # fresh geometry build one index table, the sampler's block; every
+    # other sum scatters from the triplets
+    d = make_space(*case)
+    made = []
+    index_table = spaces._index_table
+    monkeypatch.setattr(spaces, "_index_table", lambda *a: made.append(index_table(*a)) or made[-1])
+    monkeypatch.setitem(spaces._GEOMETRY_CACHE, d, spaces.SpaceGeometry(d))
+    space = ["--class", d.kind, "--m", str(d.m), "--n", str(d.n)]
+    assert main(["decompose", *space, "--seed", "3"]) == 0
+    assert main(["flow", *space, "--seed", "3", "--compare"]) == 0
+    rng = np.random.default_rng(3)
+    state = reduce_phase_point(d, PhasePoint(random_p_element(d, rng),
+                                             random_p_element(d, rng)))[0]
+    r_from_l(d, state.q, state.l)
+    sample_radial_batch(d, 64, 1)
+    geo = geometry(d)
+    assert len(made) == 1
+    assert [name for name, value in vars(geo).items() if value is made[0]] == ["_block_table"]
 
 
 def _dense(entries, n, N):
@@ -117,7 +172,7 @@ def test_dropping_a_conjugation_from_the_index_table_raises(case, monkeypatch):
     assert len(maps) == len(spaces._conjugations(d)) >= 1
     for i in range(len(maps)):
         monkeypatch.setattr(spaces, "_conjugation_maps", lambda _, i=i: maps[:i] + maps[i + 1 :])
-        for name in ("_p_table", "_k_table"):
+        for name in ("_p_entries", "_k_entries"):
             with pytest.raises(ConsistencyError, match="theory says"):
                 getattr(spaces.SpaceGeometry(d), name)
     monkeypatch.undo()
@@ -182,7 +237,7 @@ def test_p_and_k_tables_build_without_dense_stacks():
     geo = spaces.SpaceGeometry(make_space("aiii", 24, 24))
     tracemalloc.start()
     try:
-        geo._p_table, geo._k_table
+        geo._p_entries, geo._k_entries
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -15,12 +15,19 @@ repository's ``src`` on the path and ``PYTHONHASHSEED`` unset, so string
 hashing differs from process to process.  The table takes tens of seconds,
 so the ``cli_contract`` marker keeps it out of the default selection; run
 it with ``python -m pytest -q -m cli_contract``.
+
+``python tests/test_cli_contract.py`` prints one line per case instead: the
+sha256 of stdout, the exit code and the sha256 of stderr of one run (with
+``--threads 1`` for a ``threads`` case), then the case id.  Two checkouts
+give the same listing when every case gives them the same bytes.
 """
 
+import hashlib
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -106,6 +113,7 @@ CASES = [
         for cmd in ("sample", "verify-density")
     ),
 ]
+IDS = [f"{check}: {cmd}" for check, cmd, _ in CASES]
 
 
 def _run(cmd: str, cwd: Path) -> subprocess.CompletedProcess:
@@ -121,7 +129,7 @@ def _ok(proc: subprocess.CompletedProcess) -> bytes:
     return proc.stdout
 
 
-@pytest.mark.parametrize("check, cmd, expect", CASES, ids=[f"{c[0]}: {c[1]}" for c in CASES])
+@pytest.mark.parametrize("check, cmd, expect", CASES, ids=IDS)
 def test_cli_contract(check, cmd, expect, tmp_path):
     (tmp_path / "bad.json").write_text("not json\n")
     if check == "repeat":
@@ -144,3 +152,12 @@ def test_cli_contract(check, cmd, expect, tmp_path):
         lines = _ok(_run(cmd, tmp_path)).decode().splitlines()
         assert any(ln.startswith(expect) for ln in lines)
 
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = Path(tmp)
+        (cwd / "bad.json").write_text("not json\n")
+        for (check, cmd, _), case in zip(CASES, IDS):
+            proc = _run(f"{cmd} --threads 1" if check == "threads" else cmd, cwd)
+            print(hashlib.sha256(proc.stdout).hexdigest(), proc.returncode,
+                  hashlib.sha256(proc.stderr).hexdigest(), case)

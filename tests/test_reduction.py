@@ -20,11 +20,14 @@ from cartanflow import (
 from cartanflow.dynamics import PhasePoint, _slice_point, direct_flow, integrate_reduced
 from cartanflow.dynamics import reduce_phase_point
 from cartanflow.linalg import ConsistencyError, frobenius
-from cartanflow.radial import SliceCoords, embed_radial, exact_slice_reduce, slice_contains
+from cartanflow.radial import SliceCoords, chamber_contains, embed_radial, exact_slice_reduce
+from cartanflow.radial import slice_contains
 from cartanflow.sampling import theoretical_radial_cdf, theoretical_radial_density
 from cartanflow.reduction import ReducedState, _check_root_multiset, random_chamber_point
 from cartanflow.spaces import (
     check_k_group_membership,
+    check_membership,
+    check_p_membership,
     geometry,
     numeric_roots,
     root_values,
@@ -330,6 +333,24 @@ _MALFORMED_CALLS = {
     "numeric_roots seed 1.5": lambda d, s: numeric_roots(d, seed=1.5),
     "make_space m 2.7": lambda d, s: make_space("aiii", 2.7, 1),
     "check_k nan k": lambda d, s: check_k_group_membership(d, np.full((5, 5), np.nan)),
+    # a tolerance, scale or wall margin that is not a finite real number
+    # (>= 0 but for the scale); with a NaN tolerance every residual passes
+    "check_membership rtol nan": lambda d, s: check_membership(d, _RANDOM_L, rtol=np.nan),
+    "check_p_membership rtol nan": lambda d, s: check_p_membership(d, _RANDOM_L, rtol=np.nan),
+    "check_k rtol nan": lambda d, s: check_k_group_membership(d, _RANDOM_L, rtol=np.nan),
+    # -r has negative flag pivots: it fails the pattern at the default tolerance
+    "slice_contains tol nan": lambda d, s: _verdict(
+        slice_contains(d, SliceCoords(s.q, s.p, -s.r), tol=np.nan)),
+    "chamber_contains tol inf": lambda d, s: chamber_contains(d, [-5.0, 2.0], tol=np.inf),
+    "chamber_contains tol -1": lambda d, s: chamber_contains(d, s.q, tol=-1.0),
+    "random_k_element scale nan": lambda d, s: random_k_element(
+        d, np.random.default_rng(1), scale=np.nan),
+    "random_k_element scale inf": lambda d, s: random_k_element(
+        d, np.random.default_rng(1), scale=np.inf),
+    "random_chamber_point min_wall nan": lambda d, s: random_chamber_point(
+        d, np.random.default_rng(1), min_wall=np.nan),
+    "random_chamber_point min_wall -1": lambda d, s: random_chamber_point(
+        d, np.random.default_rng(1), min_wall=-1.0),
 }
 
 

@@ -127,14 +127,16 @@ def test_component_split_is_exactly_sparse():
 
 def test_cold_split_reads_the_k_basis_once(monkeypatch):
     # the split reads the cached k entry triplets: the k basis is built
-    # once, and never assembled as a dense stack
+    # once, and never assembled or scattered as a dense stack
     d = make_space("aiii", 3, 2)
     calls = []
-    unit_basis, assemble = spaces.SpaceGeometry._unit_basis, spaces._assemble
+    unit_basis, assemble, scatter = (spaces.SpaceGeometry._unit_basis, spaces._assemble,
+                                     spaces._scatter)
     monkeypatch.setattr(spaces.SpaceGeometry, "_unit_basis",
                         lambda geo, onto_p: calls.append(onto_p) or unit_basis(geo, onto_p))
     monkeypatch.setattr(spaces, "_assemble", lambda *a, **k: calls.append("assemble")
                         or assemble(*a, **k))
+    monkeypatch.setattr(spaces, "_scatter", lambda *a: calls.append("scatter") or scatter(*a))
     monkeypatch.setitem(spaces._GEOMETRY_CACHE, d, spaces.SpaceGeometry(d))
     assert len(basis_of(d, "a_perp")) == d.dim_p - d.real_rank
     assert calls == [False]
@@ -151,7 +153,7 @@ def test_aiii_32_32_builds_cold(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda A: widths.append(A.shape[-1]) or eigh(A))
     monkeypatch.setitem(spaces._GEOMETRY_CACHE, d, spaces.SpaceGeometry(d))
     geo = geometry(d)
-    geo._p_table, geo._k_table
+    geo._p_entries, geo._k_entries
     assert geo.bracket_coeffs.shape == (d.dim_p - d.real_rank, d.real_rank)
     assert geo.bracket_residual <= 1e-11
     assert density_constant.__wrapped__(d) == 2.0**d.real_rank  # the rows of C are the roots
@@ -172,7 +174,7 @@ def test_aiii_40_40_builds_cold_below_200_mb():
 
         d = cf.make_space("aiii", 40, 40)
         geo = geometry(d)
-        geo._p_table, geo._k_table
+        geo._p_entries, geo._k_entries
         residual = geo.bracket_residual
         assert cf.numeric_roots(d) == cf.restricted_roots(d)
         with open("/proc/self/status") as status:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -230,17 +231,15 @@ def test_large_gathered_blocks_equal_the_product(case):
 def test_assembly_into_a_buffer_is_the_allocating_assembly(case):
     # the sampler refills one buffer per chunk: a NaN-filled one must come
     # out with the bytes of a fresh assembly, for a full and a short run of
-    # rows, and for bdi(1,1)'s empty k basis
+    # rows, and for bdi(1,1)'s one-member p basis
     d = make_space(*case)
-    geo = geometry(d)
-    for table, dim in ((geo._block_table, d.dim_p), (geo._p_table, d.dim_p),
-                       (geo._k_table, d.dim_k)):
-        g = np.random.default_rng(5).standard_normal((7, dim))
-        buf = np.full((7, len(table[0])), np.nan)
-        for rows in (7, 3):
-            got = _assemble(table, g[:rows], out=buf[:rows])
-            assert np.shares_memory(got, buf)
-            assert got.tobytes() == _assemble(table, g[:rows]).tobytes()
+    table = geometry(d)._block_table
+    g = np.random.default_rng(5).standard_normal((7, d.dim_p))
+    buf = np.full((7, len(table[0])), np.nan)
+    for rows in (7, 3):
+        got = _assemble(table, g[:rows], out=buf[:rows])
+        assert np.shares_memory(got, buf)
+        assert got.tobytes() == _assemble(table, g[:rows]).tobytes()
 
 
 def test_sampler_peak_memory_is_one_sub_block_per_worker():
@@ -420,6 +419,41 @@ def test_density_vanishes_on_walls_and_outside():
 def test_density_far_in_the_tail_is_zero(case, q):
     # the root product overflows where the Gaussian weight underflows
     assert theoretical_radial_density(make_space(*case), q) == 0.0
+
+
+@pytest.mark.parametrize("m", [16, 20])
+def test_density_where_the_root_product_leaves_the_doubles(m):
+    # q along (1, ..., 0.05) with q G q / 2 = 700, where the root product
+    # overflows (the density is e^-185.76 at aiii(16,16), e^-71.47 at
+    # aiii(20,20)), against q0 on the same ray with q0 G q0 / 2 = 100, where
+    # the direct form holds, by the scaling law
+    # rho(t u) = rho(t0 u) (t / t0)^M exp(-(t^2 - t0^2) u G u / 2),
+    # M the sum of the multiplicities
+    d = make_space("aiii", m, m)
+    geo = geometry(d)
+    u = np.linspace(1.0, 0.05, d.real_rank)
+    uGu = u @ geo.gram @ u
+    t, t0 = math.sqrt(1400.0 / uGu), math.sqrt(200.0 / uGu)
+    direct = _unnormalized(d, t0 * u) / _chamber_integral(d)
+    assert theoretical_radial_density(d, t0 * u) == direct
+    want = (math.log(direct) + geo.root_table[1].sum() * math.log(t / t0)
+            - (t * t - t0 * t0) * uGu / 2)
+    assert math.log(theoretical_radial_density(d, t * u)) == pytest.approx(want, abs=1e-10)
+
+
+def test_density_where_the_chamber_integral_leaves_the_doubles():
+    # Z is e^1009.8 at aiii(24,24); the density of its own seeded draws
+    # (e^9.6 to e^15.9 here) is finite, and follows the scaling law above
+    # from q to 0.9 q
+    d = make_space("aiii", 24, 24)
+    geo = geometry(d)
+    assert _chamber_integral(d) == math.inf
+    M = geo.root_table[1].sum()
+    for q in sample_radial_batch(d, 5, 1):
+        rho, rho9 = theoretical_radial_density(d, q), theoretical_radial_density(d, 0.9 * q)
+        assert 5.0 < math.log(rho) < 20.0
+        want = math.log(rho) + M * math.log(0.9) + 0.19 * (q @ geo.gram @ q) / 2
+        assert math.log(rho9) == pytest.approx(want, abs=1e-10)
 
 
 def test_mode_of_rank_one_density():
