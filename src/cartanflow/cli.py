@@ -39,11 +39,16 @@ _LIST_DEFAULTS = {
 
 
 def _threads_default() -> int:
+    """``CARTANFLOW_THREADS`` as an integer >= 1, or 1 when it is unset or
+    empty; ContractViolation for any other value."""
     env = os.environ.get("CARTANFLOW_THREADS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
+    if not env:
         return 1
+    try:
+        env = int(env)
+    except ValueError:
+        pass  # left a string, which _check_int refuses
+    return _check_int("CARTANFLOW_THREADS", env, 1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -209,16 +214,13 @@ def _cmd_density(args) -> int:
     q = _finite_array("--q", args.q.split(","), (d.real_rank,), float)
     payload = {"meta": _meta(d, q=[float(v) for v in q])}
     # a density that overflows is reported once, by the JSON's refusal of inf
-    with np.errstate(over="ignore"):
-        if args.method in ("numeric", "both"):
-            payload["numeric"] = jacobian_density(d, q)
-        if args.method in ("closed", "both"):
-            payload["closed"] = closed_form_density(d, q)
-        if args.method == "both":
-            payload["ratio"] = (
-                payload["numeric"] / payload["closed"] if payload["closed"] else None
-            )
-            payload["constant"] = density_constant(d)
+    if args.method in ("numeric", "both"):
+        payload["numeric"] = jacobian_density(d, q)
+    if args.method in ("closed", "both"):
+        payload["closed"] = closed_form_density(d, q)
+    if args.method == "both":
+        payload["ratio"] = payload["numeric"] / payload["closed"] if payload["closed"] else None
+        payload["constant"] = density_constant(d)
     _emit(_json_text(payload), args.out)
     return 0
 
@@ -375,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # inside the try: the parse reads CARTANFLOW_THREADS, which may be malformed
+        args = build_parser().parse_args(argv)
         if getattr(args, "seed", None) is not None:
             _check_int("--seed", args.seed, 0)
         code = args.func(args)

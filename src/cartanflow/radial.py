@@ -90,7 +90,8 @@ def chamber_contains(d: SpaceDescriptor, q, tol: float = 1e-12) -> bool:
     q = _numeric_array("radial vector", q, float)
     if q.shape != (d.real_rank,) or not all(map(math.isfinite, q.tolist())):
         return False
-    return bool((geometry(d).root_table[0] @ q >= -tol).all())
+    with np.errstate(over="ignore"):  # a root value beyond the doubles is inf
+        return bool((geometry(d).root_table[0] @ q >= -tol).all())
 
 
 def embed_radial(d: SpaceDescriptor, q) -> np.ndarray:

@@ -119,13 +119,13 @@ def a_q_matrix(d: SpaceDescriptor, q) -> AqOperator:
 def jacobian_density(d: SpaceDescriptor, q) -> float:
     """|det| of r -> [r, H(q)] between orthonormal bases of a-perp and the
     centralizer orthocomplement: the product of the measured diagonal
-    |C q| in the root-adapted bases.  Vanishes exactly on the chamber walls."""
+    |C q| in the root-adapted bases.  0.0 exactly on the chamber walls, even
+    where another factor is inf, and inf where the product leaves the
+    doubles."""
     C = geometry(d).bracket_coeffs
-    return float(np.prod(np.abs(C @ _radial_vector(d, q))))
-
-
-def _root_product(coeffs: np.ndarray, mults: np.ndarray, q: np.ndarray) -> float:
-    return float(np.prod(np.abs(coeffs @ q) ** mults))
+    with np.errstate(over="ignore"):
+        vals = np.abs(C @ _radial_vector(d, q))
+        return float(np.prod(vals)) if vals.all() else 0.0
 
 
 def _kappa(d: SpaceDescriptor) -> float:
@@ -141,11 +141,14 @@ def closed_form_density(d: SpaceDescriptor, q) -> float:
     each long root 2 q_i; kappa = 1 for every other class (the classical
     so(m,n) expression is already the root product, its long roots having
     multiplicity 0).  jacobian_density is 1/kappa times this, as
-    ``density_constant`` checks.
+    ``density_constant`` checks.  0.0 on the chamber walls and inf beyond
+    the doubles, as ``jacobian_density``.
     """
     q = _radial_vector(d, q)
     coeffs, mults = geometry(d).root_table
-    return _kappa(d) * _root_product(coeffs, mults, q)
+    with np.errstate(over="ignore"):
+        vals = np.abs(coeffs @ q)
+        return _kappa(d) * float(np.prod(vals**mults)) if vals.all() else 0.0
 
 
 def random_chamber_point(

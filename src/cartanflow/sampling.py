@@ -10,7 +10,11 @@ measure to the Weyl chamber has density
 with rho the slice density, G the Gram matrix of the radial generators
 and Z the chamber normalization.  rho is a product of root values
 prod |alpha(q)|^m_alpha, so Z is Mehta's integral (ai, a2, aii) or the
-Laguerre-Selberg integral (aiii, bdi, cii, diii, ci) in closed form.
+Laguerre-Selberg integral (aiii, bdi, cii, diii, ci) in closed form.  Z
+is kept only as log Z, and the density is the one sum of logarithms
+sum m_alpha log|alpha(q)| - q^T G q / 2 - log Z, exponentiated once: on
+large spaces the root product or Z leaves the doubles where the density
+does not.
 
 Reproducibility contract: the output depends on (count, seed) only.  Work
 is split into fixed-size chunks; chunk c derives its generator from
@@ -26,7 +30,6 @@ first n draws of a larger count are the n draws.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,7 +37,7 @@ import numpy as np
 
 from .linalg import ConsistencyError, ContractViolation, _check_int, _finite_array
 from .radial import chamber_contains, radial_coords_batch
-from .reduction import _root_product, density_constant
+from .reduction import density_constant
 from .spaces import SpaceDescriptor, _assemble, _radial_vector, _root_system, geometry
 from .spaces import random_p_element
 
@@ -159,18 +162,7 @@ def radial_histogram(
 # theoretical density on the chamber
 
 
-def _weight(d: SpaceDescriptor, q: np.ndarray) -> float:
-    G = geometry(d).gram
-    with np.errstate(over="ignore"):  # q G q overflows to inf where the weight is 0.0
-        return float(np.exp(-0.5 * q @ G @ q))
-
-
-def _unnormalized(d: SpaceDescriptor, q: np.ndarray) -> float:
-    # far out the root product overflows where the weight is 0.0: 0 * inf
-    w = _weight(d, q)
-    return _root_product(*geometry(d).root_table, q) * w if w else 0.0
-
-
+@lru_cache(maxsize=None)
 def _log_chamber_integral(d: SpaceDescriptor) -> float:
     """Closed-form log of the chamber integral of prod |alpha(q)|^m_alpha * exp(-q^T G q / 2).
 
@@ -181,6 +173,7 @@ def _log_chamber_integral(d: SpaceDescriptor) -> float:
     2 e_i, take the Laguerre-Selberg integral after x_i = q_i^2 (Macdonald,
     SIAM J. Math. Anal. 13 (1982); Forrester-Warnaar, Bull. AMS 45 (2008)).
     Raises ``ConsistencyError`` if the Gram matrix has another shape.
+    Memoized per descriptor (a failure is not cached).
     """
     geo = geometry(d)
     a_type, beta, s, ell = _root_system(d)
@@ -211,37 +204,17 @@ def _log_chamber_integral(d: SpaceDescriptor) -> float:
     return log_z
 
 
-def _chamber_integral(d: SpaceDescriptor) -> float:
-    """The chamber integral Z, exp of ``_log_chamber_integral``; inf beyond
-    the doubles."""
-    try:
-        return math.exp(_log_chamber_integral(d))
-    except OverflowError:
-        return math.inf
-
-
-@lru_cache(maxsize=None)
-def _normalizer(d: SpaceDescriptor) -> tuple[float, float]:
-    """``_log_chamber_integral`` and ``_chamber_integral`` once per
-    descriptor (a failure is not cached)."""
-    return _log_chamber_integral(d), _chamber_integral(d)
-
-
 def theoretical_radial_density(d: SpaceDescriptor, q) -> float:
     """Probability density of the radial spectrum of the Gaussian ensemble,
-    normalized to unit mass over the chamber; 0.0 outside it.
-    ContractViolation unless q is a finite vector of the real rank's length.
-    Where the direct quotient leaves the doubles, or its weight is below the
-    least normal double, it is exp(sum m_alpha log|alpha(q)| - q^T G q / 2 - log Z)."""
+    normalized to unit mass over the chamber: one log-domain formula,
+    exp(sum m_alpha log|alpha(q)| - q^T G q / 2 - log Z), so that neither
+    the root product nor Z has to be a double.  0.0 outside the chamber, on
+    a wall and where q^T G q overflows.  ContractViolation unless q is a
+    finite vector of the real rank's length."""
     q = _radial_vector(d, q)
     if not chamber_contains(d, q, tol=1e-12):
         return 0.0
-    log_z, z = _normalizer(d)
-    if _weight(d, q) >= sys.float_info.min and z < math.inf:
-        with np.errstate(over="ignore"):  # a root product beyond the doubles
-            rho = _unnormalized(d, q) / z
-        if math.isfinite(rho):
-            return rho
+    log_z = _log_chamber_integral(d)
     geo = geometry(d)
     coeffs, mults = geo.root_table
     with np.errstate(over="ignore", divide="ignore"):  # q G q beyond the doubles; log 0 on a wall

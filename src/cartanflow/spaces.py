@@ -471,8 +471,11 @@ def _radial_vector(d: SpaceDescriptor, q) -> np.ndarray:
 
 
 def root_values(d: SpaceDescriptor, q: np.ndarray) -> np.ndarray:
-    """alpha(q) over the positive roots, in table order."""
-    return geometry(d).root_table[0] @ _radial_vector(d, q)
+    """alpha(q) over the positive roots, in table order; +-inf where one
+    leaves the doubles."""
+    q = _radial_vector(d, q)
+    with np.errstate(over="ignore"):
+        return geometry(d).root_table[0] @ q
 
 
 def wall_distance(d: SpaceDescriptor, q: np.ndarray) -> float:

@@ -9,7 +9,7 @@ from cartanflow import make_space
 from cartanflow.dynamics import _ABORT_FACTOR, Trajectory
 from cartanflow.linalg import ConsistencyError, ContractViolation, as_cmat, commutator, frobenius
 from cartanflow.radial import WALL_TOL, SliceCoords, radial_coords_batch
-from cartanflow.reduction import ReducedState, _root_product, jacobian_density, random_chamber_point
+from cartanflow.reduction import ReducedState, jacobian_density, random_chamber_point
 from cartanflow.sampling import CHUNK_SIZE
 from cartanflow.spaces import (
     _GS_TOL,
@@ -633,8 +633,8 @@ def reference_gram(d: SpaceDescriptor) -> np.ndarray:
     return G
 
 
-def reference_chamber_integral(d: SpaceDescriptor) -> float:
-    """Closed-form chamber integral of prod |alpha(q)|^m_alpha * exp(-q^T G q / 2),
+def reference_log_chamber_integral(d: SpaceDescriptor) -> float:
+    """Closed-form log of the chamber integral of prod |alpha(q)|^m_alpha * exp(-q^T G q / 2),
     with the multiplicities decoded from the reference root table."""
     geo = geometry(d)
     r, lg = d.real_rank, math.lgamma
@@ -663,7 +663,24 @@ def reference_chamber_integral(d: SpaceDescriptor) -> float:
         )
         if not reference_has_sign_flip_weyl(d):
             log_z += math.log(2)  # so(n,n): the last coordinate takes either sign
-    return math.exp(log_z)
+    return log_z
+
+
+def reference_chamber_integral(d: SpaceDescriptor) -> float:
+    """The chamber integral Z, exp of ``reference_log_chamber_integral``."""
+    return math.exp(reference_log_chamber_integral(d))
+
+
+def reference_radial_density(d: SpaceDescriptor, q) -> float:
+    """The normalized radial density as the direct quotient: the reference
+    root table's product prod |alpha(q)|^m_alpha times exp(-q^T G q / 2),
+    over ``reference_chamber_integral``; 0.0 outside the chamber."""
+    q = np.asarray(q, dtype=float)
+    if not reference_chamber_contains(d, q):
+        return 0.0
+    coeffs, mults = reference_root_table(d)
+    weight = math.exp(-0.5 * q @ reference_gram(d) @ q)
+    return float(np.prod(np.abs(coeffs @ q) ** mults)) * weight / reference_chamber_integral(d)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +712,7 @@ def reference_closed_form_density(
         coeffs = np.array([r.coeffs for r in roots], dtype=float).reshape(len(roots), len(q))
         mults = np.array([r.multiplicity for r in roots])
     kappa = 0.5**d.real_rank if d.kind == "aiii" else 1.0
-    return kappa * _root_product(coeffs, mults, q)
+    return kappa * float(np.prod(np.abs(coeffs @ q) ** mults))
 
 
 def reference_ratio_spread(

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cartanflow import make_space, sample_p_gaussian, save_matrix
+from cartanflow import ContractViolation, make_space, sample_p_gaussian, save_matrix
 from cartanflow.cli import main
 
 from conftest import reference_flow_csv
@@ -342,13 +342,37 @@ def test_parser_built_once_and_threads_env_read_per_parse(monkeypatch):
 
     assert build_parser() is build_parser()
     argv = ["verify-density", "--class", "aiii", "--m", "2", "--n", "1"]
-    for env, want in (("2", 2), ("5", 5), ("x", 1), ("", 1)):
+    for env, want in (("2", 2), ("5", 5), ("", 1)):
         monkeypatch.setenv("CARTANFLOW_THREADS", env)
         assert build_parser().parse_args(argv).threads == want
+    monkeypatch.setenv("CARTANFLOW_THREADS", "x")
+    with pytest.raises(ContractViolation, match="CARTANFLOW_THREADS"):
+        build_parser().parse_args(argv)
     assert build_parser().parse_args(argv + ["--threads", "4"]).threads == 4
     monkeypatch.delenv("CARTANFLOW_THREADS")
     assert build_parser().parse_args(argv).threads == 1
     assert not hasattr(build_parser().parse_args(["spaces", "list"]), "threads")
+
+
+@pytest.mark.parametrize("env", ["x", "0", "-3", "2.5"])
+@pytest.mark.parametrize("command", ["sample", "verify-density"])
+def test_malformed_threads_env_is_a_validation_error(capsys, monkeypatch, command, env):
+    # as --threads 0 is: exit 2 and one line that names the variable
+    monkeypatch.setenv("CARTANFLOW_THREADS", env)
+    code, out, err = run_cli(capsys, command, "--class", "aiii", "--m", "2", "--n", "1")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+    assert "CARTANFLOW_THREADS" in err
+
+
+def test_density_on_a_wall_beyond_the_doubles(capsys):
+    # e1 - e2 vanishes at q = (1e308, 1e308) while e1 + e2 overflows
+    code, out, err = run_cli(
+        capsys, "density", "--class", "aiii", "--m", "3", "--n", "2", "--q", "1e308,1e308"
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["numeric"] == payload["closed"] == 0.0 and payload["ratio"] is None
 
 
 def test_atomic_write_no_partial_on_failure(tmp_path, capsys):

@@ -10,6 +10,9 @@ four comparisons:
   with the given prefix;
 - ``header``: exit 0 and a stdout line that starts with the given prefix.
 
+A run that exits 0 (every run of ``repeat``, ``threads`` and ``header``)
+also writes nothing to stderr: no warning, no stray line.
+
 Every case starts ``sys.executable`` on ``cartanflow.cli.main`` with the
 repository's ``src`` on the path and ``PYTHONHASHSEED`` unset, so string
 hashing differs from process to process.  The table takes tens of seconds,
@@ -64,6 +67,9 @@ CASES = [
     # decompose on ai(4), a2(3) and aii(3), whose p diagonals sum several
     # basis elements each (the exact slice covers aiii and bdi only)
     *(("repeat", f"decompose {_space(s)} --seed 3", None) for s in ("ai 0 4", "a2 0 3", "aii 0 3")),
+    # a q on the wall e1 - e2 whose e1 + e2 overflows: both densities are
+    # 0.0, with no warning
+    ("repeat", "density --class aiii --m 3 --n 2 --q 1e308,1e308", None),
     # flow backwards (a negative step h), and one step whose final state
     # meets the wall check after the loop
     ("repeat", "flow --class aiii --m 3 --n 2 --seed 3 --t-max -0.25 --steps 40", None),
@@ -125,7 +131,7 @@ def _run(cmd: str, cwd: Path) -> subprocess.CompletedProcess:
 
 
 def _ok(proc: subprocess.CompletedProcess) -> bytes:
-    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr.decode()
     return proc.stdout
 
 

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -159,6 +162,21 @@ def test_closed_form_values():
     assert closed_form_density(make_space("bdi", 3, 2), np.array([2.0, 1.0])) == pytest.approx(6.0)
     d = make_space("aiii", 3, 2)
     assert closed_form_density(d, np.array([1.0, 1.0])) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_densities_on_a_wall_beyond_the_doubles():
+    # at aiii(3,2), q = (1e308, 1e308) lies on the wall e1 - e2 while
+    # e1 + e2 overflows: the densities are 0.0, not 0 * inf; off the walls,
+    # at q = (1e200, 1e100), the products leave the doubles: inf.  No warning
+    d = make_space("aiii", 3, 2)
+    wall, far = [1e308, 1e308], [1e200, 1e100]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert jacobian_density(d, wall) == closed_form_density(d, wall) == 0.0
+        assert theoretical_radial_density(d, wall) == 0.0
+        assert chamber_contains(d, wall) and wall_distance(d, wall) == 0.0
+        assert math.inf in root_values(d, wall).tolist()
+        assert jacobian_density(d, far) == closed_form_density(d, far) == math.inf
 
 
 @pytest.mark.parametrize("case", REPRESENTATIVES)

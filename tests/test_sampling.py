@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +25,7 @@ from cartanflow.linalg import ConsistencyError
 from cartanflow.sampling import (
     CHUNK_SIZE,
     _SUB_BLOCK,
-    _chamber_integral,
-    _unnormalized,
+    _log_chamber_integral,
     theoretical_radial_cdf,
 )
 from cartanflow.spaces import (
@@ -41,8 +41,9 @@ from conftest import (
     REPRESENTATIVES,
     exact_p_assembly,
     parameter_grid,
-    reference_chamber_integral,
+    reference_log_chamber_integral,
     reference_p_rows,
+    reference_radial_density,
     reference_root_families,
     reference_root_table,
     reference_sample_radial_batch,
@@ -80,7 +81,6 @@ def chamber_ranges(d):
 def quad_radial_cdf(d, x):
     """Rank-1 CDF by adaptive quadrature of the normalized density from the
     chamber's lower end: the oracle for the closed-form CDF."""
-    Z = _chamber_integral(d)
     lo, _ = chamber_ranges(d)[0]()
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
@@ -96,11 +96,11 @@ def quad_radial_cdf(d, x):
         if xi <= prev_x:
             out[i] = acc
             continue
-        seg, _ = integrate.quad(lambda t: _unnormalized(d, np.array([t])), prev_x, xi)
+        seg, _ = integrate.quad(lambda t: theoretical_radial_density(d, [t]), prev_x, xi)
         acc += seg
         prev_x = xi
         out[i] = acc
-    return np.clip(out / Z, 0.0, 1.0)
+    return np.clip(out, 0.0, 1.0)
 
 
 def test_sample_deterministic_and_in_p():
@@ -322,9 +322,8 @@ DENSITY_ORACLE_CASES = [
 def test_theoretical_density_integrates_to_one(case):
     # nquad over the chamber is the oracle for the closed-form normalizer
     d = make_space(*case)
-    Z = _chamber_integral(d)
     val, _ = integrate.nquad(
-        lambda *xs: _unnormalized(d, np.array(xs[::-1])) / Z,
+        lambda *xs: theoretical_radial_density(d, xs[::-1]),
         chamber_ranges(d),
         opts={"epsabs": 1e-12, "epsrel": 1e-9},
     )
@@ -344,18 +343,42 @@ def test_chamber_integral_rejects_unexpected_shape(monkeypatch):
     d = make_space("ci", 0, 2)
     monkeypatch.setattr(geometry(d), "gram", np.array([[2.0, 0.1], [0.1, 2.0]]))
     with pytest.raises(ConsistencyError):
-        _chamber_integral(d)
+        _log_chamber_integral.__wrapped__(d)  # past the per-descriptor cache
 
 
 @pytest.mark.parametrize("case", root_system_grid())
 def test_chamber_integral_matches_family_decode_reference(case):
     d = make_space(*case)
-    assert _chamber_integral(d).hex() == reference_chamber_integral(d).hex()
+    assert _log_chamber_integral(d).hex() == reference_log_chamber_integral(d).hex()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", root_system_grid())
+def test_density_is_the_reference_quotient_on_the_grid(case):
+    # the log-domain density against the direct quotient of the reference
+    # root table, Gram matrix and chamber integral at three seeded chamber
+    # points; 0.0 on a wall (alpha = e1 - e2 at rank >= 2, q = 0 at rank 1)
+    # and outside the chamber (the coordinates reversed, or q negated);
+    # bdi(1,1) has no walls and the whole line as its chamber
+    d = make_space(*case)
+    rng = np.random.default_rng(2008)
+    walls = len(reference_root_table(d)[1]) > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3):
+            q = random_chamber_point(d, rng)
+            rho = theoretical_radial_density(d, q)
+            assert rho == pytest.approx(reference_radial_density(d, q), rel=1e-12, abs=0.0)
+            if walls:
+                wall = np.concatenate([q[:1], q[:-1]]) if d.real_rank > 1 else 0.0 * q
+                outside = q[::-1] if d.real_rank > 1 else -q
+                assert theoretical_radial_density(d, wall) == 0.0
+                assert theoretical_radial_density(d, outside) == 0.0
 
 
 @pytest.mark.parametrize("case", root_system_grid())
 def test_family_decode_of_reference_table_gives_root_system(case):
-    # _chamber_integral reads beta, s, l from _root_system; the decode of the
+    # _log_chamber_integral reads beta, s, l from _root_system; the decode of the
     # per-kind table it ran before must find the same numbers (beta only
     # where e_i +- e_j exist, at rank >= 2)
     d = make_space(*case)
@@ -426,7 +449,7 @@ def test_density_where_the_root_product_leaves_the_doubles(m):
     # q along (1, ..., 0.05) with q G q / 2 = 700, where the root product
     # overflows (the density is e^-185.76 at aiii(16,16), e^-71.47 at
     # aiii(20,20)), against q0 on the same ray with q0 G q0 / 2 = 100, where
-    # the direct form holds, by the scaling law
+    # the direct quotient of the reference holds, by the scaling law
     # rho(t u) = rho(t0 u) (t / t0)^M exp(-(t^2 - t0^2) u G u / 2),
     # M the sum of the multiplicities
     d = make_space("aiii", m, m)
@@ -434,8 +457,8 @@ def test_density_where_the_root_product_leaves_the_doubles(m):
     u = np.linspace(1.0, 0.05, d.real_rank)
     uGu = u @ geo.gram @ u
     t, t0 = math.sqrt(1400.0 / uGu), math.sqrt(200.0 / uGu)
-    direct = _unnormalized(d, t0 * u) / _chamber_integral(d)
-    assert theoretical_radial_density(d, t0 * u) == direct
+    direct = reference_radial_density(d, t0 * u)
+    assert theoretical_radial_density(d, t0 * u) == pytest.approx(direct, rel=1e-12, abs=0.0)
     want = (math.log(direct) + geo.root_table[1].sum() * math.log(t / t0)
             - (t * t - t0 * t0) * uGu / 2)
     assert math.log(theoretical_radial_density(d, t * u)) == pytest.approx(want, abs=1e-10)
@@ -447,7 +470,8 @@ def test_density_where_the_chamber_integral_leaves_the_doubles():
     # from q to 0.9 q
     d = make_space("aiii", 24, 24)
     geo = geometry(d)
-    assert _chamber_integral(d) == math.inf
+    with pytest.raises(OverflowError):
+        math.exp(_log_chamber_integral(d))
     M = geo.root_table[1].sum()
     for q in sample_radial_batch(d, 5, 1):
         rho, rho9 = theoretical_radial_density(d, q), theoretical_radial_density(d, 0.9 * q)
