@@ -42,6 +42,8 @@ __all__ = [
 
 # integration aborts when the radial point comes this close to a wall
 _ABORT_FACTOR = 10.0
+# integration checks the wall once per block of this many logged states
+_WALL_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -187,15 +189,19 @@ class _Reduced:
 
         ``src`` holds the flat state y (length n) followed by a tail of dz
         entries that the call writes w into, so that lc and w are the rows
-        of one (2, dz) view and L and W come from one product with the zk
-        rows, into one (2, N, N) buffer.  ``out`` takes dy/dt in its leading
-        n entries; a longer ``out`` keeps the rest as it was.  The slice
-        views of ``src`` and ``out``, the instance's scratch and the constant
-        operands are bound once, so a call makes eight NumPy calls and one
-        slice copy and allocates nothing.  ``np.dot`` makes the same BLAS
-        calls as ``@`` on these operands, with less set-up per call.  A call
-        leaves the root values C q of the state in ``_a``, where
-        ``integrate_reduced``'s wall check reads them."""
+        of one contiguous (2, dz) view and L and W come from one product
+        with the zk rows, into one (2, N, N) buffer.  The tail may be the
+        head of ``out``: the call reads w for the last time before it writes
+        ``out``.  ``out`` takes dy/dt in its leading n entries; a longer
+        ``out`` keeps the rest as it was.  The slice views of ``src`` and
+        ``out``, the instance's scratch and the constant operands are bound
+        once, so a call makes eight NumPy calls and one slice copy and
+        allocates nothing.  Each product is the bound ``dot`` method of its
+        left operand, with the output passed positionally: ``np.dot`` makes
+        the same BLAS call, but only after a Python-level
+        ``__array_function__`` dispatch, 0.2 to 0.3 us a call.  The root
+        values C q go to the scratch ``_a``, which nothing reads after the
+        call."""
         rk, dz = self.rank, len(self.C)
         q, p = src[:rk], src[rk : 2 * rk]
         lw = src[2 * rk : 2 * rk + 2 * dz].reshape(2, dz)
@@ -204,18 +210,19 @@ class _Reduced:
         a, r, wr = self._a, self._r, self._wr
         zk, zk2_t, pair, LW = self._field_operands
         (L, W), pairf, LWf = pair, pair.reshape(2, -1).view(float), LW.reshape(-1).view(float)
-        Ct, force = self.C.T, self._force
-        dot, divide, multiply = np.dot, np.divide, np.multiply
+        Ct, divide, multiply = self.C.T, np.divide, np.multiply
+        q_dot, lw_dot, L_dot, LWf_dot, force_dot = q.dot, lw.dot, L.dot, LWf.dot, self._force.dot
 
         def field() -> None:
-            dot(q, Ct, out=a)
-            divide(lc, a, out=r)
-            divide(r, a, out=w)
-            dot(lw, zk, out=pairf)
-            dot(L, W, out=LW)
-            dot(LWf, zk2_t, out=dl)
+            q_dot(Ct, a)
+            divide(lc, a, r)
+            divide(r, a, w)
+            lw_dot(zk, pairf)
+            L_dot(W, LW)
+            multiply(w, r, wr)  # the last read of w, whose tail may be the head of out
+            LWf_dot(zk2_t, dl)
             dq[...] = p
-            dot(force, multiply(w, r, out=wr), out=dp)
+            force_dot(wr, dp)
 
         return field
 
@@ -272,82 +279,83 @@ def integrate_reduced(
     follows one) raises ``ConsistencyError`` naming t and h: it is not a
     wall approach, and no infinite value reaches the log.
 
-    A step applies the Butcher tableau of classical RK4 to one buffer K
-    whose rows are the state y and the stage derivatives k1..k4.  K is
-    (5, n + dz): a source row (K[0], and the stage input) carries the
-    dz-long tail into which the field writes w, right after lc, and the
-    tableau products read the leading n columns, a row-strided view that
-    BLAS takes without a copy.  Each stage input is one product of a
-    tableau row with the leading rows of K, [1, h/2] K[:2],
-    [1, 0, h/2] K[:3] and [1, 0, 0, h] K[:4], and the new state is
-    [1, h/6, h/3, h/3, h/6] K, written into its row of the preallocated
-    history and copied into K[0].  The four stages run the one kernel body
-    ``reduced_vector_field`` runs, bound once per call by
-    ``_Reduced.bind``: K[0] -> k1 and the stage input -> k2, k3, k4.  A
-    step is 42 NumPy calls (36 in the four field calls, 4 tableau
-    products, 1 copy and 1 wall reduction), and nothing is allocated per
-    step.
+    A step applies the Butcher tableau of classical RK4 to one contiguous
+    (5, n) buffer K whose rows are the state y and the stage derivatives
+    k1..k4, so that every tableau product hands BLAS its operand as it is
+    (``np.dot`` copies an operand whose rows are not adjacent).  Each stage
+    input is one product of a tableau row with the leading rows of K,
+    [1, h/2] K[:2], [1, 0, h/2] K[:3] and [1, 0, 0, h] K[:4], and the new
+    state is [1, h/6, h/3, h/3, h/6] K, written into its row of the
+    preallocated history and copied into K[0].  The four stages run the
+    one kernel body ``reduced_vector_field`` runs, bound once per call by
+    ``_Reduced.bind``: K[0] -> k1 and the stage input -> k2, k3, k4.  The
+    dz-long tail into which the field writes w follows lc in each source:
+    the stage input carries its own, and that of K[0] is the head of K[1],
+    which k1 overwrites after the field's last read of w.  Every product,
+    here and in the field, is a bound ``ndarray.dot`` method.  A step is
+    41 NumPy calls (36 in the four field calls, 4 tableau products and 1
+    copy), and nothing is allocated per step.
 
-    The wall check reads the signed root values C q that stage 1 writes
-    for the state it starts from; the rows of C are the positive roots,
-    each repeated by its multiplicity, so their least value is the least
-    alpha(q).  The final state gets one product with C after the loop.
-    The run stops at the first state whose least root value is not above
-    the abort floor.  Every start lies inside the chamber, where that is
-    the test min |alpha(q)| > floor; a step that ends across a wall, even
-    one jumped between two step ends, fails it.
+    The wall check runs once per block of ``_WALL_BLOCK`` logged states:
+    one product of their q rows with the positive roots and one reduction
+    of the signed root values.  Only a block that fails is searched, row by
+    row, for its first failing state, so the run stops at the same state
+    as a check after every step, having made at most ``_WALL_BLOCK`` - 1
+    steps more.  A state fails when its least root value is not above the
+    abort floor.  Every start lies inside the chamber, where that is the
+    test min |alpha(q)| > floor; a step that ends across a wall, even one
+    jumped between two step ends, fails it, and so does a NaN.
     """
     h = _step_size(t_max, steps)
     sys = _Reduced(d)
     y = sys.flat(initial)
     floor = _ABORT_FACTOR * WALL_TOL
-    if not (sys.geo.root_table[0] @ y[: sys.rank]).min(initial=np.inf) > floor:
+    roots = sys.geo.root_table[0]
+    if not (roots @ y[: sys.rank]).min(initial=np.inf) > floor:
         raise ContractViolation(
             "initial radial point is too close to a chamber wall or outside the chamber"
         )
-    n, dz = y.size, len(sys.C)
+    n, rk = y.size, sys.rank
     history = np.empty((steps + 1, n))
     history[0] = y
-    # each source row (K[0] and the stage input) carries the dz-long w tail
-    # the field writes; the tableau products read the leading n columns
-    K, stage_in = np.empty((5, n + dz)), np.empty(n + dz)
-    Kn, stage_y = K[:, :n], stage_in[:n]
-    Kn[0] = y
+    # the stage input carries the dz-long w tail the field writes; K[0]
+    # borrows the head of K[1] for its tail
+    K, stage_in = np.empty((5, n)), np.empty(n + len(sys.C))
+    K0, stage_y = K[0], stage_in[:n]
+    K0[...] = y
     # the rows of the RK4 tableau, each led by the 1 that y enters with:
     # the three stage inputs' coefficients, then the weights
     a2, a3 = np.array([1.0, 0.5 * h]), np.array([1.0, 0.0, 0.5 * h])
     a4, b = np.array([1.0, 0.0, 0.0, h]), np.array([1.0, h / 6.0, h / 3.0, h / 3.0, h / 6.0])
-    rows2, rows3, rows4 = Kn[:2], Kn[:3], Kn[:4]
-    stage1, stage2, stage3, stage4 = (
-        sys.bind(src, K[j]) for j, src in enumerate((K[0], stage_in, stage_in, stage_in), 1)
-    )
-    vals, qv, Ct = sys._a, K[0, : sys.rank], sys.C.T
-    dot, least, inf = np.dot, np.minimum.reduce, np.inf
+    a2_dot, a3_dot, a4_dot, b_dot = a2.dot, a3.dot, a4.dot, b.dot
+    rows2, rows3, rows4 = K[:2], K[:3], K[:4]
+    stage1 = sys.bind(K.reshape(-1), K[1])
+    stage2, stage3, stage4 = (sys.bind(stage_in, K[j]) for j in (2, 3, 4))
+    least, inf = np.minimum.reduce, np.inf
+    last, aborted = steps, None
     # Overflow is caught by the finiteness checks, not reported as warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # the loop only steps and checks the wall; the log is built after it
-        for last in range(steps):
-            stage1()  # also writes the root values of state `last` into vals
-            if last and not least(vals, initial=inf) > floor:
+        for start in range(0, steps, _WALL_BLOCK):
+            block = history[start + 1 : start + 1 + _WALL_BLOCK]
+            for row in block:
+                stage1()
+                a2_dot(rows2, stage_y)
+                stage2()
+                a3_dot(rows3, stage_y)
+                stage3()
+                a4_dot(rows4, stage_y)
+                stage4()
+                b_dot(K, row)
+                K0[...] = row
+            vals = block[:, :rk] @ roots.T
+            if not least(vals, axis=None, initial=inf) > floor:
+                # the block's first state whose least root value fails
+                last = start + 1 + int(np.argmin(least(vals, axis=1, initial=inf) > floor))
+                if not np.isfinite(history[last]).all():
+                    raise _non_finite(last, h)
+                aborted = f"radial point reached a chamber wall at t={last * h:.6g}"
+                last -= 1
                 break
-            dot(a2, rows2, out=stage_y)
-            stage2()
-            dot(a3, rows3, out=stage_y)
-            stage3()
-            dot(a4, rows4, out=stage_y)
-            stage4()
-            dot(b, Kn, out=history[last + 1])
-            Kn[0] = history[last + 1]
-        else:
-            last = steps
-            dot(qv, Ct, out=vals)
-        # K[0] holds state `last`, and vals its root values
-        aborted = None
-        if not least(vals, initial=inf) > floor:
-            if not np.isfinite(Kn[0]).all():
-                raise _non_finite(last, h)
-            aborted = f"radial point reached a chamber wall at t={last * h:.6g}"
-            last -= 1
     kept = history[: last + 1]
     if not np.isfinite(kept).all():
         # an infinite q can pass the wall test; find the first such row

@@ -97,6 +97,10 @@ CASES = [
     # is a wall abort: exit 0 with the reason in the header
     ("header", "flow --class aiii --m 5 --n 5 --seed 12 --t-max 0.5 --steps 1 --compare",
      "# aborted=radial point reached a chamber wall"),
+    # a wall abort in the second block of the integrator's wall check: state
+    # 35 of 100 is the first across a wall
+    ("header", "flow --class aiii --m 5 --n 5 --seed 34 --t-max 2 --steps 100 --compare",
+     "# aborted=radial point reached a chamber wall"),
     # malformed input exits 2 with one validation line and no traceback: a
     # matrix file that is not JSON, a negative step count, a NaN q
     *(

@@ -18,7 +18,7 @@ from cartanflow import (
     reduced_vector_field,
     trace_form,
 )
-from cartanflow.dynamics import _nearest_steps, _Reduced, _step_size
+from cartanflow.dynamics import _WALL_BLOCK, _nearest_steps, _Reduced, _step_size
 from cartanflow.linalg import ConsistencyError, ContractViolation, frobenius
 from cartanflow.radial import embed_radial, radial_coords_batch, radial_decompose
 from cartanflow.reduction import ReducedState, random_chamber_point
@@ -463,6 +463,99 @@ def test_wall_abort_is_byte_identical_to_flat_reference():
         assert trajectory_bytes(got) == trajectory_bytes(ref)
 
 
+def head_on_course(k, steps):
+    """The ai(3) head-on course of test_wall_abort with its step h set so
+    that the wall at t = 0.5 falls a third of a step before state k, away
+    from every stage input: state k is the first that fails the wall test.
+    Returns the space, the start and t_max."""
+    d = make_space("ai", 0, 3)
+    state = ReducedState(np.array([0.4, 0.0]), np.array([-0.8, 0.0]), np.zeros((3, 3), complex))
+    return d, state, steps * 0.5 / (k - 1.0 / 3.0)
+
+
+# the first state of the first block, its second last, its last, the first
+# of the second block, and one in the sixth
+@pytest.mark.parametrize("k", [1, 31, 32, 33, 5 * 32 + 7])
+def test_block_wall_check_stops_at_the_first_failing_state(k):
+    steps = k + 2 * _WALL_BLOCK
+    d, state, t_max = head_on_course(k, steps)
+    got = integrate_reduced(d, state, t_max, steps)
+    assert len(got.times) == k
+    assert got.aborted == f"radial point reached a chamber wall at t={k * (t_max / steps):.6g}"
+    ref = reference_flat_integrate_reduced(d, state, t_max, steps)
+    assert trajectory_bytes(got) == trajectory_bytes(ref)
+
+
+def test_seeded_abort_in_the_second_block_is_byte_identical_to_flat_reference():
+    # `cartanflow flow --class aiii --m 5 --n 5 --seed 34 --t-max 2 --steps 100`:
+    # state 35 is the first across a wall
+    d = make_space("aiii", 5, 5)
+    state = seeded_state(d, 34)
+    got = integrate_reduced(d, state, 2.0, 100)
+    assert got.aborted is not None and len(got.times) == 35
+    assert trajectory_bytes(got) == trajectory_bytes(
+        reference_flat_integrate_reduced(d, state, 2.0, 100)
+    )
+
+
+def test_abort_evaluates_the_field_at_most_one_block_past_the_wall(monkeypatch):
+    # a run of 10^5 steps that fails at state k stops at the end of k's
+    # block: at most 4 (k + _WALL_BLOCK) field calls, not 4 10^5
+    calls = []
+    bind = _Reduced.bind
+
+    def counting_bind(self, src, out):
+        field = bind(self, src, out)
+
+        def counted():
+            calls.append(None)
+            field()
+
+        return counted
+
+    monkeypatch.setattr(_Reduced, "bind", counting_bind)
+    k, steps = 100, 10**5
+    d, state, t_max = head_on_course(k, steps)
+    traj = integrate_reduced(d, state, t_max, steps)
+    assert traj.aborted is not None and len(traj.times) == k
+    assert 4 * k <= len(calls) <= 4 * (k + _WALL_BLOCK)
+
+
+@pytest.mark.parametrize("steps, t_bad", [(40, 8.0), (7, 2.0)])
+def test_infinite_state_that_passes_the_wall_test_then_nan(steps, t_bad):
+    # free motion on ai(3) at h = 1: q_1 = 0.4 + 1e308 t overflows at state
+    # 2 and q_2 = 2.5e307 t at state 8.  No root of ai(3) has a zero
+    # coefficient, so states 2 to 7 are infinite but pass the wall test
+    # (each root value is +inf or finite and positive); state 8 fails it,
+    # with the NaN root value q_1 - q_2 = inf - inf, in the same block.  A
+    # check after every step stops at state 8 and, that state not being
+    # finite, raises there; a run of 7 steps fails no wall test and raises
+    # at the first infinite state
+    d = make_space("ai", 0, 3)
+    q, p = np.array([0.4, 0.0]), np.array([1e308, 2.5e307])
+    state = ReducedState(q, p, np.zeros((3, 3), complex))
+    with pytest.raises(ConsistencyError) as info:
+        integrate_reduced(d, state, float(steps), steps)
+    assert str(info.value) == f"reduced flow left the finite numbers at t={t_bad:.6g} (step h=1)"
+
+
+def test_flow_kernel_makes_no_np_dot_call(monkeypatch):
+    # np.dot runs a Python-level __array_function__ dispatch on every call;
+    # the field and the stepper call bound ndarray.dot methods instead
+    cases = [make_space("aiii", 3, 2), make_space("bdi", 3, 2)]
+    states = [seeded_state(d, 61) for d in cases]
+    want = [(trajectory_bytes(integrate_reduced(d, st, 0.25, 40)),
+             [a.tobytes() for a in reduced_vector_field(d, st)]) for d, st in zip(cases, states)]
+
+    def no_dot(*args, **kwargs):
+        raise AssertionError("np.dot called")
+
+    monkeypatch.setattr(np, "dot", no_dot)
+    got = [(trajectory_bytes(integrate_reduced(d, st, 0.25, 40)),
+            [a.tobytes() for a in reduced_vector_field(d, st)]) for d, st in zip(cases, states)]
+    assert got == want
+
+
 @pytest.mark.parametrize("case", BYTE_CASES)
 def test_vector_field_is_byte_identical_to_flat_reference(case):
     d = make_space(*case)
@@ -559,9 +652,9 @@ def test_concurrent_integrations_match_serial_bytes():
 @pytest.mark.parametrize("case", [("cii", 2, 1), ("aiii", 5, 5), ("bdi", 3, 2)])
 def test_integration_reads_no_unwritten_scratch(case, monkeypatch):
     # every array np.empty hands out is NaN-filled, so an entry of the
-    # field's scratch, the stages, the state and its w tail, the wall values
-    # or the history read before it is written shows as NaN; bdi(3,2) runs
-    # the real scratch
+    # field's scratch, the stages, the state and its w tail (the head of
+    # k1's row) or the history read before it is written shows as NaN;
+    # bdi(3,2) runs the real scratch
     d = make_space(*case)
     state = seeded_state(d, 51)
     ref = trajectory_bytes(reference_flat_integrate_reduced(d, state, 0.25, 50))
