@@ -11,9 +11,7 @@ bit-reproducible.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -112,15 +110,13 @@ def _add_space_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
 
 
-def _csv_text(meta: dict, header: list[str], rows) -> str:
-    buf = io.StringIO()
-    for k, v in meta.items():
-        buf.write(f"# {k}={v}\n")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+def _csv_text(meta: dict, header: list[str], rows: list[str]) -> str:
+    """The ``#`` metadata lines, then the header and ``rows`` (each a string
+    of comma-joined cells) as ``csv.writer`` writes them: no cell here holds
+    a comma, quote or line break, so a row is its cells joined by "," and
+    ended by "\\r\\n"."""
+    lines = "".join(f"# {k}={v}\n" for k, v in meta.items())
+    return lines + "".join(r + "\r\n" for r in [",".join(header), *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +236,8 @@ def _cmd_sample(args) -> int:
             theo = ""
             if d.real_rank == 1:
                 theo = f"{theoretical_radial_density(d, np.array([mid])):.12g}"
-            row = [f"{edges[b]:.12g}", f"{edges[b + 1]:.12g}", int(counts[b]),
-                   f"{dens[b]:.12g}", theo]
-            rows.append(([coord] + row) if multi else row)
+            row = f"{edges[b]:.12g},{edges[b + 1]:.12g},{int(counts[b])},{dens[b]:.12g},{theo}"
+            rows.append(f"{coord},{row}" if multi else row)
     header = ["bin_lo", "bin_hi", "count", "empirical_density", "theoretical_density"]
     if multi:
         header = ["coordinate"] + header
@@ -277,24 +272,23 @@ def _cmd_flow(args) -> int:
     if deviations is not None:
         header.append("deviation")
     table = np.column_stack([traj.times, traj.q, traj.energies, traj.l_spectra])
-    body = _flow_rows(table, deviations)
     meta = _meta(d, seed=args.seed, t_max=args.t_max, steps=args.steps)
     if traj.aborted:
         meta["aborted"] = traj.aborted
-    _emit(_csv_text(meta, header, ()) + body, args.out)
+    _emit(_csv_text(meta, header, _flow_rows(table, deviations)), args.out)
     return 0
 
 
-def _flow_rows(table: np.ndarray, deviations: np.ndarray | None) -> str:
-    """The CSV rows of a flow table as ``csv.writer`` writes them, each
-    from one row template: every cell as %.12g, then, with ``deviations``,
-    the oracle deviation as %.6e, blank on rows past the last deviation."""
+def _flow_rows(table: np.ndarray, deviations: np.ndarray | None) -> list[str]:
+    """The CSV rows of a flow table for ``_csv_text``, each from one row
+    template: every cell as %.12g, then, with ``deviations``, the oracle
+    deviation as %.6e, blank on rows past the last deviation."""
     line = ",".join(["%.12g"] * table.shape[1])
     rows = [line % row for row in map(tuple, table.tolist())]
     if deviations is not None:
         cells = ["," + "%.6e" % dev for dev in deviations.tolist()]
         rows = [r + c for r, c in zip(rows, cells + [","] * (len(rows) - len(cells)))]
-    return "".join(r + "\r\n" for r in rows)
+    return rows
 
 
 def _cmd_verify_density(args) -> int:

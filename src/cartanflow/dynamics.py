@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import ConsistencyError, ContractViolation, _check_int, _check_real, _finite_array
+from .linalg import _numeric_array, as_cmat
 from .radial import WALL_TOL, SliceCoords, radial_coords_batch, radial_decompose
 from .reduction import ReducedState, _zk_perp_coords, l_from_slice
 from .spaces import SpaceDescriptor, check_p_membership, geometry, wall_distance
@@ -87,8 +88,10 @@ class OracleReport:
 
 
 def direct_flow(start: PhasePoint, t: float) -> PhasePoint:
-    """The exactly solvable flow (X, Y) -> (X + tY, Y), for a finite real t."""
-    return PhasePoint(start.X + _check_real("t", t) * start.Y, start.Y)
+    """The exactly solvable flow (X, Y) -> (X + tY, Y), for numeric X and Y
+    and a finite real t."""
+    X, Y = _numeric_array("X", start.X, complex), _numeric_array("Y", start.Y, complex)
+    return PhasePoint(X + _check_real("t", t) * Y, Y)
 
 
 def reduce_phase_point(d: SpaceDescriptor, point: PhasePoint) -> tuple[ReducedState, np.ndarray]:
@@ -108,7 +111,7 @@ def _slice_point(d: SpaceDescriptor, point: PhasePoint) -> tuple[SliceCoords, np
     geo = geometry(d)
     check_p_membership(d, point.Y)
     q, k = radial_decompose(d, point.X)
-    Ybody = k.conj().T @ np.asarray(point.Y, dtype=complex) @ k
+    Ybody = k.conj().T @ as_cmat(point.Y, "Y") @ k
     p = geo.a_pattern_coords(Ybody)
     return SliceCoords(q, p, Ybody - geo.embed_radial(p)), k
 
@@ -424,7 +427,7 @@ def compare_with_oracle(
     idx = _nearest_steps(traj.times * (sign or 1.0), t_grid * (sign or 1.0))
     kept = traj.times[idx]
     # X + tY lies in p by linearity: reduce_phase_point checked X and Y
-    X, Y = np.asarray(start.X, dtype=complex), np.asarray(start.Y, dtype=complex)
+    X, Y = as_cmat(start.X, "X"), as_cmat(start.Y, "Y")
     q_dir = radial_coords_batch(d, X[None] + kept[:, None, None] * Y[None])
     devs = np.max(np.abs(q_dir - traj.q[idx]), axis=1)
     return OracleReport(

@@ -13,7 +13,8 @@ Matrices cross process boundaries in a small JSON format::
 which round-trips finite doubles bit-exactly.
 
 Every entry point and the CLI check their input with ``_check_int``,
-``_check_real`` and ``_finite_array``, which name the argument or flag.
+``_check_real``, ``_check_generator``, ``_numeric_array`` (which
+``as_cmat`` calls) and ``_finite_array``, which name the argument or flag.
 """
 
 from __future__ import annotations
@@ -69,6 +70,15 @@ def _check_real(name: str, value, least: float | None = None) -> float:
     raise ContractViolation(f"{name} must be a finite real number{bound}, got {value!r}")
 
 
+def _check_generator(name: str, value) -> np.random.Generator:
+    """``value``; ContractViolation unless it is a ``numpy.random.Generator``."""
+    if not isinstance(value, np.random.Generator):
+        raise ContractViolation(
+            f"{name} must be a numpy.random.Generator, got {type(value).__name__}"
+        )
+    return value
+
+
 def _numeric_array(name: str, value, dtype) -> np.ndarray:
     """``value`` as an array of ``dtype``; ContractViolation unless the
     conversion succeeds and drops no imaginary part."""
@@ -94,8 +104,10 @@ def _finite_array(
     return a
 
 
-def as_cmat(x) -> np.ndarray:
-    a = np.asarray(x, dtype=complex)
+def as_cmat(x, name: str = "matrix") -> np.ndarray:
+    """``x`` as a complex array; ContractViolation unless it is a numeric
+    matrix (``_numeric_array``)."""
+    a = _numeric_array(name, x, complex)
     if a.ndim != 2:
         raise ContractViolation(f"expected a matrix, got array of ndim={a.ndim}")
     return a

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factorizations as fac
-from .linalg import ContractViolation, _check_real, _finite_array, _numeric_array, frobenius
+from .linalg import ContractViolation, _check_real, _finite_array, _numeric_array, as_cmat
+from .linalg import frobenius
 from .spaces import (
     SpaceDescriptor,
     _quaternionic_j,
@@ -118,7 +119,7 @@ def radial_decompose(d: SpaceDescriptor, X) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(q, k)`` with q in the closed chamber and k in K such that
     ``k @ H(q) @ k† = X``.
     """
-    X = np.asarray(X, dtype=complex)
+    X = as_cmat(X, "X")
     check_p_membership(d, X)
     kind, m, n = d.kind, d.m, d.n
 
@@ -208,7 +209,7 @@ def radial_decompose(d: SpaceDescriptor, X) -> tuple[np.ndarray, np.ndarray]:
 def radial_coords(d: SpaceDescriptor, X) -> np.ndarray:
     """Chamber coordinates only: the membership check, then the spectral
     step of ``radial_coords_batch`` without building the compact factor."""
-    X = np.asarray(X, dtype=complex)
+    X = as_cmat(X, "X")
     check_p_membership(d, X)
     return radial_coords_batch(d, X[None])[0]
 

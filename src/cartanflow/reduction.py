@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import ConsistencyError, ContractViolation, _check_real, _finite_array, commutator
+from .linalg import _check_generator, as_cmat
 from .radial import WALL_TOL, SliceCoords
 from .spaces import (
     SpaceDescriptor,
@@ -67,7 +68,7 @@ class AqOperator:
 
 def moment_map(d: SpaceDescriptor, X1, X2) -> np.ndarray:
     """[X2, X1] for X1, X2 in p; the result lies in k."""
-    X1, X2 = np.asarray(X1, dtype=complex), np.asarray(X2, dtype=complex)
+    X1, X2 = as_cmat(X1, "X1"), as_cmat(X2, "X2")
     check_p_membership(d, X1)
     check_p_membership(d, X2)
     return commutator(X2, X1)
@@ -155,7 +156,9 @@ def random_chamber_point(
     d: SpaceDescriptor, rng: np.random.Generator, min_wall: float = 1e-3
 ) -> np.ndarray:
     """A generic chamber-interior point, resampled away from the walls.
-    ContractViolation unless ``min_wall`` is a finite real number >= 0."""
+    ContractViolation unless ``rng`` is a ``numpy.random.Generator`` and
+    ``min_wall`` a finite real number >= 0."""
+    rng = _check_generator("rng", rng)
     min_wall = _check_real("min_wall", min_wall, 0.0)
     rank, trace, flips = d.real_rank, d.trace_constrained, d.has_sign_flip_weyl
     for _ in range(200):

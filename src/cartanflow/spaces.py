@@ -55,7 +55,7 @@ from itertools import combinations
 import numpy as np
 
 from .linalg import ConsistencyError, ContractViolation, as_cmat, frobenius
-from .linalg import _check_int, _check_real, _finite_array
+from .linalg import _check_generator, _check_int, _check_real, _finite_array
 
 __all__ = [
     "KINDS",
@@ -368,7 +368,7 @@ def check_k_group_membership(d: SpaceDescriptor, k, rtol: float = 1e-9) -> None:
 
 def project_k(d: SpaceDescriptor, X) -> np.ndarray:
     """Anti-Hermitian (compact) component of a g0 element."""
-    X = as_cmat(X)
+    X = as_cmat(X, "X")
     check_membership(d, X)
     return (X - X.conj().T) / 2.0
 
@@ -376,7 +376,7 @@ def project_k(d: SpaceDescriptor, X) -> np.ndarray:
 def project_p(d: SpaceDescriptor, X) -> np.ndarray:
     """Hermitian component; computed as X - project_k(X) so the two parts
     reassemble X exactly in floating point."""
-    X = as_cmat(X)
+    X = as_cmat(X, "X")
     check_membership(d, X)
     return X - (X - X.conj().T) / 2.0
 
@@ -1276,13 +1276,35 @@ def _fit_roots(d: SpaceDescriptor, w: np.ndarray, resid: np.ndarray) -> list[Res
 
 
 def random_p_element(d: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:
-    return geometry(d).p_from_coords(rng.standard_normal(d.dim_p))
+    """A standard Gaussian element of p.  ContractViolation unless ``rng``
+    is a ``numpy.random.Generator``."""
+    return geometry(d).p_from_coords(_check_generator("rng", rng).standard_normal(d.dim_p))
 
 
-def random_k_element(d: SpaceDescriptor, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """A group element of K, as exp of a random k-algebra element.
-    ContractViolation unless ``scale`` is a finite real number."""
-    from scipy.linalg import expm
+def random_k_element(
+    d: SpaceDescriptor, rng: np.random.Generator, scale: float = 1.0
+) -> np.ndarray:
+    """A group element of K, exp(A) for A in k with standard Gaussian
+    coordinates times ``scale``.
 
+    A is anti-Hermitian, so iA is Hermitian and, for (w, V) = eigh(iA),
+    exp(A) = V e^{-iw} V†: one ``np.linalg.eigh``, well conditioned because V
+    is unitary (Moler and Van Loan, SIAM Rev. 45 (2003) 3, the eigenvector
+    method for normal matrices).  For bdi and ai, whose K is real, the
+    imaginary part is rounding and is dropped; ConsistencyError if it is
+    above 1e-12 max(1, |w|).  ContractViolation unless ``rng`` is a
+    ``numpy.random.Generator`` and ``scale`` a finite real number.
+    """
+    rng = _check_generator("rng", rng)
     c = _check_real("scale", scale) * rng.standard_normal(d.dim_k)
-    return expm(_scatter(geometry(d)._k_entries, c, (d.ambient_dim,) * 2))
+    A = _scatter(geometry(d)._k_entries, c, (d.ambient_dim,) * 2)
+    w, V = np.linalg.eigh(1j * A)
+    k = (V * np.exp(-1j * w)) @ V.conj().T
+    if d.kind in ("bdi", "ai"):
+        drift = np.abs(k.imag).max()
+        if drift > 1e-12 * max(1.0, np.abs(w).max()):
+            raise ConsistencyError(
+                f"exp of a real k element of {d.label()} has an imaginary part {drift:.3e}"
+            )
+        k = k.real.astype(complex)
+    return k

@@ -316,6 +316,51 @@ def test_reversibility(case):
     assert frobenius(back.l[-1] + state.l) <= 1e-6
 
 
+# two exact symmetries of X + tY, which map every operation of the field and
+# of the tableau exactly, so that the RK4 runs agree value for value:
+# - scaling by 2: (2q, p, 2l) over 2t doubles the root values, keeps r and
+#   halves w, so q and l double, p and the energy stay and the l spectra
+#   double;
+# - time reversal: (q, -p, -l) run forward is (q, p, l) run backward with p
+#   and l negated.
+# Neither sees a force scaled by a constant or a dropped row of C; a wrong
+# power of the root values (w = r/a^2) breaks the scaling relation.
+SYMMETRY_SPACES = FLOW_SPACES + [("aiii", 8, 8), ("bdi", 8, 8), ("a2", 0, 6)]
+
+
+def _assert_exact_symmetries(case):
+    d = make_space(*case)
+    for seed in (3, 12, 34):
+        s = seeded_state(d, seed)
+        run = integrate_reduced(d, s, 0.5, 200)
+        big = integrate_reduced(d, ReducedState(2.0 * s.q, s.p, 2.0 * s.l), 1.0, 200)
+        assert run.aborted is None and big.aborted is None
+        for got, want in ((big.times, 2.0 * run.times), (big.q, 2.0 * run.q), (big.p, run.p),
+                          (big.l, 2.0 * run.l), (big.energies, run.energies),
+                          (big.l_spectra, 2.0 * run.l_spectra)):
+            assert np.array_equal(got, want), seed
+        fwd = integrate_reduced(d, ReducedState(s.q, -s.p, -s.l), 0.5, 200)
+        back = integrate_reduced(d, s, -0.5, 200)
+        assert fwd.aborted is None and back.aborted is None
+        for got, want in ((fwd.times, -back.times), (fwd.q, back.q), (fwd.p, -back.p),
+                          (fwd.l, -back.l), (fwd.energies, back.energies)):
+            assert np.array_equal(got, want), seed
+        # eigvalsh(-A) is -eigvalsh(A) reversed up to rounding, not bit for bit
+        spread = np.abs(fwd.l_spectra + back.l_spectra[:, ::-1]).max()
+        assert spread <= 1e-13 * max(1.0, np.abs(back.l_spectra).max()), seed
+
+
+@pytest.mark.parametrize("case", FLOW_SPACES)
+def test_flow_keeps_scaling_and_time_reversal_exactly(case):
+    _assert_exact_symmetries(case)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", SYMMETRY_SPACES)
+def test_flow_keeps_scaling_and_time_reversal_exactly_on_larger_spaces(case):
+    _assert_exact_symmetries(case)
+
+
 @pytest.mark.parametrize("case", [("bdi", 3, 2), ("aiii", 3, 2)])
 def test_rk4_error_falls_with_the_fourth_power_of_the_step(case):
     # against the exact flow X + tY at t = 0.25, halving h divides the error

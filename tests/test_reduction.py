@@ -9,11 +9,16 @@ from cartanflow import (
     basis_of,
     a_q_matrix,
     closed_form_density,
+    commutator,
+    compare_with_oracle,
+    dagger,
     density_constant,
     jacobian_density,
     l_from_slice,
     make_space,
     moment_map,
+    project_k,
+    project_p,
     r_from_l,
     random_k_element,
     random_p_element,
@@ -24,7 +29,7 @@ from cartanflow.dynamics import PhasePoint, _slice_point, direct_flow, integrate
 from cartanflow.dynamics import reduce_phase_point
 from cartanflow.linalg import ConsistencyError, frobenius
 from cartanflow.radial import SliceCoords, chamber_contains, embed_radial, exact_slice_reduce
-from cartanflow.radial import slice_contains
+from cartanflow.radial import radial_coords, radial_decompose, slice_contains
 from cartanflow.sampling import theoretical_radial_cdf, theoretical_radial_density
 from cartanflow.reduction import ReducedState, _check_root_multiset, random_chamber_point
 from cartanflow.spaces import (
@@ -369,6 +374,23 @@ _MALFORMED_CALLS = {
         d, np.random.default_rng(1), min_wall=np.nan),
     "random_chamber_point min_wall -1": lambda d, s: random_chamber_point(
         d, np.random.default_rng(1), min_wall=-1.0),
+    # a generator that is not a numpy.random.Generator
+    "random_k_element rng 5": lambda d, s: random_k_element(d, 5),
+    "random_p_element rng 5": lambda d, s: random_p_element(d, 5),
+    "random_chamber_point rng None": lambda d, s: random_chamber_point(d, None),
+    # a matrix that is not numeric
+    "radial_decompose str": lambda d, s: radial_decompose(d, "abc"),
+    "radial_coords str": lambda d, s: radial_coords(d, "abc"),
+    "reduce_phase_point str": lambda d, s: reduce_phase_point(d, PhasePoint("a", "b")),
+    "compare_with_oracle str": lambda d, s: compare_with_oracle(
+        d, PhasePoint("a", "b"), np.linspace(0.0, 0.1, 3)),
+    "direct_flow str": lambda d, s: direct_flow(PhasePoint("a", "b"), 1.0),
+    "moment_map str": lambda d, s: moment_map(d, "abc", "abc"),
+    "project_k str": lambda d, s: project_k(d, "abc"),
+    "project_p str": lambda d, s: project_p(d, "abc"),
+    "commutator str": lambda d, s: commutator("abc", "abc"),
+    "trace_form str": lambda d, s: trace_form("abc", "abc"),
+    "dagger str": lambda d, s: dagger("abc"),
 }
 
 

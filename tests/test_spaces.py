@@ -268,6 +268,45 @@ def test_random_k_element_is_in_k(case, rng):
     check_p_membership(d, k @ X @ k.conj().T, rtol=1e-8)
 
 
+def _assert_matches_expm(case):
+    # scipy.linalg.expm of the same k element, summed from the public k basis,
+    # is the oracle for the eigh form of the exponential
+    from scipy.linalg import expm
+
+    d = make_space(*case)
+    N = d.ambient_dim
+    kb = np.array(basis_of(d, "k")).reshape(d.dim_k, N, N)
+    for seed in (1, 2):
+        for scale in (0.3, 1.0, 5.0):
+            k = random_k_element(d, np.random.default_rng(seed), scale)
+            c = scale * np.random.default_rng(seed).standard_normal(d.dim_k)
+            assert np.abs(k - expm(np.einsum("i,ijk->jk", c, kb))).max() <= 1e-13, (seed, scale)
+            check_k_group_membership(d, k)
+            if d.kind in ("bdi", "ai"):  # K is real: the imaginary part is dropped
+                assert not k.imag.any()
+
+
+@pytest.mark.parametrize("case", REPRESENTATIVES + [("bdi", 1, 1)])
+def test_random_k_element_matches_expm(case):
+    _assert_matches_expm(case)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", root_system_grid())
+def test_random_k_element_matches_expm_on_the_grid(case):
+    _assert_matches_expm(case)
+
+
+@pytest.mark.parametrize("case", [("bdi", 3, 2), ("ai", 0, 4)])
+def test_random_k_element_refuses_an_imaginary_part_on_a_real_k(case, monkeypatch):
+    # eigenvalues shifted by 1e-9 turn exp(A) into exp(A) e^{-1e-9 i}: an
+    # imaginary part far above rounding, which must not be dropped silently
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: (eigh(M)[0] + 1e-9, eigh(M)[1]))
+    with pytest.raises(ConsistencyError, match="imaginary part"):
+        random_k_element(make_space(*case), np.random.default_rng(1))
+
+
 BASIS_CASES = parameter_grid(4) + [
     ("aiii", 8, 8), ("diii", 0, 8), ("cii", 4, 3), ("ci", 0, 6),
     ("aii", 0, 6), ("ai", 0, 8), ("a2", 0, 12), ("bdi", 8, 8),
@@ -461,13 +500,64 @@ def test_cold_geometry_path_imports_no_scipy():
         print(sorted(m for m in sys.modules
                      if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]))
     """
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter with this checkout's ``src`` first
+    on the path."""
     src = str(Path(cartanflow.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=120)
+
+
+# one seeded run of every subcommand, as the bare-runtime CI job runs them
+NO_SCIPY_ARGVS = [
+    ["spaces", "list"],
+    ["decompose", "--class", "aiii", "--m", "3", "--n", "2", "--seed", "1", "--exact-slice"],
+    ["density", "--class", "aiii", "--m", "3", "--n", "2", "--q", "1.5,0.5"],
+    ["sample", "--class", "aiii", "--m", "2", "--n", "1", "--count", "2000", "--bins", "8",
+     "--seed", "1"],
+    ["flow", "--class", "bdi", "--m", "3", "--n", "2", "--steps", "50", "--t-max", "0.2",
+     "--seed", "1", "--compare"],
+    ["verify-density", "--class", "aiii", "--m", "2", "--n", "1", "--count", "2000", "--bins",
+     "8", "--seed", "1"],
+]
+
+
+def test_runtime_paths_run_with_scipy_blocked():
+    # SciPy is a test oracle, not a dependency: with every import of it made
+    # to fail, K elements and each subcommand still run
+    code = f"""if True:
+        import sys
+        sys.modules["scipy"] = None  # "import scipy..." now raises ImportError
+        import numpy as np
+        import cartanflow as cf
+        from cartanflow.cli import main
+        from cartanflow.spaces import check_k_group_membership
+
+        for case in (("bdi", 3, 2), ("cii", 2, 1)):
+            d = cf.make_space(*case)
+            check_k_group_membership(d, cf.random_k_element(d, np.random.default_rng(1)))
+        codes = [main(argv) for argv in {NO_SCIPY_ARGVS!r}]
+        print(codes)
+    """
+    proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == str([0] * len(NO_SCIPY_ARGVS)), proc.stderr
+
+
+def test_bare_runtime_job_runs_the_scipy_blocked_commands():
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    job = workflow.read_text().split("\n  bare-runtime:\n")[1]
+    lines = {ln.strip() for ln in job.splitlines()}
+    assert "run: python -m pip install ." in lines
+    for argv in NO_SCIPY_ARGVS:
+        assert "cartanflow " + " ".join(argv) in lines, argv
 
 
 def _message(check, *args) -> str | None:
