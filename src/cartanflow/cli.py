@@ -78,7 +78,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        _atomic_write(out, text)
+        try:
+            _atomic_write(out, text)
+        except OSError as exc:
+            # a directory, a missing parent, no permission: the path is at fault
+            raise ContractViolation(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

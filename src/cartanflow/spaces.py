@@ -1212,37 +1212,33 @@ def numeric_roots(d: SpaceDescriptor, seed: int = _ROOT_SEED) -> list[Restricted
     return _fit_roots(d, *_measure_roots(d, Z, d.dim_p - d.real_rank, seed))
 
 
-def _measure_roots(d: SpaceDescriptor, Z: tuple, n: int, seed: int | None) -> tuple:
+def _measure_roots(d: SpaceDescriptor, Z: tuple, n: int, seed: int) -> tuple:
     """Per vector v in the span of the n members of Z, given as entry
     triplets (member, column, value): w with w_i = alpha(E) alpha_i and the
     largest residual |A_i v - w_i v|, A_i = <ad(H(E)) Z_j, ad(H_i) Z_k>.
 
     The vectors are the eigenvectors of A(g) = sum_i g_i A_i at the generic
-    g of ``seed``, in increasing order of eigenvalue, or, with ``seed``
-    None, the members of Z in order.  Brackets are taken by index on the
-    entries of Z, which split into the support components of the ad(H(E))
-    and ad(H_i) rows (``_blocks``); each A_i is formed once per block, and
-    the blocks of one size are measured together."""
+    g of ``seed``, in increasing order of eigenvalue.  Brackets are taken
+    by index on the entries of Z, which split into the support components
+    of the ad(H(E)) and ad(H_i) rows (``_blocks``); each A_i is formed once
+    per block, and the blocks of one size are measured together."""
     geo = geometry(d)
     rank = d.real_rank
     ops = [geo.embed_radial(geo.e_coords), *geo.a_embed]
     groups = _blocks(n, _ad_entries(Z, ops), len(ops), len(ops))
-    g = None if seed is None else _generic_point(rank, seed)
+    g = _generic_point(rank, seed)
     # a vector no bracket touches keeps w = 0 and eigenvalue 0
     w, resid, mu = np.zeros((n, rank)), np.zeros(n), np.zeros(n)
     # the slots of a block's members hold its eigenvectors, in eigh's order
     for members, V, _ in groups:
         A = V[0] @ V[1:].transpose(0, 1, 3, 2)  # (rank, G, s, s)
-        if g is None:
-            vecs = np.broadcast_to(np.eye(members.shape[1]), A.shape[1:])
-        else:
-            Ag = np.tensordot(g, A, axes=1)
-            mu[members], vecs = np.linalg.eigh((Ag + Ag.transpose(0, 2, 1)) / 2.0)
+        Ag = np.tensordot(g, A, axes=1)
+        mu[members], vecs = np.linalg.eigh((Ag + Ag.transpose(0, 2, 1)) / 2.0)
         AV = A @ vecs
         wi = np.einsum("gsk,igsk->igk", vecs, AV)
         w[members] = wi.transpose(1, 2, 0)
         resid[members] = np.linalg.norm(AV - vecs * wi[:, :, None, :], axis=2).max(axis=0)
-    order = np.arange(n) if g is None else np.argsort(mu, kind="stable")
+    order = np.argsort(mu, kind="stable")
     return w[order], resid[order]
 
 

@@ -122,16 +122,17 @@ def dense_aperp_basis(d) -> list:
     return basis
 
 
-def reference_integrate_reduced(d, initial, t_max, steps):
-    """The per-step RK4 loop of the reduced flow with separate (q, p, l)
-    states, einsum coordinate maps, a Gram solve in every field call and the
-    invariants logged step by step.  Reference for ``integrate_reduced``."""
-    from cartanflow.dynamics import _ABORT_FACTOR, Trajectory
-    from cartanflow.radial import WALL_TOL
-    from cartanflow.spaces import wall_distance
-
+def _reference_reduced(d: SpaceDescriptor) -> tuple:
+    """The reduced system of one space as it is defined: the zk-perp
+    coordinate maps as einsum sums over ``basis_of(d, "zk_perp")``, the
+    energy, and the field with a Gram solve and a matrix commutator in
+    every call.  Returns (zk_coords, zk_from_coords, hamiltonian, field),
+    the last two on a state (q, p, lc), lc the zk-perp coordinates of l."""
     geo = geometry(d)
-    Z, G, C = np.array(basis_of(d, "zk_perp")), geo.gram, geo.bracket_coeffs
+    N = d.ambient_dim
+    # the explicit shape keeps an empty zk-perp (bdi(1,1)) a stack of matrices
+    Z = np.array(basis_of(d, "zk_perp"), dtype=complex).reshape(-1, N, N)
+    G, C = geo.gram, geo.bracket_coeffs
 
     def zk_coords(X):
         return np.einsum("aij,ij->a", Z.conj(), X).real
@@ -155,8 +156,35 @@ def reference_integrate_reduced(d, initial, t_max, steps):
         dl = zk_coords(commutator(zk_from_coords(lc), zk_from_coords(w)))
         return dq, dp, dl
 
+    return zk_coords, zk_from_coords, hamiltonian, field
+
+
+def reference_vector_field(
+    d: SpaceDescriptor, state: ReducedState
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dq, dp, dl) of the reduced flow at a state, dl as a matrix in
+    zk-perp, from the field of ``_reference_reduced``.  Reference for
+    ``reduced_vector_field``."""
+    zk_coords, zk_from_coords, _, field = _reference_reduced(d)
+    q, p = np.asarray(state.q, dtype=float), np.asarray(state.p, dtype=float)
+    dq, dp, dl = field(q, p, zk_coords(np.asarray(state.l, dtype=complex)))
+    return dq, dp, zk_from_coords(dl)
+
+
+def reference_integrate_reduced(d, initial, t_max, steps):
+    """The per-step RK4 loop of the reduced flow with separate (q, p, l)
+    states, the field of ``_reference_reduced`` and the invariants logged
+    step by step.  A state fails the wall test when its least signed root
+    value (``reference_root_table``) is not above the abort floor; the run
+    stops before the first that fails.  Reference for ``integrate_reduced``."""
+    zk_coords, zk_from_coords, hamiltonian, field = _reference_reduced(d)
+    roots = reference_root_table(d)[0]
+
     def l_matrix_spectrum(lc):
         return np.sort(np.linalg.eigvalsh(1j * zk_from_coords(lc)))[::-1]
+
+    def wall_ok(qv) -> bool:
+        return (roots @ qv).min(initial=np.inf) > _ABORT_FACTOR * WALL_TOL
 
     q = np.asarray(initial.q, dtype=float).copy()
     p = np.asarray(initial.p, dtype=float).copy()
@@ -167,10 +195,6 @@ def reference_integrate_reduced(d, initial, t_max, steps):
     energies = [hamiltonian(q, p, lc)]
     spectra = [l_matrix_spectrum(lc)]
     aborted = None
-
-    def wall_ok(qv) -> bool:
-        return wall_distance(d, qv) > _ABORT_FACTOR * WALL_TOL
-
     assert wall_ok(q)
     for step in range(steps):
         k1 = field(q, p, lc)
@@ -196,165 +220,6 @@ def reference_integrate_reduced(d, initial, t_max, steps):
         l=np.array(ls),
         energies=np.array(energies),
         l_spectra=np.array(spectra),
-        aborted=aborted,
-    )
-
-
-
-# ---------------------------------------------------------------------------
-# the flat-state reduced flow as it was before the field wrote into
-# preallocated arrays, kept verbatim (only renamed; the vector field skips
-# the wall check) as the byte-identity reference for ``_Reduced.field``,
-# ``reduced_vector_field`` and ``integrate_reduced``; since the stepper
-# applies the RK4 tableau to a stack of stages, its step forms the stage
-# inputs and the new state as the same products, allocating each operand;
-# since the field forms L and W in one product, and in real arithmetic when
-# the zk rows have no imaginary part, its field does the same.  The field
-# before that change is kept beside it as ``_ReferenceTwoProductReduced``.
-# Since the geometry keeps zk-perp as entry triplets, both read their rows
-# from ``basis_of`` (``zk_rows``)
-
-
-class _ReferenceFlatReduced:
-    """Coordinate-level reduced system for one descriptor (internal).
-
-    A state is one flat vector y = (q, p, lc), lc the zk-perp coordinates
-    of l.  In the root-adapted bases r -> [r, H(q)] is diag(C q), so r and w
-    come from two divisions and the energy has the Calogero-Moser/Sutherland
-    form p^T G p / 2 + sum_k l_k^2 / (C q)_k^2 / 2.  ``split``, ``r_and_w``
-    and ``hamiltonian`` broadcast over leading axes (a stack of states).
-    """
-
-    def __init__(self, d: SpaceDescriptor):
-        self.d = d
-        self.geo = geometry(d)
-        self.gram = self.geo.gram
-        self.C = self.geo.bracket_coeffs  # (dzk, rank)
-        self.rank = d.real_rank
-        # dH/dq = -C^T (w r); Hamilton's equations flip the sign back and
-        # G^{-1} turns the force into dp
-        self._force = self.geo.gram_inv @ self.C.T
-        self._zk = zk_rows(d)
-        # bdi and ai: zk-perp lies in so(N), the imaginary columns are zero
-        self._dtype = complex if self._zk[:, 1::2].any() else float
-        if self._dtype is float:
-            self._zk = np.ascontiguousarray(self._zk[:, ::2])
-        self._shape = (d.ambient_dim, d.ambient_dim)
-
-    def flat(self, state: ReducedState) -> np.ndarray:
-        q, p = np.asarray(state.q, dtype=float), np.asarray(state.p, dtype=float)
-        return np.concatenate((q, p, self.geo.zk_coords(np.asarray(state.l, dtype=complex))))
-
-    def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        r = self.rank
-        return y[..., :r], y[..., r : 2 * r], y[..., 2 * r :]
-
-    def r_and_w(self, q: np.ndarray, lc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a = q @ self.C.T
-        r = lc / a
-        return r, r / a
-
-    def hamiltonian(self, q, p, lc):
-        r, _ = self.r_and_w(q, lc)
-        return 0.5 * np.sum((p @ self.gram) * p, axis=-1) + 0.5 * np.sum(r * r, axis=-1)
-
-    def field(self, y: np.ndarray) -> np.ndarray:
-        q, p, lc = self.split(y)
-        r, w = self.r_and_w(q, lc)
-        zk, shape = self._zk, self._shape
-        L, W = (np.stack((lc, w)) @ zk).view(self._dtype).reshape((2,) + shape)
-        # L and W are anti-Hermitian, so [L, W] = LW - (LW)^dagger and its
-        # coordinates against the anti-Hermitian zk-perp basis are twice those of LW
-        dl = 2.0 * ((L @ W).reshape(-1).view(float) @ zk.T)
-        return np.concatenate((p, self._force @ (w * r), dl))
-
-
-class _ReferenceTwoProductReduced(_ReferenceFlatReduced):
-    """The field before L and W came from one product: complex zk rows for
-    every class and one product each for L and W (the body kept verbatim)."""
-
-    def __init__(self, d: SpaceDescriptor):
-        super().__init__(d)
-        self._zk = zk_rows(d)
-
-    def field(self, y: np.ndarray) -> np.ndarray:
-        q, p, lc = self.split(y)
-        r, w = self.r_and_w(q, lc)
-        zk, shape = self._zk, self._shape
-        L = (lc @ zk).view(complex).reshape(shape)
-        W = (w @ zk).view(complex).reshape(shape)
-        # L and W are anti-Hermitian, so [L, W] = LW - (LW)^dagger and its
-        # coordinates against the anti-Hermitian zk-perp basis are twice those of LW
-        dl = 2.0 * ((L @ W).reshape(-1).view(float) @ zk.T)
-        return np.concatenate((p, self._force @ (w * r), dl))
-
-
-def reference_flat_vector_field(
-    d: SpaceDescriptor, state: ReducedState, two_products: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Time derivatives (dq, dp, dl) of the reduced flow; dl is returned as
-    a matrix in the centralizer orthocomplement.  ``two_products`` runs the
-    field of ``_ReferenceTwoProductReduced``."""
-    sys = (_ReferenceTwoProductReduced if two_products else _ReferenceFlatReduced)(d)
-    dq, dp, dl = sys.split(sys.field(sys.flat(state)))
-    return dq, dp, sys.geo.zk_from_coords(dl)
-
-
-def reference_flat_integrate_reduced(
-    d: SpaceDescriptor, initial: ReducedState, t_max: float, steps: int
-) -> Trajectory:
-    """Classical fixed-step fourth-order integration of the reduced flow.
-
-    Logs the energy and the spectrum of l at every step.  If the radial
-    point approaches a chamber wall the trajectory is truncated and the
-    abort reason recorded.
-    """
-    if steps < 1:
-        raise ContractViolation("steps must be a positive integer")
-    sys = _ReferenceFlatReduced(d)
-    y = sys.flat(initial)
-    h = float(t_max) / steps
-    half, sixth = 0.5 * h, h / 6.0
-    coeffs = sys.geo.root_table[0]
-
-    def wall_ok(yv) -> bool:
-        # the signed root values: a step that ends across a wall fails as well
-        return (coeffs @ yv[: sys.rank]).min(initial=np.inf) > _ABORT_FACTOR * WALL_TOL
-
-    if not wall_ok(y):
-        raise ContractViolation(
-            "initial radial point is too close to a chamber wall or outside the chamber"
-        )
-    history = np.empty((steps + 1, y.size))
-    history[0] = y
-    done, aborted = 0, None
-    # the stage inputs and the new state as products of the RK4 tableau rows
-    # with the stacked state and stages
-    a2, a3, a4 = np.array([1.0, half]), np.array([1.0, 0.0, half]), np.array([1.0, 0.0, 0.0, h])
-    b = np.array([1.0, sixth, h / 3.0, h / 3.0, sixth])
-    # the loop only steps and checks the wall; the log is built after it
-    for step in range(steps):
-        k1 = sys.field(y)
-        k2 = sys.field(np.dot(a2, np.stack((y, k1))))
-        k3 = sys.field(np.dot(a3, np.stack((y, k1, k2))))
-        k4 = sys.field(np.dot(a4, np.stack((y, k1, k2, k3))))
-        y = np.dot(b, np.stack((y, k1, k2, k3, k4)))
-        if not wall_ok(y):
-            aborted = f"radial point reached a chamber wall at t={step * h + h:.6g}"
-            break
-        done = step + 1
-        history[done] = y
-    q, p, lc = sys.split(history[: done + 1])
-    lmats = sys.geo.zk_from_coords(lc)
-    # eigvalsh returns ascending values; the log keeps them descending
-    spectra = np.linalg.eigvalsh(1j * lmats)[:, ::-1]
-    return Trajectory(
-        times=np.arange(done + 1) * h,
-        q=q,
-        p=p,
-        l=lmats,
-        energies=sys.hamiltonian(q, p, lc),
-        l_spectra=spectra,
         aborted=aborted,
     )
 
@@ -832,12 +697,6 @@ def reference_member_sum(entries: tuple, c, shape: tuple) -> np.ndarray:
         on = member == a
         B[:, col[on]] += c[:, a, None] * val[on]
     return B.view(complex).reshape(len(c), *shape)
-
-
-def zk_rows(d: SpaceDescriptor) -> np.ndarray:
-    """``_real_rows`` of ``basis_of(d, "zk_perp")``, (0, 2 N^2) when it is empty."""
-    N = d.ambient_dim
-    return _real_rows(np.array(basis_of(d, "zk_perp"), dtype=complex).reshape(-1, N, N))
 
 
 # the sides whose build orthonormalizes trace-corrected candidates: p of ai,

@@ -70,6 +70,40 @@ def test_decompose_from_file(tmp_path, capsys):
     assert json.loads(out)["residual"] <= 1e-9
 
 
+def test_decompose_exact_slice_from_files_gives_the_seeded_payload(tmp_path, capsys):
+    # X and Y written from the draws of --seed 3: the same payload but for
+    # meta.seed, which is null for file input
+    d = make_space("aiii", 3, 2)
+    for name, seed in (("x.json", 3), ("y.json", 4)):
+        save_matrix(tmp_path / name, sample_p_gaussian(d, seed))
+    space = ("decompose", "--class", "aiii", "--m", "3", "--n", "2", "--exact-slice")
+    code, seeded, _ = run_cli(capsys, *space, "--seed", "3")
+    assert code == 0
+    code, from_files, _ = run_cli(capsys, *space, "--input", str(tmp_path / "x.json"),
+                                  "--input-y", str(tmp_path / "y.json"))
+    assert code == 0
+    want, got = json.loads(seeded), json.loads(from_files)
+    assert want["meta"].pop("seed") == 3 and got["meta"].pop("seed") is None
+    assert got == want
+
+
+def test_decompose_exact_slice_from_a_file_needs_input_y(tmp_path, capsys):
+    d = make_space("aiii", 3, 2)
+    save_matrix(tmp_path / "x.json", sample_p_gaussian(d, 3))
+    code, out, err = run_cli(capsys, "decompose", "--class", "aiii", "--m", "3", "--n", "2",
+                             "--input", str(tmp_path / "x.json"), "--exact-slice")
+    assert code == 2 and out == ""
+    assert err == "error: validation: --exact-slice needs --input-y or --seed for the momentum\n"
+
+
+def test_out_to_a_directory_is_a_validation_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "spaces", "list", "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: validation: cannot write --out") and err.count("\n") == 1
+    # the temp file, made beside the target, is gone
+    assert not list(tmp_path.parent.glob(".cartanflow-*"))
+
+
 def test_decompose_exact_slice(capsys):
     code, out, _ = run_cli(
         capsys,

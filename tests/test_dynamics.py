@@ -9,6 +9,7 @@ from cartanflow import (
     basis_of,
     compare_with_oracle,
     direct_flow,
+    dynamics,
     integrate_reduced,
     make_space,
     moment_map,
@@ -28,9 +29,8 @@ from cartanflow.spaces import geometry
 from conftest import (
     REPRESENTATIVES,
     dense_aperp_basis,
-    reference_flat_integrate_reduced,
-    reference_flat_vector_field,
     reference_integrate_reduced,
+    reference_vector_field,
     stack_entries,
 )
 
@@ -151,20 +151,26 @@ def test_vector_field_gradients_match_finite_differences(case, rng):
         assert fd == pytest.approx(gp[i], rel=1e-6, abs=1e-6)
 
 
-@pytest.mark.parametrize("case", REPRESENTATIVES + [("aiii", 3, 2), ("cii", 3, 2)])
+DENSE_CASES = REPRESENTATIVES + [("aiii", 3, 2), ("cii", 3, 2)]
+DENSE_CASES += [c for c in BYTE_CASES if c not in DENSE_CASES]
+
+
+@pytest.mark.parametrize("case", DENSE_CASES)
 def test_diagonal_field_matches_dense_solves(case, rng):
     # oracle: the dense bracket tensor T[i, b, a] = <Z_b, [R_a, H_i]> in an
     # a-perp basis that is not root-adapted, two dense solves per evaluation
-    # and the dense zk-perp structure tensor
+    # and the dense zk-perp structure tensor; every space of BYTE_CASES, so
+    # the empty zk-perp of bdi(1,1) too (hence the explicit shapes)
     from cartanflow.linalg import commutator
 
     d = make_space(*case)
     geo = geometry(d)
-    aperp = dense_aperp_basis(d)
+    rank, aperp = d.real_rank, dense_aperp_basis(d)
+    dz = len(aperp)
     T = np.array([[geo.zk_coords(commutator(R, Hi)) for R in aperp] for Hi in geo.a_embed])
-    T = T.transpose(0, 2, 1)
+    T = T.reshape(rank, dz, dz).transpose(0, 2, 1)
     zb = basis_of(d, "zk_perp")
-    L = np.array([[geo.zk_coords(commutator(a, b)) for b in zb] for a in zb])
+    L = np.array([[geo.zk_coords(commutator(a, b)) for b in zb] for a in zb]).reshape(dz, dz, dz)
     sys = _Reduced(d)
     for _ in range(3):
         state, _ = reduce_phase_point(
@@ -180,9 +186,9 @@ def test_diagonal_field_matches_dense_solves(case, rng):
         energy = 0.5 * p @ geo.gram @ p + 0.5 * r @ r
         y = np.concatenate((q, p, lc))
         got = sys.split(sys.field(y, np.empty_like(y)))
-        scale = max(1.0, np.max(np.abs(dp)), np.max(np.abs(dl)))
+        scale = max(1.0, np.max(np.abs(dp)), np.max(np.abs(dl), initial=0.0))
         assert np.max(np.abs(got[1] - dp)) <= 1e-9 * scale
-        assert np.max(np.abs(got[2] - dl)) <= 1e-9 * scale
+        assert np.max(np.abs(got[2] - dl), initial=0.0) <= 1e-9 * scale
         assert sys.hamiltonian(q, p, lc) == pytest.approx(energy, rel=1e-10)
 
 
@@ -328,26 +334,34 @@ def test_reversibility(case):
 SYMMETRY_SPACES = FLOW_SPACES + [("aiii", 8, 8), ("bdi", 8, 8), ("a2", 0, 6)]
 
 
+def assert_exact_symmetries(d, s, t_max, steps):
+    """Both relations for the runs of ``steps`` steps from the state ``s``
+    over t_max and over -t_max, which it returns.  Each run ends where its
+    image does: a wall abort cuts the image at the same step."""
+    run = integrate_reduced(d, s, t_max, steps)
+    big = integrate_reduced(d, ReducedState(2.0 * s.q, s.p, 2.0 * s.l), 2.0 * t_max, steps)
+    for got, want in ((big.times, 2.0 * run.times), (big.q, 2.0 * run.q), (big.p, run.p),
+                      (big.l, 2.0 * run.l), (big.energies, run.energies),
+                      (big.l_spectra, 2.0 * run.l_spectra)):
+        assert np.array_equal(got, want)
+    fwd = integrate_reduced(d, ReducedState(s.q, -s.p, -s.l), t_max, steps)
+    back = integrate_reduced(d, s, -t_max, steps)
+    for got, want in ((fwd.times, -back.times), (fwd.q, back.q), (fwd.p, -back.p),
+                      (fwd.l, -back.l), (fwd.energies, back.energies)):
+        assert np.array_equal(got, want)
+    # eigvalsh(-A) is -eigvalsh(A) reversed up to rounding, not bit for bit
+    spread = np.abs(fwd.l_spectra + back.l_spectra[:, ::-1]).max()
+    assert spread <= 1e-13 * max(1.0, np.abs(back.l_spectra).max())
+    assert (big.aborted is None) == (run.aborted is None)
+    assert (fwd.aborted is None) == (back.aborted is None)
+    return run, back
+
+
 def _assert_exact_symmetries(case):
     d = make_space(*case)
     for seed in (3, 12, 34):
-        s = seeded_state(d, seed)
-        run = integrate_reduced(d, s, 0.5, 200)
-        big = integrate_reduced(d, ReducedState(2.0 * s.q, s.p, 2.0 * s.l), 1.0, 200)
-        assert run.aborted is None and big.aborted is None
-        for got, want in ((big.times, 2.0 * run.times), (big.q, 2.0 * run.q), (big.p, run.p),
-                          (big.l, 2.0 * run.l), (big.energies, run.energies),
-                          (big.l_spectra, 2.0 * run.l_spectra)):
-            assert np.array_equal(got, want), seed
-        fwd = integrate_reduced(d, ReducedState(s.q, -s.p, -s.l), 0.5, 200)
-        back = integrate_reduced(d, s, -0.5, 200)
-        assert fwd.aborted is None and back.aborted is None
-        for got, want in ((fwd.times, -back.times), (fwd.q, back.q), (fwd.p, -back.p),
-                          (fwd.l, -back.l), (fwd.energies, back.energies)):
-            assert np.array_equal(got, want), seed
-        # eigvalsh(-A) is -eigvalsh(A) reversed up to rounding, not bit for bit
-        spread = np.abs(fwd.l_spectra + back.l_spectra[:, ::-1]).max()
-        assert spread <= 1e-13 * max(1.0, np.abs(back.l_spectra).max()), seed
+        run, back = assert_exact_symmetries(d, seeded_state(d, seed), 0.5, 200)
+        assert run.aborted is None and back.aborted is None, seed
 
 
 @pytest.mark.parametrize("case", FLOW_SPACES)
@@ -395,32 +409,42 @@ def test_wall_abort():
     assert traj.aborted is not None and "wall" in traj.aborted
 
 
-@pytest.mark.parametrize("case", REPRESENTATIVES + [("aiii", 5, 5)])
-def test_flat_state_integration_matches_reference_loop(case):
-    # the reference keeps einsum coordinate maps and a Gram solve per field
-    # call; summation order and G^-1 b against solve(G, b) differ by rounding
-    # only, so q and p agree to 1e-13 rather than bit for bit
-    d = make_space(*case)
-    state, _ = reduce_phase_point(d, generic_start(d, seed=101))
-    got = integrate_reduced(d, state, 1.0, 500)
-    ref = reference_integrate_reduced(d, state, 1.0, 500)
-    assert got.aborted is None and ref.aborted is None
+def assert_near_reference(got, ref):
+    """A run of ``integrate_reduced`` against the same run of
+    ``reference_integrate_reduced``, which keeps einsum coordinate maps and
+    a Gram solve per field call: summation order and G^-1 b against
+    solve(G, b) differ by rounding only, so the two stop at the same step
+    for the same reason, q and p agree to 1e-13, l to 1e-13 of its largest
+    entry and the logged invariants to 1e-12 of the energy rather than bit
+    for bit."""
+    assert got.aborted == ref.aborted
     assert np.array_equal(got.times, ref.times)
-    assert got.q.shape == ref.q.shape and got.p.shape == ref.p.shape
-    assert np.max(np.abs(got.q - ref.q)) <= 1e-13
-    assert np.max(np.abs(got.p - ref.p)) <= 1e-13
+    for a, b, scale in ((got.q, ref.q, 1.0), (got.p, ref.p, 1.0),
+                        (got.l, ref.l, max(1.0, np.abs(ref.l).max()))):
+        assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-13 * scale
     scale = 1e-12 * max(1.0, abs(ref.energies[0]))
     assert np.max(np.abs(got.energies - ref.energies)) <= scale
     assert np.max(np.abs(got.l_spectra - ref.l_spectra)) <= scale
 
 
+@pytest.mark.parametrize("case", REPRESENTATIVES + [("aiii", 5, 5)])
+def test_flat_state_integration_matches_reference_loop(case):
+    d = make_space(*case)
+    state, _ = reduce_phase_point(d, generic_start(d, seed=101))
+    got = integrate_reduced(d, state, 1.0, 500)
+    assert got.aborted is None
+    assert_near_reference(got, reference_integrate_reduced(d, state, 1.0, 500))
+
+
 def test_wall_abort_matches_reference_loop():
+    # the course of test_wall_abort_is_byte_identical_to_the_per_step_check:
+    # the reference loop stops at the same step, wall on a step end or not
     d = make_space("ai", 0, 3)
     state = ReducedState(np.array([0.4, 0.0]), np.array([-0.8, 0.0]), np.zeros((3, 3), complex))
-    got = integrate_reduced(d, state, 2.0, 200)
-    ref = reference_integrate_reduced(d, state, 2.0, 200)
-    assert got.aborted is not None and got.aborted == ref.aborted
-    assert np.array_equal(got.times, ref.times)
+    for steps in (199, 200, 201):
+        got = integrate_reduced(d, state, 2.0, steps)
+        assert got.aborted is not None
+        assert_near_reference(got, reference_integrate_reduced(d, state, 2.0, steps))
 
 
 def _argmin_steps(times, t_grid):
@@ -468,7 +492,13 @@ def test_oracle_compares_the_last_grid_point_at_large_t():
 
 
 # ---------------------------------------------------------------------------
-# the buffered kernel against the flat-state loop it replaced: same bytes
+# the kernel pinned by checks that survive a change of summation order: the
+# exact symmetries of the flow and of its field, value for value; the
+# definitional references to rounding; and, for the block wall check and
+# the scratch, runs of the kernel itself, byte for byte.  The three
+# parametrized tests named after the flat reference keep the names they had
+# when they compared the kernel with kept copies of it, so that their ids
+# stay the same from run to run
 
 
 def seeded_state(d, seed):
@@ -482,19 +512,28 @@ def trajectory_bytes(traj):
     return traj.aborted, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
+def per_step_run(monkeypatch, d, state, t_max, steps):
+    """``integrate_reduced`` with the wall checked after every step
+    (``_WALL_BLOCK`` = 1): the run that the block check must equal byte for
+    byte, since the blocks change only where the run stops."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_WALL_BLOCK", 1)
+        return integrate_reduced(d, state, t_max, steps)
+
+
 @pytest.mark.parametrize("case", BYTE_CASES)
 def test_integration_is_byte_identical_to_flat_reference(case):
+    # the exact symmetries value for value and the reference loop to rounding
     d = make_space(*case)
     for seed, t_max, steps in ((11, 0.25, 250), (12, 0.5, 1), (13, -0.25, 40)):
         state = seeded_state(d, seed)
-        got = integrate_reduced(d, state, t_max, steps)
-        ref = reference_flat_integrate_reduced(d, state, t_max, steps)
-        assert trajectory_bytes(got) == trajectory_bytes(ref)
+        got, _ = assert_exact_symmetries(d, state, t_max, steps)
+        assert_near_reference(got, reference_integrate_reduced(d, state, t_max, steps))
         # the one step of aiii(5,5) from seed 12 ends across a wall: min alpha(q) = -23.5
         assert (got.aborted is not None) == (case == ("aiii", 5, 5) and seed == 12)
 
 
-def test_wall_abort_is_byte_identical_to_flat_reference():
+def test_wall_abort_is_byte_identical_to_the_per_step_check(monkeypatch):
     # the head-on collision course of test_wall_abort: q_1 = 0.4 - 0.8 t
     # meets the wall at t = 0.5, a step end for 200 steps only; with l = 0
     # the motion is free, so 199 and 201 steps jump the wall between step
@@ -504,7 +543,7 @@ def test_wall_abort_is_byte_identical_to_flat_reference():
     for steps in (199, 200, 201):
         got = integrate_reduced(d, state, 2.0, steps)
         assert got.aborted is not None
-        ref = reference_flat_integrate_reduced(d, state, 2.0, steps)
+        ref = per_step_run(monkeypatch, d, state, 2.0, steps)
         assert trajectory_bytes(got) == trajectory_bytes(ref)
 
 
@@ -521,26 +560,27 @@ def head_on_course(k, steps):
 # the first state of the first block, its second last, its last, the first
 # of the second block, and one in the sixth
 @pytest.mark.parametrize("k", [1, 31, 32, 33, 5 * 32 + 7])
-def test_block_wall_check_stops_at_the_first_failing_state(k):
+def test_block_wall_check_stops_at_the_first_failing_state(k, monkeypatch):
     steps = k + 2 * _WALL_BLOCK
     d, state, t_max = head_on_course(k, steps)
     got = integrate_reduced(d, state, t_max, steps)
     assert len(got.times) == k
     assert got.aborted == f"radial point reached a chamber wall at t={k * (t_max / steps):.6g}"
-    ref = reference_flat_integrate_reduced(d, state, t_max, steps)
+    ref = per_step_run(monkeypatch, d, state, t_max, steps)
     assert trajectory_bytes(got) == trajectory_bytes(ref)
 
 
-def test_seeded_abort_in_the_second_block_is_byte_identical_to_flat_reference():
+def test_seeded_abort_in_the_second_block_is_byte_identical_to_the_per_step_check(monkeypatch):
     # `cartanflow flow --class aiii --m 5 --n 5 --seed 34 --t-max 2 --steps 100`:
-    # state 35 is the first across a wall
+    # state 35 is the first across a wall, in the reference loop as well
+    # (whose q, close to the wall, departs by 2e-13 by then)
     d = make_space("aiii", 5, 5)
     state = seeded_state(d, 34)
     got = integrate_reduced(d, state, 2.0, 100)
     assert got.aborted is not None and len(got.times) == 35
-    assert trajectory_bytes(got) == trajectory_bytes(
-        reference_flat_integrate_reduced(d, state, 2.0, 100)
-    )
+    ref = reference_integrate_reduced(d, state, 2.0, 100)
+    assert ref.aborted == got.aborted and np.array_equal(ref.times, got.times)
+    assert trajectory_bytes(got) == trajectory_bytes(per_step_run(monkeypatch, d, state, 2.0, 100))
 
 
 def test_abort_evaluates_the_field_at_most_one_block_past_the_wall(monkeypatch):
@@ -603,20 +643,26 @@ def test_flow_kernel_makes_no_np_dot_call(monkeypatch):
 
 @pytest.mark.parametrize("case", BYTE_CASES)
 def test_vector_field_is_byte_identical_to_flat_reference(case):
+    # the field's exact relations, value for value: at (2q, p, 2l) the root
+    # values double, r stays and w halves, so the field is (dq, dp/2, dl);
+    # at (q, -p, -l) r and w change sign, so it is (-dq, dp, dl).  The dense
+    # solves of test_diagonal_field_matches_dense_solves check its values
+    d = make_space(*case)
+    for seed in (21, 23):
+        s = seeded_state(d, seed)
+        dq, dp, dl = reduced_vector_field(d, s)
+        for image, want in ((ReducedState(2.0 * s.q, s.p, 2.0 * s.l), (dq, 0.5 * dp, dl)),
+                            (ReducedState(s.q, -s.p, -s.l), (-dq, dp, dl))):
+            got = reduced_vector_field(d, image)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), seed
+
+
+def _assert_matches_reference_field(case):
     d = make_space(*case)
     for seed in (21, 23):
         state = seeded_state(d, seed)
         got = reduced_vector_field(d, state)
-        ref = reference_flat_vector_field(d, state)
-        assert [a.tobytes() for a in got] == [b.tobytes() for b in ref]
-
-
-def _assert_matches_two_product_field(case):
-    d = make_space(*case)
-    for seed in (21, 23):
-        state = seeded_state(d, seed)
-        got = reduced_vector_field(d, state)
-        ref = reference_flat_vector_field(d, state, two_products=True)
+        ref = reference_vector_field(d, state)
         for a, b in zip(got, ref):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b), initial=0.0) <= 1e-13 * np.max(np.abs(b), initial=0.0)
@@ -625,13 +671,14 @@ def _assert_matches_two_product_field(case):
 @pytest.mark.parametrize("case", BYTE_CASES + [("bdi", 8, 8), ("ai", 0, 8)])
 def test_vector_field_matches_two_product_field(case):
     # the pair product and the real arithmetic of bdi and ai against the
-    # complex field with one product each for L and W: rounding only
-    _assert_matches_two_product_field(case)
+    # field as it is defined: einsum coordinate maps, a Gram solve and the
+    # commutator LW - WL of separate matrices L and W; rounding only
+    _assert_matches_reference_field(case)
 
 
 @pytest.mark.slow
 def test_large_vector_field_matches_two_product_field():
-    _assert_matches_two_product_field(("bdi", 16, 16))
+    _assert_matches_reference_field(("bdi", 16, 16))
 
 
 @pytest.mark.parametrize("case", BYTE_CASES)
@@ -698,11 +745,17 @@ def test_concurrent_integrations_match_serial_bytes():
 def test_integration_reads_no_unwritten_scratch(case, monkeypatch):
     # every array np.empty hands out is NaN-filled, so an entry of the
     # field's scratch, the stages, the state and its w tail (the head of
-    # k1's row) or the history read before it is written shows as NaN;
-    # bdi(3,2) runs the real scratch
+    # k1's row) or the history read before it is written shows as NaN, and
+    # the run differs from one made before np.empty was poisoned.  The
+    # poisoned run starts on a fresh geometry, so the operands it builds on
+    # first use (the root split, C, G and the zk rows) are made under the
+    # poison too; bdi(3,2) runs the real scratch
+    from cartanflow import spaces
+
     d = make_space(*case)
     state = seeded_state(d, 51)
-    ref = trajectory_bytes(reference_flat_integrate_reduced(d, state, 0.25, 50))
+    ref = trajectory_bytes(integrate_reduced(d, state, 0.25, 50))
+    monkeypatch.setitem(spaces._GEOMETRY_CACHE, d, spaces.SpaceGeometry(d))
     empty = np.empty
 
     def nan_empty(*args, **kwargs):
@@ -795,13 +848,15 @@ def _malformed_states(d, state):
         "flat l": ReducedState(state.q, state.p, state.l.ravel()),
         "text p": ReducedState(state.q, ["a"] * rank, state.l),
         "l + I": ReducedState(state.q, state.p, state.l + np.eye(N)),
+        # for aiii(3,2), on the wall q_1 = q_2 of the root e_1 - e_2
+        "q on a wall": ReducedState(np.ones(rank), state.p, state.l),
     }
 
 
 @pytest.mark.parametrize(
     "which",
     ["nan q", "nan p", "inf p", "nan l", "inf l", "short q", "long p", "p matrix", "small l",
-     "flat l", "text p", "l + I"],
+     "flat l", "text p", "l + I", "q on a wall"],
 )
 @pytest.mark.parametrize("entry", ["integrate", "field", "hamiltonian"])
 def test_flow_entry_points_reject_malformed_states(which, entry):
@@ -814,6 +869,19 @@ def test_flow_entry_points_reject_malformed_states(which, entry):
     }[entry]
     with pytest.raises(ContractViolation):
         call(bad)
+
+
+def test_integration_refuses_a_start_outside_the_chamber():
+    # q reversed lies in another Weyl chamber, off every wall: the field and
+    # the energy are defined there, but the flow starts in the chamber only
+    d = make_space("aiii", 3, 2)
+    state = seeded_state(d, 71)
+    outside = ReducedState(state.q[::-1].copy(), state.p, state.l)
+    assert (geometry(d).root_table[0] @ outside.q).min() < 0
+    reduced_vector_field(d, outside)
+    reduced_hamiltonian(d, outside)
+    with pytest.raises(ContractViolation, match="outside the chamber"):
+        integrate_reduced(d, outside, 0.5, 20)
 
 
 @pytest.mark.parametrize("call", ["direct_flow", "integrate_reduced", "_step_size"])

@@ -33,6 +33,7 @@ from cartanflow.spaces import (
 from conftest import (
     REPRESENTATIVES,
     TRACE_CORRECTED,
+    _ad_rows,
     _gram_schmidt,
     assert_matches_unit_basis,
     assert_orthonormal,
@@ -51,7 +52,6 @@ from conftest import (
     reference_unit_basis,
     reference_unit_entries,
     root_system_grid,
-    stack_entries,
 )
 
 
@@ -415,8 +415,15 @@ def test_numeric_roots_match_eigenvector_by_eigenvector_reference(case):
 
 
 def _fit(d, Z):
-    # the members of Z as they are, measured by the component pass
-    return spaces._fit_roots(d, *spaces._measure_roots(d, stack_entries(Z), len(Z), None))
+    # the members of Z as they are, measured densely: per member v,
+    # w_i = A_i[v, v] and the residual max_i |A_i e_v - w_i e_v|, with
+    # A_i = <ad(H(E)) Z_j, ad(H_i) Z_k>
+    geo = geometry(d)
+    Ve = _ad_rows(Z, geo.embed_radial(geo.e_coords))
+    A = np.array([Ve @ _ad_rows(Z, Hi).T for Hi in geo.a_embed])  # (rank, n, n)
+    w = np.diagonal(A, axis1=1, axis2=2).T
+    resid = np.linalg.norm(A - np.eye(len(Z)) * w.T[:, None, :], axis=1).max(axis=0)
+    return spaces._fit_roots(d, w, resid)
 
 
 def _fit_errors(d, Z) -> list[str]:
