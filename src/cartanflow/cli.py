@@ -78,6 +78,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
+        if os.path.isdir(out):  # refused first: the temp file would go into its parent
+            raise ContractViolation(f"cannot write --out {out}: Is a directory")
         try:
             _atomic_write(out, text)
         except OSError as exc:
@@ -260,8 +262,7 @@ def _cmd_flow(args) -> int:
     start = PhasePoint(sample_p_gaussian(d, args.seed), sample_p_gaussian(d, args.seed + 1))
     deviations = None
     if args.compare:
-        grid = np.linspace(0.0, args.t_max, args.steps + 1)
-        report = compare_with_oracle(d, start, grid)
+        report = compare_with_oracle(d, start, args.t_max, args.steps)
         traj, deviations = report.trajectory, report.deviations
     else:
         state, _ = reduce_phase_point(d, start)
@@ -285,13 +286,12 @@ def _cmd_flow(args) -> int:
 
 def _flow_rows(table: np.ndarray, deviations: np.ndarray | None) -> list[str]:
     """The CSV rows of a flow table for ``_csv_text``, each from one row
-    template: every cell as %.12g, then, with ``deviations``, the oracle
-    deviation as %.6e, blank on rows past the last deviation."""
+    template: every cell as %.12g, then, with ``deviations``, the row's
+    oracle deviation as %.6e."""
     line = ",".join(["%.12g"] * table.shape[1])
     rows = [line % row for row in map(tuple, table.tolist())]
     if deviations is not None:
-        cells = ["," + "%.6e" % dev for dev in deviations.tolist()]
-        rows = [r + c for r, c in zip(rows, cells + [","] * (len(rows) - len(cells)))]
+        rows = [r + ",%.6e" % dev for r, dev in zip(rows, deviations.tolist())]
     return rows
 
 

@@ -78,7 +78,7 @@ class Trajectory:
 @dataclass(frozen=True)
 class OracleReport:
     """Sup-norm deviations of the reduced trajectory it compared from the
-    direct flow, at the step times nearest each grid point."""
+    direct flow, at each of its step times."""
 
     times: np.ndarray
     deviations: np.ndarray
@@ -384,54 +384,28 @@ def _non_finite(step: int, h: float) -> ConsistencyError:
     )
 
 
-def _nearest_steps(times: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """Index of the nearest step time for each grid point up to the last
-    step (exact when the grid matches the step count, the default); a tie
-    goes to the earlier step.  ``times`` is increasing, so the nearest step
-    is one of the two that bracket the point.  "Up to" allows 1e-12 or a
-    few ulps of the last step time, whichever is more: steps * (t / steps)
-    can round below t, by more than 1e-12 once t is large."""
-    t = t_grid[t_grid <= times[-1] + max(1e-12, 4 * np.spacing(times[-1]))]
-    hi = np.minimum(np.searchsorted(times, t), len(times) - 1)
-    lo = np.maximum(hi - 1, 0)
-    return np.where(np.abs(times[lo] - t) <= np.abs(times[hi] - t), lo, hi)
-
-
 def compare_with_oracle(
-    d: SpaceDescriptor, start: PhasePoint, t_grid: np.ndarray, steps: int | None = None
+    d: SpaceDescriptor, start: PhasePoint, t_max: float, steps: int
 ) -> OracleReport:
     """Radial coordinates of the direct flow versus the reduced integration.
 
     The direct flow is exact: q_direct(t) comes from the radial
-    decomposition of X + tY.  The reduced flow is integrated with fixed
-    steps through the grid and compared pointwise in the sup norm; the
-    report carries that trajectory.  The grid starts at 0 and is strictly
-    increasing, strictly decreasing (the backward flow, at negative
-    times) or all zeros (every step stays at t = 0 and is compared with X).
+    decomposition of X + tY.  The reduced flow is integrated from the slice
+    reduction of ``start`` as ``integrate_reduced`` integrates it, with
+    ``steps`` fixed steps to ``t_max`` (negative: backwards; 0: every step
+    stays at X), and every logged step is compared with the direct flow at
+    its own time in the sup norm; the report carries that trajectory.
+    ContractViolation as for ``integrate_reduced``.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not np.isfinite(t_grid).all():
-        raise ContractViolation("t_grid must be finite")
-    if t_grid.ndim != 1 or t_grid.size < 2 or t_grid[0] != 0.0:
-        raise ContractViolation("t_grid must be a 1-d grid of at least two times starting at 0")
-    sign = np.sign(t_grid[-1])  # backwards for a negative end, all at 0 for a zero one
-    if np.any(np.diff(t_grid) * sign <= 0) if sign else np.any(t_grid != 0.0):
-        raise ContractViolation(
-            "t_grid must be strictly monotone from 0 (increasing, or decreasing to "
-            "integrate backwards) or all zeros"
-        )
+    _step_size(t_max, steps)
     state0, _ = reduce_phase_point(d, start)
-    n_steps = steps if steps is not None else (t_grid.size - 1)
-    traj = integrate_reduced(d, state0, float(t_grid[-1]), n_steps)
-    # the step times run the way the grid does: match them on |t|
-    idx = _nearest_steps(traj.times * (sign or 1.0), t_grid * (sign or 1.0))
-    kept = traj.times[idx]
+    traj = integrate_reduced(d, state0, t_max, steps)
     # X + tY lies in p by linearity: reduce_phase_point checked X and Y
     X, Y = as_cmat(start.X, "X"), as_cmat(start.Y, "Y")
-    q_dir = radial_coords_batch(d, X[None] + kept[:, None, None] * Y[None])
-    devs = np.max(np.abs(q_dir - traj.q[idx]), axis=1)
+    q_dir = radial_coords_batch(d, X[None] + traj.times[:, None, None] * Y[None])
+    devs = np.max(np.abs(q_dir - traj.q), axis=1)
     return OracleReport(
-        times=kept,
+        times=traj.times,
         deviations=devs,
         max_deviation=float(np.max(devs)),
         trajectory=traj,

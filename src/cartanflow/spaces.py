@@ -21,14 +21,15 @@ in which the bracket map r -> [r, H(q)] is the diagonal of root values) is
 computed numerically once per descriptor and cached.  The matrices this
 touches are almost all zeros: Γ, J, S and every radial generator have at
 most one nonzero entry per row and column.  So every basis but that of a
-is entry triplets (member, column, value) from build to use: p and k
-start from the Hermitian units as entry lists, each conjugation moves the
-entries by an index map read once from its matrix, the few candidates with
-a trace lose it on the diagonal, and Gram-Schmidt runs among those alone,
-over the diagonal; brackets with a radial generator are taken by index as
-well, and m, zk-perp and a-perp keep the nonzero entries of their
-combinations of k, one support component at a time.  A sum over a basis is
-one scatter of its triplets; only the sampler's p blocks keep an index table.
+is entry triplets (member, column, value) from build to use: X -> X† and
+each conjugation move the real coordinates by a signed index map read once
+from its matrix, p and k are the signed orbit sums of the group of these
+maps, the few sums with a trace lose it on the diagonal, and Gram-Schmidt
+runs among those alone, over the diagonal; brackets with a radial
+generator are taken by index as well, and m, zk-perp and a-perp keep the
+nonzero entries of their combinations of k, one support component at a
+time.  A sum over a basis is one scatter of its triplets; only the
+sampler's p blocks keep an index table.
 
 Supported kinds::
 
@@ -721,33 +722,22 @@ def _split_entries(parts: list) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _unit_entries(N: int, anti: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The trace-form-orthonormal Hermitian units as entry lists, one row
-    per unit: E_ii, then (E_ij + E_ji)/sqrt2 and i(E_ij - E_ji)/sqrt2, over
-    i <= j row by row; with ``anti``, i times each of them.  A row holds the
-    columns of the unit's nonzero real coordinates in the layout of
-    ``_real_flat`` (real and imaginary parts interleaved) and their values;
-    E_ii pads its second slot with the column 2 N^2, which no coordinate
-    has, and the value 0.  Read-only, built once per N."""
-    i, j = np.triu_indices(N)
-    off = i != j
-    width = 1 + off  # an off-diagonal pair gives two units
-    first = np.cumsum(width) - width
-    pad = 2 * N * N
-    cols = np.full((N * N, 2), pad)
-    vals = np.zeros((N * N, 2))
-    cols[first[~off], 0], vals[first[~off], 0] = 2 * i[~off] * (N + 1), 1.0
-    s, a, b = first[off], i[off], j[off]
-    cols[s] = 2 * np.stack([a * N + b, b * N + a], axis=1)
-    cols[s + 1] = cols[s] + 1
-    vals[s] = 1.0 / np.sqrt(2)
-    vals[s + 1] = (1j / np.sqrt(2)).imag, (-1j / np.sqrt(2)).imag
-    if anti:  # i x moves a real part x to the imaginary one, an imaginary part x to -x real
-        real = cols % 2 == 0
-        cols = np.where(cols < pad, cols ^ 1, cols)
-        vals = np.where(real, vals, -vals)
-    cols.flags.writeable = vals.flags.writeable = False
-    return cols, vals
+def _transpose_map(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The conjugate transpose X -> X† as (dest, sign) on the real
+    coordinates of ``_real_flat``: coordinate c moves to dest[c] with the
+    factor sign[c], entry a,b to b,a with its imaginary part negated.
+    Read-only, built once per N."""
+    c = np.arange(2 * N * N)
+    at, part = c // 2, c % 2
+    dest = 2 * (at % N * N + at // N) + part
+    sign = 1.0 - 2.0 * part
+    dest.flags.writeable = sign.flags.writeable = False
+    return dest, sign
+
+
+def _compose(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The signed permutation a after b, each given as (dest, sign)."""
+    return a[0][b[0]], b[1] * a[1][b[0]]
 
 
 @lru_cache(maxsize=None)
@@ -756,9 +746,10 @@ def _conjugation_maps(d: SpaceDescriptor) -> tuple[tuple[np.ndarray, np.ndarray,
     real coordinate c of ``_real_flat`` to dest[c] with the factor sign[c].
     Read once per descriptor by applying M to one matrix whose entry a,b is
     (1 + i)(aN + b + 1): G, J and S are signed permutations, so M(X) has
-    entry f X_cd or f conj(X_cd) at each position, with f = +-1.  The
-    padding column 2 N^2 maps to itself with factor 0.  dest is None for a
-    conjugation that keeps every entry in place (Γ, complex conjugation)."""
+    entry f X_cd or f conj(X_cd) at each position, with f = +-1.
+    ConsistencyError unless the maps and the conjugate transpose are
+    involutions that commute pairwise: p and k are then the fixed spaces of
+    the abelian group they generate, which ``_orbit_sums`` spans."""
     N = d.ambient_dim
     half = N * N
     here = np.arange(half)
@@ -774,62 +765,86 @@ def _conjugation_maps(d: SpaceDescriptor) -> tuple[tuple[np.ndarray, np.ndarray,
             )
         src = np.abs(out.real).astype(np.intp) - 1
         sign = np.sign(out.real)
-        dest = np.empty(2 * half + 1, dtype=np.intp)
-        factor = np.zeros(2 * half + 1)
-        dest[2 * src], dest[2 * src + 1], dest[-1] = 2 * here, 2 * here + 1, 2 * half
+        dest = np.empty(2 * half, dtype=np.intp)
+        factor = np.empty(2 * half)
+        dest[2 * src], dest[2 * src + 1] = 2 * here, 2 * here + 1
         factor[2 * src], factor[2 * src + 1] = sign, -sign if flip else sign
         dest.flags.writeable = factor.flags.writeable = False
-        maps.append((None if np.array_equal(src, here) else dest, factor, s))
+        maps.append((dest, factor, s))
+    gens = [m[:2] for m in maps] + [_transpose_map(N)]
+    one = (np.arange(2 * half), np.ones(2 * half))
+    if not all(np.array_equal(x, y) for g in gens for x, y in zip(_compose(g, g), one)):
+        raise ConsistencyError(f"{d.label()}: a defining conjugation is not an involution")
+    if not all(np.array_equal(x, y) for g, h in combinations(gens, 2)
+               for x, y in zip(_compose(g, h), _compose(h, g))):
+        raise ConsistencyError(
+            f"{d.label()}: the defining conjugations and X -> X† do not commute pairwise"
+        )
     return tuple(maps)
 
 
-def _project_entries(d: SpaceDescriptor, cols: np.ndarray, vals: np.ndarray, onto_p: bool):
-    """Project a stack of Hermitian (with ``onto_p``) or anti-Hermitian
-    matrices, given as entry lists (see ``_unit_entries``), onto p or k of
-    the class by averaging over each defining conjugation, X -> (X + s M(X))/2
-    onto p and (X + M(X))/2 onto k: each conjugation moves the entries by its
-    index map, and each position takes (x + s m)/2 with the values x and m
-    the dense stacks hold there (0 where they hold none), so every nonzero
-    value is the one the dense average computes.  In the traceless classes a
-    candidate with a nonzero trace t (the E_ii) loses t/N on every diagonal
-    entry, the real and imaginary parts of t apart.
-    Returns the entry triplets (candidate, column, value), sorted by
-    candidate, with exact zeros dropped, and the mask of the trace-corrected
-    candidates."""
+def _orbit_sums(d: SpaceDescriptor, onto_p: bool):
+    """The candidates of the p basis (``onto_p``) or of k as unsorted entry
+    triplets (candidate, column, value) in the layout of ``_real_flat``, and
+    the mask of the trace-corrected candidates.
+
+    p is the fixed space of X -> X† and of X -> s M(X) for each map M of
+    ``_conjugation_maps``, k that of X -> -X† and of each M: of commuting
+    signed involutions of the real coordinates.  It is spanned by the signed
+    orbit sums of the group they generate (its Reynolds operator).  At a
+    coordinate c, an orbit's sum counts the elements g that map c to the
+    orbit's least coordinate, each with its sign at c times its character;
+    g being an involution, these are the images of the least coordinate.
+    Images are formed under the maps that move coordinates; one that keeps
+    them in place (Γ, complex conjugation) scales the count at c by 1 + its
+    character times its sign at c.
+
+    A sum that is not zero is the candidate of the unit E_ii,
+    (E_ij + E_ji)/sqrt2 or i(E_ij - E_ji)/sqrt2 (i <= j; i times each for k)
+    whose head, its first nonzero coordinate, is the orbit's least one: an
+    orbit holds the transpose of each coordinate, and one on the diagonal
+    that is no head has a zero sum.  The count times the head's value (1 on
+    the diagonal, +-1/sqrt2 off it) is the unit's own orbit average up to a
+    power of two, which normalization cancels exactly.  Candidates are
+    numbered in unit order, with gaps, from 0 to 2 N^2 - 1.  In the
+    traceless classes a candidate with a nonzero trace t (the E_ii) loses
+    t/N on every diagonal entry, the real and imaginary parts of t apart."""
     N = d.ambient_dim
-    pad = 2 * N * N
-    at = np.arange(len(cols))[:, None]
-    for dest, factor, s in _conjugation_maps(d):
-        c = s if onto_p else 1
-        if dest is None:
-            vals = (vals + c * (factor[cols] * vals)) / 2.0
-            continue
-        mcols, mvals = dest[cols], factor[cols] * vals
-        hit = mcols[:, None, :] == cols[:, :, None]  # hit[r, x, y]: M moves slot y onto slot x
-        x = (vals + c * np.where(hit.any(axis=2), mvals[at, hit.argmax(axis=2)], 0.0)) / 2.0
-        alone = ~hit.any(axis=1) & (mvals != 0)
-        cols = np.concatenate([cols, np.where(alone, mcols, pad)], axis=1)
-        vals = np.concatenate([x, np.where(alone, c * mvals, 0.0) / 2.0], axis=1)
-    live = vals != 0
-    cand, col, val = np.broadcast_to(at, cols.shape)[live], cols[live], vals[live]
-    corrected = np.zeros(len(cols), dtype=bool)
+    width = 2 * N * N
+    img, sgn = np.arange(width)[None], np.ones((1, width))
+    scale = np.ones(width)
+    for dest, sign, chi in ((*_transpose_map(N), 1 if onto_p else -1),
+                            *((m, f, s if onto_p else 1) for m, f, s in _conjugation_maps(d))):
+        if np.array_equal(dest, img[0]):  # keeps every coordinate in place
+            scale *= 1.0 + chi * sign
+        else:
+            img, sgn = (np.concatenate([img, dest[img]]),
+                        np.concatenate([sgn, chi * sign[img] * sgn]))
+    least = img.min(axis=0)
+    count = np.where(img == least, sgn, 0.0).sum(axis=0) * scale
+    col = np.flatnonzero(count)
+    head = least[col]
+    # the units of one position come real part first for p, imaginary first for k
+    cand = head if onto_p else head ^ 1
+    r2 = 1.0 / np.sqrt(2)
+    val = count[col] * np.where((head // 2) % (N + 1) == 0, 1.0,
+                                r2 if onto_p else np.where(head % 2, r2, -r2))
+    corrected = np.zeros(width, dtype=bool)
     if d.kind in _TRACELESS:
         on = (col // 2) % (N + 1) == 0  # the diagonal entries
-        trace = np.zeros((len(cols), 2))  # real and imaginary parts
-        np.add.at(trace, (cand[on], col[on] % 2), val[on])
-        corrected = trace.any(axis=1)
+        trace = np.zeros((2, width))  # real and imaginary parts
+        np.add.at(trace, (col[on] % 2, cand[on]), val[on])
+        corrected = trace.any(axis=0)
         rows = np.flatnonzero(corrected)
         fix = on & corrected[cand]
         diag = np.zeros((len(rows), N, 2))  # per corrected candidate, its diagonal
         slot = (np.cumsum(corrected) - 1)[cand[fix]]
         diag[slot, col[fix] // (2 * N + 2), col[fix] % 2] = val[fix]
-        diag -= trace[rows, None, :] / N
-        r, i, part = np.nonzero(diag)
+        diag -= trace[:, rows].T[:, None, :] / N
+        r, pos, part = np.nonzero(diag)
         cand = np.concatenate([cand[~fix], rows[r]])
-        col = np.concatenate([col[~fix], 2 * i * (N + 1) + part])
-        val = np.concatenate([val[~fix], diag[r, i, part]])
-        order = np.argsort(cand, kind="stable")
-        cand, col, val = cand[order], col[order], val[order]
+        col = np.concatenate([col[~fix], 2 * pos * (N + 1) + part])
+        val = np.concatenate([val[~fix], diag[r, pos, part]])
     return cand, col, val, corrected
 
 
@@ -877,41 +892,17 @@ class SpaceGeometry:
     def _unit_basis(self, onto_p: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Orthonormal basis of p, from the Hermitian units, or of k, from
         the anti-Hermitian ones, as read-only entry triplets (member, column,
-        value) in the layout of ``_real_flat``, sorted by member: the
-        projected units (``_project_entries``) in candidate order, the
-        dependent ones dropped.
-
-        A candidate that is not trace-corrected is either the first to touch
-        each of its columns, and is normalized as it is, or an exact multiple
-        of the candidate first on them, and so lies in the span kept so far
-        and is dropped.  The trace-corrected candidates touch only columns
-        (the diagonal) that no other candidate touches first, so
-        ``_gram_schmidt_rows`` runs among them alone, dense over those
-        columns.  A candidate that breaks this structure raises
-        ConsistencyError."""
+        value) in the layout of ``_real_flat``, sorted by member and column:
+        the orbit sums (``_orbit_sums``) in unit order.  The sums of two
+        orbits share no column, so each is normalized alone, but for the
+        trace-corrected ones, which share the diagonal: ``_gram_schmidt_rows``
+        runs among them alone, dense over the columns they touch.
+        ConsistencyError unless the members are as many as theory says."""
         d = self.descriptor
-        N = d.ambient_dim
-        cand, col, val, corrected = _project_entries(d, *_unit_entries(N, anti=not onto_p), onto_p)
-        n, width = len(corrected), 2 * N * N
-        first = np.full(width, n)  # first[c]: the first candidate touching column c
-        np.minimum.at(first, col, cand)
-        src = first[col]
-        own = np.zeros(width)  # own[c]: the entry of that candidate
-        own[col[src == cand]] = val[src == cand]
-        count = np.bincount(cand, minlength=n)
-        head = (np.cumsum(count) - count)[cand]  # each entry's candidate's first entry
-        stray = ((src != src[head]) | (count[src] != count[cand])
-                 | (val != val[head] / own[col[head]] * own[col]))
-        bad = cand[np.where(corrected[cand], ~corrected[src], stray)]
-        name, want = ("p", d.dim_p) if onto_p else ("k", d.dim_k)
-        if bad.size:
-            raise ConsistencyError(
-                f"{d.label()}: {name}-basis candidate {bad[0]} shares a column with an earlier "
-                "candidate but is neither its exact multiple nor trace-corrected like it"
-            )
-        norm = np.sqrt(np.bincount(cand, val * val, minlength=n))
+        cand, col, val, corrected = _orbit_sums(d, onto_p)
+        width = len(corrected)  # 2 N^2, the candidate numbers and the columns
+        norm = np.sqrt(np.bincount(cand, val * val, minlength=width))
         plain = ~corrected & (norm > _GS_TOL)
-        plain[cand[src < cand]] = False
         # the trace-corrected candidates, dense over the columns they touch
         rows, on = np.flatnonzero(corrected), corrected[cand]
         touched = np.zeros(width, dtype=bool)
@@ -920,6 +911,7 @@ class SpaceGeometry:
         dense[(np.cumsum(corrected) - 1)[cand[on]], (np.cumsum(touched) - 1)[col[on]]] = val[on]
         kept, keep = _gram_schmidt_rows(dense)
         plain[rows[keep]] = True
+        name, want = ("p", d.dim_p) if onto_p else ("k", d.dim_k)
         if np.count_nonzero(plain) != want:
             raise ConsistencyError(
                 f"{d.label()}: built {np.count_nonzero(plain)} {name}-basis elements, "
@@ -929,8 +921,9 @@ class SpaceGeometry:
         r, c = np.nonzero(kept)
         e = plain[cand] & ~on
         member = np.concatenate([member[cand[e]], member[rows[keep][r]]])
-        order = np.argsort(member, kind="stable")
-        entries = (member[order], np.concatenate([col[e], np.flatnonzero(touched)[c]])[order],
+        col = np.concatenate([col[e], np.flatnonzero(touched)[c]])
+        order = np.argsort(member * width + col, kind="stable")
+        entries = (member[order], col[order],
                    np.concatenate([val[e] / norm[cand[e]], kept[r, c]])[order])
         for a in entries:
             a.flags.writeable = False

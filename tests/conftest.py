@@ -891,7 +891,7 @@ def reference_flow_csv(d: SpaceDescriptor, args, traj, deviations) -> str:
         row.append(f"{traj.energies[idx]:.12g}")
         row += [f"{v:.12g}" for v in traj.l_spectra[idx]]
         if deviations is not None:
-            row.append(f"{deviations[idx]:.6e}" if idx < len(deviations) else "")
+            row.append(f"{deviations[idx]:.6e}")
         rows.append(row)
     meta = _meta(d, seed=args.seed, t_max=args.t_max, steps=args.steps)
     if traj.aborted:

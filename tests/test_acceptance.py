@@ -197,7 +197,7 @@ def test_criterion_7_level_dynamics_oracle():
         d = make_space(*case)
         rng = np.random.default_rng(101)
         start = PhasePoint(random_p_element(d, rng), random_p_element(d, rng))
-        report = compare_with_oracle(d, start, np.linspace(0.0, 1.0, 1001))
+        report = compare_with_oracle(d, start, 1.0, 1000)
         assert report.truncated is None, f"{d.label()} hit a wall"
         assert report.max_deviation <= 1e-6, f"{d.label()} deviation {report.max_deviation:.2e}"
         state, _ = reduce_phase_point(d, start)

@@ -188,45 +188,23 @@ def test_index_table_rejects_a_conjugation_that_is_no_signed_permutation(monkeyp
         spaces._conjugation_maps.__wrapped__(d)
 
 
-def _plain_after_a_plain(cand, col, val, corrected):
-    # the last candidate with several entries that is not trace-corrected
-    # takes the columns of the first such one, with values that are no multiple
-    several = np.flatnonzero((np.bincount(cand, minlength=len(corrected)) > 1) & ~corrected)
-    a, b = several[0], several[-1]
-    keep = cand != b
-    taken = val[cand == a].copy()
-    taken[1] *= 2.0
-    cand, col, val = (np.concatenate([cand[keep], np.full(len(taken), b)]),
-                      np.concatenate([col[keep], col[cand == a]]),
-                      np.concatenate([val[keep], taken]))
-    order = np.argsort(cand, kind="stable")
-    return cand[order], col[order], val[order], corrected
-
-
-def _corrected_after_a_plain(cand, col, val, corrected):
-    # the first trace-corrected candidate is taken for a plain one, which the
-    # later trace-corrected ones then share their diagonal columns with
-    corrected = corrected.copy()
-    corrected[np.flatnonzero(corrected)[0]] = False
-    return cand, col, val, corrected
-
-
-@pytest.mark.parametrize("inject, case", [
-    (_plain_after_a_plain, ("aiii", 3, 2)), (_plain_after_a_plain, ("cii", 2, 1)),
-    (_corrected_after_a_plain, ("aiii", 3, 2)), (_corrected_after_a_plain, ("a2", 0, 3)),
+@pytest.mark.parametrize("order, match", [
+    ([1, 0, 2], None),  # swaps rows 0 and 1, inside one block of Γ
+    ([2, 1, 0], "do not commute pairwise"),  # swaps rows 0 and 2, across the blocks of Γ
+    ([1, 2, 0], "not an involution"),  # a 3-cycle
 ])
-def test_unit_basis_rejects_a_candidate_off_its_structure(inject, case, monkeypatch):
-    # the build drops a candidate that meets an earlier one on a column as
-    # that one's exact multiple, and runs Gram-Schmidt among the
-    # trace-corrected ones alone; a candidate that fits neither must raise
-    d = make_space(*case)
-    project = spaces._project_entries
-    monkeypatch.setattr(spaces, "_project_entries", lambda *a: inject(*project(*a)))
-    onto_p = inject is _plain_after_a_plain
-    with pytest.raises(ConsistencyError, match="neither its exact multiple nor trace-corrected"):
-        spaces.SpaceGeometry(d)._unit_basis(onto_p)
-    monkeypatch.undo()
-    _assert_matches_dense_reference(d)
+def test_conjugation_maps_reject_maps_that_are_no_commuting_involutions(order, match, monkeypatch):
+    # the orbit sums span the fixed space only of commuting involutions: the
+    # class's conjugations with X -> PXP added, P a permutation matrix
+    d = make_space("aiii", 2, 1)
+    P = np.eye(3)[order]
+    table = (*spaces._conjugations(d), ("PXP", "PXP", lambda X: P @ X @ P.T, 1))
+    monkeypatch.setattr(spaces, "_conjugations", lambda _: table)
+    if match is None:
+        assert len(spaces._conjugation_maps.__wrapped__(d)) == 2
+    else:
+        with pytest.raises(ConsistencyError, match=match):
+            spaces._conjugation_maps.__wrapped__(d)
 
 
 def test_p_and_k_tables_build_without_dense_stacks():

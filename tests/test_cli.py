@@ -96,11 +96,16 @@ def test_decompose_exact_slice_from_a_file_needs_input_y(tmp_path, capsys):
     assert err == "error: validation: --exact-slice needs --input-y or --seed for the momentum\n"
 
 
-def test_out_to_a_directory_is_a_validation_error(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "spaces", "list", "--out", str(tmp_path))
-    assert code == 2 and out == ""
-    assert err.startswith("error: validation: cannot write --out") and err.count("\n") == 1
-    # the temp file, made beside the target, is gone
+def test_out_to_a_directory_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    # refused before any temp file is made, so nothing is written beside it
+    import tempfile
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(tempfile, "mkstemp", lambda *a, **k: pytest.fail("mkstemp called"))
+    for path in (str(tmp_path), "."):
+        code, out, err = run_cli(capsys, "spaces", "list", "--out", path)
+        assert code == 2 and out == ""
+        assert err == f"error: validation: cannot write --out {path}: Is a directory\n"
     assert not list(tmp_path.parent.glob(".cartanflow-*"))
 
 
@@ -278,7 +283,7 @@ def test_flow_stdout_matches_value_by_value_formatter(capsys, case):
     argv = ["flow", "--class", case[0], "--m", str(case[1]), "--n", str(case[2]),
             "--seed", str(args.seed), "--t-max", "0.25", "--steps", "250"]
     start = PhasePoint(sample_p_gaussian(d, args.seed), sample_p_gaussian(d, args.seed + 1))
-    report = compare_with_oracle(d, start, np.linspace(0.0, 0.25, 251), steps=250)
+    report = compare_with_oracle(d, start, 0.25, 250)
     code, out, _ = run_cli(capsys, *argv, "--compare")
     assert code == 0 and out == reference_flow_csv(d, args, report.trajectory, report.deviations)
     traj = integrate_reduced(d, reduce_phase_point(d, start)[0], 0.25, 250)
@@ -287,24 +292,22 @@ def test_flow_stdout_matches_value_by_value_formatter(capsys, case):
 
 
 def test_flow_stdout_of_wall_aborted_run_matches_value_by_value_formatter(capsys, monkeypatch):
-    # a collision course that stops at a wall; the last rows get no
-    # deviation, so their cell stays blank
-    import cartanflow.dynamics as dynamics
+    # a collision course, as the seeded start, that stops at a wall: every
+    # row it logs has its deviation from the direct flow
+    import cartanflow.sampling as sampling
+    from cartanflow.dynamics import PhasePoint, compare_with_oracle
+    from cartanflow.radial import embed_radial
 
     d = make_space("ai", 0, 3)
-    state = dynamics.ReducedState(np.array([0.4, 0.0]), np.array([-0.8, 0.0]),
-                                  np.zeros((3, 3), complex))
-    traj = dynamics.integrate_reduced(d, state, 2.0, 200)
-    assert traj.aborted
-    devs = np.geomspace(1e-12, 1e-3, len(traj.times) - 3)
-    report = dynamics.OracleReport(traj.times[: len(devs)], devs, float(devs[-1]), traj,
-                                   traj.aborted)
-    monkeypatch.setattr(dynamics, "compare_with_oracle", lambda *a, **k: report)
+    course = {3: embed_radial(d, np.array([0.4, 0.0])), 4: embed_radial(d, np.array([-0.8, 0.0]))}
+    monkeypatch.setattr(sampling, "sample_p_gaussian", lambda _, seed: course[seed])
+    report = compare_with_oracle(d, PhasePoint(course[3], course[4]), 2.0, 200)
+    assert report.truncated and len(report.deviations) == len(report.trajectory.times) < 201
     code, out, _ = run_cli(capsys, "flow", "--class", "ai", "--n", "3", "--seed", "3",
                            "--t-max", "2", "--steps", "200", "--compare")
     args = SimpleNamespace(seed=3, t_max=2.0, steps=200)
-    assert code == 0 and out == reference_flow_csv(d, args, traj, devs)
-    assert "# aborted=" in out and out.endswith(",\r\n") and out.count(",\r\n") == 3
+    assert code == 0 and "# aborted=" in out and ",\r\n" not in out
+    assert out == reference_flow_csv(d, args, report.trajectory, report.deviations)
 
 
 @pytest.mark.parametrize("t_max", ["-0.25", "0", "-0.0"])

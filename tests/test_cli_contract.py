@@ -112,7 +112,7 @@ CASES = [
         )
     ),
     # an --out path that is a directory exits 2, with no traceback
-    ("exit", "spaces list --out .", (2, "error: validation:")),
+    ("exit", "spaces list --out .", (2, "error: validation: cannot write --out .: Is a directory")),
     # seeded sample and verify-density output is the same bytes in fresh
     # processes and under --threads 1 and 2 (three 8192-draw chunks, the
     # last one ending in a partial 1024-draw sub-block of 544): the rank-1

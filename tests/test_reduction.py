@@ -382,8 +382,7 @@ _MALFORMED_CALLS = {
     "radial_decompose str": lambda d, s: radial_decompose(d, "abc"),
     "radial_coords str": lambda d, s: radial_coords(d, "abc"),
     "reduce_phase_point str": lambda d, s: reduce_phase_point(d, PhasePoint("a", "b")),
-    "compare_with_oracle str": lambda d, s: compare_with_oracle(
-        d, PhasePoint("a", "b"), np.linspace(0.0, 0.1, 3)),
+    "compare_with_oracle str": lambda d, s: compare_with_oracle(d, PhasePoint("a", "b"), 0.1, 2),
     "direct_flow str": lambda d, s: direct_flow(PhasePoint("a", "b"), 1.0),
     "moment_map str": lambda d, s: moment_map(d, "abc", "abc"),
     "project_k str": lambda d, s: project_k(d, "abc"),
