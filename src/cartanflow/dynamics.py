@@ -27,7 +27,8 @@ from .linalg import ConsistencyError, ContractViolation, _check_int, _check_real
 from .linalg import _numeric_array, as_cmat
 from .radial import WALL_TOL, SliceCoords, radial_coords_batch, radial_decompose
 from .reduction import ReducedState, _zk_perp_coords, l_from_slice
-from .spaces import SpaceDescriptor, check_p_membership, geometry, wall_distance
+from .spaces import SpaceDescriptor, _spectral_block, check_p_membership, geometry
+from .spaces import wall_distance
 
 __all__ = [
     "PhasePoint",
@@ -141,17 +142,15 @@ class _Reduced:
         self.gram = self.geo.gram
         self.C = self.geo.bracket_coeffs  # (dzk, rank)
         self.rank = d.real_rank
-        # dH/dq = -C^T (w r); Hamilton's equations flip the sign back and
-        # G^{-1} turns the force into dp
-        self._force = self.geo.gram_inv @ self.C.T
-        self._a, self._r, self._wr = np.empty((3, len(self.C)))
+        self._a, (self._r, self._wr) = np.empty(2 * len(self.C)), np.empty((2, len(self.C)))
 
     @cached_property
     def _field_operands(self) -> tuple:
-        """The zk rows, their doubled transpose, and the (2, N, N) buffer of
-        the pair L, W and the N x N one of LW, made on the first ``bind``:
-        the energy needs only C and G, and on a fresh geometry the rows are
-        a dense scatter of the zk-perp triplets."""
+        """The zk rows, their transpose (a view), the root map [C^T | C^T/2]
+        and half the force, and the (2, N, N) buffer of the pair L, W and the
+        N x N one of LW, made on the first ``bind``: the energy needs only C
+        and G, and on a fresh geometry the rows are a dense scatter of the
+        zk-perp triplets."""
         N = self.d.ambient_dim
         zk = self.geo._zk_rows
         # bdi and ai, the real-symmetric case, get real rows and run in real
@@ -159,9 +158,15 @@ class _Reduced:
         dtype = float if zk.shape[1] == N * N else complex
         # L and W are anti-Hermitian, so [L, W] = LW - (LW)^dagger and its
         # coordinates against the anti-Hermitian zk-perp basis are twice those
-        # of (the real part of) LW.  Doubling the rows is exact, and the
-        # transposed view keeps the operand layout of the product.
-        return zk, (2.0 * zk).T, np.empty((2, N, N), dtype), np.empty((N, N), dtype)
+        # of (the real part of) LW.  The field doubles w instead of the rows,
+        # by dividing r by the halved root values, and halves the force that
+        # 2 w r meets; every halving and doubling is exact.  The transposes
+        # keep the operand layouts of C^T and of the rows' products.
+        roots = np.concatenate((self.C, 0.5 * self.C)).T
+        # dH/dq = -C^T (w r); Hamilton's equations flip the sign back and
+        # G^{-1} turns the force into dp
+        half_force = 0.5 * (self.geo.gram_inv @ self.C.T)
+        return zk, zk.T, roots, half_force, np.empty((2, N, N), dtype), np.empty((N, N), dtype)
 
     def flat(self, state: ReducedState) -> np.ndarray:
         """The flat vector of a reduced state.  ContractViolation unless q
@@ -191,39 +196,41 @@ class _Reduced:
         in ``src`` into ``out``, reading ``src`` afresh on every call.
 
         ``src`` holds the flat state y (length n) followed by a tail of dz
-        entries that the call writes w into, so that lc and w are the rows
-        of one contiguous (2, dz) view and L and W come from one product
-        with the zk rows, into one (2, N, N) buffer.  The tail may be the
-        head of ``out``: the call reads w for the last time before it writes
-        ``out``.  ``out`` takes dy/dt in its leading n entries; a longer
-        ``out`` keeps the rest as it was.  The slice views of ``src`` and
-        ``out``, the instance's scratch and the constant operands are bound
-        once, so a call makes eight NumPy calls and one slice copy and
+        entries that the call writes 2 w into, so that lc and 2 w are the
+        rows of one contiguous (2, dz) view and L and 2 W come from one
+        product with the zk rows, into one (2, N, N) buffer.  The tail may
+        be the head of ``out``: the call reads it for the last time before
+        it writes ``out``.  ``out`` takes dy/dt in its leading n entries; a
+        longer ``out`` keeps the rest as it was.  The slice views of ``src``
+        and ``out``, the instance's scratch and the constant operands are
+        bound once, so a call makes eight NumPy calls and one slice copy and
         allocates nothing.  Each product is the bound ``dot`` method of its
         left operand, with the output passed positionally: ``np.dot`` makes
         the same BLAS call, but only after a Python-level
         ``__array_function__`` dispatch, 0.2 to 0.3 us a call.  The root
-        values C q go to the scratch ``_a``, which nothing reads after the
-        call."""
+        values C q and their halves go to the scratch ``_a`` from one
+        product, which nothing reads after the call; 2 w makes the product
+        of L 2W with the zk rows themselves the coordinates of [L, W]."""
         rk, dz = self.rank, len(self.C)
         q, p = src[:rk], src[rk : 2 * rk]
         lw = src[2 * rk : 2 * rk + 2 * dz].reshape(2, dz)
         lc, w = lw
         dq, dp, dl = out[:rk], out[rk : 2 * rk], out[2 * rk : 2 * rk + dz]
-        a, r, wr = self._a, self._r, self._wr
-        zk, zk2_t, pair, LW = self._field_operands
+        aa, r, wr = self._a, self._r, self._wr
+        a, a_half = aa.reshape(2, dz)
+        zk, zk_t, roots, half_force, pair, LW = self._field_operands
         (L, W), pairf, LWf = pair, pair.reshape(2, -1).view(float), LW.reshape(-1).view(float)
-        Ct, divide, multiply = self.C.T, np.divide, np.multiply
-        q_dot, lw_dot, L_dot, LWf_dot, force_dot = q.dot, lw.dot, L.dot, LWf.dot, self._force.dot
+        divide, multiply = np.divide, np.multiply
+        q_dot, lw_dot, L_dot, LWf_dot, force_dot = q.dot, lw.dot, L.dot, LWf.dot, half_force.dot
 
         def field() -> None:
-            q_dot(Ct, a)
+            q_dot(roots, aa)
             divide(lc, a, r)
-            divide(r, a, w)
-            lw_dot(zk, pairf)
+            divide(r, a_half, w)  # 2 w
+            lw_dot(zk, pairf)  # L and 2 W
             L_dot(W, LW)
-            multiply(w, r, wr)  # the last read of w, whose tail may be the head of out
-            LWf_dot(zk2_t, dl)
+            multiply(w, r, wr)  # the last read of the tail, which may be the head of out
+            LWf_dot(zk_t, dl)
             dq[...] = p
             force_dot(wr, dp)
 
@@ -292,12 +299,12 @@ def integrate_reduced(
     preallocated history and copied into K[0].  The four stages run the
     one kernel body ``reduced_vector_field`` runs, bound once per call by
     ``_Reduced.bind``: K[0] -> k1 and the stage input -> k2, k3, k4.  The
-    dz-long tail into which the field writes w follows lc in each source:
-    the stage input carries its own, and that of K[0] is the head of K[1],
-    which k1 overwrites after the field's last read of w.  Every product,
-    here and in the field, is a bound ``ndarray.dot`` method.  A step is
-    41 NumPy calls (36 in the four field calls, 4 tableau products and 1
-    copy), and nothing is allocated per step.
+    dz-long tail into which the field writes 2 w follows lc in each
+    source: the stage input carries its own, and that of K[0] is the head
+    of K[1], which k1 overwrites after the field's last read of the tail.
+    Every product, here and in the field, is a bound ``ndarray.dot``
+    method.  A step is 41 NumPy calls (36 in the four field calls, 4
+    tableau products and 1 copy), and nothing is allocated per step.
 
     The wall check runs once per block of ``_WALL_BLOCK`` logged states:
     one product of their q rows with the positive roots and one reduction
@@ -400,8 +407,9 @@ def compare_with_oracle(
     _step_size(t_max, steps)
     state0, _ = reduce_phase_point(d, start)
     traj = integrate_reduced(d, state0, t_max, steps)
-    # X + tY lies in p by linearity: reduce_phase_point checked X and Y
-    X, Y = as_cmat(start.X, "X"), as_cmat(start.Y, "Y")
+    # X + tY lies in p by linearity: reduce_phase_point checked X and Y.  The
+    # spectral step reads only the block, so only the block is formed
+    X, Y = _spectral_block(d, as_cmat(start.X, "X")), _spectral_block(d, as_cmat(start.Y, "Y"))
     q_dir = radial_coords_batch(d, X[None] + traj.times[:, None, None] * Y[None])
     devs = np.max(np.abs(q_dir - traj.q), axis=1)
     return OracleReport(

@@ -20,11 +20,12 @@ Reproducibility contract: the output depends on (count, seed) only.  Work
 is split into fixed-size chunks; chunk c derives its generator from
 ``SeedSequence(seed, spawn_key=(c,))``, so the merged sample stream is
 bit-identical for any worker count.  A chunk draws, assembles and reduces
-its draws in fixed sub-blocks; the generator's stream drawn in consecutive
-slices is the stream of one call, each block is built by index with no
-BLAS call (its entries do not depend on how many draws are built
-together), and each draw's spectral step reads only its block.  So the
-first n draws of a larger count are the n draws.
+its draws in sub-blocks of a fixed byte size, so of a number of draws that
+depends on the space; the generator's stream drawn in consecutive slices
+is the stream of one call, each block is built by index with no BLAS call
+(its entries do not depend on how many draws are built together), and
+each draw's spectral step reads only its block.  So the first n draws of a
+larger count are the n draws.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 8192
-# draws per sub-block of a chunk: a worker holds one sub-block's normals,
-# blocks and LAPACK copy, whatever the count
-_SUB_BLOCK = 1024
+# bytes of one sub-block's normals and blocks: a worker holds one sub-block
+# (and LAPACK's copy of its blocks), so its working set stays near 512 KiB,
+# within a typical L2 cache, whatever the count and the space
+_SUB_BLOCK_BYTES = 1 << 19
 #: one-sided Kolmogorov-Smirnov threshold at the 99% level is
 #: sqrt(-ln(0.005)/2)/sqrt(n); the verification band widens it by 1.5x to
 #: absorb binning.
@@ -103,14 +105,17 @@ def sample_radial_batch(
     seed = _check_int("seed", seed, 0)
     threads = _check_int("threads", threads, 1)
     table = geometry(d)._block_table
+    # draws per sub-block: as many as the budget holds, at least one and at
+    # most a chunk
+    draws = max(1, min(CHUNK_SIZE, _SUB_BLOCK_BYTES // (8 * (d.dim_p + len(table[0])))))
     out = np.empty((count, d.real_rank))
     n_chunks = (count + CHUNK_SIZE - 1) // CHUNK_SIZE
 
     def run_chunk(c: int) -> None:
         rng, stop = _chunk_rng(seed, c), min(count, (c + 1) * CHUNK_SIZE)
-        cuts = [*range(c * CHUNK_SIZE, stop, _SUB_BLOCK), stop]
+        cuts = [*range(c * CHUNK_SIZE, stop, draws), stop]
         # one set of normals and blocks per chunk, refilled by each sub-block
-        size = min(_SUB_BLOCK, stop - cuts[0])
+        size = min(draws, stop - cuts[0])
         normals, blocks = np.empty((size, d.dim_p)), np.empty((size, len(table[0])))
         for lo, hi in zip(cuts, cuts[1:]):
             g = rng.standard_normal(out=normals[: hi - lo])

@@ -964,9 +964,11 @@ def exact_p_assembly(d: SpaceDescriptor, g: np.ndarray, block: bool = True) -> n
 # the chunk loop of ``sampling.sample_radial_batch`` before it streamed each
 # chunk through sub-blocks, kept as its reference (renamed, with the chunk
 # generator inlined): every chunk's normals and blocks at once, and the
-# complex product for every class.  ``real`` makes the product take the real
-# columns, as the sampler did for bdi and ai; ``exact`` replaces the product
-# by ``exact_p_assembly``
+# complex product for every class.  It knows no sub-block, so it holds for
+# any cut: the sampler's sub-blocks fill a byte budget, and their draw count
+# depends on the space (152 for a2(12), 8192 for aiii(2,1)).  ``real``
+# makes the product take the real columns, as the sampler did for bdi and
+# ai; ``exact`` replaces the product by ``exact_p_assembly``
 
 
 def reference_sample_radial_batch(

@@ -114,9 +114,12 @@ CASES = [
     # an --out path that is a directory exits 2, with no traceback
     ("exit", "spaces list --out .", (2, "error: validation: cannot write --out .: Is a directory")),
     # seeded sample and verify-density output is the same bytes in fresh
-    # processes and under --threads 1 and 2 (three 8192-draw chunks, the
-    # last one ending in a partial 1024-draw sub-block of 544): the rank-1
-    # norm (cii(2,1), bdi(2,1)), the real SVD (bdi(3,3)), the complex
+    # processes and under --threads 1 and 2 (chunks of 8192, 8192 and 3616
+    # draws, cut into sub-blocks of each space's own draw count; the draws
+    # per sub-block, then the rests of a full chunk and of the last one:
+    # cii(2,1) 2730, 2 and 886; bdi(2,1) 8192, none and 3616; bdi(3,3) 2427,
+    # 911 and 1189; a2(12) 152, 136 and 120; ai(11) 213, 98 and 208): the
+    # rank-1 norm (cii(2,1), bdi(2,1)), the real SVD (bdi(3,3)), the complex
     # eigvalsh of rank 11 (a2(12)) and the real one of rank 10 (ai(11)),
     # whose diagonals sum up to 10 contributors each
     *(

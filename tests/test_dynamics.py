@@ -653,9 +653,20 @@ def test_field_runs_in_real_arithmetic_for_bdi_and_ai(case):
     # their zk-perp lies in so(N): the zk rows have no imaginary part
     sys = _Reduced(make_space(*case))
     real = case[0] in ("bdi", "ai")
-    zk, _, pair, LW = sys._field_operands
+    zk, *_, pair, LW = sys._field_operands
     assert pair.dtype == (float if real else complex) and LW.dtype == pair.dtype
     assert zk.shape[1] == (1 if real else 2) * sys.d.ambient_dim ** 2
+
+
+@pytest.mark.parametrize("case", [c for c in BYTE_CASES if c != ("bdi", 1, 1)])
+def test_field_reads_the_cached_zk_rows_without_a_copy(case):
+    # the field doubles w, not the rows: both operands of the zk products are
+    # the cached rows, as they are and transposed, so no dz x 2 N^2 copy is
+    # made per integration (bdi(1,1) has no zk-perp rows to share)
+    d = make_space(*case)
+    zk, zk_t = _Reduced(d)._field_operands[:2]
+    rows = geometry(d)._zk_rows
+    assert zk is rows and np.shares_memory(zk_t, rows) and zk_t.shape == rows.T.shape
 
 
 def test_space_without_zk_perp_flows_freely():

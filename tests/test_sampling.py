@@ -21,10 +21,11 @@ from cartanflow import (
 )
 from cartanflow.radial import radial_coords_batch
 from cartanflow.reduction import random_chamber_point
+from cartanflow import sampling
 from cartanflow.linalg import ConsistencyError
 from cartanflow.sampling import (
     CHUNK_SIZE,
-    _SUB_BLOCK,
+    _SUB_BLOCK_BYTES,
     _log_chamber_integral,
     theoretical_radial_cdf,
 )
@@ -172,14 +173,60 @@ def test_seeded_draw_is_the_basis_order_sum(case, seed):
     assert sample_p_gaussian(d, seed).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("count", [1, 1023, 1025, 8191, 8193, 3 * CHUNK_SIZE + 5])
+def sub_block_draws(d):
+    """The sampler's draws per sub-block: as many as ``_SUB_BLOCK_BYTES``
+    holds of the draw's normals and block entries, at least one and at
+    most a chunk."""
+    width = d.dim_p + len(geometry(d)._block_table[0])
+    return max(1, min(CHUNK_SIZE, _SUB_BLOCK_BYTES // (8 * width)))
+
+
+def boundary_counts(d):
+    """Counts at the space's own sub-block boundary: one draw short of a
+    sub-block, one sub-block, one draw more, and a chunk whose last
+    sub-block holds one draw (no space tested here has one-draw sub-blocks)."""
+    draws = sub_block_draws(d)
+    return {
+        "draws-1": draws - 1,
+        "draws": draws,
+        "draws+1": draws + 1,
+        "one-draw rest": (CHUNK_SIZE - 1) // draws * draws + 1,
+    }
+
+
+@pytest.mark.parametrize(
+    "case, draws",
+    [(("aiii", 2, 1), 8192), (("bdi", 3, 3), 2427), (("cii", 2, 2), 1365), (("ci", 0, 6), 574),
+     (("diii", 0, 8), 356), (("a2", 0, 12), 152), (("aiii", 8, 8), 256), (("aiii", 24, 24), 28)],
+)
+def test_sub_blocks_fill_the_byte_budget(monkeypatch, case, draws):
+    # the sampler reduces each chunk in sub-blocks of 512 KiB of normals and
+    # block entries, so their draw count falls as the space grows (the
+    # sample-density spaces and aiii(24,24)); a chunk ends in its rest
+    d = make_space(*case)
+    assert sub_block_draws(d) == draws
+    sizes, reduce = [], sampling.radial_coords_batch
+    monkeypatch.setattr(
+        sampling, "radial_coords_batch", lambda d, B: sizes.append(len(B)) or reduce(d, B)
+    )
+    sample_radial_batch(d, CHUNK_SIZE + 3, 1)
+    full, rest = divmod(CHUNK_SIZE, draws)
+    assert sizes == [draws] * full + [rest] * (rest > 0) + [3]
+
+
+@pytest.mark.parametrize(
+    "count",
+    [1, 1023, 1025, 8191, 8193, 3 * CHUNK_SIZE + 5, "draws-1", "draws", "draws+1", "one-draw rest"],
+)
 @pytest.mark.parametrize("case", REPRESENTATIVES + [("a2", 0, 4)])
 def test_sub_block_stream_matches_chunk_reference(case, count):
     # a chunk streamed through sub-blocks gives the bytes of the whole chunk
-    # at once, at one and two threads; 1025 draws end in a one-draw rest.
-    # The A-type diagonals sum several contributors, which a BLAS product
-    # orders by its row count: those cases take the exact assembly
+    # at once, at one and two threads, at fixed counts and at the space's
+    # own sub-block boundary (a name of ``boundary_counts``).  The A-type
+    # diagonals sum several contributors, which a BLAS product orders by its
+    # row count: those cases take the exact assembly
     d = make_space(*case)
+    count = boundary_counts(d).get(count, count)
     real, exact = d.kind in ("bdi", "ai"), d.trace_constrained
     want = reference_sample_radial_batch(d, count, 3, real=real, exact=exact)
     for threads in (1, 2):
@@ -211,7 +258,8 @@ def test_sample_prefix_is_the_prefix_of_a_larger_sample(case):
     # summed the A-type diagonals in an order that depends on its row count)
     d = make_space(*case)
     full = sample_radial_batch(d, CHUNK_SIZE, 3)
-    for n in (1, 2, 17, 476, 1025, 1500, 5000):
+    bounds = [n for n in boundary_counts(d).values() if n <= CHUNK_SIZE]
+    for n in (1, 2, 17, 476, 1025, 1500, 5000, *bounds):
         assert np.array_equal(sample_radial_batch(d, n, 3), full[:n]), n
 
 
@@ -219,12 +267,14 @@ def test_sample_prefix_is_the_prefix_of_a_larger_sample(case):
 @pytest.mark.parametrize("case", [("aiii", 16, 16), ("aiii", 24, 24), ("bdi", 24, 24)])
 def test_large_gathered_blocks_equal_the_product(case):
     # every block entry of these classes has one contributor, so the gather
-    # is the product's bytes, signed zeros included
+    # is the product's bytes, signed zeros included, at the sampler's
+    # sub-block size and at 1024 rows
     d = make_space(*case)
-    g = np.random.default_rng(17).standard_normal((_SUB_BLOCK, d.dim_p))
-    got = _assemble(geometry(d)._block_table, g)
-    want = (g @ reference_p_rows(d)[0]).view(complex).reshape(got.shape)
-    assert got.tobytes() == want.tobytes()
+    for rows in (sub_block_draws(d), 1024):
+        g = np.random.default_rng(17).standard_normal((rows, d.dim_p))
+        got = _assemble(geometry(d)._block_table, g)
+        want = (g @ reference_p_rows(d)[0]).view(complex).reshape(got.shape)
+        assert got.tobytes() == want.tobytes(), rows
 
 
 @pytest.mark.parametrize("case", REPRESENTATIVES + [("a2", 0, 4), ("bdi", 1, 1)])
@@ -242,25 +292,30 @@ def test_assembly_into_a_buffer_is_the_allocating_assembly(case):
         assert got.tobytes() == _assemble(table, g[:rows]).tobytes()
 
 
-def test_sampler_peak_memory_is_one_sub_block_per_worker():
-    # a worker holds one sub-block's normals and blocks, about
-    # 1024 x (143 + 288) doubles for a2(12), beside the 1.4 MB result; the
-    # whole 8192-draw chunk held about 28 MB per worker
+@pytest.mark.parametrize(
+    "case", [("a2", 0, 12), pytest.param(("aiii", 24, 24), marks=pytest.mark.slow)]
+)
+def test_sampler_peak_memory_is_one_sub_block_per_worker(case):
+    # beside the result, a worker holds one sub-block's normals and blocks,
+    # at most _SUB_BLOCK_BYTES, and LAPACK's copy of the blocks with the
+    # spectra, at most that again: the bound allows two budgets per worker.
+    # Two chunks keep both workers busy at once.  Measured: 2.0 MB (1 thread)
+    # and 3.2 MB (2 threads) for a2(12), 3.7 and 4.4 MB for aiii(24,24);
+    # 1024-draw sub-blocks peaked at 5.3 and 22 MB with one thread
     import tracemalloc
 
-    d = make_space("a2", 0, 12)
+    d = make_space(*case)
+    count = 2 * CHUNK_SIZE
     sample_radial_batch(d, 2, seed=1, threads=2)  # geometry and thread pool import
-    peaks = {}
     for threads in (1, 2):
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            sample_radial_batch(d, 2 * CHUNK_SIZE, seed=1, threads=threads)
-            peaks[threads] = tracemalloc.get_traced_memory()[1]
+            sample_radial_batch(d, count, seed=1, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 8e6
-    assert peaks[2] <= 2 * 8e6
+        assert peak <= 8 * count * d.real_rank + threads * 2 * _SUB_BLOCK_BYTES, threads
 
 
 def test_histogram_counts_and_density():
