@@ -19,8 +19,9 @@ one at a time, and hands each pick to the routine's partner rule.  With
 phi^2 = +1 (Takagi) the rule returns the phi-fixed combination of u and
 phi(u); with phi^2 = -1 (the other three) it returns the Kramers pair
 (u, phi(u)), which is automatically orthogonal.  A routine differs from
-the others only in how it gets the eigenvectors and values, in its
-partner rule and in its column order.
+the others only in its partner rule and its column order.  Each takes its
+vectors and values from one LAPACK call, ``eigh`` of X or the SVD of B: no
+Gram matrix B B†, whose squares leave the doubles long before B does.
 
 All spectra are returned descending.
 """
@@ -35,12 +36,11 @@ from .linalg import ContractViolation
 
 __all__ = ["takagi", "antisym_canonical", "quaternionic_eigh", "quaternionic_svd"]
 
-# Cluster/zero detection threshold on singular values, relative to the
-# largest.  Singular values come from LAPACK's SVD (exact zeros surface at
-# machine eps times the scale); the singular vectors are eigenvectors of
-# the Gram matrix, whose eigenvalues are the squares, so values closer than
-# this are grouped and their vectors resolved together; each vector (or
-# pair) picked in a group keeps its own value, in order.
+# Cluster/zero detection threshold on the values, relative to the largest.
+# The vectors of values closer than this are ill-determined (their error
+# grows as eps over the gap), and exact zeros surface at eps times the
+# scale, so such values are grouped and their vectors resolved together;
+# each vector (or pair) picked in a group keeps its own value, in order.
 _PAIR_TOL = 1e-7
 
 
@@ -115,18 +115,16 @@ def takagi(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Autonne-Takagi factorization of a complex symmetric matrix.
 
     Returns ``(U, s)`` with unitary U and descending s >= 0 such that
-    ``B = U @ diag(s) @ U.T``.  Built on the eigendecomposition of the
-    positive semidefinite B B†: on each singular subspace the antiunitary
-    map phi(w) = B conj(w)/s squares to +1, so phi-fixed vectors exist and
-    are exactly the Takagi columns.  The values themselves come from the
-    SVD of B, which keeps a zero singular value at machine precision.
+    ``B = U @ diag(s) @ U.T``.  Built on the SVD of B, which gives the
+    left singular vectors and the values in one call: on each singular
+    subspace the antiunitary map phi(w) = B conj(w)/s squares to +1, so
+    phi-fixed vectors exist and are exactly the Takagi columns.
     """
     B = np.asarray(B, dtype=complex)
     n = B.shape[0]
     if B.shape != (n, n):
         raise ContractViolation("takagi needs a square matrix")
-    W = np.linalg.eigh(B @ B.conj().T)[1][:, ::-1]
-    s = np.linalg.svd(B, compute_uv=False)
+    W, s, _ = np.linalg.svd(B)
     tol = _PAIR_TOL * (float(s[0]) if n else 0.0)
 
     def phi_fixed(u: np.ndarray, sigma: float) -> list[np.ndarray]:
@@ -158,8 +156,7 @@ def antisym_canonical(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = B.shape[0]
     if B.shape != (n, n):
         raise ContractViolation("antisym_canonical needs a square matrix")
-    W = np.linalg.eigh(B @ B.conj().T)[1][:, ::-1]
-    sv = np.linalg.svd(B, compute_uv=False)
+    W, sv, _ = np.linalg.svd(B)
     tol = _PAIR_TOL * (float(sv[0]) if n else 0.0)
 
     def kramers(u: np.ndarray, sigma: float) -> list[np.ndarray]:
@@ -213,9 +210,10 @@ def quaternionic_svd(
     rows, cols = B.shape
     hr, hc = rows // 2, cols // 2
     sgn = float(np.real(J_right[hc, 0])) if hc else 1.0
-    W = np.linalg.eigh(B.conj().T @ B)[1][:, ::-1]
+    _, s, Vh = np.linalg.svd(B)
+    W = Vh.conj().T
     sv = np.zeros(cols)
-    sv[: min(rows, cols)] = np.linalg.svd(B, compute_uv=False)
+    sv[: len(s)] = s
     tol = _PAIR_TOL * (float(sv[0]) if cols else 0.0)
     picks = _resolve(W, sv, tol, lambda v, _: [v, sgn * (J_right @ v.conj())])
     V = np.column_stack([v for _, (v, _) in picks] + [v2 for _, (_, v2) in picks])

@@ -114,7 +114,36 @@ def as_cmat(x, name: str = "matrix") -> np.ndarray:
 
 
 def frobenius(X) -> float:
-    return float(np.linalg.norm(np.asarray(X)))
+    """Frobenius norm of an array, neither overflowing nor underflowing:
+    ``np.linalg.norm`` where its result lies in [2^-480, 2^480] or the array
+    is zero, else the rescaled sum of ``_frobenius_norms``."""
+    x = np.asarray(X)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if 2.0**-480 <= norm <= 2.0**480 or not x.any():
+        return norm
+    return float(_frobenius_norms(x.reshape(1, -1))[0])
+
+
+def _frobenius_norms(B: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, neither overflowing nor
+    underflowing.  A sum of squares inside [2^-960, 2^960] is used as it is
+    (no square overflowed, and one that underflowed is below an ulp of the
+    sum); every other matrix (zero, tiny or huge) is divided by its largest
+    entry modulus first.  A matrix with an infinite entry reads inf, one
+    with a NaN reads NaN."""
+    x = np.ascontiguousarray(B).reshape(len(B), -1)
+    if x.dtype.kind == "c":
+        x = x.view(float)
+    ss = np.einsum("ij,ij->i", x, x)
+    norms = np.sqrt(ss)
+    rescale = ~((ss >= 2.0**-960) & (ss <= 2.0**960))
+    if rescale.any():
+        a = np.abs(x[rescale])
+        top = a.max(axis=1)
+        a /= np.where((top > 0.0) & (top < np.inf), top, 1.0)[:, None]
+        norms[rescale] = top * np.sqrt(np.einsum("ij,ij->i", a, a))
+    return norms
 
 
 def _require_same_square(X: np.ndarray, Y: np.ndarray, op: str) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import factorizations as fac
 from .linalg import ContractViolation, _check_real, _finite_array, _numeric_array, as_cmat
-from .linalg import frobenius
+from .linalg import _frobenius_norms, frobenius
 from .spaces import (
     SpaceDescriptor,
     _quaternionic_j,
@@ -265,26 +265,6 @@ def radial_coords_batch(d: SpaceDescriptor, Xs: np.ndarray) -> np.ndarray:
     if kind == "ci":
         return np.linalg.svd(B, compute_uv=False)
     raise ContractViolation(f"unknown kind {kind!r}")
-
-
-def _frobenius_norms(B: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, neither overflowing nor
-    underflowing.  A sum of squares inside [2^-960, 2^960] is used as it is
-    (no square overflowed, and one that underflowed is below an ulp of the
-    sum); every other matrix (zero, tiny, huge or non-finite) is divided by
-    its largest entry modulus first."""
-    x = np.ascontiguousarray(B).reshape(len(B), -1)
-    if x.dtype.kind == "c":
-        x = x.view(float)
-    ss = np.einsum("ij,ij->i", x, x)
-    norms = np.sqrt(ss)
-    rescale = ~((ss >= 2.0**-960) & (ss <= 2.0**960))
-    if rescale.any():
-        a = np.abs(x[rescale])
-        top = a.max(axis=1)
-        a /= np.where(top > 0.0, top, 1.0)[:, None]
-        norms[rescale] = top * np.sqrt(np.einsum("ij,ij->i", a, a))
-    return norms
 
 
 # ---------------------------------------------------------------------------

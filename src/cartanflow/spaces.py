@@ -940,7 +940,8 @@ class SpaceGeometry:
     @cached_property
     def _block_table(self) -> tuple:
         """The p basis cut to the spectral block, as the sampler's ``_index_table``:
-        ``_assemble`` builds 1024-draw blocks 2 to 6.6 times faster than ``_scatter``."""
+        ``_assemble`` builds its 512 KiB sub-blocks 1.9 to 3.4 times faster than
+        ``_scatter`` on the seven ``sample-density`` spaces."""
         N = self.descriptor.ambient_dim
         at = _spectral_block(self.descriptor, np.arange(N * N).reshape(N, N))
         place = np.full(N * N, -1)  # each position's place in the block, -1 off it

@@ -49,6 +49,20 @@ def _space(kind_m_n: str) -> str:
     return f"--class {kind} --m {m} --n {n}"
 
 
+# (space, file, scale) of the seed-3 p elements written for the decompose cases
+SCALED_INPUTS = [("ci 0 3", "ci3_small.json", 1e-200), ("aiii 3 2", "aiii32_large.json", 1e200)]
+
+
+def _write_inputs(cwd: Path) -> None:
+    """The files the cases read: one that is not JSON, and SCALED_INPUTS."""
+    from cartanflow import make_space, sample_p_gaussian, save_matrix
+
+    (cwd / "bad.json").write_text("not json\n")
+    for s, name, scale in SCALED_INPUTS:
+        kind, m, n = s.split()
+        save_matrix(cwd / name, scale * sample_p_gaussian(make_space(kind, int(m), int(n)), 3))
+
+
 CASES = [
     # seeded output repeats byte for byte in a fresh process: flow on the
     # seven flow-oracle spaces
@@ -111,6 +125,9 @@ CASES = [
             "density --class aiii --m 2 --n 1 --q nan",
         )
     ),
+    # p elements whose squares underflow (ci(3) at 1e-200: the Takagi path)
+    # and overflow (aiii(3,2) at 1e200) decompose with a finite residual
+    *(("repeat", f"decompose {_space(s)} --input {name}", None) for s, name, _ in SCALED_INPUTS),
     # an --out path that is a directory exits 2, with no traceback
     ("exit", "spaces list --out .", (2, "error: validation: cannot write --out .: Is a directory")),
     # seeded sample and verify-density output is the same bytes in fresh
@@ -146,7 +163,7 @@ def _ok(proc: subprocess.CompletedProcess) -> bytes:
 
 @pytest.mark.parametrize("check, cmd, expect", CASES, ids=IDS)
 def test_cli_contract(check, cmd, expect, tmp_path):
-    (tmp_path / "bad.json").write_text("not json\n")
+    _write_inputs(tmp_path)
     if check == "repeat":
         assert _ok(_run(cmd, tmp_path)) == _ok(_run(cmd, tmp_path))
     elif check == "threads":
@@ -169,9 +186,10 @@ def test_cli_contract(check, cmd, expect, tmp_path):
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(SRC))
     with tempfile.TemporaryDirectory() as tmp:
         cwd = Path(tmp)
-        (cwd / "bad.json").write_text("not json\n")
+        _write_inputs(cwd)
         for (check, cmd, _), case in zip(CASES, IDS):
             proc = _run(f"{cmd} --threads 1" if check == "threads" else cmd, cwd)
             print(hashlib.sha256(proc.stdout).hexdigest(), proc.returncode,

@@ -8,6 +8,7 @@ from cartanflow.linalg import (
     ContractViolation,
     commutator,
     dagger,
+    frobenius,
     matrix_from_obj,
     matrix_to_obj,
     trace_form,
@@ -71,6 +72,25 @@ def test_dagger_involution(rng):
     H = X + dagger(X)
     assert np.allclose(dagger(H), H)
     assert np.allclose(dagger(1j * np.eye(3)), -1j * np.eye(3))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e-140, 1.0, 1e140, 1e154, 1e200, 1e300])
+def test_frobenius_at_every_finite_scale(scale, rng):
+    # np.linalg.norm's bytes inside [2^-480, 2^480]; outside it the squares
+    # overflow (inf) or underflow (0.0), and the entries are rescaled first
+    X = random_cmat(rng, 5)
+    got = frobenius(scale * X)
+    if 2.0**-480 <= scale * np.linalg.norm(X) <= 2.0**480:
+        assert got == np.linalg.norm(scale * X)
+    assert got == pytest.approx(scale * np.linalg.norm(X), rel=1e-15)
+    assert frobenius((scale * X).real) == pytest.approx(scale * np.linalg.norm(X.real), rel=1e-15)
+
+
+def test_frobenius_of_zero_empty_and_non_finite():
+    assert frobenius(np.zeros((3, 3), dtype=complex)) == 0.0
+    assert frobenius(np.zeros((0, 0))) == 0.0
+    assert frobenius(np.array([[1.0, np.inf]])) == np.inf
+    assert np.isnan(frobenius(np.array([[1.0, np.nan]])))
 
 
 def test_matrix_json_roundtrip_bit_exact(rng):

@@ -39,6 +39,7 @@ from conftest import (
     reference_p_rows,
     reference_radial_coords_batch,
     reference_root_table,
+    root_system_grid,
 )
 
 DECOMPOSE_CASES = REPRESENTATIVES + [
@@ -197,6 +198,43 @@ def test_radial_round_trip_is_scale_invariant(scale, rng):
         rec = frobenius(k @ embed_radial(d, q) @ k.conj().T - X) / frobenius(X)
         assert rec <= 1e-9
         check_k_group_membership(d, k, rtol=1e-8)
+
+
+EXTREME_SCALES = [1e-300, 1e-200, 1e200, 1e300]
+EXTREME_SCALE_CASES = REPRESENTATIVES + [
+    ("cii", 2, 2),
+    ("cii", 4, 3),
+    ("diii", 0, 4),
+    ("diii", 0, 5),
+    ("ci", 0, 3),
+]
+
+
+def _check_decompose_at_scale(case, scale):
+    # the squares of the entries leave the normal doubles at these scales, so
+    # no step may go through a Gram product B B† or a plain sum of squares
+    d = make_space(*case)
+    X = random_p_element(d, np.random.default_rng(17)) * scale
+    q, k = radial_decompose(d, X)
+    check_k_group_membership(d, k)
+    top = np.max(np.abs(X))  # the residual read at unit scale
+    R = (k @ embed_radial(d, q) @ k.conj().T - X) / top
+    assert np.linalg.norm(R) <= 1e-12 * np.linalg.norm(X / top)
+    qc = radial_coords(d, X)
+    assert np.max(np.abs(q - qc)) <= 1e-13 * np.max(np.abs(qc))
+
+
+@pytest.mark.parametrize("scale", EXTREME_SCALES)
+@pytest.mark.parametrize("case", EXTREME_SCALE_CASES)
+def test_radial_decompose_at_extreme_scales(case, scale):
+    _check_decompose_at_scale(case, scale)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("scale", EXTREME_SCALES)
+@pytest.mark.parametrize("case", root_system_grid())
+def test_radial_decompose_at_extreme_scales_on_grid(case, scale):
+    _check_decompose_at_scale(case, scale)
 
 
 def test_radial_degenerate_chamber_points():

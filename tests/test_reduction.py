@@ -361,6 +361,8 @@ _MALFORMED_CALLS = {
     "check_membership rtol nan": lambda d, s: check_membership(d, _RANDOM_L, rtol=np.nan),
     "check_p_membership rtol nan": lambda d, s: check_p_membership(d, _RANDOM_L, rtol=np.nan),
     "check_k rtol nan": lambda d, s: check_k_group_membership(d, _RANDOM_L, rtol=np.nan),
+    # the scale of a huge matrix stays finite, or every residual would pass
+    "check_p_membership non-member x1e200": lambda d, s: check_p_membership(d, 1e200 * _RANDOM_L),
     # -r has negative flag pivots: it fails the pattern at the default tolerance
     "slice_contains tol nan": lambda d, s: _verdict(
         slice_contains(d, SliceCoords(s.q, s.p, -s.r), tol=np.nan)),
