@@ -193,7 +193,7 @@ def _cmd_decompose(args) -> int:
         q = s.q
     else:
         q, k = radial_decompose(d, X)
-    residual = frobenius(k @ embed_radial(d, q) @ k.conj().T - X) / max(frobenius(X), 1e-300)
+    residual = frobenius(k @ embed_radial(d, q) @ k.conj().T - X) / (frobenius(X) or 1.0)
     payload = {
         "meta": _meta(d, seed=args.seed),
         "q": [float(v) for v in q],

@@ -25,10 +25,9 @@ import numpy as np
 
 from .linalg import ConsistencyError, ContractViolation, _check_int, _check_real, _finite_array
 from .linalg import _numeric_array, as_cmat
-from .radial import WALL_TOL, SliceCoords, radial_coords_batch, radial_decompose
+from .radial import WALL_TOL, SliceCoords, _near_wall, radial_coords_batch, radial_decompose
 from .reduction import ReducedState, _zk_perp_coords, l_from_slice
 from .spaces import SpaceDescriptor, _spectral_block, check_p_membership, geometry
-from .spaces import wall_distance
 
 __all__ = [
     "PhasePoint",
@@ -42,7 +41,8 @@ __all__ = [
     "compare_with_oracle",
 ]
 
-# integration aborts when the radial point comes this close to a wall
+# integration aborts when the least root value of q falls to this many
+# WALL_TOL max_i |q_i|
 _ABORT_FACTOR = 10.0
 # integration checks the wall once per block of this many logged states
 _WALL_BLOCK = 32
@@ -108,13 +108,16 @@ def reduce_phase_point(d: SpaceDescriptor, point: PhasePoint) -> tuple[ReducedSt
 def _slice_point(d: SpaceDescriptor, point: PhasePoint) -> tuple[SliceCoords, np.ndarray]:
     """The slice coordinates (q, p, r) of a phase point and the compact
     factor k with X = k H(q) k† and Y = k (H(p) + r) k†, from one radial
-    decomposition of X."""
+    decomposition of X.  r is built from its a-perp coordinates, so it lies
+    in p and a-perp up to rounding relative to |r|, not to |Y|: when Y
+    nearly commutes with X (Y = X, say) r is mostly the rounding of k†Yk,
+    and the difference k†Yk - H(p) would fail every check scaled by |r|."""
     geo = geometry(d)
     check_p_membership(d, point.Y)
     q, k = radial_decompose(d, point.X)
     Ybody = k.conj().T @ as_cmat(point.Y, "Y") @ k
     p = geo.a_pattern_coords(Ybody)
-    return SliceCoords(q, p, Ybody - geo.embed_radial(p)), k
+    return SliceCoords(q, p, geo.aperp_from_coords(geo.aperp_coords(Ybody))), k
 
 
 class _Reduced:
@@ -171,7 +174,7 @@ class _Reduced:
     def flat(self, state: ReducedState) -> np.ndarray:
         """The flat vector of a reduced state.  ContractViolation unless q
         and p are finite vectors of the length of the real rank and l is a
-        finite N x N matrix within 1e-10 max(|l|_F, 1) of zk-perp
+        finite N x N matrix within MEMBERSHIP_RTOL |l|_F of zk-perp
         (``_zk_perp_coords``)."""
         rk = self.rank
         q = _finite_array("q", state.q, (rk,), float)
@@ -246,7 +249,7 @@ class _Reduced:
 
 def _flat_state(sys: _Reduced, state: ReducedState, what: str) -> np.ndarray:
     y = sys.flat(state)
-    if wall_distance(sys.d, y[: sys.rank]) <= WALL_TOL:
+    if _near_wall(sys.d, y[: sys.rank]):
         raise ContractViolation(f"reduced {what} undefined on a chamber wall")
     return y
 
@@ -307,21 +310,25 @@ def integrate_reduced(
     tableau products and 1 copy), and nothing is allocated per step.
 
     The wall check runs once per block of ``_WALL_BLOCK`` logged states:
-    one product of their q rows with the positive roots and one reduction
-    of the signed root values.  Only a block that fails is searched, row by
-    row, for its first failing state, so the run stops at the same state
-    as a check after every step, having made at most ``_WALL_BLOCK`` - 1
-    steps more.  A state fails when its least root value is not above the
-    abort floor.  Every start lies inside the chamber, where that is the
-    test min |alpha(q)| > floor; a step that ends across a wall, even one
-    jumped between two step ends, fails it, and so does a NaN.
+    one product of their q rows with the positive roots and, per row, one
+    reduction of the signed root values and one of the |q_i|.  Only a block
+    with a failing row is searched for its first failing state, so the run
+    stops at the same state as a check after every step, having made at
+    most ``_WALL_BLOCK`` - 1 steps more.  A state fails when its least root
+    value is not above the abort floor ``_ABORT_FACTOR * WALL_TOL`` times
+    its scale max_i |q_i|, so that q -> 2^j q keeps every verdict.  Every
+    start lies inside the chamber, where that is the test
+    min |alpha(q)| > floor max_i |q_i|; a step that ends across a wall,
+    even one jumped between two step ends, fails it, and so does a q with
+    an infinite or NaN entry.
     """
     h = _step_size(t_max, steps)
     sys = _Reduced(d)
     y = sys.flat(initial)
     floor = _ABORT_FACTOR * WALL_TOL
     roots = sys.geo.root_table[0]
-    if not (roots @ y[: sys.rank]).min(initial=np.inf) > floor:
+    q0 = y[: sys.rank]
+    if not (roots @ q0).min(initial=np.inf) > floor * np.abs(q0).max():
         raise ContractViolation(
             "initial radial point is too close to a chamber wall or outside the chamber"
         )
@@ -357,10 +364,11 @@ def integrate_reduced(
                 stage4()
                 b_dot(K, row)
                 K0[...] = row
-            vals = block[:, :rk] @ roots.T
-            if not least(vals, axis=None, initial=inf) > floor:
+            qs = block[:, :rk]
+            ok = least(qs @ roots.T, axis=1, initial=inf) > floor * np.abs(qs).max(axis=1)
+            if not ok.all():
                 # the block's first state whose least root value fails
-                last = start + 1 + int(np.argmin(least(vals, axis=1, initial=inf) > floor))
+                last = start + 1 + int(np.argmin(ok))
                 if not np.isfinite(history[last]).all():
                     raise _non_finite(last, h)
                 aborted = f"radial point reached a chamber wall at t={last * h:.6g}"
@@ -368,7 +376,8 @@ def integrate_reduced(
                 break
     kept = history[: last + 1]
     if not np.isfinite(kept).all():
-        # an infinite q can pass the wall test; find the first such row
+        # a finite q with an infinite p or l passes the wall test; find the
+        # first such row
         raise _non_finite(int(np.argmin(np.isfinite(kept).all(axis=1))), h)
     q, p, lc = sys.split(kept)
     lmats = sys.geo.zk_from_coords(lc)

@@ -20,6 +20,7 @@ from . import factorizations as fac
 from .linalg import ContractViolation, _check_real, _finite_array, _numeric_array, as_cmat
 from .linalg import _frobenius_norms, frobenius
 from .spaces import (
+    MEMBERSHIP_RTOL,
     SpaceDescriptor,
     _quaternionic_j,
     _real_flat,
@@ -42,9 +43,18 @@ __all__ = [
     "slice_contains",
 ]
 
-# Chamber points closer than this to a wall count as degenerate for the
-# exact-slice reduction; orbit structure jumps on the walls.
+# Chamber points closer than this, relative to max_i |q_i|, to a wall count
+# as degenerate for the exact-slice reduction, the bracket map and the
+# reduced flow; orbit structure jumps on the walls.  The scale max_i |q_i|
+# stays finite wherever q is, unlike max |alpha(q)| or |q|_G, and takes a
+# power of two exactly, so q -> 2^j q keeps every verdict.
 WALL_TOL = 1e-8
+
+
+def _near_wall(d: SpaceDescriptor, q: np.ndarray) -> bool:
+    """min |alpha(q)| <= WALL_TOL max_i |q_i| for a finite radial vector q:
+    true on every wall, the zero vector included."""
+    return bool(wall_distance(d, q) <= WALL_TOL * np.abs(q).max())
 
 
 @dataclass(frozen=True)
@@ -283,7 +293,7 @@ def _check_slice_coords(d: SpaceDescriptor, s: SliceCoords) -> np.ndarray:
     check_p_membership(d, r)
     # Re<A, r> for every member A of the a basis, in one product
     along_a = _real_flat(geo._a_stack) @ _real_flat(r)
-    if np.max(np.abs(along_a)) > 1e-10 * max(frobenius(r), 1.0):
+    if np.max(np.abs(along_a)) > MEMBERSHIP_RTOL * frobenius(r):
         raise ContractViolation("r has a component along a; it must lie in a-perp")
     return r
 
@@ -322,13 +332,13 @@ def exact_slice_reduce(d: SpaceDescriptor, s: SliceCoords) -> tuple[ExactSliceEl
         )
     r = _check_slice_coords(d, s)
     q = np.asarray(s.q, dtype=float)
-    if not chamber_contains(d, q, tol=0.0) or wall_distance(d, q) <= WALL_TOL:
+    if not chamber_contains(d, q, tol=0.0) or _near_wall(d, q):
         raise ContractViolation(
             "q lies on or near a chamber wall: the centralizer orbit is degenerate"
         )
     m, n, N = d.m, d.n, d.ambient_dim
     B = _spectral_block(d, r).copy()
-    scale = max(frobenius(r), 1.0)
+    scale = frobenius(r)
     mu = min(n, m - n)
     degenerate: list[int] = []
 
@@ -438,7 +448,7 @@ def slice_contains(d: SpaceDescriptor, s: SliceCoords, tol: float = _PATTERN_TOL
         return SliceCheck(True)
     m, n = d.m, d.n
     B = _spectral_block(d, r)
-    scale = max(frobenius(r), 1.0)
+    scale = frobenius(r)
     mu = min(n, m - n)
     if d.kind == "bdi" and frobenius(r.imag) > tol * scale:
         return SliceCheck(False, "bdi slice entries must be real")

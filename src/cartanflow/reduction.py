@@ -19,9 +19,10 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import ConsistencyError, ContractViolation, _check_real, _finite_array, commutator
-from .linalg import _check_generator, as_cmat
-from .radial import WALL_TOL, SliceCoords
+from .linalg import _check_generator, as_cmat, frobenius
+from .radial import SliceCoords, _near_wall
 from .spaces import (
+    MEMBERSHIP_RTOL,
     SpaceDescriptor,
     _radial_vector,
     _real_flat,
@@ -82,12 +83,12 @@ def l_from_slice(d: SpaceDescriptor, s: SliceCoords) -> np.ndarray:
 
 def _zk_perp_coords(d: SpaceDescriptor, l) -> np.ndarray:
     """The zk-perp coordinates of l; ContractViolation unless l is a finite
-    N x N matrix within 1e-10 max(|l|_F, 1) of zk-perp."""
+    N x N matrix within MEMBERSHIP_RTOL |l|_F of zk-perp."""
     geo, N = geometry(d), d.ambient_dim
     l = _finite_array("l", l, (N, N), complex)
     lc = geo.zk_coords(l)
     off = _real_flat(l - geo.zk_from_coords(lc))  # l minus its projection
-    if np.linalg.norm(off) > 1e-10 * max(np.linalg.norm(l), 1.0):
+    if frobenius(off) > MEMBERSHIP_RTOL * frobenius(l):
         raise ContractViolation("l has a component outside zk-perp; it must lie in zk-perp")
     return lc
 
@@ -100,7 +101,7 @@ def r_from_l(d: SpaceDescriptor, q, l) -> np.ndarray:
     """
     geo = geometry(d)
     q = _radial_vector(d, q)
-    if wall_distance(d, q) <= WALL_TOL:
+    if _near_wall(d, q):
         raise ContractViolation(
             "q lies on or near a chamber wall: the bracket map is singular there"
         )

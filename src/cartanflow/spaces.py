@@ -311,7 +311,7 @@ def check_membership(d: SpaceDescriptor, X, rtol: float = MEMBERSHIP_RTOL) -> No
     rtol = _check_real("rtol", rtol, 0.0)
     N = d.ambient_dim
     X = _finite_array("matrix", X, (N, N), complex)
-    scale = max(frobenius(X), 1.0)
+    scale = frobenius(X)
     for name, residual in _relations(d, X):
         if residual > rtol * scale:
             raise ContractViolation(
@@ -330,7 +330,7 @@ def _relations(d: SpaceDescriptor, X: np.ndarray):
 def check_p_membership(d: SpaceDescriptor, X, rtol: float = MEMBERSHIP_RTOL) -> None:
     X = as_cmat(X)
     check_membership(d, X, rtol)
-    scale = max(frobenius(X), 1.0)
+    scale = frobenius(X)
     if frobenius(X - X.conj().T) > rtol * scale:
         raise ContractViolation(f"matrix is not Hermitian, hence not in p of {d.label()}")
 
@@ -347,7 +347,7 @@ def check_k_group_membership(d: SpaceDescriptor, k, rtol: float = 1e-9) -> None:
     rtol = _check_real("rtol", rtol, 0.0)
     N = d.ambient_dim
     k = _finite_array("k", k, (N, N), complex)
-    scale = max(frobenius(k), 1.0)
+    scale = frobenius(k)
 
     def _req(name: str, resid: float) -> None:
         if resid > rtol * scale:

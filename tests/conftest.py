@@ -175,8 +175,9 @@ def reference_integrate_reduced(d, initial, t_max, steps):
     """The per-step RK4 loop of the reduced flow with separate (q, p, l)
     states, the field of ``_reference_reduced`` and the invariants logged
     step by step.  A state fails the wall test when its least signed root
-    value (``reference_root_table``) is not above the abort floor; the run
-    stops before the first that fails.  Reference for ``integrate_reduced``."""
+    value (``reference_root_table``) is not above the abort floor times
+    max_i |q_i|; the run stops before the first that fails.  Reference for
+    ``integrate_reduced``."""
     zk_coords, zk_from_coords, hamiltonian, field = _reference_reduced(d)
     roots = reference_root_table(d)[0]
 
@@ -184,7 +185,7 @@ def reference_integrate_reduced(d, initial, t_max, steps):
         return np.sort(np.linalg.eigvalsh(1j * zk_from_coords(lc)))[::-1]
 
     def wall_ok(qv) -> bool:
-        return (roots @ qv).min(initial=np.inf) > _ABORT_FACTOR * WALL_TOL
+        return (roots @ qv).min(initial=np.inf) > _ABORT_FACTOR * WALL_TOL * np.abs(qv).max()
 
     q = np.asarray(initial.q, dtype=float).copy()
     p = np.asarray(initial.p, dtype=float).copy()

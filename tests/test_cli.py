@@ -70,6 +70,25 @@ def test_decompose_from_file(tmp_path, capsys):
     assert json.loads(out)["residual"] <= 1e-9
 
 
+def test_decompose_residual_is_relative_below_1e_minus_300(tmp_path, capsys):
+    # the printed residual is |k H(q) k^dagger - X|_F / |X|_F, recomputed here
+    # from the printed q and k; with |X|_F floored at 1e-300 it read 1.0e-20
+    from cartanflow import embed_radial, load_matrix, matrix_from_obj
+    from cartanflow.linalg import frobenius
+
+    d = make_space("aiii", 3, 2)
+    path = tmp_path / "x.json"
+    save_matrix(path, 1e-305 * sample_p_gaussian(d, 3))
+    code, out, _ = run_cli(
+        capsys, "decompose", "--class", "aiii", "--m", "3", "--n", "2", "--input", str(path)
+    )
+    assert code == 0
+    payload = json.loads(out)
+    q, k, X = np.array(payload["q"]), matrix_from_obj(payload["k"]), load_matrix(path)
+    want = frobenius(k @ embed_radial(d, q) @ k.conj().T - X) / frobenius(X)
+    assert payload["residual"] == want and 1e-17 < want <= 1e-12
+
+
 def test_decompose_exact_slice_from_files_gives_the_seeded_payload(tmp_path, capsys):
     # X and Y written from the draws of --seed 3: the same payload but for
     # meta.seed, which is null for file input
@@ -130,14 +149,16 @@ def _two_pass_exact_slice_json(d, seed):
     )
     from cartanflow.cli import _json_text, _meta
     from cartanflow.linalg import frobenius
+    from cartanflow.spaces import geometry
 
     X, Y = sample_p_gaussian(d, seed), sample_p_gaussian(d, seed + 1)
     q, k = radial_decompose(d, X)
-    residual = frobenius(k @ embed_radial(d, q) @ k.conj().T - X) / max(frobenius(X), 1e-300)
+    residual = frobenius(k @ embed_radial(d, q) @ k.conj().T - X) / (frobenius(X) or 1.0)
     payload = {"meta": _meta(d, seed=seed), "q": [float(v) for v in q],
                "k": matrix_to_obj(k), "residual": float(residual)}
     state, k2 = reduce_phase_point(d, PhasePoint(X, Y))
-    r = k2.conj().T @ Y @ k2 - embed_radial(d, state.p)
+    geo = geometry(d)
+    r = geo.aperp_from_coords(geo.aperp_coords(k2.conj().T @ Y @ k2))
     elem, m_elem = exact_slice_reduce(d, SliceCoords(state.q, state.p, r))
     payload["r_canonical"] = matrix_to_obj(elem.coords.r)
     payload["m_elem"] = matrix_to_obj(m_elem)

@@ -49,8 +49,14 @@ def _space(kind_m_n: str) -> str:
     return f"--class {kind} --m {m} --n {n}"
 
 
-# (space, file, scale) of the seed-3 p elements written for the decompose cases
-SCALED_INPUTS = [("ci 0 3", "ci3_small.json", 1e-200), ("aiii 3 2", "aiii32_large.json", 1e200)]
+# (space, file, scale, member) of the seed-3 p elements written for the
+# decompose cases; a non-member is i times the element, anti-Hermitian
+SCALED_INPUTS = [
+    ("aiii 3 2", "aiii32.json", 1.0, True),
+    ("ci 0 3", "ci3_small.json", 1e-200, True),
+    ("aiii 3 2", "aiii32_large.json", 1e200, True),
+    ("aiii 3 2", "aiii32_non_member_small.json", 1e-200, False),
+]
 
 
 def _write_inputs(cwd: Path) -> None:
@@ -58,9 +64,10 @@ def _write_inputs(cwd: Path) -> None:
     from cartanflow import make_space, sample_p_gaussian, save_matrix
 
     (cwd / "bad.json").write_text("not json\n")
-    for s, name, scale in SCALED_INPUTS:
+    for s, name, scale, member in SCALED_INPUTS:
         kind, m, n = s.split()
-        save_matrix(cwd / name, scale * sample_p_gaussian(make_space(kind, int(m), int(n)), 3))
+        factor = scale if member else 1j * scale
+        save_matrix(cwd / name, factor * sample_p_gaussian(make_space(kind, int(m), int(n)), 3))
 
 
 CASES = [
@@ -125,9 +132,18 @@ CASES = [
             "density --class aiii --m 2 --n 1 --q nan",
         )
     ),
-    # p elements whose squares underflow (ci(3) at 1e-200: the Takagi path)
-    # and overflow (aiii(3,2) at 1e200) decompose with a finite residual
-    *(("repeat", f"decompose {_space(s)} --input {name}", None) for s, name, _ in SCALED_INPUTS),
+    # p elements at unit scale, and ones whose squares underflow (ci(3) at
+    # 1e-200: the Takagi path) and overflow (aiii(3,2) at 1e200), decompose
+    # with a finite residual
+    *(("repeat", f"decompose {_space(s)} --input {name}", None)
+      for s, name, _, member in SCALED_INPUTS if member),
+    # the exact slice of Y = X, a free flow along a ray, whose r is the
+    # rounding of k†Yk
+    ("repeat", "decompose --class aiii --m 3 --n 2 --input aiii32.json --exact-slice "
+     "--input-y aiii32.json", None),
+    # a non-member at 1e-200 exits 2, as it does at unit scale
+    *(("exit", f"decompose {_space(s)} --input {name}", (2, "error: validation:"))
+      for s, name, _, member in SCALED_INPUTS if not member),
     # an --out path that is a directory exits 2, with no traceback
     ("exit", "spaces list --out .", (2, "error: validation: cannot write --out .: Is a directory")),
     # seeded sample and verify-density output is the same bytes in fresh

@@ -31,6 +31,7 @@ from conftest import (
     dense_aperp_basis,
     reference_integrate_reduced,
     reference_vector_field,
+    root_system_grid,
     stack_entries,
 )
 
@@ -305,6 +306,20 @@ def test_oracle_abelian_momentum(rng):
     assert report.max_deviation <= 1e-8
 
 
+@pytest.mark.parametrize("case", REPRESENTATIVES)
+def test_oracle_along_a_ray(case):
+    # Y = X is a free flow along a ray, and Y = X + 1e-7 Z nearly commutes
+    # with X: the transverse momentum r is all, or mostly, the rounding of
+    # k†Yk, and must still pass every check scaled by its own norm
+    d = make_space(*case)
+    rng = np.random.default_rng(2)
+    X, Z = random_p_element(d, rng), random_p_element(d, rng)
+    for Y in (X, X + 1e-7 * Z):
+        report = compare_with_oracle(d, PhasePoint(X, Y), 0.25, 40)
+        assert report.truncated is None
+        assert report.max_deviation <= 1e-12 * frobenius(X)
+
+
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_reversibility(case):
     d = make_space(*case)
@@ -385,6 +400,61 @@ def test_rk4_error_falls_with_the_fourth_power_of_the_step(case):
     err = [np.max(np.abs(integrate_reduced(d, state, 0.25, n).q[-1] - q_exact)) for n in (20, 40)]
     assert err[1] > 1e-10  # far above rounding, so the ratio measures the method
     assert err[0] >= 12.0 * err[1]
+
+
+# The norm identity of the flow: tr (X + tY)^2 expanded.  In the slice
+# tr X^2 = q^T G q, tr XY = q^T G p (r is orthogonal to a) and tr Y^2 = 2E,
+# so every trajectory keeps q(t)^T G q(t) = q0^T G q0 + 2t q0^T G p0 + 2t^2 E.
+# At rank 1 this is the whole solution, q(t)^2 = q0^2 + 2t q0 p0 + 2t^2 E/g.
+# It shares no code with the field.  The bound 1e-8 = 10^4 h^4 (h = 1e-3)
+# is fixed in advance; the largest relative residual at these seeds is
+# 4.5e-10 (ci(3)), and a force scaled by 1.05 leaves at least 7.5e-4 on
+# the flow-oracle spaces.
+NORM_SEEDS = range(101, 111)
+NORM_RTOL = 1e-8
+RANK_ONE_SPACES = [c for c in root_system_grid() if make_space(*c).real_rank == 1]
+
+
+def norm_identity_residual(d, state):
+    """The largest relative residual of the norm identity along the run of
+    250 steps to t = 0.25 from ``state``."""
+    G = geometry(d).gram
+    traj = integrate_reduced(d, state, 0.25, 250)
+    t, q0, p0 = traj.times, state.q, state.p
+    want = q0 @ G @ q0 + 2.0 * t * (q0 @ G @ p0) + 2.0 * t * t * reduced_hamiltonian(d, state)
+    got = np.einsum("ti,ij,tj->t", traj.q, G, traj.q)
+    return np.max(np.abs(got - want) / want)
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0**-30], ids=["unit", "2^-30"])
+@pytest.mark.parametrize("case", FLOW_SPACES)
+def test_flow_keeps_the_norm_identity(case, c):
+    # (q, p, l) -> (c q, c p, c^2 l) is the start (c X, c Y)
+    d = make_space(*case)
+    for seed in NORM_SEEDS:
+        s = seeded_state(d, seed)
+        assert norm_identity_residual(d, ReducedState(c * s.q, c * s.p, c * c * s.l)) <= NORM_RTOL
+
+
+@pytest.mark.parametrize("case", RANK_ONE_SPACES)
+def test_rank_one_flow_keeps_its_closed_form(case):
+    d = make_space(*case)
+    for seed in NORM_SEEDS:
+        assert norm_identity_residual(d, seeded_state(d, seed)) <= NORM_RTOL
+
+
+def test_norm_identity_fails_a_force_scaled_by_1_05(monkeypatch):
+    operands = _Reduced._field_operands.func
+
+    def scaled_force(self):
+        zk, zk_t, roots, half_force, pair, LW = operands(self)
+        return zk, zk_t, roots, 1.05 * half_force, pair, LW
+
+    monkeypatch.setattr(_Reduced, "_field_operands", property(scaled_force))
+    for case in FLOW_SPACES:
+        d = make_space(*case)
+        for seed in NORM_SEEDS:
+            assert norm_identity_residual(d, seeded_state(d, seed)) > NORM_RTOL, (case, seed)
 
 
 def test_trajectory_log_alignment():
@@ -550,6 +620,20 @@ def test_seeded_abort_in_the_second_block_is_byte_identical_to_the_per_step_chec
     assert trajectory_bytes(got) == trajectory_bytes(per_step_run(monkeypatch, d, state, 2.0, 100))
 
 
+def test_course_toward_the_origin_along_a_ray_is_no_wall_approach(monkeypatch):
+    # free motion on ai(3) from q = (2, 1) with p = -q: q(t) = (1 - t) q
+    # keeps min alpha(q) / max_i |q_i| at 1/2, so no state fails the wall
+    # test, though the last, at t = 1 - 1e-8, lies 1e-8 from a wall: the
+    # block's least root value, that of its last state, is under the floor
+    # at the scale of its first, and each state meets the floor at its own
+    d = make_space("ai", 0, 3)
+    state = ReducedState(np.array([2.0, 1.0]), np.array([-2.0, -1.0]), np.zeros((3, 3), complex))
+    t_max = 1.0 - 1e-8
+    got = integrate_reduced(d, state, t_max, 32)
+    assert got.aborted is None and len(got.times) == 33
+    assert trajectory_bytes(got) == trajectory_bytes(per_step_run(monkeypatch, d, state, t_max, 32))
+
+
 def test_abort_evaluates_the_field_at_most_one_block_past_the_wall(monkeypatch):
     # a run of 10^5 steps that fails at state k stops at the end of k's
     # block: at most 4 (k + _WALL_BLOCK) field calls, not 4 10^5
@@ -573,16 +657,14 @@ def test_abort_evaluates_the_field_at_most_one_block_past_the_wall(monkeypatch):
     assert 4 * k <= len(calls) <= 4 * (k + _WALL_BLOCK)
 
 
-@pytest.mark.parametrize("steps, t_bad", [(40, 8.0), (7, 2.0)])
-def test_infinite_state_that_passes_the_wall_test_then_nan(steps, t_bad):
+@pytest.mark.parametrize("steps, t_bad", [(40, 2.0), (7, 2.0)])
+def test_infinite_state_fails_the_wall_test(steps, t_bad):
     # free motion on ai(3) at h = 1: q_1 = 0.4 + 1e308 t overflows at state
-    # 2 and q_2 = 2.5e307 t at state 8.  No root of ai(3) has a zero
-    # coefficient, so states 2 to 7 are infinite but pass the wall test
-    # (each root value is +inf or finite and positive); state 8 fails it,
-    # with the NaN root value q_1 - q_2 = inf - inf, in the same block.  A
-    # check after every step stops at state 8 and, that state not being
-    # finite, raises there; a run of 7 steps fails no wall test and raises
-    # at the first infinite state
+    # 2 and q_2 = 2.5e307 t at state 8.  Every root value of state 2 is +inf
+    # or finite and positive, but its scale max_i |q_i| is inf, so it fails
+    # the wall test, and the run raises there, at the first infinite state,
+    # both in a run of 40 steps, whose first block goes on to the NaN root
+    # value q_1 - q_2 = inf - inf at state 8, and in a run of 7
     d = make_space("ai", 0, 3)
     q, p = np.array([0.4, 0.0]), np.array([1e308, 2.5e307])
     state = ReducedState(q, p, np.zeros((3, 3), complex))

@@ -336,6 +336,13 @@ def _aiii_slice_coords():
 _NAN2 = np.array([np.nan, 0.5])
 _RNG = np.random.default_rng(5)
 _RANDOM_L = _RNG.standard_normal((5, 5)) + 1j * _RNG.standard_normal((5, 5))
+
+
+def _l_plus_m(d, s):
+    """An l off zk-perp: no r maps to it."""
+    return l_from_slice(d, s) + basis_of(d, "m_centralizer")[0]
+
+
 _MALFORMED_CALLS = {
     "slice_contains nan q": lambda d, s: _verdict(slice_contains(d, SliceCoords(_NAN2, s.p, s.r))),
     "slice_contains nan p": lambda d, s: _verdict(slice_contains(d, SliceCoords(s.q, _NAN2, s.r))),
@@ -343,9 +350,10 @@ _MALFORMED_CALLS = {
     "l_from_slice nan r": lambda d, s: l_from_slice(d, SliceCoords(s.q, s.p, np.nan * s.r)),
     "r_from_l nan l": lambda d, s: r_from_l(d, s.q, np.nan * l_from_slice(d, s)),
     "r_from_l 3x3 l": lambda d, s: r_from_l(d, s.q, np.zeros((3, 3), dtype=complex)),
-    # an l off zk-perp: no r maps to it
-    "r_from_l l plus m": lambda d, s: r_from_l(
-        d, s.q, l_from_slice(d, s) + basis_of(d, "m_centralizer")[0]),
+    "r_from_l l plus m": lambda d, s: r_from_l(d, s.q, _l_plus_m(d, s)),
+    # at every scale: below |l|_F = 1, and where the squares of l overflow
+    "r_from_l l plus m x1e-11": lambda d, s: r_from_l(d, s.q, 1e-11 * _l_plus_m(d, s)),
+    "r_from_l l plus m x1e160": lambda d, s: r_from_l(d, s.q, 1e160 * _l_plus_m(d, s)),
     "r_from_l Hermitian l": lambda d, s: r_from_l(d, s.q, 1j * l_from_slice(d, s)),
     "r_from_l random l": lambda d, s: r_from_l(d, s.q, _RANDOM_L),
     "density nan q": lambda d, s: theoretical_radial_density(d, _NAN2),
@@ -363,6 +371,10 @@ _MALFORMED_CALLS = {
     "check_k rtol nan": lambda d, s: check_k_group_membership(d, _RANDOM_L, rtol=np.nan),
     # the scale of a huge matrix stays finite, or every residual would pass
     "check_p_membership non-member x1e200": lambda d, s: check_p_membership(d, 1e200 * _RANDOM_L),
+    # and that of a tiny one is not floored at 1, or every residual would pass
+    "check_p_membership non-member x1e-12": lambda d, s: check_p_membership(d, 1e-12 * _RANDOM_L),
+    "check_p_membership non-member x1e-200": lambda d, s: check_p_membership(
+        d, 1e-200 * _RANDOM_L),
     # -r has negative flag pivots: it fails the pattern at the default tolerance
     "slice_contains tol nan": lambda d, s: _verdict(
         slice_contains(d, SliceCoords(s.q, s.p, -s.r), tol=np.nan)),
