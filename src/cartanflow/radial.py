@@ -94,9 +94,11 @@ class SliceCheck:
 
 def chamber_contains(d: SpaceDescriptor, q, tol: float = 1e-12) -> bool:
     """Whether q lies in the closed positive Weyl chamber of the class:
-    alpha(q) >= -tol for every positive root.  False for a q of the wrong
-    length or with non-finite entries; ContractViolation for one that is
-    not a real numeric array, or unless ``tol`` is a finite real number >= 0."""
+    alpha(q) >= -tol for every positive root.  ``tol`` is absolute, the one
+    tolerance not relative to its input: a verdict within tol of a wall can
+    change under q -> 2^j q.  False for a q of the wrong length or with
+    non-finite entries; ContractViolation for one that is not a real
+    numeric array, or unless ``tol`` is a finite real number >= 0."""
     tol = _check_real("tol", tol, 0.0)
     q = _numeric_array("radial vector", q, float)
     if q.shape != (d.real_rank,) or not all(map(math.isfinite, q.tolist())):
@@ -133,26 +135,19 @@ def radial_decompose(d: SpaceDescriptor, X) -> tuple[np.ndarray, np.ndarray]:
     check_p_membership(d, X)
     kind, m, n = d.kind, d.m, d.n
 
-    if kind == "aiii":
+    if kind in ("aiii", "bdi"):
         B = _spectral_block(d, X)
-        U, s, Vh = np.linalg.svd(B, full_matrices=True)
-        k1 = U[:, ::-1]
-        k2 = Vh.conj().T
-        det = np.linalg.det(k1) * np.linalg.det(k2)
-        if m > n:
-            k1[:, 0] /= det
-        else:
-            phase = np.exp(-0.5j * np.angle(det))
-            k1[:, m - 1] *= phase
-            k2[:, 0] *= phase
-        return s.copy(), _assemble_k(d, k1, k2)
-
-    if kind == "bdi":
-        B = _spectral_block(d, X).real
-        U, s, Vh = np.linalg.svd(B, full_matrices=True)
-        q = s.copy()
-        k1 = U[:, ::-1]
-        k2 = Vh.T
+        U, s, Vh = np.linalg.svd(B.real if kind == "bdi" else B, full_matrices=True)
+        q, k1, k2 = s, U[:, ::-1], Vh.conj().T
+        if kind == "aiii":
+            det = np.linalg.det(k1) * np.linalg.det(k2)
+            if m > n:
+                k1[:, 0] /= det
+            else:
+                phase = np.exp(-0.5j * np.angle(det))
+                k1[:, m - 1] *= phase
+                k2[:, 0] *= phase
+            return q, _assemble_k(d, k1, k2)
         if np.linalg.det(k1) < 0:
             if m > n:
                 k1[:, 0] = -k1[:, 0]
@@ -171,7 +166,7 @@ def radial_decompose(d: SpaceDescriptor, X) -> tuple[np.ndarray, np.ndarray]:
                 # coordinate absorbs the sign
                 k2[:, n - 1] = -k2[:, n - 1]
                 q[n - 1] = -q[n - 1]
-        return q, _assemble_k(d, (k1 + 0j), (k2 + 0j))
+        return q, _assemble_k(d, k1 + 0j, k2 + 0j)
 
     if kind == "cii":
         B = _spectral_block(d, X)
@@ -203,14 +198,9 @@ def radial_decompose(d: SpaceDescriptor, X) -> tuple[np.ndarray, np.ndarray]:
         dvals, U = fac.quaternionic_eigh(X, _quaternionic_j(d))
         return dvals[: d.real_rank].copy(), U
 
-    if kind == "diii":
-        B = _spectral_block(d, X)
-        U, s = fac.antisym_canonical(B)
-        return s.copy(), _assemble_k(d, U, U.conj())
-
-    if kind == "ci":
-        B = _spectral_block(d, X)
-        U, s = fac.takagi(B)
+    if kind in ("diii", "ci"):
+        canonical = fac.antisym_canonical if kind == "diii" else fac.takagi
+        U, s = canonical(_spectral_block(d, X))
         return s.copy(), _assemble_k(d, U, U.conj())
 
     raise ContractViolation(f"unknown kind {kind!r}")
@@ -298,18 +288,13 @@ def _check_slice_coords(d: SpaceDescriptor, s: SliceCoords) -> np.ndarray:
     return r
 
 
-def _flag_columns(d: SpaceDescriptor, B: np.ndarray) -> np.ndarray:
-    """The short-root block: rows 1..m-n of the off-diagonal block."""
-    return B[: d.m - d.n, :]
-
-
-def _pair_entries(d: SpaceDescriptor, B: np.ndarray, i: int) -> tuple[complex, complex]:
-    """S-block entries carrying the (f_i - f_{i+1}, f_i + f_{i+1}) pair
-    (0-indexed i).  Rows are counted inside the full block B."""
-    m, n = d.m, d.n
-    u = B[m - 1 - i, i + 1]  # row paired with phase s_i, column i+1
-    v = B[m - 2 - i, i]  # row paired with phase s_{i+1}, column i
-    return complex(u), complex(v)
+def _pair_components(d: SpaceDescriptor, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The difference- and sum-root components (z-, z+) of every adjacent
+    pair (f_i - f_{i+1}, f_i + f_{i+1}), i = 0..n-2, read from the entries
+    u = B[m-1-i, i+1] and v = B[m-2-i, i] of the full block B."""
+    m, i = d.m, np.arange(d.n - 1)
+    u, v = B[m - 1 - i, i + 1], B[m - 2 - i, i]
+    return 0.5 * (u + np.conj(v)), 0.5 * (u - np.conj(v))
 
 
 def exact_slice_reduce(d: SpaceDescriptor, s: SliceCoords) -> tuple[ExactSliceElement, np.ndarray]:
@@ -320,11 +305,15 @@ def exact_slice_reduce(d: SpaceDescriptor, s: SliceCoords) -> tuple[ExactSliceEl
     strictly inside the chamber (all roots bounded away from zero by the
     wall tolerance); wall points have jumping orbit types and are refused.
 
-    aiii: a unitary flag reduction of the m-n short-root rows makes column
-    i have a nonnegative real pivot at row i with zeros below, and the
-    centralizer torus makes one designated difference-root component per
-    adjacent pair real nonnegative.  bdi: the real flag reduction by
-    SO(m-n).  The canonical element has the same q, p and norm of r.
+    One flag reduction serves both classes: the QR of the m-n short-root
+    rows of the block (their real part for bdi) gives column j a pivot at
+    row j with zeros below, and each pivot is made real nonnegative by a
+    phase (aiii, U(m-n)) or a sign (bdi, SO(m-n)).  bdi needs two rows, as
+    SO(1) is trivial, and keeps det = 1 by flipping the first spare row,
+    or the last pivot row when there is none.  aiii then spends the
+    centralizer torus on making one designated component per adjacent
+    root pair real nonnegative.  The canonical element has the same q, p
+    and norm of r.
     """
     if d.kind not in _EXACT_SLICE_KINDS:
         raise ContractViolation(
@@ -337,76 +326,49 @@ def exact_slice_reduce(d: SpaceDescriptor, s: SliceCoords) -> tuple[ExactSliceEl
             "q lies on or near a chamber wall: the centralizer orbit is degenerate"
         )
     m, n, N = d.m, d.n, d.ambient_dim
-    B = _spectral_block(d, r).copy()
-    scale = frobenius(r)
+    real = d.kind == "bdi"
+    B = _spectral_block(d, r)
+    tol = _PATTERN_TOL * frobenius(r)
     mu = min(n, m - n)
-    degenerate: list[int] = []
+    W = np.eye(m - n, dtype=float if real else complex)
+    degenerate: tuple[int, ...] = ()
+    if m - n > real:  # bdi needs two rows: SO(1) is trivial
+        Q, R = np.linalg.qr(B[: m - n].real if real else B[: m - n], mode="complete")
+        W = Q.conj().T
+        piv = R.diagonal()
+        ok = np.abs(piv) > tol
+        W[np.flatnonzero(ok)] *= (np.conj(piv[ok]) / np.abs(piv[ok]))[:, None]
+        degenerate = tuple(np.flatnonzero(~ok).tolist())
+        if real and np.linalg.det(W) < 0:
+            # flip the first spare row, else the last pivot's free sign
+            j = mu if m - n > mu else mu - 1
+            W[j] = -W[j]
 
-    if d.kind == "aiii":
-        # flag reduction of the short-root columns
-        W = np.eye(m - n, dtype=complex)
-        if m > n:
-            F = _flag_columns(d, B)
-            Q, R = np.linalg.qr(F, mode="complete")
-            W = Q.conj().T
-            for j in range(mu):
-                piv = R[j, j]
-                if abs(piv) > _PATTERN_TOL * scale:
-                    W[j, :] *= np.conj(piv) / abs(piv)
-                else:
-                    degenerate.append(j)
+    if real:
+        m_elem = np.eye(N, dtype=complex)
+        m_elem[: m - n, : m - n] = W
+    else:
         # torus phases from the designated adjacent-pair components (rows
-        # below the flag block, untouched by W)
-        deltas = np.zeros(max(n - 1, 0))
-        for i in range(n - 1):
-            u, v = _pair_entries(d, B, i)
-            z_minus = 0.5 * (u + np.conj(v))
-            z_plus = 0.5 * (u - np.conj(v))
-            if abs(z_minus) > _PATTERN_TOL * scale:
-                deltas[i] = -np.angle(z_minus)
-            elif abs(z_plus) > _PATTERN_TOL * scale:
-                deltas[i] = -np.angle(z_plus)
-        sph = np.zeros(n)
-        for i in range(n - 1):
-            sph[i + 1] = sph[i] - deltas[i]
-        # assemble m_elem = diag(Phi W, tail, D)
-        phi = np.zeros(m - n)
-        phi[:mu] = sph[:mu]
+        # below the flag block, untouched by W); 0.0 - cumsum keeps a zero
+        # phase +0.0
+        z_minus, z_plus = _pair_components(d, B)
+        z = np.where(np.abs(z_minus) > tol, z_minus, z_plus)
+        deltas = np.where(np.abs(z) > tol, -np.angle(z), 0.0)
+        sph = np.concatenate(([0.0], 0.0 - np.cumsum(deltas)))
+        # assemble m_elem = diag(Phi W, tail, D); row m-1-j of the tail
+        # carries phase s_j.  Phi W stays a matrix product, whose rounding
+        # a row scaling does not reproduce
+        phi = np.pad(sph[:mu], (0, m - n - mu))
         A_block = np.zeros((m, m), dtype=complex)
-        if m > n:
-            A_block[: m - n, : m - n] = np.diag(np.exp(1j * phi)) @ W
-        tail = np.exp(1j * sph[::-1])  # row m-1-j carries phase s_j
-        A_block[m - n :, m - n :] = np.diag(tail)
-        D_block = np.diag(np.exp(1j * sph))
-        m_elem = _assemble_k(d, A_block, D_block)
+        A_block[: m - n, : m - n] = np.diag(np.exp(1j * phi)) @ W
+        A_block[m - n :, m - n :] = np.diag(np.exp(1j * sph[::-1]))
+        m_elem = _assemble_k(d, A_block, np.diag(np.exp(1j * sph)))
         # determinant correction by a scalar: acts trivially on r
         m_elem = m_elem * np.exp(-1j * np.angle(np.linalg.det(m_elem)) / N)
-    else:  # bdi
-        W = np.eye(m - n)
-        if m - n >= 2:
-            F = _flag_columns(d, B).real
-            Q, R = np.linalg.qr(F, mode="complete")
-            W = Q.T
-            for j in range(mu):
-                piv = R[j, j]
-                if abs(piv) > _PATTERN_TOL * scale:
-                    if piv < 0:
-                        W[j, :] = -W[j, :]
-                else:
-                    degenerate.append(j)
-            if np.linalg.det(W) < 0:
-                if m - n > mu:
-                    W[mu, :] = -W[mu, :]
-                else:
-                    # no spare row: the last pivot keeps a free sign
-                    W[mu - 1, :] = -W[mu - 1, :]
-        A_block = np.eye(m, dtype=complex)
-        A_block[: m - n, : m - n] = W
-        m_elem = _assemble_k(d, A_block, np.eye(n, dtype=complex))
 
     r_canon = m_elem @ r @ m_elem.conj().T
     coords = SliceCoords(q=q.copy(), p=np.asarray(s.p, dtype=float).copy(), r=r_canon)
-    return ExactSliceElement(coords, tuple(degenerate)), m_elem
+    return ExactSliceElement(coords, degenerate), m_elem
 
 
 def exact_slice_constraint_count(d: SpaceDescriptor) -> int:
@@ -448,34 +410,31 @@ def slice_contains(d: SpaceDescriptor, s: SliceCoords, tol: float = _PATTERN_TOL
         return SliceCheck(True)
     m, n = d.m, d.n
     B = _spectral_block(d, r)
-    scale = frobenius(r)
+    tol *= frobenius(r)
     mu = min(n, m - n)
-    if d.kind == "bdi" and frobenius(r.imag) > tol * scale:
+    if d.kind == "bdi" and frobenius(r.imag) > tol:
         return SliceCheck(False, "bdi slice entries must be real")
     for j in range(mu):
         piv = B[j, j]
-        if abs(piv.imag) > tol * scale:
+        if abs(piv.imag) > tol:
             return SliceCheck(False, f"flag pivot at row {j}, column {j} is not real")
         below = B[j + 1 : m - n, j]
-        if below.size and np.max(np.abs(below)) > tol * scale:
+        if below.size and np.max(np.abs(below)) > tol:
             return SliceCheck(False, f"flag column {j} has nonzero entries below its pivot")
         sign_fixed = d.kind == "aiii" or (m - n > n) or j < mu - 1
-        if sign_fixed and piv.real < -tol * scale:
+        if sign_fixed and piv.real < -tol:
             return SliceCheck(False, f"flag pivot at column {j} is negative")
     if d.kind == "aiii":
-        for i in range(n - 1):
-            u, v = _pair_entries(d, B, i)
-            z_minus = 0.5 * (u + np.conj(v))
-            z_plus = 0.5 * (u - np.conj(v))
-            target, which = (
-                (z_minus, "difference") if abs(z_minus) > tol * scale else (z_plus, "sum")
+        z_minus, z_plus = _pair_components(d, B)
+        difference = np.abs(z_minus) > tol
+        z = np.where(difference, z_minus, z_plus)
+        bad = (np.abs(z) > tol) & ((np.abs(z.imag) > tol) | (z.real < -tol))
+        if bad.any():
+            i = int(np.argmax(bad))
+            which = "difference" if difference[i] else "sum"
+            return SliceCheck(
+                False,
+                f"designated {which}-root component of adjacent pair {i} "
+                "is not real nonnegative",
             )
-            if abs(target) > tol * scale and (
-                abs(target.imag) > tol * scale or target.real < -tol * scale
-            ):
-                return SliceCheck(
-                    False,
-                    f"designated {which}-root component of adjacent pair {i} "
-                    "is not real nonnegative",
-                )
     return SliceCheck(True)

@@ -85,6 +85,11 @@ CASES = [
             f"density {_space(s)} --q 2,1 --method both",
         )
     ),
+    # the exact slice's flag reduction on each of its branches: bdi with a
+    # spare row (5,2) and with none (4,2), both taking the determinant fix
+    # at seed 4, and aiii with more flag rows than pivots (5,2)
+    *(("repeat", f"decompose {_space(s)} --seed {seed} --exact-slice", None)
+      for s, seed in (("bdi 5 2", 4), ("bdi 4 2", 4), ("aiii 5 2", 3))),
     # decompose on ai(4), a2(3) and aii(3), whose p diagonals sum several
     # basis elements each (the exact slice covers aiii and bdi only)
     *(("repeat", f"decompose {_space(s)} --seed 3", None) for s in ("ai 0 4", "a2 0 3", "aii 0 3")),

@@ -542,6 +542,32 @@ def test_exact_slice_degenerate_flag(rng):
     assert elem.degenerate == (0,)
 
 
+@pytest.mark.parametrize("case, expected", [
+    (("aiii", 3, 1), (0,)),
+    (("aiii", 5, 2), (0, 1)),
+    (("aiii", 2, 2), ()),
+    (("bdi", 3, 1), (0,)),
+    (("bdi", 5, 2), (0, 1)),
+    (("bdi", 4, 2), (0, 1)),
+    # one flag row: SO(1) is trivial, so bdi runs no flag reduction
+    (("bdi", 3, 2), ()),
+])
+def test_exact_slice_degenerate_flag_on_every_branch(case, expected, rng):
+    # zero the flag rows and their mirrors: every pivot of the flag
+    # reduction vanishes and is flagged, with a spare row or without
+    d = make_space(*case)
+    geo = geometry(d)
+    k = d.m - d.n
+    r = random_aperp(d, rng)
+    r[:k, :] = 0.0
+    r[:, :k] = 0.0
+    r = geo.aperp_from_coords(geo.aperp_coords(r))
+    s = SliceCoords(q=random_chamber(d, rng), p=np.zeros(d.real_rank), r=r)
+    elem, _ = exact_slice_reduce(d, s)
+    assert elem.degenerate == expected
+    assert slice_contains(d, elem.coords).ok
+
+
 def test_slice_contains_diagnoses_negative_pivot(rng):
     d = make_space("aiii", 3, 1)
     s = SliceCoords(
@@ -553,6 +579,27 @@ def test_slice_contains_diagnoses_negative_pivot(rng):
     r_bad[3, 0] *= -1.0
     check = slice_contains(d, SliceCoords(elem.coords.q, elem.coords.p, r_bad))
     assert not check.ok and "pivot" in check.violation
+
+
+@pytest.mark.parametrize("which, u", [("difference", -1.0), ("sum", 1j)])
+def test_slice_contains_diagnoses_the_torus_pattern(which, u, rng):
+    # aiii(3,3) has no flag rows.  Pair 0 reads u = B[2, 1] and v = B[1, 0]:
+    # v = conj(u) designates z- = u, and v = -conj(u) makes z- vanish and
+    # designates z+ = u; neither u is real nonnegative
+    d = make_space("aiii", 3, 3)
+    r = random_aperp(d, rng)
+    B = r[:3, 3:]
+    B[2, 1] = u
+    B[1, 0] = np.conj(u) if which == "difference" else -np.conj(u)
+    r[3:, :3] = B.conj().T
+    s = SliceCoords(random_chamber(d, rng), np.zeros(3), r)
+    check = slice_contains(d, s)
+    assert not check.ok
+    assert check.violation == (
+        f"designated {which}-root component of adjacent pair 0 is not real nonnegative"
+    )
+    elem, _ = exact_slice_reduce(d, s)
+    assert slice_contains(d, elem.coords).ok
 
 
 def test_slice_contains_bdi_rejects_complex(rng):

@@ -124,6 +124,37 @@ def test_gaussian_norm_moment():
     assert abs(mean - d.dim_p) <= 3 * np.sqrt(2 * d.dim_p / count)
 
 
+def chunk_normals(d, count, seed):
+    """The sampler's normals, regenerated chunk by chunk from its seeds."""
+    return np.concatenate([
+        sampling._chunk_rng(seed, c).standard_normal((min(CHUNK_SIZE, count - lo), d.dim_p))
+        for c, lo in enumerate(range(0, count, CHUNK_SIZE))
+    ])
+
+
+@pytest.mark.parametrize("case", REPRESENTATIVES + [
+    ("aiii", 8, 8), ("cii", 2, 2), ("bdi", 1, 1), ("bdi", 3, 3),
+])
+def test_sampler_norm_identity_per_draw(case, monkeypatch):
+    # p has a trace-form orthonormal basis, so tr X^2 = |x|^2 for the drawn
+    # coordinates x, and tr X^2 = q^T G q: exact for every draw, here across
+    # a chunk boundary (worst seen 2.9e-15, ai(3)).  The root product's
+    # degree, sum m_alpha = dim p - rank, is asserted by criterion 4.
+    d = make_space(*case)
+    count, seed, G = 10_000, 7, geometry(d).gram
+    x2 = np.sum(chunk_normals(d, count, seed) ** 2, axis=1)
+
+    def residuals():
+        q = sample_radial_batch(d, count, seed)
+        return np.abs(np.sum((q @ G) * q, axis=1) - x2) / x2
+
+    assert residuals().max() <= 1e-13
+    # a sampler scaled by 1.01 fails on every draw
+    monkeypatch.setattr(sampling, "radial_coords_batch",
+                        lambda d, B: 1.01 * radial_coords_batch(d, B))
+    assert residuals().min() > 1e-13
+
+
 def test_basis_projections_uncorrelated():
     d = make_space("ai", 0, 3)
     geo = geometry(d)
